@@ -14,7 +14,6 @@ from .errors import CapabilityError
 from .streams import RandomStream, child_seed, substream
 from .trees import (
     MAX_ENUM_N,
-    FunctionMarginalTree,
     MarginalTree,
     TableMarginalTree,
     bernoulli_kl,
@@ -42,14 +41,11 @@ from .simulation import (
     MAX_PREPROCESS_N,
     EdgeEstimate,
     LazySimulation,
-    LearnedDistribution,
     est_simulation_edge,
     preprocess,
     samples_per_edge,
 )
 from .distance import (
-    MassOracle,
-    PreprocessedHandle,
     TvEstimate,
     estimate_tv,
     one_sided_expectation,

@@ -43,10 +43,7 @@ class BitString:
         return "".join(map(str, self.bits))
 
     def as_int(self) -> int:
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return index_of(self.bits)
 
     def prefix(self, length: int) -> "Prefix":
         """The true prefix consisting of the first `length` bits."""
@@ -96,10 +93,7 @@ class Prefix:
     @property
     def index(self) -> int:
         """Position among the 2^depth prefixes of the same length (big-endian)."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return index_of(self.bits)
 
     def as_str(self) -> str:
         return "".join(map(str, self.bits))
@@ -128,6 +122,19 @@ class Prefix:
 
 PrefixLike = Union[Prefix, str, tuple, list]
 BitStringLike = Union[BitString, str, tuple, list]
+
+
+def prefix_str(depth: int, index: int) -> str:
+    """The '01' string of the index-th prefix of length depth (big-endian)."""
+    return format(index, f"0{depth}b") if depth else ""
+
+
+def index_of(bits: Iterable[int]) -> int:
+    """The big-endian value of a bit sequence: the index prefix_str names."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
 
 
 def as_prefix(n: int, w: PrefixLike) -> Prefix:

@@ -150,6 +150,7 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
 # harness
 
 def _run_trials(trial_fn, cfg: dict, trials: int, workers: int) -> list[dict]:
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         batches = [trial_fn(cfg, t) for t in range(trials)]
     else:
@@ -206,6 +207,11 @@ def _positive(parser, name, value, strict=True):
         parser.error(f"precondition violated: {name} must be non-negative, got {value}")
 
 
+def _marginal_range(parser, args):
+    if not 0.0 <= args.marginal_low <= args.marginal_high <= 1.0:
+        parser.error("precondition violated: need 0 <= marginal-low <= marginal-high <= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefixsim",
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write JSON lines here instead of stdout "
                                         f"(relative paths resolve under ${OUTPUT_DIR_ENV})")
         p.add_argument("--csv", action="store_true", help="also write <output>.csv")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="capped at the CPU count")
 
     p = sub.add_parser("simulate", help="learn random trees and report the exact divergence achieved")
     p.add_argument("--n", type=int, required=True)
@@ -279,8 +285,7 @@ def cmd_simulate(parser, args) -> int:
         parser.error(f"precondition violated: simulate needs 1 <= n <= {MAX_PREPROCESS_N}")
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
-    if not 0.0 <= args.marginal_low <= args.marginal_high <= 1.0:
-        parser.error("precondition violated: need 0 <= marginal-low <= marginal-high <= 1")
+    _marginal_range(parser, args)
     started = time.time()
     cfg = {"n": args.n, "delta": args.delta, "seed": args.seed,
            "marginal_low": args.marginal_low, "marginal_high": args.marginal_high}
@@ -302,6 +307,9 @@ def cmd_estimate_tv(parser, args) -> int:
     if not 0.0 < args.epsilon < 1.0:
         parser.error("precondition violated: need 0 < epsilon < 1")
     _positive(parser, "trials", args.trials)
+    _positive(parser, "rounds", args.rounds)
+    _positive(parser, "scale", args.scale)
+    _marginal_range(parser, args)
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
            "scale": args.scale, "rounds": args.rounds,
@@ -400,7 +408,7 @@ def cmd_reduce_interval(parser, args) -> int:
     cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
     records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)
     mass_ok = all(r["mass_preserved"] for r in records)
-    coupled_ok = all(r["coupled"] for r in records if r["power_of_two"])
+    coupled_ok = all(r["coupled"] for r in records)
     passed = mass_ok and coupled_ok
     summary = _summary("reduce-interval", args, started, passed,
                        mass_preserved=mass_ok, coupled=coupled_ok)
@@ -413,6 +421,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.csv and not args.output:
         parser.error("--csv requires --output")
+    _positive(parser, "workers", args.workers)
     return args.func(parser, args)
 
 

@@ -1,4 +1,4 @@
-"""Total-variation distance estimation from two simulation handles.
+"""Total-variation distance estimation from two simulations.
 
 The estimator draws pairs (x, p_a(x)) from the first simulation, queries the
 same x in the second, and averages max(0, 1 - p_b(x) / p_a(x)).  For exact
@@ -12,36 +12,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
-from .bits import BitString, BitStringLike
-from .simulation import LearnedDistribution
-from .streams import RandomStream
+from .simulation import LazySimulation
 from .trees import MarginalTree
 from .util import ceil_snap
-
-
-@runtime_checkable
-class MassOracle(Protocol):
-    """Draw access returning (x, mass of x) plus mass queries for given x."""
-
-    def sample(self) -> tuple[BitString, float]: ...
-
-    def query(self, x: BitStringLike) -> float: ...
-
-
-class PreprocessedHandle:
-    """Binds an eagerly learned distribution and a stream into a MassOracle."""
-
-    def __init__(self, learned: LearnedDistribution, rng: RandomStream):
-        self._learned = learned
-        self._rng = rng
-
-    def sample(self) -> tuple[BitString, float]:
-        return self._learned.sample(self._rng)
-
-    def query(self, x: BitStringLike) -> float:
-        return self._learned.query(x)
 
 
 @dataclass
@@ -51,8 +25,8 @@ class TvEstimate:
     rounds: int
     pairs_per_round: int
     round_values: list[float] = field(default_factory=list)
-    budget_a: int | None = None
-    budget_b: int | None = None
+    budget_a: int = 0
+    budget_b: int = 0
 
 
 def simulation_delta(epsilon: float) -> float:
@@ -62,50 +36,42 @@ def simulation_delta(epsilon: float) -> float:
     return epsilon * epsilon / 36.0
 
 
-def estimate_tv(handle_a, handle_b, epsilon: float, *,
+def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
                 scale: float = 16.0, rounds: int = 9) -> TvEstimate:
     """Estimate d_TV between the two simulated distributions within +-epsilon.
 
     Runs `rounds` independent repetitions of ceil(scale / epsilon^2) draws
-    from handle_a, each cross-queried in handle_b, and returns the median of
-    the per-round plug-in averages, clamped to [0, 1].  All sampling
-    randomness flows through the handles' own streams.
+    from sim_a, each cross-queried in sim_b, and returns the median of the
+    per-round plug-in averages, clamped to [0, 1].  All sampling randomness
+    flows through the simulations' own streams; budget_a and budget_b are
+    the conditional samples each simulation's oracle drew during the call.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if rounds < 1 or scale <= 0.0:
         raise ValueError("need at least one round and a positive scale")
     pairs = ceil_snap(scale / (epsilon * epsilon))
-    before_a = _budget_of(handle_a)
-    before_b = _budget_of(handle_b)
+    before_a = sim_a.oracle.budget.conditional_calls
+    before_b = sim_b.oracle.budget.conditional_calls
     round_values = []
     for _ in range(rounds):
         acc = 0.0
         for _ in range(pairs):
-            x, pa = handle_a.sample()
-            pb = handle_b.query(x)
+            x, pa = sim_a.sample()
+            pb = sim_b.query(x)
             if pa <= 0.0:
-                raise RuntimeError("drawn element reported non-positive mass; handle is inconsistent")
+                raise RuntimeError("drawn element reported non-positive mass; simulation is inconsistent")
             acc += max(0.0, 1.0 - pb / pa)
         round_values.append(min(1.0, max(0.0, acc / pairs)))
-    after_a = _budget_of(handle_a)
-    after_b = _budget_of(handle_b)
     return TvEstimate(
         estimate=float(statistics.median(round_values)),
         epsilon=epsilon,
         rounds=rounds,
         pairs_per_round=pairs,
         round_values=round_values,
-        budget_a=None if before_a is None else after_a - before_a,
-        budget_b=None if before_b is None else after_b - before_b,
+        budget_a=sim_a.oracle.budget.conditional_calls - before_a,
+        budget_b=sim_b.oracle.budget.conditional_calls - before_b,
     )
-
-
-def _budget_of(handle) -> int | None:
-    oracle = getattr(handle, "oracle", None)
-    if oracle is None:
-        return None
-    return oracle.budget.conditional_calls
 
 
 def one_sided_expectation(a: MarginalTree, b: MarginalTree) -> float:

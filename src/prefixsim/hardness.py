@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix
 from .oracles import PrefixOracle, TreeOracle
 from .streams import RandomStream, child_seed, substream
-from .trees import MarginalTree, MarginalWalker
+from .trees import MarginalTree
 
 _MASK64 = (1 << 64) - 1
 _SIGN_TAG = 0x632D65B727C07E85
@@ -82,24 +84,23 @@ class SignMarginalTree(MarginalTree):
     def marginal_bits(self, bits: tuple[int, ...]) -> float:
         return self._plus if self.signs.sign(bits) > 0 else self._minus
 
-    def walker(self, bits: tuple[int, ...] = ()) -> "_SignWalker":
-        return _SignWalker(self, bits)
-
-
-class _SignWalker(MarginalWalker):
-    def __init__(self, tree: SignMarginalTree, bits: tuple[int, ...]):
-        self._tree = tree
-        state = tree.signs.root_state
+    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+        # one rolling sign state per row, advanced a bit at a time; draws on
+        # these trees are single rows down long paths, where stepping numpy
+        # arrays level by level costs more than the loop
+        advance, sign_of_state = SignAssignment.advance, SignAssignment.sign_of_state
+        start = self.signs.root_state
         for b in bits:
-            state = SignAssignment.advance(state, b)
-        self._state = state
-
-    def value(self) -> float:
-        sign = SignAssignment.sign_of_state(self._state)
-        return self._tree._plus if sign > 0 else self._tree._minus
-
-    def step(self, bit: int) -> None:
-        self._state = SignAssignment.advance(self._state, bit)
+            start = advance(start, b)
+        rows = []
+        for row in u.tolist():
+            state, out = start, []
+            for v in row:
+                bit = 1 if v < (self._plus if sign_of_state(state) > 0 else self._minus) else 0
+                out.append(bit)
+                state = advance(state, bit)
+            rows.append(out)
+        return np.array(rows, dtype=np.uint8)
 
 
 def challenge_marginal(sign, delta):
@@ -178,13 +179,8 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
     else:
         if not 0.0 < r < 1.0:
             raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
-        bits = []
-        walker = SignMarginalTree(n, signs, tilt_marginal(-1, r), tilt_marginal(1, r)).walker(())
-        for _ in range(n):
-            b = 1 if rng.random() < walker.value() else 0
-            bits.append(b)
-            walker.step(b)
-        x = BitString(tuple(bits))
+        tilted = SignMarginalTree(n, signs, tilt_marginal(-1, r), tilt_marginal(1, r))
+        x = BitString(tuple(tilted.descend((), rng.random((1, n)))[0].tolist()))
     return HardInstance(label, n, delta, r, signs, x, seed)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bits import BitString, PrefixLike, as_prefix
 from .streams import RandomStream
-from .trees import MarginalTree, TableMarginalTree
+from .trees import MarginalTree
 
 
 @dataclass
@@ -114,27 +114,11 @@ class TreeOracle(PrefixOracle):
         wp = as_prefix(self.n, w)
         if m < 1:
             raise ValueError("batch size must be positive")
-        free = self.n - wp.depth
-        u = rng.random((m, free))
-        zero_mass = self.tree.conditional_mass(wp) == 0.0
-        if zero_mass:
+        u = rng.random((m, self.n - wp.depth))
+        if self.tree.conditional_mass(wp) == 0.0:
             out = (u < 0.5).astype(np.uint8)
-        elif isinstance(self.tree, TableMarginalTree):
-            out = np.empty((m, free), dtype=np.uint8)
-            idx = np.full(m, wp.index, dtype=np.int64)
-            for t in range(free):
-                f = self.tree.level(wp.depth + t)[idx]
-                bits = u[:, t] < f
-                out[:, t] = bits
-                idx = (idx << 1) + bits
         else:
-            out = np.empty((m, free), dtype=np.uint8)
-            for s in range(m):
-                walker = self.tree.walker(wp.bits)
-                for t in range(free):
-                    bit = 1 if u[s, t] < walker.value() else 0
-                    out[s, t] = bit
-                    walker.step(bit)
+            out = self.tree.descend(wp.bits, u)
         self.budget.charge_conditional(wp.as_str(), m)
         self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
                       "result": ["".join(map(str, row)) for row in out.tolist()]})

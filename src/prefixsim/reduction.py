@@ -7,6 +7,14 @@ for padding codes beyond N), so a prefix condition over the codes corresponds
 to an interval condition over the elements, and any prefix-model algorithm
 can be executed against an interval oracle draw for draw.
 
+With positive weights, a simulation run through the adapter is bit-identical
+to one over the encoded tree for every N: where padding clips a prefix's
+interval into one child, the native draw consumes fewer uniforms, but the
+first free bit, the only one an edge estimate reads, is forced on both
+routes.  A zero weight breaks this: with weights [1, 0, 0] the encoded tree
+draws under the zero-mass prefix '1' by the uniform convention, while the
+native oracle returns element 3, so the two simulations do not couple.
+
 No separate adapter exists for subcube-conditional oracles: a prefix
 condition is already a subcube condition, so prefix-model algorithms run
 against them as-is.

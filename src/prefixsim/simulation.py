@@ -3,19 +3,18 @@
 A single edge w -> wb is estimated by drawing m = ceil(n / delta) samples
 conditioned on w and averaging the first free bit.  Estimating every edge
 independently yields a surrogate distribution whose expected KL divergence
-from the input is at most n/m <= delta.  Two implementations are provided:
+from the input is at most n/m <= delta.
 
-* an eager one that learns the whole tree up front (exponential work, simple
-  to reason about), and
-* a lazy one that estimates an edge the first time it or its sibling lies on
-  a queried path, memoizing both siblings.
-
-Because each edge's estimation stream is keyed by (master seed, prefix), the
-order in which edges are first touched is irrelevant, and the lazy
-implementation is bit-for-bit equal to reading the eagerly learned tree.
-Estimates are kept as exact integer pairs (k, m); all float probabilities
-are computed as k/m so the two implementations agree to the last bit and
-realization checks can run in exact rational arithmetic.
+One store holds the estimates: for each prefix w it keeps k(w), the number
+of ones among the m samples of its edge, so both siblings are read from one
+entry as k/m and (m - k)/m.  The store is filled lazily, an edge the first
+time it lies on a queried or sampled path, or all at once by preprocess,
+which touches every edge of the tree up front (exponential work).  Because
+each edge's estimation stream is keyed by (master seed, prefix), the order
+in which edges are first touched is irrelevant, and the lazy simulation is
+bit-for-bit equal to the eagerly learned one.  Estimates are kept as exact
+integers; all float probabilities are computed as k/m so the two agree to
+the last bit and realization checks can run in exact rational arithmetic.
 
 A simulation state (like the oracle it drives) has a single logical owner;
 independent trials parallelize at the state level.
@@ -28,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import BitString, BitStringLike, Prefix, PrefixLike, as_bitstring, as_prefix
+from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix, prefix_str
 from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, substream
@@ -87,93 +86,20 @@ def est_simulation_edge(n: int, oracle: PrefixOracle, delta: float,
     return EdgeEstimate(k, m)
 
 
-class LearnedDistribution:
-    """An explicitly learned surrogate distribution (eager implementation).
-
-    Stores the one-edge counts k(w) out of m for every prefix w; the
-    represented marginal is k(w)/m.
-    """
-
-    def __init__(self, n: int, delta: float, m: int, level_counts: list[np.ndarray],
-                 sample_cost: int):
-        self.n = n
-        self.delta = delta
-        self.m = m
-        self._level_counts = level_counts
-        self.sample_cost = sample_cost
-
-    def edge(self, w: PrefixLike, b: int) -> EdgeEstimate:
-        wp = as_prefix(self.n, w)
-        k = int(self._level_counts[wp.depth][wp.index])
-        est = EdgeEstimate(k, self.m)
-        return est if b == 1 else est.sibling()
-
-    def query(self, x: BitStringLike) -> float:
-        """Mass of x under the learned distribution; zero oracle cost."""
-        xs = as_bitstring(x, self.n)
-        p = 1.0
-        idx = 0
-        for i, b in enumerate(xs.bits):
-            k = int(self._level_counts[i][idx])
-            p *= (k if b else self.m - k) / self.m
-            idx = (idx << 1) | b
-        return p
-
-    def query_exact(self, x: BitStringLike) -> Fraction:
-        xs = as_bitstring(x, self.n)
-        p = Fraction(1)
-        idx = 0
-        for i, b in enumerate(xs.bits):
-            k = int(self._level_counts[i][idx])
-            p *= Fraction(k if b else self.m - k, self.m)
-            idx = (idx << 1) | b
-        return p
-
-    def sample(self, rng: RandomStream) -> tuple[BitString, float]:
-        """Draw x from the learned distribution; returns (x, mass of x)."""
-        p = 1.0
-        idx = 0
-        bits = []
-        for i in range(self.n):
-            k = int(self._level_counts[i][idx])
-            b = 1 if rng.random() < k / self.m else 0
-            p *= (k if b else self.m - k) / self.m
-            bits.append(b)
-            idx = (idx << 1) | b
-        return BitString(tuple(bits)), p
-
-    def as_marginal_tree(self) -> TableMarginalTree:
-        return TableMarginalTree(self.n, [counts / self.m for counts in self._level_counts])
-
-
-def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LearnedDistribution:
-    """Learn every edge of the tree up front (eager implementation).
-
-    Estimates all 2^n - 1 one-edges independently, each from its own
-    (seed, prefix)-keyed stream, costing (2^n - 1) * m conditional samples.
-    """
-    if n > MAX_PREPROCESS_N:
-        raise CapabilityError(f"preprocessing learns 2^n - 1 edges; supported only for n <= {MAX_PREPROCESS_N}")
-    m = samples_per_edge(n, delta)
-    level_counts = []
-    for i in range(n):
-        counts = np.empty(1 << i, dtype=np.int64)
-        for j in range(1 << i):
-            w = Prefix(n, tuple((j >> (i - 1 - t)) & 1 for t in range(i)))
-            est = est_simulation_edge(n, oracle, delta, w, 1, substream(seed, "edge", w.as_str()))
-            counts[j] = est.k
-        level_counts.append(counts)
-    return LearnedDistribution(n, delta, m, level_counts, ((1 << n) - 1) * m)
+def _prefix_of(node: int) -> str:
+    """The prefix string of a store key (1 << depth) | index."""
+    depth = node.bit_length() - 1
+    return prefix_str(depth, node ^ (1 << depth))
 
 
 class LazySimulation:
-    """Memoized simulation: edges are estimated on first touch.
+    """Simulated distribution whose edges are estimated on first touch.
 
-    Queries and samples interact with the learned state only through
-    access_edge, which estimates a missing edge from its (seed, prefix)-keyed
-    stream and writes both siblings at once.  Entries never change once
-    written, so repeated queries are consistent and already-revealed masses
-    are honored by later samples.
+    The store maps each touched prefix, keyed by its node id
+    (1 << depth) | index, to k, the number of ones among the m samples of
+    its edge; a miss estimates the edge from its (seed, prefix)-keyed stream.
+    Entries never change once written, so repeated queries are consistent
+    and already-revealed masses are honored by later samples.
     """
 
     def __init__(self, n: int, oracle: PrefixOracle, delta: float, seed: int):
@@ -186,29 +112,49 @@ class LazySimulation:
         self.delta = delta
         self.seed = seed
         self.m = samples_per_edge(n, delta)
-        self.hist: dict[tuple[str, int], EdgeEstimate] = {}
+        self._ones: dict[int, int] = {}
         self._user_rng = substream(seed, "user")
 
     @property
     def touched_pairs(self) -> int:
         """Number of distinct sibling pairs estimated so far."""
-        return len(self.hist) // 2
+        return len(self._ones)
 
-    def access_edge(self, w: PrefixLike, b: int) -> EdgeEstimate:
+    @property
+    def hist(self) -> dict[tuple[str, int], EdgeEstimate]:
+        """Both sibling estimates of every touched pair, keyed (prefix string, bit).
+
+        Built afresh from the store on each read; edits to it do not reach the store.
+        """
+        out = {}
+        for node, k in self._ones.items():
+            w, est = _prefix_of(node), EdgeEstimate(k, self.m)
+            out[(w, 1)] = est
+            out[(w, 0)] = est.sibling()
+        return out
+
+    def edge(self, w: PrefixLike, b: int) -> EdgeEstimate:
+        """The estimate of the edge w -> wb, estimating the pair on a miss."""
         if b not in (0, 1):
             raise ValueError("b must be 0 or 1")
-        return self._edge(as_prefix(self.n, w).as_str(), b)
+        wp = as_prefix(self.n, w)
+        k = self._count((1 << wp.depth) | wp.index)
+        return EdgeEstimate(k if b else self.m - k, self.m)
 
-    def _edge(self, w_str: str, b: int) -> EdgeEstimate:
-        # memo hits dominate; the prefix object is rebuilt only on a miss
-        est = self.hist.get((w_str, b))
-        if est is None:
-            est = est_simulation_edge(self.n, self.oracle, self.delta,
-                                      Prefix.from_str(self.n, w_str), b,
-                                      substream(self.seed, "edge", w_str))
-            self.hist[(w_str, b)] = est
-            self.hist[(w_str, 1 - b)] = est.sibling()
-        return est
+    def _count(self, node: int) -> int:
+        k = self._ones.get(node)
+        if k is None:
+            w_str = _prefix_of(node)
+            k = est_simulation_edge(self.n, self.oracle, self.delta, w_str, 1,
+                                    substream(self.seed, "edge", w_str)).k
+            self._ones[node] = k
+        return k
+
+    def _learn_all(self) -> None:
+        if self.n > MAX_PREPROCESS_N:
+            raise CapabilityError(f"learning all 2^n - 1 edges is supported only for n <= {MAX_PREPROCESS_N}")
+        for node in range(1, 1 << self.n):
+            self._count(node)
 
     def query(self, x: BitStringLike) -> float:
         """Mass of x under the simulated distribution.
@@ -217,31 +163,58 @@ class LazySimulation:
         fresh query costs at most n * m conditional samples and a repeated
         query costs nothing.
         """
-        xs = as_bitstring(x, self.n)
-        s = xs.as_str()
+        m = self.m
         p = 1.0
-        for i, b in enumerate(xs.bits):
-            p *= self._edge(s[:i], b).value
+        node = 1
+        for b in as_bitstring(x, self.n).bits:
+            k = self._count(node)
+            p *= (k if b else m - k) / m
+            node = (node << 1) | b
         return p
 
     def query_exact(self, x: BitStringLike) -> Fraction:
-        xs = as_bitstring(x, self.n)
-        s = xs.as_str()
         p = Fraction(1)
-        for i, b in enumerate(xs.bits):
-            p *= self._edge(s[:i], b).exact
+        node = 1
+        for b in as_bitstring(x, self.n).bits:
+            k = self._count(node)
+            p *= Fraction(k if b else self.m - k, self.m)
+            node = (node << 1) | b
         return p
 
-    def sample(self) -> tuple[BitString, float]:
-        """Draw x from the simulated distribution; returns (x, mass of x)."""
+    def sample(self, rng: RandomStream | None = None) -> tuple[BitString, float]:
+        """Draw x from the simulated distribution; returns (x, mass of x).
+
+        The uniforms come from rng when given, else from the simulation's own
+        (seed, "user") stream.
+        """
+        rand = (self._user_rng if rng is None else rng).random
+        m = self.m
         p = 1.0
+        node = 1
         bits: list[int] = []
-        w_str = ""
-        rand = self._user_rng.random
         for _ in range(self.n):
-            f = self._edge(w_str, 1).value
-            b = 1 if rand() < f else 0
-            p *= self._edge(w_str, b).value
+            k = self._count(node)
+            b = 1 if rand() < k / m else 0
+            p *= (k if b else m - k) / m
             bits.append(b)
-            w_str += "01"[b]
+            node = (node << 1) | b
         return BitString(tuple(bits)), p
+
+    def as_marginal_tree(self) -> TableMarginalTree:
+        """The simulated distribution as an explicit tree; estimates every untouched edge."""
+        self._learn_all()
+        return TableMarginalTree(self.n, [
+            np.array([self._ones[node] for node in range(1 << i, 2 << i)]) / self.m
+            for i in range(self.n)])
+
+
+def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:
+    """Learn every edge of the tree up front (eager simulation).
+
+    Fills all 2^n - 1 entries of a fresh LazySimulation, each from its own
+    (seed, prefix)-keyed stream, costing (2^n - 1) * m conditional samples;
+    later queries and samples cost nothing.
+    """
+    sim = LazySimulation(n, oracle, delta, seed)
+    sim._learn_all()
+    return sim

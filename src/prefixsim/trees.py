@@ -6,19 +6,20 @@ next bit being 1.  The induced mass of an element x is the product
     mass(x) = prod_i ( x_i * f(x_{1..i-1}) + (1 - x_i) * (1 - f(x_{1..i-1})) )
 
 which always defines a probability distribution.  Small trees are backed by
-explicit per-level tables; large ones by a deterministic function of the
-prefix, so instances with n in the thousands stay representable.
+explicit per-level tables; subclasses may compute f from the prefix instead
+(the hard instances' sign trees do), so instances with n in the thousands
+stay representable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .bits import BitStringLike, PrefixLike, as_bitstring, as_prefix
+from .bits import BitStringLike, PrefixLike, as_bitstring, as_prefix, index_of, prefix_str
 from .errors import CapabilityError
 
 #: Largest n for which exact enumeration over all 2^n elements is supported.
@@ -45,24 +46,6 @@ def bernoulli_kl(p: float, q: float) -> float:
     return total
 
 
-class MarginalWalker:
-    """Incrementally evaluates f along a downward path.
-
-    Subclasses may carry state so that each step costs O(1) even when f is
-    function-backed.
-    """
-
-    def __init__(self, tree: "MarginalTree", bits: tuple[int, ...]):
-        self._tree = tree
-        self._bits = list(bits)
-
-    def value(self) -> float:
-        return self._tree.marginal_bits(tuple(self._bits))
-
-    def step(self, bit: int) -> None:
-        self._bits.append(bit)
-
-
 class MarginalTree:
     """Base class: a distribution over {0,1}^n defined by prefix marginals."""
 
@@ -74,28 +57,31 @@ class MarginalTree:
     def marginal_bits(self, bits: tuple[int, ...]) -> float:
         raise NotImplementedError
 
+    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+        """Walk from the prefix bits down to the leaves, one row of u per walk.
+
+        Row s takes bit t as 1 exactly when u[s, t] < f at the node it has
+        reached, so the result, shape (m, n - len(bits)) as uint8, is a pure
+        function of the prefix and the uniform block u of the same shape.
+        """
+        raise NotImplementedError
+
     def marginal(self, w: PrefixLike) -> float:
         """f(w): probability that the bit after prefix w is 1."""
         return self.marginal_bits(as_prefix(self.n, w).bits)
 
-    def walker(self, bits: tuple[int, ...] = ()) -> MarginalWalker:
-        return MarginalWalker(self, bits)
-
     def mass(self, x: BitStringLike) -> float:
         """Probability mass of the element x."""
-        xs = as_bitstring(x, self.n)
-        p = 1.0
-        for i, b in enumerate(xs.bits):
-            f = self.marginal_bits(xs.bits[:i])
-            p *= f if b else (1.0 - f)
-        return p
+        return self._path_mass(as_bitstring(x, self.n).bits)
 
     def conditional_mass(self, w: PrefixLike) -> float:
         """Mass of the cylinder of strings extending the prefix w."""
-        wp = as_prefix(self.n, w)
+        return self._path_mass(as_prefix(self.n, w).bits)
+
+    def _path_mass(self, bits: tuple[int, ...]) -> float:
         p = 1.0
-        for i, b in enumerate(wp.bits):
-            f = self.marginal_bits(wp.bits[:i])
+        for i, b in enumerate(bits):
+            f = self.marginal_bits(bits[:i])
             p *= f if b else (1.0 - f)
         return p
 
@@ -113,7 +99,7 @@ class MarginalTree:
         for i in range(self.n):
             level = np.empty(1 << i)
             for j in range(1 << i):
-                level[j] = self.marginal_bits(tuple((j >> (i - 1 - t)) & 1 for t in range(i)))
+                level[j] = self.marginal(prefix_str(i, j))
             levels.append(level)
         return TableMarginalTree(self.n, levels)
 
@@ -129,7 +115,7 @@ class MarginalTree:
         for i in range(self.n):
             nxt = []
             for j, cur in enumerate(masses):
-                f = Fraction(self.marginal_bits(tuple((j >> (i - 1 - t)) & 1 for t in range(i))))
+                f = Fraction(self.marginal(prefix_str(i, j)))
                 nxt.append(cur * (1 - f))
                 nxt.append(cur * f)
             masses = nxt
@@ -160,13 +146,18 @@ class TableMarginalTree(MarginalTree):
         return self._levels[i]
 
     def marginal_bits(self, bits: tuple[int, ...]) -> float:
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        return float(self._levels[len(bits)][idx])
+        return float(self._levels[len(bits)][index_of(bits)])
 
-    def walker(self, bits: tuple[int, ...] = ()) -> "_TableWalker":
-        return _TableWalker(self, bits)
+    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+        m, free = u.shape
+        out = np.empty((m, free), dtype=np.uint8)
+        idx = np.full(m, index_of(bits), dtype=np.int64)
+        for t in range(free):
+            f = self._levels[len(bits) + t][idx]
+            step = u[:, t] < f
+            out[:, t] = step
+            idx = (idx << 1) + step
+        return out
 
     def masses(self) -> np.ndarray:
         out = np.ones(1)
@@ -180,36 +171,6 @@ class TableMarginalTree(MarginalTree):
 
     def materialize(self) -> "TableMarginalTree":
         return self
-
-
-class _TableWalker(MarginalWalker):
-    def __init__(self, tree: TableMarginalTree, bits: tuple[int, ...]):
-        self._tree = tree
-        self._depth = len(bits)
-        self._idx = 0
-        for b in bits:
-            self._idx = (self._idx << 1) | b
-
-    def value(self) -> float:
-        return float(self._tree.level(self._depth)[self._idx])
-
-    def step(self, bit: int) -> None:
-        self._idx = (self._idx << 1) | bit
-        self._depth += 1
-
-
-class FunctionMarginalTree(MarginalTree):
-    """Marginal tree backed by a deterministic function of the prefix bits."""
-
-    def __init__(self, n: int, fn: Callable[[tuple[int, ...]], float]):
-        super().__init__(n)
-        self._fn = fn
-
-    def marginal_bits(self, bits: tuple[int, ...]) -> float:
-        f = float(self._fn(bits))
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"marginal function returned {f} outside [0, 1]")
-        return f
 
 
 def uniform_tree(n: int) -> TableMarginalTree:
@@ -297,7 +258,7 @@ def tree_to_json(tree: MarginalTree) -> dict:
     for i in range(table.n):
         level = table.level(i)
         for j in range(1 << i):
-            f[format(j, f"0{i}b") if i else ""] = float(level[j])
+            f[prefix_str(i, j)] = float(level[j])
     return {"n": table.n, "f": f}
 
 
@@ -310,7 +271,7 @@ def tree_from_json(data: dict) -> TableMarginalTree:
     for i in range(n):
         level = np.empty(1 << i)
         for j in range(1 << i):
-            key = format(j, f"0{i}b") if i else ""
+            key = prefix_str(i, j)
             if key not in f:
                 raise ValueError(f"serialized tree is missing prefix {key!r}")
             level[j] = float(f[key])

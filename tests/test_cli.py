@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prefixsim import cli
 from prefixsim.cli import main
 
 
@@ -101,10 +102,10 @@ def test_reduce_interval(capsys, size):
     ])
     assert code == 0
     assert summary["mass_preserved"] is True
+    assert summary["coupled"] is True
     for t in trials:
         assert t["mass_preserved"] is True
-        if t["power_of_two"]:
-            assert t["coupled"] is True
+        assert t["coupled"] is True
 
 
 def test_output_file_and_csv(tmp_path, capsys):
@@ -135,6 +136,40 @@ def test_workers_match_sequential(capsys):
     assert seq == par
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, workers, pools", [
+    (3, 1000, [3]),
+    (3, 2, [2]),
+    (None, 8, []),   # unknown CPU count: one process, no pool
+])
+def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "4", "--seed", "11"]
+    _, seq, _ = run_cli(capsys, argv)
+    _, par, _ = run_cli(capsys, argv + ["--workers", str(workers)])
+    assert _RecordingPool.created == pools
+    assert seq == par
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "25", "--delta", "0.5"],
     ["simulate", "--n", "4", "--delta", "-1"],
@@ -146,6 +181,12 @@ def test_workers_match_sequential(capsys):
     ["reduce-interval", "--size", "0"],
     ["simulate", "--n", "4", "--delta", "0.5", "--csv"],
     ["verify-lemmas", "--sweep", "0"],
+    ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--rounds", "0"],
+    ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--scale", "-1"],
+    ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--marginal-low", "0.9",
+     "--marginal-high", "0.1"],
+    ["simulate", "--n", "3", "--delta", "0.5", "--workers", "0"],
+    ["reduce-interval", "--size", "8", "--workers", "-3"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,7 @@ class TestHardInstance:
     def test_oracle_view_matches_materialized_signs(self, n):
         inst = hardness.gen_hard_instance(n, 0.2, "yes", seed=4)
         tree = inst.marginal_tree()
+        table = tree.materialize()
         for v in range(0, 1 << n, (1 << n) // 128 + 1):
             bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
             expected = 1.0
@@ -61,16 +62,19 @@ class TestHardInstance:
                 f = hardness.challenge_marginal(s, inst.delta)
                 expected *= f if bits[i] else (1.0 - f)
             assert tree.mass(bits) == expected
+            assert table.mass(bits) == expected
 
     def test_walker_agrees_with_direct_lookup(self):
         inst = hardness.gen_hard_instance(40, 0.1, "yes", seed=5)
         tree = inst.marginal_tree()
-        walker = tree.walker(())
-        bits = []
-        for i in range(40):
-            assert walker.value() == tree.marginal_bits(tuple(bits))
-            bits.append((i * 7) % 2)
-            walker.step(bits[-1])
+        u = substream(5, "u").random((64, 40))
+        rows = tree.descend((), u)
+        assert rows.shape == (64, 40) and rows.dtype == np.uint8
+        for row, uniforms in zip(rows.tolist(), u):
+            for i in range(40):
+                assert row[i] == int(uniforms[i] < tree.marginal_bits(tuple(row[:i])))
+        # starting below the root walks the same path as the tail of a full walk
+        assert np.array_equal(tree.descend(tuple(rows[0, :7].tolist()), u[:1, 7:]), rows[:1, 7:])
 
     def test_yes_challenge_is_uniform(self):
         n, count = 16, 2000

@@ -93,7 +93,22 @@ class TestPreprocess:
         learned = preprocess(3, oracle, 0.5, seed=7)
         m = samples_per_edge(3, 0.5)
         assert oracle.budget.conditional_calls == 7 * m
-        assert learned.sample_cost == 7 * m
+        assert learned.touched_pairs == 7
+
+    def test_reads_after_preprocess_are_free(self):
+        n = 5
+        oracle = TreeOracle(random_tree(n, substream(14, "t"), 0.2, 0.8))
+        learned = preprocess(n, oracle, 0.5, seed=15)
+        assert learned.touched_pairs == (1 << n) - 1
+        spent = oracle.budget.conditional_calls
+        for v in range(1 << n):
+            learned.query(BitString.from_int(v, n))
+        for _ in range(50):
+            learned.sample()
+        learned.edge("0110", 0)
+        learned.as_marginal_tree()
+        assert oracle.budget.conditional_calls == spent
+        assert learned.touched_pairs == (1 << n) - 1
 
     def test_point_mass_learned_exactly(self):
         tree = point_mass_tree("101")
@@ -165,12 +180,12 @@ class TestLazySimulation:
     def test_access_edge_memo_and_sibling_rule(self):
         oracle = TreeOracle(uniform_tree(10))
         sim = LazySimulation(10, oracle, 0.5, seed=2)
-        first = sim.access_edge("0110", 0)
+        first = sim.edge("0110", 0)
         assert oracle.budget.conditional_calls == 20
-        again = sim.access_edge("0110", 0)
-        assert again is first
+        again = sim.edge("0110", 0)
+        assert again == first
         assert oracle.budget.conditional_calls == 20
-        other = sim.access_edge("0110", 1)
+        other = sim.edge("0110", 1)
         assert first.exact + other.exact == Fraction(1)
         assert oracle.budget.conditional_calls == 20
 

@@ -1,14 +1,13 @@
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from prefixsim.errors import CapabilityError
+from prefixsim.hardness import SignAssignment, SignMarginalTree
 from prefixsim.streams import substream
 from prefixsim.trees import (
-    FunctionMarginalTree,
     TableMarginalTree,
     bernoulli_kl,
     chain_rule_kl,
@@ -68,7 +67,7 @@ class TestRealization:
         assert t.exact_total_mass() == Fraction(1)
 
     def test_enumeration_capability_gate(self):
-        big = FunctionMarginalTree(30, lambda bits: 0.5)
+        big = SignMarginalTree(30, SignAssignment(0), 0.5, 0.5)
         with pytest.raises(CapabilityError):
             big.masses()
 
@@ -179,20 +178,6 @@ class TestSerialization:
 
 
 class TestBackings:
-    def test_function_backed_matches_table(self):
-        t = two_level_tree()
-        fn = FunctionMarginalTree(2, t.marginal_bits)
-        assert fn.marginal("") == 0.3
-        assert fn.marginal("1") == 0.2
-        mat = fn.materialize()
-        for x in product((0, 1), repeat=2):
-            assert mat.mass(x) == t.mass(x)
-
-    def test_function_values_validated(self):
-        bad = FunctionMarginalTree(2, lambda bits: 1.5)
-        with pytest.raises(ValueError):
-            bad.marginal("")
-
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):
             TableMarginalTree(2, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
