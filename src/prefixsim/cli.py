@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+
+import numpy as np
 
 from . import __version__
 from .adhoc import gen_instance, run_ad_hoc_tester, tester_parameters
-from .bits import BitString
 from .distance import estimate_tv, simulation_delta
 from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
@@ -120,14 +120,11 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     adapted_oracle = adapt(adapter, native)
     adapted = LazySimulation(adapter.depth, adapted_oracle, cfg["delta"], sim_seed)
 
-    coupled = True
-    for code in range(1 << adapter.depth):
-        x = BitString.from_int(code, adapter.depth)
-        if direct.query(x) != adapted.query(x):
-            coupled = False
-    for _ in range(cfg["samples"]):
-        if direct.sample() != adapted.sample():
-            coupled = False
+    # every code as a row of bits, most significant first
+    codes = (np.arange(1 << adapter.depth)[:, None] >> np.arange(adapter.depth)[::-1]) & 1
+    coupled = np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
+    for a, b in zip(direct.sample_batch(cfg["samples"]), adapted.sample_batch(cfg["samples"])):
+        coupled = coupled and np.array_equal(a, b)
 
     masses = exact_encoded_masses(weights)
     from fractions import Fraction
@@ -154,8 +151,11 @@ def _run_trials(trial_fn, cfg: dict, trials: int, workers: int) -> list[dict]:
     if workers <= 1:
         batches = [trial_fn(cfg, t) for t in range(trials)]
     else:
+        # imported here so that one-process runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(partial(trial_fn, cfg), range(trials)))
+            batches = list(pool.map(functools.partial(trial_fn, cfg), range(trials)))
     return [record for batch in batches for record in batch]
 
 
@@ -212,7 +212,9 @@ def _marginal_range(parser, args):
         parser.error("precondition violated: need 0 <= marginal-low <= marginal-high <= 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="prefixsim",
         description="Seeded experiments for distribution simulation from prefix conditional samples.",
@@ -404,6 +406,7 @@ def cmd_reduce_interval(parser, args) -> int:
         parser.error("precondition violated: reduce-interval enumerates codes; size <= 4096")
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
+    _positive(parser, "samples", args.samples, strict=False)
     started = time.time()
     cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
     records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)

@@ -42,13 +42,14 @@ class SignAssignment:
 
     The sign at w is a deterministic function of (seed, w): a rolling state
     is advanced one mix per bit, so walks can evaluate signs incrementally
-    at O(1) per step.  A memo caches explicitly requested prefixes.
+    at O(1) per step, and sign(w) recomputes the state from the root in
+    O(|w|) mixes.  Nothing is cached, so memory stays constant however many
+    prefixes are asked for.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self.root_state = _mix(seed & _MASK64)
-        self._memo: dict[tuple[int, ...], int] = {}
 
     @staticmethod
     def advance(state: int, bit: int) -> int:
@@ -60,13 +61,10 @@ class SignAssignment:
 
     def sign(self, w) -> int:
         """The sign of the prefix w (a '01' string or bit sequence)."""
-        bits = tuple(int(b) for b in w)
-        if bits not in self._memo:
-            state = self.root_state
-            for b in bits:
-                state = self.advance(state, b)
-            self._memo[bits] = self.sign_of_state(state)
-        return self._memo[bits]
+        state = self.root_state
+        for b in w:
+            state = self.advance(state, int(b))
+        return self.sign_of_state(state)
 
 
 class SignMarginalTree(MarginalTree):

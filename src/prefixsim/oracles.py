@@ -74,7 +74,8 @@ class PrefixOracle:
             raise ValueError("n must be at least 1")
         self.n = n
         self.budget = budget if budget is not None else SampleBudget()
-        #: optional transcript hook; receives one dict per oracle call
+        #: optional transcript hook; receives one dict per oracle call.  While it
+        #: is None, draws build no transcript at all.
         self.on_record: Optional[Callable[[dict], None]] = None
 
     def conditional_sample(self, w: PrefixLike, rng: RandomStream) -> BitString:
@@ -120,8 +121,9 @@ class TreeOracle(PrefixOracle):
         else:
             out = self.tree.descend(wp.bits, u)
         self.budget.charge_conditional(wp.as_str(), m)
-        self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
-                      "result": ["".join(map(str, row)) for row in out.tolist()]})
+        if self.on_record is not None:
+            self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
+                          "result": ["".join(map(str, row)) for row in out.tolist()]})
         return out
 
     def marginal_sample(self, w: PrefixLike, rng: RandomStream) -> int:

@@ -293,8 +293,9 @@ class AdaptedPrefixOracle(PrefixOracle):
             for t in range(free):
                 out[:, t] = (codes >> (free - 1 - t)) & 1
         self.budget.charge_conditional(wp.as_str(), m)
-        self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
-                      "result": ["".join(map(str, row)) for row in out.tolist()]})
+        if self.on_record is not None:
+            self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
+                          "result": ["".join(map(str, row)) for row in out.tolist()]})
         return out
 
     def marginal_sample(self, w: PrefixLike, rng: RandomStream) -> int:

@@ -16,6 +16,13 @@ bit-for-bit equal to the eagerly learned one.  Estimates are kept as exact
 integers; all float probabilities are computed as k/m so the two agree to
 the last bit and realization checks can run in exact rational arithmetic.
 
+Samples and queries walk many paths at once: sample_batch and query_batch
+take all rows down the tree together, one level at a time, reading the k of
+every row's node from the store.  Each row sees the same float operations in
+the same order as a lone walk, and a (k, n) uniform block holds the same
+doubles as k * n single draws, so a batch returns exactly what its rows
+would one at a time; sample and query are the batch of one.
+
 A simulation state (like the oracle it drives) has a single logical owner;
 independent trials parallelize at the state level.
 """
@@ -156,21 +163,48 @@ class LazySimulation:
         for node in range(1, 1 << self.n):
             self._count(node)
 
-    def query(self, x: BitStringLike) -> float:
-        """Mass of x under the simulated distribution.
+    def _counts(self, nodes: np.ndarray) -> np.ndarray:
+        """k of each node in the array, estimating any missing edge on the way."""
+        ks = list(map(self._ones.get, nodes.tolist()))
+        if None in ks:
+            ks = [self._count(node) for node in nodes.tolist()]
+        return np.array(ks, dtype=np.int64)
 
-        Touches all n edges along the path (no short-circuit on zero), so a
-        fresh query costs at most n * m conditional samples and a repeated
-        query costs nothing.
+    def _walk(self, bits: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """Masses of the rows of bits, all rows walked together level by level.
+
+        With u, column i of bits is first drawn as u[:, i] < k / m.  Each
+        row's mass is p *= (k or m - k) / m from the root down, the float
+        operations of a lone walk in the same order.
         """
         m = self.m
-        p = 1.0
-        node = 1
-        for b in as_bitstring(x, self.n).bits:
-            k = self._count(node)
-            p *= (k if b else m - k) / m
-            node = (node << 1) | b
+        # node ids reach 2^n; past int64, keep them as Python ints
+        nodes = np.ones(len(bits), dtype=np.int64 if self.n < 63 else object)
+        p = np.ones(len(bits))
+        for i in range(self.n):
+            k = self._counts(nodes)
+            if u is not None:
+                bits[:, i] = u[:, i] < k / m
+            b = bits[:, i]
+            p *= np.where(b, k, m - k) / m
+            nodes = (nodes << 1) | b
         return p
+
+    def query_batch(self, bits) -> np.ndarray:
+        """Masses of the rows of a (k, n) 0/1 array under the simulated distribution.
+
+        Touches all n edges along every row's path (no short-circuit on
+        zero), so a fresh path costs at most n * m conditional samples and a
+        repeated one costs nothing.
+        """
+        bits = np.asarray(bits)
+        if bits.ndim != 2 or bits.shape[1] != self.n or ((bits != 0) & (bits != 1)).any():
+            raise ValueError(f"need a (k, {self.n}) array of 0/1 bits")
+        return self._walk(bits.astype(np.uint8, copy=False))
+
+    def query(self, x: BitStringLike) -> float:
+        """Mass of x under the simulated distribution: the walk of query_batch on one row."""
+        return float(self._walk(np.array([as_bitstring(x, self.n).bits], dtype=np.uint8))[0])
 
     def query_exact(self, x: BitStringLike) -> Fraction:
         p = Fraction(1)
@@ -181,24 +215,24 @@ class LazySimulation:
             node = (node << 1) | b
         return p
 
-    def sample(self, rng: RandomStream | None = None) -> tuple[BitString, float]:
-        """Draw x from the simulated distribution; returns (x, mass of x).
+    def sample_batch(self, k: int, rng: RandomStream | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Draw k elements of the simulated distribution: a (k, n) uint8 bit array and their masses.
 
-        The uniforms come from rng when given, else from the simulation's own
-        (seed, "user") stream.
+        The uniforms, one (k, n) block, come from rng when given, else from
+        the simulation's own (seed, "user") stream; it holds the same
+        doubles as k * n single draws, so k calls of sample() give the same
+        elements and masses.
         """
-        rand = (self._user_rng if rng is None else rng).random
-        m = self.m
-        p = 1.0
-        node = 1
-        bits: list[int] = []
-        for _ in range(self.n):
-            k = self._count(node)
-            b = 1 if rand() < k / m else 0
-            p *= (k if b else m - k) / m
-            bits.append(b)
-            node = (node << 1) | b
-        return BitString(tuple(bits)), p
+        if k < 0:
+            raise ValueError("cannot draw a negative number of elements")
+        u = (self._user_rng if rng is None else rng).random((k, self.n))
+        bits = np.empty((k, self.n), dtype=np.uint8)
+        return bits, self._walk(bits, u)
+
+    def sample(self, rng: RandomStream | None = None) -> tuple[BitString, float]:
+        """Draw x from the simulated distribution; returns (x, mass of x): sample_batch of one."""
+        bits, p = self.sample_batch(1, rng)
+        return BitString(tuple(bits[0].tolist())), float(p[0])
 
     def as_marginal_tree(self) -> TableMarginalTree:
         """The simulated distribution as an explicit tree; estimates every untouched edge."""

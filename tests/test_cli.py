@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,7 +164,7 @@ class _RecordingPool:
     (None, 8, []),   # unknown CPU count: one process, no pool
 ])
 def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "4", "--seed", "11"]
@@ -187,8 +191,49 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
      "--marginal-high", "0.1"],
     ["simulate", "--n", "3", "--delta", "0.5", "--workers", "0"],
     ["reduce-interval", "--size", "8", "--workers", "-3"],
+    ["reduce-interval", "--size", "8", "--samples", "-5"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# Trial records of two fixed runs, pinned byte for byte (JSON with sorted keys).
+GOLDEN = {
+    ("estimate-tv", "--n", "4", "--epsilon", "0.2", "--trials", "2", "--seed", "7"): [
+        '{"budget_a": 54000, "budget_b": 54000, "epsilon": 0.2, "error": 0.008924141239419758, '
+        '"estimate": 0.5001265213007662, "exact": 0.5090506625401859, "kind": "trial", '
+        '"pairs_per_round": 400, "rounds": 9, "trial": 0, "within": true}',
+        '{"budget_a": 54000, "budget_b": 54000, "epsilon": 0.2, "error": 0.01337125538129147, '
+        '"estimate": 0.4000593666209627, "exact": 0.38668811123967123, "kind": "trial", '
+        '"pairs_per_round": 400, "rounds": 9, "trial": 1, "within": true}',
+    ],
+    ("reduce-interval", "--size", "300", "--delta", "0.1", "--trials", "1", "--seed", "7"): [
+        '{"budget_adapted": 45990, "budget_direct": 45990, "coupled": true, "depth": 9, '
+        '"kind": "trial", "mass_preserved": true, "native_calls": 27270, "power_of_two": false, '
+        '"size": 300, "trial": 0}',
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_golden_trial_records(capsys, argv):
+    assert main(list(argv)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == GOLDEN[argv]
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_process_run_loads_no_pool():
+    code = ("import sys\n"
+            "from prefixsim.cli import main\n"
+            "main(['simulate', '--n', '3', '--delta', '0.5', '--trials', '2'])\n"
+            "print('multiprocessing' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "False"

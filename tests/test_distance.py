@@ -1,5 +1,6 @@
 import pytest
 
+from prefixsim import distance
 from prefixsim.distance import (
     estimate_tv,
     one_sided_expectation,
@@ -9,6 +10,7 @@ from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation, preprocess
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import point_mass_tree, random_tree, tv_distance
+from prefixsim.util import ceil_snap
 
 
 def lazy_pair(tree_a, tree_b, epsilon, seed):
@@ -115,3 +117,63 @@ def test_parameter_validation():
         estimate_tv(sim, sim, 0.0)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.3, rounds=0)
+
+
+def scalar_estimate_tv(sim_a, sim_b, epsilon, scale=16.0, rounds=9):
+    """The estimator as one pair at a time: scalar sample, scalar query, running sum."""
+    pairs = ceil_snap(scale / (epsilon * epsilon))
+    before_a = sim_a.oracle.budget.conditional_calls
+    before_b = sim_b.oracle.budget.conditional_calls
+    round_values = []
+    for _ in range(rounds):
+        acc = 0.0
+        for _ in range(pairs):
+            x, pa = sim_a.sample()
+            pb = sim_b.query(x)
+            acc += max(0.0, 1.0 - pb / pa)
+        round_values.append(min(1.0, max(0.0, acc / pairs)))
+    return (round_values,
+            sim_a.oracle.budget.conditional_calls - before_a,
+            sim_b.oracle.budget.conditional_calls - before_b)
+
+
+@pytest.mark.parametrize("n, epsilon, seed", [(3, 0.4, 90), (4, 0.3, 91), (5, 0.5, 92)])
+def test_batched_estimate_equals_scalar_loop(n, epsilon, seed):
+    tree_a = random_tree(n, substream(seed, "a"), 0.1, 0.9)
+    tree_b = random_tree(n, substream(seed, "b"), 0.1, 0.9)
+    result = estimate_tv(*lazy_pair(tree_a, tree_b, epsilon, seed), epsilon, rounds=3)
+    round_values, budget_a, budget_b = scalar_estimate_tv(
+        *lazy_pair(tree_a, tree_b, epsilon, seed), epsilon, rounds=3)
+    assert result.round_values == round_values
+    assert (result.budget_a, result.budget_b) == (budget_a, budget_b)
+
+
+def test_one_simulation_on_both_sides_equals_scalar_loop():
+    tree = random_tree(4, substream(93, "t"), 0.2, 0.8)
+    sims = [LazySimulation(4, TreeOracle(tree), 0.01, seed=94) for _ in range(2)]
+    result = estimate_tv(sims[0], sims[0], 0.3, rounds=2)
+    round_values, budget_a, _ = scalar_estimate_tv(sims[1], sims[1], 0.3, rounds=2)
+    assert result.round_values == round_values == [0.0, 0.0]
+    assert result.budget_a == budget_a
+
+
+def test_block_size_changes_nothing(monkeypatch):
+    tree_a = random_tree(4, substream(95, "a"), 0.1, 0.9)
+    tree_b = random_tree(4, substream(95, "b"), 0.1, 0.9)
+    whole = estimate_tv(*lazy_pair(tree_a, tree_b, 0.3, 96), 0.3, rounds=3)
+    assert whole.pairs_per_round <= distance.PAIR_BLOCK
+    monkeypatch.setattr(distance, "PAIR_BLOCK", 7)
+    chunked = estimate_tv(*lazy_pair(tree_a, tree_b, 0.3, 96), 0.3, rounds=3)
+    assert chunked == whole
+
+
+def test_non_positive_mass_is_an_error():
+    class ZeroMass(LazySimulation):
+        def sample_batch(self, k, rng=None):
+            bits, masses = super().sample_batch(k, rng)
+            return bits, 0.0 * masses
+
+    tree = random_tree(3, substream(97, "t"), 0.2, 0.8)
+    sim = ZeroMass(3, TreeOracle(tree), 0.1, seed=98)
+    with pytest.raises(RuntimeError):
+        estimate_tv(sim, sim, 0.3, rounds=1)

@@ -121,11 +121,11 @@ def test_transcript_hook():
     records = []
     oracle.on_record = records.append
     rng = substream(10, "log")
-    oracle.conditional_sample_batch("0", 2, rng)
+    out = oracle.conditional_sample_batch("0", 2, rng)
     oracle.marginal_sample("1", rng)
     assert [r["kind"] for r in records] == ["conditional", "marginal"]
     assert records[0]["prefix"] == "0"
     assert records[0]["count"] == 2
-    assert len(records[0]["result"]) == 2
+    assert records[0]["result"] == ["".join(map(str, row)) for row in out.tolist()]
     assert records[0]["budget_after"] == 2
     assert records[1]["budget_after"] == 3

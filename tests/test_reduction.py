@@ -141,6 +141,19 @@ class TestAdaptedOracle:
         assert native.calls == 0
         assert oracle.budget.conditional_calls == 1
 
+    def test_transcript_matches_draws(self):
+        weights = substream(9, "w").uniform(0.1, 1.0, 6)
+        hooked, plain = (adapt(interval_breakdown(6), TableIntervalOracle(weights)) for _ in range(2))
+        records = []
+        hooked.on_record = records.append
+        rng, plain_rng = substream(10, "draw"), substream(10, "draw")
+        for w in ("0", "11"):   # "11" is pure padding
+            out = hooked.conditional_sample_batch(w, 5, rng)
+            assert np.array_equal(out, plain.conditional_sample_batch(w, 5, plain_rng))
+            assert records[-1]["result"] == ["".join(map(str, row)) for row in out.tolist()]
+        assert [(r["prefix"], r["count"]) for r in records] == [("0", 5), ("11", 5)]
+        assert records[-1]["budget_after"] == 10
+
     def test_marginal_sample(self):
         weights = [1.0, 1.0, 1.0, 1.0]
         native = TableIntervalOracle(weights)

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import BitString
 from prefixsim.errors import CapabilityError
@@ -150,11 +150,8 @@ class TestPreprocessedReads:
         learned = preprocess(4, TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)),
                              0.5, seed=12)
         draws = 20_000
-        rng = substream(13, "u")
-        counts = np.zeros(16, dtype=int)
-        for _ in range(draws):
-            x, _ = learned.sample(rng)
-            counts[x.as_int()] += 1
+        bits, _ = learned.sample_batch(draws, substream(13, "u"))
+        counts = np.bincount(bits @ (1 << np.arange(3, -1, -1)), minlength=16)
         expected = np.array([
             learned.query(BitString.from_int(v, 4)) for v in range(16)
         ]) * draws
@@ -226,10 +223,8 @@ class TestLazySimulation:
         oracle = TreeOracle(random_tree(5, substream(23, "t"), 0.2, 0.8))
         sim = LazySimulation(5, oracle, 0.5, seed=6)
         draws = 100_000
-        counts = np.zeros(32, dtype=int)
-        for _ in range(draws):
-            x, _ = sim.sample()
-            counts[x.as_int()] += 1
+        bits, _ = sim.sample_batch(draws)
+        counts = np.bincount(bits @ (1 << np.arange(4, -1, -1)), minlength=32)
         expected = np.array([
             sim.query(BitString.from_int(v, 5)) for v in range(32)
         ]) * draws
@@ -250,3 +245,111 @@ class TestLazySimulation:
                 assert eager.query(x) == lazy.query(x)
             else:
                 assert eager.sample(user) == lazy.sample()
+
+
+def twin_simulations(n, delta, seed, tree_seed):
+    tree = random_tree(n, substream(tree_seed, "t"), 0.2, 0.8)
+    return [LazySimulation(n, TreeOracle(tree), delta, seed) for _ in range(2)]
+
+
+def reference_walk(sim, rng=None, x=None):
+    """One path walked in plain Python, level by level: (bits, mass).
+
+    Draws each bit as rng.random() < k / m, or reads it from x.
+    """
+    m, p, bits = sim.m, 1.0, []
+    for i in range(sim.n):
+        k = sim.edge("".join(map(str, bits)), 1).k
+        b = (1 if rng.random() < k / m else 0) if x is None else x[i]
+        p *= (k if b else m - k) / m
+        bits.append(b)
+    return tuple(bits), p
+
+
+class TestBatchedWalks:
+    def test_walks_equal_the_plain_python_walk(self):
+        batched, reference = twin_simulations(6, 0.5, seed=28, tree_seed=29)
+        bits, masses = batched.sample_batch(60)
+        user = substream(28, "user")
+        draws = [reference_walk(reference, user) for _ in range(60)]
+        assert [tuple(row) for row in bits.tolist()] == [x for x, _ in draws]
+        assert masses.tolist() == [p for _, p in draws]
+        rows = [BitString.from_int(c, 6).bits for c in range(64)]
+        assert batched.query_batch(rows).tolist() == [reference_walk(reference, x=x)[1] for x in rows]
+        assert batched.hist == reference.hist
+
+    def test_sample_batch_equals_scalar_samples(self):
+        batched, scalar = twin_simulations(6, 0.5, seed=30, tree_seed=31)
+        for k in (1, 7, 0, 40):
+            bits, masses = batched.sample_batch(k)
+            assert bits.shape == (k, 6) and bits.dtype == np.uint8
+            draws = [scalar.sample() for _ in range(k)]
+            assert [BitString(tuple(row)) for row in bits.tolist()] == [x for x, _ in draws]
+            assert masses.tolist() == [p for _, p in draws]
+        assert batched.hist == scalar.hist
+        assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
+
+    def test_query_batch_equals_scalar_queries(self):
+        n = 6
+        batched, scalar = twin_simulations(n, 0.5, seed=35, tree_seed=36)
+        codes = substream(37, "codes").integers(0, 1 << n, 50).tolist()
+        rows = [BitString.from_int(c, n).bits for c in codes]
+        assert batched.query_batch(rows).tolist() == [scalar.query(x) for x in rows]
+        assert batched.hist == scalar.hist
+        assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
+        assert batched.query_batch(np.zeros((0, n), dtype=np.uint8)).shape == (0,)
+
+    def test_query_batch_validates_its_rows(self):
+        sim = LazySimulation(3, TreeOracle(uniform_tree(3)), 0.5, seed=38)
+        for bad in ([[0, 1]], [[0, 1, 2]], [0, 1, 1], [[0, -1, 1]]):
+            with pytest.raises(ValueError):
+                sim.query_batch(bad)
+        with pytest.raises(ValueError):
+            sim.sample_batch(-1)
+        assert sim.oracle.budget.conditional_calls == 0
+
+    def test_node_ids_past_int64(self):
+        # n = 70 node ids do not fit in int64; the walk keeps them as Python ints
+        from prefixsim.hardness import SignAssignment, SignMarginalTree
+
+        n = 70
+        tree = SignMarginalTree(n, SignAssignment(39), 0.3, 0.7)
+        batched, scalar = (LazySimulation(n, TreeOracle(tree), 10.0, seed=40) for _ in range(2))
+        bits, masses = batched.sample_batch(3)
+        draws = [scalar.sample() for _ in range(3)]
+        assert [x.bits for x, _ in draws] == [tuple(row) for row in bits.tolist()]
+        assert masses.tolist() == [p for _, p in draws]
+        assert batched.query_batch(bits).tolist() == masses.tolist()
+        assert batched.touched_pairs == scalar.touched_pairs
+
+
+_ops = st.one_of(
+    st.tuples(st.just("sample"), st.just(1)),
+    st.tuples(st.just("sample_batch"), st.integers(0, 6)),
+    st.tuples(st.just("query"), st.integers(0, 15)),
+    st.tuples(st.just("query_batch"), st.lists(st.integers(0, 15), max_size=6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=st.lists(_ops, max_size=12), seed=st.integers(0, 2**32))
+def test_lazy_equals_eager_over_random_scripts(script, seed):
+    n, delta = 4, 0.5
+    tree = random_tree(n, substream(41, "t"), 0.2, 0.8)
+    eager = preprocess(n, TreeOracle(tree), delta, seed)
+    lazy = LazySimulation(n, TreeOracle(tree), delta, seed)
+    user = substream(seed, "user")
+    for op, arg in script:
+        if op == "sample":
+            assert eager.sample(user) == lazy.sample()
+        elif op == "sample_batch":
+            for got, want in zip(lazy.sample_batch(arg), eager.sample_batch(arg, user)):
+                assert np.array_equal(got, want)
+        elif op == "query":
+            x = BitString.from_int(arg, n)
+            assert eager.query(x) == lazy.query(x)
+        else:
+            rows = np.array([BitString.from_int(c, n).bits for c in arg], dtype=np.uint8).reshape(-1, n)
+            assert np.array_equal(eager.query_batch(rows), lazy.query_batch(rows))
+        assert lazy.oracle.budget.conditional_calls == lazy.m * lazy.touched_pairs
+    assert lazy.hist.items() <= eager.hist.items()
