@@ -30,6 +30,7 @@ from .reduction import (TableIntervalOracle, adapt, encoded_marginal_tree,
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
 from .streams import child_seed, substream
 from .trees import kl_divergence, random_tree, tv_distance
+from .util import row_blocks
 
 OUTPUT_DIR_ENV = "PREFIXSIM_OUTPUT_DIR"
 
@@ -100,8 +101,10 @@ def _hard_instance_trial(cfg: dict, t: int) -> list[dict]:
         if cfg["draws"] > 0:
             oracle = inst.oracle()
             rng = substream(seed, "effective", label, t)
-            counts = [effective_samples(oracle, "", inst.x, rng) for _ in range(cfg["draws"])]
-            record["mean_effective"] = sum(counts) / len(counts)
+            total = 0
+            for rows in row_blocks(cfg["draws"], cfg["n"]):
+                total += int(effective_samples(oracle, "", inst.x, rng, rows).sum())
+            record["mean_effective"] = total / cfg["draws"]
             record["draws"] = cfg["draws"]
             record["conditional_samples"] = oracle.budget.conditional_calls
         records.append(record)
@@ -356,6 +359,8 @@ def cmd_adhoc(parser, args) -> int:
 def cmd_hard_instance(parser, args) -> int:
     if args.epsilon is None and args.delta is None:
         parser.error("precondition violated: pass --epsilon or --delta")
+    if args.epsilon is not None and not 0.0 < args.epsilon < 1.0:
+        parser.error("precondition violated: need 0 < epsilon < 1")
     _positive(parser, "trials", args.trials)
     _positive(parser, "draws", args.draws, strict=False)
     labels = ["yes", "no"] if args.label == "both" else [args.label]

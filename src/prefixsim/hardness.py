@@ -82,23 +82,29 @@ class SignMarginalTree(MarginalTree):
     def marginal_bits(self, bits: tuple[int, ...]) -> float:
         return self._plus if self.signs.sign(bits) > 0 else self._minus
 
+    def _path_mass(self, bits: tuple[int, ...]) -> float:
+        # one rolling state down the path: two mixes per level, not |w| per level
+        p, state = 1.0, self.signs.root_state
+        for b in bits:
+            f = self._plus if SignAssignment.sign_of_state(state) > 0 else self._minus
+            p *= f if b else (1.0 - f)
+            state = SignAssignment.advance(state, b)
+        return p
+
     def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-        # one rolling sign state per row, advanced a bit at a time; draws on
-        # these trees are single rows down long paths, where stepping numpy
-        # arrays level by level costs more than the loop
-        advance, sign_of_state = SignAssignment.advance, SignAssignment.sign_of_state
+        # all rows step down together, one level at a time; each row's rolling
+        # state is a uint64 entry, which _mix wraps mod 2^64 as on Python ints
+        m, free = u.shape
+        out = np.empty((m, free), dtype=np.uint8)
         start = self.signs.root_state
         for b in bits:
-            start = advance(start, b)
-        rows = []
-        for row in u.tolist():
-            state, out = start, []
-            for v in row:
-                bit = 1 if v < (self._plus if sign_of_state(state) > 0 else self._minus) else 0
-                out.append(bit)
-                state = advance(state, bit)
-            rows.append(out)
-        return np.array(rows, dtype=np.uint8)
+            start = SignAssignment.advance(start, b)
+        state = np.full(m, start, dtype=np.uint64)
+        for t in range(free):
+            plus = _mix(state ^ _SIGN_TAG) & 1     # sign_of_state, row by row
+            out[:, t] = u[:, t] < np.where(plus, self._plus, self._minus)
+            state = SignAssignment.advance(state, out[:, t])
+        return out
 
 
 def challenge_marginal(sign, delta):
@@ -183,24 +189,23 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
 
 
 def effective_samples(oracle: PrefixOracle, w: PrefixLike, x: BitStringLike,
-                      rng: RandomStream) -> int:
-    """Draw once under w and count intermediate prefixes that are prefixes of x.
+                      rng: RandomStream, draws: int) -> np.ndarray:
+    """Draw draws times under w; per draw, count the intermediate prefixes of x.
 
-    The walk produces prefixes W_j for |w| <= j <= n-1 (starting at W_|w| = w);
-    the count is how many of them are prefixes of the target x.  If w itself
-    is not a prefix of x, no W_j can be and the count is 0.
+    Each walk produces prefixes W_j for |w| <= j <= n-1 (starting at W_|w| = w);
+    its count is how many of them are prefixes of the target x.  If w itself
+    is not a prefix of x, no W_j can be and every count is 0.  The draws are
+    one conditional_sample_batch(w, draws, rng) block, whose uniforms are the
+    same doubles as draws one-row draws in turn, so the counts are too.
     """
     wp = as_prefix(oracle.n, w)
     xs = as_bitstring(x, oracle.n)
-    sample = oracle.conditional_sample(wp, rng)
+    free = oracle.conditional_sample_batch(wp, draws, rng)
     if not wp.is_prefix_of(xs):
-        return 0
-    count = 1
-    for t in range(oracle.n - 1 - wp.depth):
-        if sample.bits[wp.depth + t] != xs.bits[wp.depth + t]:
-            break
-        count += 1
-    return count
+        return np.zeros(draws, dtype=np.int64)
+    # W_j is a prefix of x while the free bits before level j agree with x
+    agree = free[:, :-1] == np.array(xs.bits[wp.depth:-1], dtype=np.uint8)
+    return 1 + np.logical_and.accumulate(agree, axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Sampling oracles over hidden distributions on {0,1}^n.
 
-A prefix-conditional draw returns a full element agreeing with the requested
-prefix; a marginal draw returns only the first free bit.  Every oracle owns a
-budget ledger that counts draws and is never reset implicitly.
+The only draw is prefix-conditional: a call returns a block of elements
+agreeing with the requested prefix (their free bits); there is no marginal
+or one-element draw.  Every oracle owns a budget ledger that counts draws
+and is never reset implicitly.
 
 Draw discipline: a conditional draw consumes one uniform block of shape
 (batch, free-levels) from the supplied stream and walks the levels using one
 column per level.  Keeping consumption a pure function of (prefix, batch
 size) is what allows two differently-routed runs with shared keyed streams to
-be compared for bit-equality.
+be compared for bit-equality.  A (rows, free) block holds the same doubles
+in row-major order as its rows drawn one at a time, so a caller may split a
+large draw into consecutive blocks (see util.row_blocks) without changing a bit.
 
 Trees are immutable and freely shareable; an oracle (with its mutable
 budget) belongs to one logical owner, so concurrent experiments should each
@@ -23,17 +26,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bits import BitString, PrefixLike, as_prefix
+from .bits import Prefix, PrefixLike, as_prefix
 from .streams import RandomStream
 from .trees import MarginalTree
-
 
 @dataclass
 class SampleBudget:
     """Monotone ledger of oracle usage."""
 
     conditional_calls: int = 0
-    marginal_calls: int = 0
     per_prefix: Optional[Counter] = None
 
     @classmethod
@@ -41,29 +42,12 @@ class SampleBudget:
         """A budget that also keeps a per-prefix histogram of draws."""
         return cls(per_prefix=Counter())
 
-    @property
-    def total(self) -> int:
-        return self.conditional_calls + self.marginal_calls
-
     def charge_conditional(self, prefix: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError("cannot charge a negative count")
         self.conditional_calls += count
         if self.per_prefix is not None:
             self.per_prefix[prefix] += count
-
-    def charge_marginal(self, prefix: str, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("cannot charge a negative count")
-        self.marginal_calls += count
-        if self.per_prefix is not None:
-            self.per_prefix[prefix] += count
-
-    def snapshot(self) -> dict:
-        return {
-            "conditional_calls": self.conditional_calls,
-            "marginal_calls": self.marginal_calls,
-        }
 
 
 class PrefixOracle:
@@ -78,24 +62,18 @@ class PrefixOracle:
         #: is None, draws build no transcript at all.
         self.on_record: Optional[Callable[[dict], None]] = None
 
-    def conditional_sample(self, w: PrefixLike, rng: RandomStream) -> BitString:
-        """One draw from the hidden distribution conditioned on the prefix w."""
-        bits = self.conditional_sample_batch(w, 1, rng)[0]
-        wp = as_prefix(self.n, w)
-        return BitString(wp.bits + tuple(int(b) for b in bits))
-
     def conditional_sample_batch(self, w: PrefixLike, m: int, rng: RandomStream) -> np.ndarray:
         """m independent conditional draws; returns the free bits, shape (m, n - |w|)."""
         raise NotImplementedError
 
-    def marginal_sample(self, w: PrefixLike, rng: RandomStream) -> int:
-        """One draw of only the first free bit after the prefix w."""
-        raise NotImplementedError
-
-    def _record(self, record: dict) -> None:
+    def _charge(self, wp: Prefix, out: np.ndarray) -> np.ndarray:
+        """Charge the rows of the drawn block out to wp, record them, and return out."""
+        self.budget.charge_conditional(wp.as_str(), len(out))
         if self.on_record is not None:
-            record["budget_after"] = self.budget.total
-            self.on_record(record)
+            self.on_record({"kind": "conditional", "prefix": wp.as_str(), "count": len(out),
+                            "result": ["".join(map(str, row)) for row in out.tolist()],
+                            "budget_after": self.budget.conditional_calls})
+        return out
 
 
 class TreeOracle(PrefixOracle):
@@ -117,21 +95,5 @@ class TreeOracle(PrefixOracle):
             raise ValueError("batch size must be positive")
         u = rng.random((m, self.n - wp.depth))
         if self.tree.conditional_mass(wp) == 0.0:
-            out = (u < 0.5).astype(np.uint8)
-        else:
-            out = self.tree.descend(wp.bits, u)
-        self.budget.charge_conditional(wp.as_str(), m)
-        if self.on_record is not None:
-            self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
-                          "result": ["".join(map(str, row)) for row in out.tolist()]})
-        return out
-
-    def marginal_sample(self, w: PrefixLike, rng: RandomStream) -> int:
-        wp = as_prefix(self.n, w)
-        if self.tree.conditional_mass(wp) == 0.0:
-            bit = 1 if rng.random() < 0.5 else 0
-        else:
-            bit = 1 if rng.random() < self.tree.marginal_bits(wp.bits) else 0
-        self.budget.charge_marginal(wp.as_str(), 1)
-        self._record({"kind": "marginal", "prefix": wp.as_str(), "count": 1, "result": bit})
-        return bit
+            return self._charge(wp, (u < 0.5).astype(np.uint8))
+        return self._charge(wp, self.tree.descend(wp.bits, u))

@@ -258,9 +258,6 @@ class TableIntervalOracle:
             idx = (idx << 1) + (u[:, t] < f)
         return idx + 1
 
-    def draw(self, a_elem: int, b_elem: int, rng: RandomStream) -> int:
-        return int(self.draw_batch(a_elem, b_elem, 1, rng)[0])
-
 
 class AdaptedPrefixOracle(PrefixOracle):
     """Prefix oracle over codes answering each draw with one native interval draw.
@@ -292,24 +289,7 @@ class AdaptedPrefixOracle(PrefixOracle):
             out = np.empty((m, free), dtype=np.uint8)
             for t in range(free):
                 out[:, t] = (codes >> (free - 1 - t)) & 1
-        self.budget.charge_conditional(wp.as_str(), m)
-        if self.on_record is not None:
-            self._record({"kind": "conditional", "prefix": wp.as_str(), "count": m,
-                          "result": ["".join(map(str, row)) for row in out.tolist()]})
-        return out
-
-    def marginal_sample(self, w: PrefixLike, rng: RandomStream) -> int:
-        wp = as_prefix(self.n, w)
-        interval = self.adapter.prefix_interval(wp)
-        if interval is None:
-            bit = 1 if rng.random() < 0.5 else 0
-        else:
-            elem = self.native.draw(interval[0], interval[1], rng)
-            code = elem - 1
-            bit = (code >> (self.n - wp.depth - 1)) & 1
-        self.budget.charge_marginal(wp.as_str(), 1)
-        self._record({"kind": "marginal", "prefix": wp.as_str(), "count": 1, "result": bit})
-        return bit
+        return self._charge(wp, out)
 
 
 def adapt(adapter: IntervalAdapter, native: TableIntervalOracle) -> AdaptedPrefixOracle:

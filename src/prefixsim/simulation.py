@@ -39,7 +39,7 @@ from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, substream
 from .trees import TableMarginalTree
-from .util import ceil_snap
+from .util import ceil_snap, row_blocks
 
 #: Largest n for which eagerly learning all 2^n - 1 edges is supported.
 MAX_PREPROCESS_N = 20
@@ -82,14 +82,18 @@ def est_simulation_edge(n: int, oracle: PrefixOracle, delta: float,
     """Estimate the probability of bit b after prefix w.
 
     Draws m = ceil(n / delta) conditional samples under w and counts those
-    whose first free bit equals b.  Costs exactly m conditional samples.
+    whose first free bit equals b.  Costs exactly m conditional samples,
+    drawn in blocks of row_blocks sizes so memory stays bounded at any m;
+    the blocks draw the same uniforms in the same order as one (m, free)
+    block would.
     """
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
     wp = as_prefix(n, w)
     m = samples_per_edge(n, delta)
-    free = oracle.conditional_sample_batch(wp, m, rng)
-    k = int(np.sum(free[:, 0] == b))
+    k = 0
+    for rows in row_blocks(m, n - wp.depth):
+        k += int(np.count_nonzero(oracle.conditional_sample_batch(wp, rows, rng)[:, 0] == b))
     return EdgeEstimate(k, m)
 
 

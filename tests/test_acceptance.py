@@ -14,7 +14,7 @@ import numpy as np
 from prefixsim import adhoc, divergence_lab as lab, hardness
 from prefixsim.bits import BitString
 from prefixsim.distance import estimate_tv, simulation_delta
-from prefixsim.oracles import TreeOracle
+from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.reduction import TableIntervalOracle, adapt, encoded_marginal_tree, interval_breakdown
 from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
@@ -84,7 +84,8 @@ def test_ac3_lazy_eager_coupling():
 def test_ac4_cost_accounting():
     n, delta = 10, 0.5
     m = samples_per_edge(n, delta)
-    oracle = TreeOracle(random_tree(n, substream(40_000, "tree"), 0.2, 0.8))
+    oracle = TreeOracle(random_tree(n, substream(40_000, "tree"), 0.2, 0.8),
+                        budget=SampleBudget.tracking())
     sim = LazySimulation(n, oracle, delta, seed=40_001)
 
     assert oracle.budget.conditional_calls == 0
@@ -97,8 +98,9 @@ def test_ac4_cost_accounting():
     for _ in range(25):
         sim.sample()
     assert oracle.budget.conditional_calls == m * sim.touched_pairs
-    assert oracle.budget.marginal_calls == 0
-    report("AC-4", f"fresh query = {n}*{m} samples, repeats free, ledger = m * pairs")
+    # per prefix: each touched pair's prefix charged exactly m, no other prefix charged
+    assert dict(oracle.budget.per_prefix) == {w: m for w, _ in sim.hist}
+    report("AC-4", f"fresh query = {n}*{m} samples, repeats free, ledger = m * pairs, per prefix")
 
 
 def test_ac5_tester_error_rates():
@@ -207,9 +209,7 @@ def test_ac10_effective_samples():
     inst = hardness.gen_hard_instance(n, epsilon, "yes", seed=100_000)
     oracle = inst.oracle()
     rng = substream(100_001, "draws")
-    counts = np.array([
-        hardness.effective_samples(oracle, "", inst.x, rng) for _ in range(draws)
-    ])
+    counts = hardness.effective_samples(oracle, "", inst.x, rng, draws)
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(draws)
     assert mean <= 3.0

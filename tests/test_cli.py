@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prefixsim import cli
+from prefixsim import cli, oracles, util
 from prefixsim.cli import main
 
 
@@ -78,6 +78,25 @@ def test_hard_instance(capsys):
         assert t["label"] == "yes"
         assert len(t["x"]) == 30
         assert t["mean_effective"] <= 3.0
+
+
+def test_hard_instance_blocks_change_nothing(capsys, monkeypatch):
+    argv = ["hard-instance", "--n", "20", "--epsilon", "0.1", "--r", "0.3", "--label", "both",
+            "--draws", "50", "--trials", "2", "--seed", "3"]
+    _, whole, _ = run_cli(capsys, argv)
+    uniforms = []
+    draw = oracles.TreeOracle.conditional_sample_batch
+
+    def recording(self, w, m, rng):
+        uniforms.append(m * (self.n - len(w)))
+        return draw(self, w, m, rng)
+
+    monkeypatch.setattr(oracles.TreeOracle, "conditional_sample_batch", recording)
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 3 * 20)
+    _, chunked, _ = run_cli(capsys, argv)
+    assert chunked == whole
+    assert len(uniforms) == 4 * 17 and max(uniforms) <= 3 * 20
+    assert sum(uniforms) == 4 * 50 * 20
 
 
 def test_hard_instance_no_label_with_explicit_r(capsys):
@@ -192,6 +211,8 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["simulate", "--n", "3", "--delta", "0.5", "--workers", "0"],
     ["reduce-interval", "--size", "8", "--workers", "-3"],
     ["reduce-interval", "--size", "8", "--samples", "-5"],
+    ["hard-instance", "--n", "30", "--epsilon", "1.5", "--draws", "0"],
+    ["hard-instance", "--n", "30", "--epsilon", "1.0", "--draws", "0"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -213,6 +234,25 @@ GOLDEN = {
         '{"budget_adapted": 45990, "budget_direct": 45990, "coupled": true, "depth": 9, '
         '"kind": "trial", "mass_preserved": true, "native_calls": 27270, "power_of_two": false, '
         '"size": 300, "trial": 0}',
+    ],
+    ("hard-instance", "--n", "128", "--epsilon", "0.1", "--label", "both", "--draws", "200",
+     "--trials", "2", "--seed", "7"): [
+        '{"conditional_samples": 200, "delta": 0.0125, "draws": 200, "kind": "trial", '
+        '"label": "yes", "mean_effective": 1.935, "r": 0.7071067811865475, "trial": 0, '
+        '"x": "1111100010000011000001110101111010011000110110110010010011100101'
+        '1010111000110010000000100001100000100010100010110110101110000000"}',
+        '{"conditional_samples": 200, "delta": 0.0125, "draws": 200, "kind": "trial", '
+        '"label": "no", "mean_effective": 2.02, "r": 0.7071067811865475, "trial": 0, '
+        '"x": "0010000011110101010110111110101001011111101101010101001100100111'
+        '1010011101000011101111111110000100111110100101111101011010000010"}',
+        '{"conditional_samples": 200, "delta": 0.0125, "draws": 200, "kind": "trial", '
+        '"label": "yes", "mean_effective": 2.155, "r": 0.7071067811865475, "trial": 1, '
+        '"x": "1100011000110101000000000000101110111110010101001011010101110001'
+        '1100001110010010010111110010110101010111110110100011110110011010"}',
+        '{"conditional_samples": 200, "delta": 0.0125, "draws": 200, "kind": "trial", '
+        '"label": "no", "mean_effective": 1.895, "r": 0.7071067811865475, "trial": 1, '
+        '"x": "1000001011111101110111010110011111110000101111001011000011101011'
+        '0011101001111000111001000110101100011111100010010001011011101111"}',
     ],
 }
 

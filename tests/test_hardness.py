@@ -65,16 +65,31 @@ class TestHardInstance:
             assert table.mass(bits) == expected
 
     def test_walker_agrees_with_direct_lookup(self):
-        inst = hardness.gen_hard_instance(40, 0.1, "yes", seed=5)
-        tree = inst.marginal_tree()
-        u = substream(5, "u").random((64, 40))
-        rows = tree.descend((), u)
-        assert rows.shape == (64, 40) and rows.dtype == np.uint8
-        for row, uniforms in zip(rows.tolist(), u):
-            for i in range(40):
-                assert row[i] == int(uniforms[i] < tree.marginal_bits(tuple(row[:i])))
-        # starting below the root walks the same path as the tail of a full walk
-        assert np.array_equal(tree.descend(tuple(rows[0, :7].tolist()), u[:1, 7:]), rows[:1, 7:])
+        for n, rows in ((40, 64), (128, 1), (128, 16)):
+            inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=5)
+            tree = inst.marginal_tree()
+            u = substream(5, "u", n, rows).random((rows, n))
+            out = tree.descend((), u)
+            assert out.shape == (rows, n) and out.dtype == np.uint8
+            for row, uniforms in zip(out.tolist(), u):
+                for i in range(n):
+                    assert row[i] == int(uniforms[i] < tree.marginal_bits(tuple(row[:i])))
+            # starting below the root walks the same path as the tail of a full walk
+            assert np.array_equal(tree.descend(tuple(out[0, :7].tolist()), u[:1, 7:]), out[:1, 7:])
+
+    def test_mass_walks_the_rolling_state_once(self, monkeypatch):
+        n = 128
+        inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=6)
+        tree, x = inst.marginal_tree(), inst.x.bits
+        expected = 1.0
+        for i in range(n):
+            f = hardness.challenge_marginal(inst.signs.sign(x[:i]), inst.delta)
+            expected *= f if x[i] else (1.0 - f)
+        mixes = []
+        mix = hardness._mix
+        monkeypatch.setattr(hardness, "_mix", lambda z: mixes.append(z) or mix(z))
+        assert tree.mass(x) == expected
+        assert len(mixes) <= 2 * n + 1
 
     def test_yes_challenge_is_uniform(self):
         n, count = 16, 2000
@@ -121,30 +136,52 @@ class TestHardInstance:
             hardness.gen_hard_instance(10, None, "yes", seed=8)
 
 
+def one_row_counts(oracle, w, x, rng, draws):
+    """Effective-sample counts of draws one-row draws, each walk counted in plain Python."""
+    counts = []
+    for _ in range(draws):
+        row = w + "".join(map(str, oracle.conditional_sample_batch(w, 1, rng)[0].tolist()))
+        counts.append(sum(row[:j] == x[:j] for j in range(len(w), len(x))))
+    return counts
+
+
 class TestEffectiveSamples:
     def test_prefix_disjoint_from_target(self):
         inst = hardness.gen_hard_instance(8, 0.1, "yes", seed=9)
         oracle = inst.oracle()
         x = "1" + "0" * 7
-        count = hardness.effective_samples(oracle, "0", x, substream(10, "d"))
-        assert count == 0
-        assert oracle.budget.conditional_calls == 1
+        counts = hardness.effective_samples(oracle, "0", x, substream(10, "d"), 5)
+        assert counts.tolist() == [0] * 5
+        assert oracle.budget.conditional_calls == 5
 
     def test_deepest_prefix_counts_once(self):
         inst = hardness.gen_hard_instance(8, 0.1, "yes", seed=11)
         x = inst.x
         w = x.as_str()[:7]
-        count = hardness.effective_samples(inst.oracle(), w, x, substream(12, "d"))
-        assert count == 1
+        counts = hardness.effective_samples(inst.oracle(), w, x, substream(12, "d"), 3)
+        assert counts.tolist() == [1, 1, 1]
 
     def test_mean_stays_below_three(self):
         inst = hardness.gen_hard_instance(30, 0.1, "yes", seed=13)
         oracle = inst.oracle()
-        rng = substream(14, "d")
         draws = 3000
-        counts = [hardness.effective_samples(oracle, "", inst.x, rng) for _ in range(draws)]
+        counts = hardness.effective_samples(oracle, "", inst.x, substream(14, "d"), draws)
+        assert counts.shape == (draws,)
         assert np.mean(counts) <= 3.0
         assert oracle.budget.conditional_calls == draws
+
+    @pytest.mark.parametrize("label", ["yes", "no"])
+    def test_batch_equals_one_row_draws(self, label):
+        n, draws = 24, 100
+        inst = hardness.gen_hard_instance(n, 0.1, label, seed=15, r=0.3)
+        x = inst.x.as_str()
+        off_path = x[:4] + ("1" if x[4] == "0" else "0")
+        for w in ("", x[:9], off_path):
+            batched, looped = inst.oracle(), inst.oracle()
+            counts = hardness.effective_samples(batched, w, x, substream(16, w), draws)
+            assert counts.tolist() == one_row_counts(looped, w, x, substream(16, w), draws)
+            assert batched.budget.conditional_calls == looped.budget.conditional_calls == draws
+            assert (counts == 0).all() == (w == off_path)
 
 
 class TestThresholdConstants:

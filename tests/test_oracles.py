@@ -12,21 +12,19 @@ class TestBudget:
     def test_documented_increments(self):
         oracle = TreeOracle(uniform_tree(3))
         rng = substream(0, "draws")
-        oracle.conditional_sample("0", rng)
+        oracle.conditional_sample_batch("0", 1, rng)
         assert oracle.budget.conditional_calls == 1
         oracle.conditional_sample_batch("", 5, rng)
         assert oracle.budget.conditional_calls == 6
-        oracle.marginal_sample("01", rng)
-        assert oracle.budget.snapshot() == {"conditional_calls": 6, "marginal_calls": 1}
 
     def test_per_prefix_histogram(self):
         oracle = TreeOracle(uniform_tree(3), budget=SampleBudget.tracking())
         rng = substream(0, "draws")
         oracle.conditional_sample_batch("0", 4, rng)
-        oracle.conditional_sample("0", rng)
-        oracle.marginal_sample("11", rng)
-        assert oracle.budget.per_prefix["0"] == 5
-        assert oracle.budget.per_prefix["11"] == 1
+        oracle.conditional_sample_batch("0", 1, rng)
+        oracle.conditional_sample_batch("11", 1, rng)
+        assert oracle.budget.per_prefix == {"0": 5, "11": 1}
+        assert oracle.budget.conditional_calls == 6
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
@@ -37,23 +35,23 @@ class TestConditionalSampling:
     def test_sample_extends_prefix(self):
         oracle = TreeOracle(random_tree(5, substream(1, "t")))
         for w in ("", "0", "10", "0110"):
-            x = oracle.conditional_sample(w, substream(2, "draw", w))
-            assert x.as_str().startswith(w)
+            out = oracle.conditional_sample_batch(w, 3, substream(2, "draw", w))
+            assert out.shape == (3, 5 - len(w)) and out.dtype == np.uint8
+            assert set(np.unique(out)) <= {0, 1}
 
     def test_forced_last_level(self):
         # f(w) = 1 at the deepest level forces the closing bit
         levels = [np.array([0.5]), np.array([1.0, 0.0])]
         oracle = TreeOracle(TableMarginalTree(2, levels))
-        rng = substream(3, "draw")
-        for _ in range(20):
-            x = oracle.conditional_sample("0", rng)
-            assert x.as_str() == "01"
+        out = oracle.conditional_sample_batch("0", 20, substream(3, "draw"))
+        assert np.all(out == 1)
 
     def test_point_mass_returns_the_point(self):
         oracle = TreeOracle(point_mass_tree("1010"))
         rng = substream(4, "draw")
         for w in ("", "1", "10", "101"):
-            assert oracle.conditional_sample(w, rng).as_str() == "1010"
+            out = oracle.conditional_sample_batch(w, 5, rng)
+            assert all(w + "".join(map(str, row)) == "1010" for row in out.tolist())
 
     def test_cylinder_frequencies_chi_square(self):
         # uniform tree, unconditioned draws: all 8 outcomes equally likely
@@ -79,26 +77,6 @@ class TestConditionalSampling:
         assert stat < chi2_critical_99(3)
 
 
-class TestMarginalSampling:
-    def test_degenerate(self):
-        levels = [np.array([1.0]), np.array([0.0, 0.0])]
-        oracle = TreeOracle(TableMarginalTree(2, levels))
-        rng = substream(6, "draw")
-        assert all(oracle.marginal_sample("", rng) == 1 for _ in range(10))
-        assert all(oracle.marginal_sample("1", rng) == 0 for _ in range(10))
-        assert oracle.budget.marginal_calls == 20
-        assert oracle.budget.conditional_calls == 0
-
-    def test_binomial_statistics(self):
-        levels = [np.array([0.3]), np.array([0.5, 0.5])]
-        oracle = TreeOracle(TableMarginalTree(2, levels))
-        rng = substream(7, "draw")
-        draws = 10_000
-        mean = np.mean([oracle.marginal_sample("", rng) for _ in range(draws)])
-        # 3 sigma of Ber(0.3) over 10^4 draws
-        assert abs(mean - 0.3) <= 3.0 * np.sqrt(0.3 * 0.7 / draws)
-
-
 class TestZeroMassConvention:
     def test_uniform_over_cylinder(self):
         # conditioning inside the dead subtree of a point mass
@@ -112,8 +90,9 @@ class TestZeroMassConvention:
 
     def test_sample_still_extends_prefix(self):
         oracle = TreeOracle(point_mass_tree("000"))
-        x = oracle.conditional_sample("11", substream(9, "conv"))
-        assert x.as_str().startswith("11")
+        out = oracle.conditional_sample_batch("11", 1, substream(9, "conv"))
+        assert out.shape == (1, 1)
+        assert oracle.budget.conditional_calls == 1
 
 
 def test_transcript_hook():
@@ -122,10 +101,11 @@ def test_transcript_hook():
     oracle.on_record = records.append
     rng = substream(10, "log")
     out = oracle.conditional_sample_batch("0", 2, rng)
-    oracle.marginal_sample("1", rng)
-    assert [r["kind"] for r in records] == ["conditional", "marginal"]
-    assert records[0]["prefix"] == "0"
-    assert records[0]["count"] == 2
+    last = oracle.conditional_sample_batch("1", 1, rng)
+    assert [r["kind"] for r in records] == ["conditional", "conditional"]
+    assert [(r["prefix"], r["count"]) for r in records] == [("0", 2), ("1", 1)]
     assert records[0]["result"] == ["".join(map(str, row)) for row in out.tolist()]
+    assert records[1]["result"] == ["".join(map(str, row)) for row in last.tolist()]
     assert records[0]["budget_after"] == 2
     assert records[1]["budget_after"] == 3
+

@@ -113,7 +113,7 @@ class TestAdaptedOracle:
         native = TableIntervalOracle(weights)
         oracle = adapt(interval_breakdown(8), native)
         rng = substream(2, "draw")
-        oracle.conditional_sample("1", rng)
+        oracle.conditional_sample_batch("1", 1, rng)
         oracle.conditional_sample_batch("", 10, rng)
         assert native.calls == 11
         assert oracle.budget.conditional_calls == 11
@@ -136,8 +136,8 @@ class TestAdaptedOracle:
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
         oracle = adapt(interval_breakdown(5), native)
-        x = oracle.conditional_sample("11", substream(7, "draw"))
-        assert x.as_str().startswith("11")
+        out = oracle.conditional_sample_batch("11", 1, substream(7, "draw"))
+        assert out.shape == (1, 1)
         assert native.calls == 0
         assert oracle.budget.conditional_calls == 1
 
@@ -153,16 +153,6 @@ class TestAdaptedOracle:
             assert records[-1]["result"] == ["".join(map(str, row)) for row in out.tolist()]
         assert [(r["prefix"], r["count"]) for r in records] == [("0", 5), ("11", 5)]
         assert records[-1]["budget_after"] == 10
-
-    def test_marginal_sample(self):
-        weights = [1.0, 1.0, 1.0, 1.0]
-        native = TableIntervalOracle(weights)
-        oracle = adapt(interval_breakdown(4), native)
-        rng = substream(8, "draw")
-        draws = [oracle.marginal_sample("", rng) for _ in range(2000)]
-        assert oracle.budget.marginal_calls == 2000
-        assert native.calls == 2000
-        assert abs(np.mean(draws) - 0.5) < 4.0 * np.sqrt(0.25 / 2000)
 
 
 class TestCoupling:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import BitString
 from prefixsim.errors import CapabilityError
-from prefixsim.oracles import TreeOracle
+from prefixsim import util
+from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.simulation import (
     EdgeEstimate,
     LazySimulation,
@@ -85,6 +86,21 @@ class TestEstSimulationEdge:
         e1 = est_simulation_edge(6, TreeOracle(tree), 0.4, "01", 1, substream(4, "e"))
         e0 = est_simulation_edge(6, TreeOracle(tree), 0.4, "01", 0, substream(4, "e"))
         assert e1.k + e0.k == e1.m
+
+    def test_blocks_change_nothing(self, monkeypatch):
+        # m = 120 rows of 4 free bits under "01"; a cap of 50 uniforms gives 10 blocks of 12
+        tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
+        whole_oracle = TreeOracle(tree, SampleBudget.tracking())
+        whole = est_simulation_edge(6, whole_oracle, 0.05, "01", 1, substream(6, "e"))
+        monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 50)
+        oracle = TreeOracle(tree, SampleBudget.tracking())
+        records = []
+        oracle.on_record = records.append
+        chunked = est_simulation_edge(6, oracle, 0.05, "01", 1, substream(6, "e"))
+        assert chunked == whole
+        assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 120}
+        assert [r["count"] for r in records] == [12] * 10
+        assert max(r["count"] * len(r["result"][0]) for r in records) <= 50
 
 
 class TestPreprocess:
