@@ -21,18 +21,14 @@ from .trees import (
     kl_divergence,
     point_mass_tree,
     random_tree,
-    tree_from_json,
-    tree_to_json,
     tv_distance,
     uniform_tree,
 )
 from .oracles import PrefixOracle, SampleBudget, TreeOracle
 from .reduction import (
     AdaptedPrefixOracle,
-    BreakdownTree,
     IntervalAdapter,
     TableIntervalOracle,
-    adapt,
     encoded_marginal_tree,
     exact_encoded_masses,
     interval_breakdown,

@@ -42,24 +42,6 @@ class AdHocInstance:
     def total_draws(self) -> int:
         return int(self.draws.sum())
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index must be in 1..{self.n}, got {i}")
-
-    def sample_index(self, i: int, rng: RandomStream) -> int:
-        """One Ber(p_i) bit for the 1-based index i; counter += 1."""
-        self._check_index(i)
-        self.draws[i - 1] += 1
-        return 1 if rng.random() < self._p[i - 1] else 0
-
-    def sample_count(self, i: int, m: int, rng: RandomStream) -> int:
-        """Number of ones among m draws of index i; counter += m."""
-        self._check_index(i)
-        if m < 0:
-            raise ValueError("draw count must be non-negative")
-        self.draws[i - 1] += m
-        return int(rng.binomial(m, self._p[i - 1]))
-
     def sample_many(self, counts, rng: RandomStream) -> np.ndarray:
         """Per-index ones among counts[i] draws of index i+1; bulk counters."""
         c = np.asarray(counts, dtype=np.int64)

@@ -25,12 +25,12 @@ from .distance import estimate_tv, simulation_delta
 from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
 from .oracles import TreeOracle
-from .reduction import (TableIntervalOracle, adapt, encoded_marginal_tree,
+from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
                         exact_encoded_masses, interval_breakdown)
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
 from .streams import child_seed, substream
 from .trees import kl_divergence, random_tree, tv_distance
-from .util import row_blocks
+from .util import MAX_BLOCK_UNIFORMS, row_blocks
 
 OUTPUT_DIR_ENV = "PREFIXSIM_OUTPUT_DIR"
 
@@ -120,14 +120,15 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     direct_oracle = TreeOracle(encoded_marginal_tree(weights))
     direct = LazySimulation(adapter.depth, direct_oracle, cfg["delta"], sim_seed)
     native = TableIntervalOracle(weights)
-    adapted_oracle = adapt(adapter, native)
+    adapted_oracle = AdaptedPrefixOracle(adapter, native)
     adapted = LazySimulation(adapter.depth, adapted_oracle, cfg["delta"], sim_seed)
 
     # every code as a row of bits, most significant first
     codes = (np.arange(1 << adapter.depth)[:, None] >> np.arange(adapter.depth)[::-1]) & 1
     coupled = np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
-    for a, b in zip(direct.sample_batch(cfg["samples"]), adapted.sample_batch(cfg["samples"])):
-        coupled = coupled and np.array_equal(a, b)
+    for rows in row_blocks(cfg["samples"], adapter.depth):
+        for a, b in zip(direct.sample_batch(rows), adapted.sample_batch(rows)):
+            coupled = coupled and np.array_equal(a, b)
 
     masses = exact_encoded_masses(weights)
     from fractions import Fraction
@@ -208,6 +209,13 @@ def _positive(parser, name, value, strict=True):
         parser.error(f"precondition violated: {name} must be positive, got {value}")
     if not strict and value < 0:
         parser.error(f"precondition violated: {name} must be non-negative, got {value}")
+
+
+def _within_block_cap(parser, name, value):
+    # one draw of value uniforms must fit in a block (util.row_blocks)
+    if value > MAX_BLOCK_UNIFORMS:
+        parser.error(f"precondition violated: {name} = {value} exceeds {MAX_BLOCK_UNIFORMS}, "
+                     "the most uniforms one draw may ask for")
 
 
 def _marginal_range(parser, args):
@@ -340,6 +348,7 @@ def cmd_adhoc(parser, args) -> int:
     n = args.n if args.n is not None else n_prime
     if n < n_prime:
         parser.error(f"precondition violated: the tester needs n >= n' = {n_prime}, got n = {n}")
+    _within_block_cap(parser, "n", n)
     started = time.time()
     cfg = {"n": n, "delta": args.delta, "r": args.r, "seed": args.seed}
     records = _run_trials(_adhoc_trial, cfg, args.trials, args.workers)
@@ -363,6 +372,7 @@ def cmd_hard_instance(parser, args) -> int:
         parser.error("precondition violated: need 0 < epsilon < 1")
     _positive(parser, "trials", args.trials)
     _positive(parser, "draws", args.draws, strict=False)
+    _within_block_cap(parser, "n", args.n)
     labels = ["yes", "no"] if args.label == "both" else [args.label]
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "delta": args.delta, "r": args.r,

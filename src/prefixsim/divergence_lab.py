@@ -1,10 +1,12 @@
 """Numeric verifiers for the divergence inequalities the algorithms rest on.
 
-Every checker evaluates both sides of an inequality on explicit finite
-distributions in stable log space and returns whether it holds (with 1e-12
-slack for float round-off).  These are theorems, so a False return on a
-valid input is a build-stopping bug; the randomized sweep drives each
-checker over seeded instances and reports violations.
+Every inequality checker evaluates both sides on explicit finite
+distributions in stable log space and returns (lhs, rhs, ok), ok being
+whether lhs <= rhs holds with 1e-12 slack for float round-off; identity
+checkers return only whether the identity holds.  These are theorems, so a
+failed check on a valid input is a build-stopping bug; the randomized sweep
+drives each checker over seeded instances and reports violations and the
+worst margin rhs - lhs.
 
 KL divergences are in bits throughout; inequalities stated with natural logs
 carry explicit ln 2 factors.
@@ -109,7 +111,7 @@ def binomial_pmf(m: int, p: float) -> np.ndarray:
     return coeff * p ** t * (1.0 - p) ** (m - t)
 
 
-def check_bounded_ratio_dkl(mu, nu, t: float) -> bool:
+def check_bounded_ratio_dkl(mu, nu, t: float) -> tuple[float, float, bool]:
     """If mu(x) is within (1 +- t) nu(x) pointwise, then KL(mu||nu) <= t^2 / ln 2."""
     if not 0.0 <= t <= 0.25 + SLACK:
         raise ValueError(f"need 0 <= t <= 1/4, got {t}")
@@ -117,23 +119,23 @@ def check_bounded_ratio_dkl(mu, nu, t: float) -> bool:
     q = _masses(nu)
     if np.any(np.abs(p - q) > t * q * (1.0 + 1e-9) + 1e-15):
         raise ValueError("ratio precondition violated: mu is not within (1 +- t) nu pointwise")
-    return vector_kl(p, q) <= t * t / math.log(2.0) + SLACK
+    lhs = vector_kl(p, q)
+    rhs = t * t / math.log(2.0)
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_symmetric_chi_square(mu, nu) -> bool:
+def check_symmetric_chi_square(mu, nu) -> tuple[float, float, bool]:
     """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
     p = _masses(mu)
     q = _masses(nu)
-    rhs = vector_kl(p, q) + vector_kl(q, p)
-    if math.isinf(rhs):
-        return True
+    rhs = (vector_kl(p, q) + vector_kl(q, p)) * math.log(2.0)
     s = p + q
     pos = s > 0.0
     lhs = float(np.sum((p[pos] - q[pos]) ** 2 / s[pos]))
-    return lhs <= rhs * math.log(2.0) + SLACK
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_half_mixture_bias(mu, nu, r: float) -> bool:
+def check_half_mixture_bias(mu, nu, r: float) -> tuple[float, float, bool]:
     """KL of the even mixture from the r-tilted mixture is at most
     r^2 / 2 times the symmetrized KL of the components (|r| < 1/2)."""
     if not abs(r) < 0.5:
@@ -143,9 +145,8 @@ def check_half_mixture_bias(mu, nu, r: float) -> bool:
     even = 0.5 * p + 0.5 * q
     tilted = (1.0 + r) / 2.0 * p + (1.0 - r) / 2.0 * q
     rhs = 0.5 * r * r * (vector_kl(p, q) + vector_kl(q, p))
-    if math.isinf(rhs):
-        return True
-    return vector_kl(even, tilted) <= rhs + SLACK
+    lhs = vector_kl(even, tilted)
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_nonadaptive_run_kl(m_counts, delta: float, r: float) -> tuple[float, float, bool]:
@@ -176,13 +177,11 @@ def check_nonadaptive_run_kl(m_counts, delta: float, r: float) -> tuple[float, f
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_pinsker(mu, nu) -> bool:
-    """KL(mu||nu) >= 2 * d_TV(mu, nu)^2."""
-    kl = vector_kl(mu, nu)
-    if math.isinf(kl):
-        return True
-    tv = total_variation(mu, nu)
-    return kl >= 2.0 * tv * tv - SLACK
+def check_pinsker(mu, nu) -> tuple[float, float, bool]:
+    """2 * d_TV(mu, nu)^2 <= KL(mu||nu)."""
+    lhs = 2.0 * total_variation(mu, nu) ** 2
+    rhs = vector_kl(mu, nu)
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_product_additivity(mu1, nu1, mu2, nu2, tol: float = 1e-9) -> bool:
@@ -285,24 +284,17 @@ def run_lemma_sweep(count: int, seed: int) -> list[LemmaReport]:
         return random_distribution(k, rng).masses, random_distribution(k, rng).masses
 
     def ratio_case(rng):
-        mu, nu, t = _ratio_instance(rng)
-        rhs = t * t / math.log(2.0)
-        lhs = vector_kl(mu, nu)
-        return check_bounded_ratio_dkl(mu, nu, t), rhs - lhs
+        lhs, rhs, ok = check_bounded_ratio_dkl(*_ratio_instance(rng))
+        return ok, rhs - lhs
 
     def chi_case(rng):
-        mu, nu = pair(rng)
-        rhs = (vector_kl(mu, nu) + vector_kl(nu, mu)) * math.log(2.0)
-        s = mu + nu
-        lhs = float(np.sum((mu - nu) ** 2 / s))
-        return check_symmetric_chi_square(mu, nu), rhs - lhs
+        lhs, rhs, ok = check_symmetric_chi_square(*pair(rng))
+        return ok, rhs - lhs
 
     def mixture_case(rng):
         mu, nu = pair(rng)
-        r = rng.uniform(-0.499, 0.499)
-        rhs = 0.5 * r * r * (vector_kl(mu, nu) + vector_kl(nu, mu))
-        lhs = vector_kl(0.5 * mu + 0.5 * nu, (1 + r) / 2 * mu + (1 - r) / 2 * nu)
-        return check_half_mixture_bias(mu, nu, r), rhs - lhs
+        lhs, rhs, ok = check_half_mixture_bias(mu, nu, rng.uniform(-0.499, 0.499))
+        return ok, rhs - lhs
 
     def nonadaptive_case(rng):
         schedule = rng.integers(1, 21, int(rng.integers(1, 9)))
@@ -312,8 +304,8 @@ def run_lemma_sweep(count: int, seed: int) -> list[LemmaReport]:
         return ok, rhs - lhs
 
     def pinsker_case(rng):
-        mu, nu = pair(rng)
-        return check_pinsker(mu, nu), vector_kl(mu, nu) - 2.0 * total_variation(mu, nu) ** 2
+        lhs, rhs, ok = check_pinsker(*pair(rng))
+        return ok, rhs - lhs
 
     def product_case(rng):
         mu1, nu1 = pair(rng)

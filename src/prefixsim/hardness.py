@@ -68,7 +68,14 @@ class SignAssignment:
 
 
 class SignMarginalTree(MarginalTree):
-    """Marginal tree whose f(w) depends on the prefix only through its sign."""
+    """Marginal tree whose f(w) depends on the prefix only through its sign.
+
+    A node's handle is the rolling state of the sign assignment at it, so
+    walks step O(1) per level and keep nothing; vectorized walks hold uint64
+    states, which _mix wraps mod 2^64 exactly as it does on plain ints.
+    """
+
+    _handle_dtype = np.uint64
 
     def __init__(self, n: int, signs: SignAssignment, minus_value: float, plus_value: float):
         """Marginal is plus_value where the sign is +1 and minus_value where it is -1."""
@@ -76,35 +83,14 @@ class SignMarginalTree(MarginalTree):
         if not (0.0 <= minus_value <= 1.0 and 0.0 <= plus_value <= 1.0):
             raise ValueError("marginal values must be probabilities")
         self.signs = signs
-        self._minus = minus_value
-        self._plus = plus_value
+        self._root = signs.root_state
+        self._values = np.array([minus_value, plus_value])
 
-    def marginal_bits(self, bits: tuple[int, ...]) -> float:
-        return self._plus if self.signs.sign(bits) > 0 else self._minus
+    def _child(self, h, b):
+        return SignAssignment.advance(h, b)
 
-    def _path_mass(self, bits: tuple[int, ...]) -> float:
-        # one rolling state down the path: two mixes per level, not |w| per level
-        p, state = 1.0, self.signs.root_state
-        for b in bits:
-            f = self._plus if SignAssignment.sign_of_state(state) > 0 else self._minus
-            p *= f if b else (1.0 - f)
-            state = SignAssignment.advance(state, b)
-        return p
-
-    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-        # all rows step down together, one level at a time; each row's rolling
-        # state is a uint64 entry, which _mix wraps mod 2^64 as on Python ints
-        m, free = u.shape
-        out = np.empty((m, free), dtype=np.uint8)
-        start = self.signs.root_state
-        for b in bits:
-            start = SignAssignment.advance(start, b)
-        state = np.full(m, start, dtype=np.uint64)
-        for t in range(free):
-            plus = _mix(state ^ _SIGN_TAG) & 1     # sign_of_state, row by row
-            out[:, t] = u[:, t] < np.where(plus, self._plus, self._minus)
-            state = SignAssignment.advance(state, out[:, t])
-        return out
+    def _f(self, depth: int, h):
+        return self._values[_mix(h ^ _SIGN_TAG) & 1]     # sign_of_state, elementwise
 
 
 def challenge_marginal(sign, delta):
@@ -142,14 +128,6 @@ class HardInstance:
         return SignMarginalTree(self.n, self.signs,
                                 challenge_marginal(-1, self.delta),
                                 challenge_marginal(1, self.delta))
-
-    def tilted_tree(self) -> SignMarginalTree:
-        """The companion mu', marginals (1 - s_w r) / 2 (needs r < 1)."""
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"tilt r={self.r} is not a valid probability shift; pass an explicit r")
-        return SignMarginalTree(self.n, self.signs,
-                                tilt_marginal(-1, self.r),
-                                tilt_marginal(1, self.r))
 
     def oracle(self) -> TreeOracle:
         """A fresh prefix oracle for mu with its own budget."""

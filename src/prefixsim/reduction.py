@@ -26,51 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, PrefixLike, as_prefix
+from .bits import PrefixLike, as_prefix
 from .oracles import PrefixOracle, SampleBudget
 from .streams import RandomStream
 from .trees import TableMarginalTree
 
 
 @dataclass(frozen=True)
-class BreakdownTree:
-    """A complete binary tree of domain subsets.
-
-    The root holds the whole domain, every non-leaf's set is the disjoint
-    union of its children's sets, and each leaf holds a singleton or nothing.
-    Stored via the leaf assignment; node sets are recomputed on demand.
-    """
-
-    depth: int
-    leaf_contents: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.leaf_contents) != 1 << self.depth:
-            raise ValueError("leaf assignment must cover all 2^depth leaves")
-
-    def node_set(self, level: int, index: int) -> frozenset:
-        if not 0 <= level <= self.depth:
-            raise ValueError("level out of range")
-        span = 1 << (self.depth - level)
-        chunk = self.leaf_contents[index * span : (index + 1) * span]
-        return frozenset(e for e in chunk if e is not None)
-
-    def validate(self) -> None:
-        seen = [e for e in self.leaf_contents if e is not None]
-        if len(seen) != len(set(seen)):
-            raise ValueError("leaves must hold distinct singletons")
-        for level in range(self.depth):
-            for idx in range(1 << level):
-                node = self.node_set(level, idx)
-                left = self.node_set(level + 1, 2 * idx)
-                right = self.node_set(level + 1, 2 * idx + 1)
-                if left | right != node or (left & right):
-                    raise ValueError(f"node ({level}, {idx}) is not the disjoint union of its children")
-
-
-@dataclass(frozen=True)
 class IntervalAdapter:
-    """Bijection between {1..N} and depth-l codes, plus prefix/interval maps.
+    """Element e of {1..N} has the depth-l code e - 1; prefixes map to element intervals.
 
     Padding codes (values N..2^l - 1) sit at the top of the code range, so
     the elements of every node form a contiguous interval.
@@ -79,35 +43,14 @@ class IntervalAdapter:
     size: int
     depth: int
 
-    def encode(self, element: int) -> BitString:
-        if not 1 <= element <= self.size:
-            raise ValueError(f"element must be in 1..{self.size}")
-        return BitString.from_int(element - 1, self.depth)
-
-    def decode(self, x: BitString) -> int:
-        if x.n != self.depth:
-            raise ValueError(f"code must have length {self.depth}")
-        code = x.as_int()
-        if code >= self.size:
-            raise ValueError(f"code {x.as_str()} is a padding code (no element)")
-        return code + 1
-
-    def prefix_code_range(self, w: PrefixLike) -> tuple[int, int]:
-        """Half-open code range [lo, hi) of the cylinder of w (unclipped)."""
-        wp = as_prefix(self.depth, w)
-        shift = self.depth - wp.depth
-        return wp.index << shift, (wp.index + 1) << shift
-
     def prefix_interval(self, w: PrefixLike) -> tuple[int, int] | None:
         """Inclusive element interval {a..b} matching the prefix w, or None."""
-        lo, hi = self.prefix_code_range(w)
+        wp = as_prefix(self.depth, w)
+        shift = self.depth - wp.depth
+        lo, hi = wp.index << shift, (wp.index + 1) << shift
         if lo >= self.size:
             return None
         return lo + 1, min(hi, self.size)
-
-    def breakdown_tree(self) -> BreakdownTree:
-        leaves = tuple(code + 1 if code < self.size else None for code in range(1 << self.depth))
-        return BreakdownTree(self.depth, leaves)
 
 
 def interval_breakdown(n_elements: int) -> IntervalAdapter:
@@ -290,8 +233,3 @@ class AdaptedPrefixOracle(PrefixOracle):
             for t in range(free):
                 out[:, t] = (codes >> (free - 1 - t)) & 1
         return self._charge(wp, out)
-
-
-def adapt(adapter: IntervalAdapter, native: TableIntervalOracle) -> AdaptedPrefixOracle:
-    """Expose a native interval-conditional oracle through the prefix model."""
-    return AdaptedPrefixOracle(adapter, native)

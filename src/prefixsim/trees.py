@@ -5,10 +5,15 @@ next bit being 1.  The induced mass of an element x is the product
 
     mass(x) = prod_i ( x_i * f(x_{1..i-1}) + (1 - x_i) * (1 - f(x_{1..i-1})) )
 
-which always defines a probability distribution.  Small trees are backed by
-explicit per-level tables; subclasses may compute f from the prefix instead
-(the hard instances' sign trees do), so instances with n in the thousands
-stay representable.
+which always defines a probability distribution.
+
+A tree names its nodes by handles: the root's handle, the handle of a node's
+child along a bit, and the marginal f at a handle.  Table trees use a node's
+index in its level; the hard instances' sign trees use a rolling 64-bit state
+computed from the prefix, so instances with n in the thousands need no
+storage.  The base class owns every walk over these names: the descent of a
+block of rows, the mass of one path, one prefix's marginal and the
+level-by-level materialization into tables.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import BitStringLike, PrefixLike, as_bitstring, as_prefix, index_of, prefix_str
+from .bits import BitStringLike, PrefixLike, as_bitstring, as_prefix
 from .errors import CapabilityError
 
 #: Largest n for which exact enumeration over all 2^n elements is supported.
@@ -47,15 +52,35 @@ def bernoulli_kl(p: float, q: float) -> float:
 
 
 class MarginalTree:
-    """Base class: a distribution over {0,1}^n defined by prefix marginals."""
+    """Base class: a distribution over {0,1}^n defined by prefix marginals.
+
+    A subclass names its nodes with handles: _root is the root's handle,
+    _child(h, b) the handle of h's child along bit b, and _f(depth, h) the
+    marginal at h, a node at that depth.  Both work elementwise on arrays of
+    handles of dtype _handle_dtype and on plain ints; walks along one path
+    use plain ints.  Every walk below is written once, over these three.
+    """
+
+    _handle_dtype: type
+    _root: int
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = n
 
-    def marginal_bits(self, bits: tuple[int, ...]) -> float:
+    def _child(self, h, b):
         raise NotImplementedError
+
+    def _f(self, depth: int, h):
+        raise NotImplementedError
+
+    def _node(self, bits: tuple[int, ...]) -> int:
+        """The handle of the prefix bits."""
+        h = self._root
+        for b in bits:
+            h = self._child(h, b)
+        return h
 
     def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
         """Walk from the prefix bits down to the leaves, one row of u per walk.
@@ -63,12 +88,20 @@ class MarginalTree:
         Row s takes bit t as 1 exactly when u[s, t] < f at the node it has
         reached, so the result, shape (m, n - len(bits)) as uint8, is a pure
         function of the prefix and the uniform block u of the same shape.
+        All rows step down together, one level at a time.
         """
-        raise NotImplementedError
+        m, free = u.shape
+        out = np.empty((m, free), dtype=np.uint8)
+        h = np.full(m, self._node(bits), dtype=self._handle_dtype)
+        for t in range(free):
+            out[:, t] = u[:, t] < self._f(len(bits) + t, h)
+            h = self._child(h, out[:, t])
+        return out
 
     def marginal(self, w: PrefixLike) -> float:
         """f(w): probability that the bit after prefix w is 1."""
-        return self.marginal_bits(as_prefix(self.n, w).bits)
+        bits = as_prefix(self.n, w).bits
+        return float(self._f(len(bits), self._node(bits)))
 
     def mass(self, x: BitStringLike) -> float:
         """Probability mass of the element x."""
@@ -79,10 +112,11 @@ class MarginalTree:
         return self._path_mass(as_prefix(self.n, w).bits)
 
     def _path_mass(self, bits: tuple[int, ...]) -> float:
-        p = 1.0
-        for i, b in enumerate(bits):
-            f = self.marginal_bits(bits[:i])
+        p, h = 1.0, self._root
+        for depth, b in enumerate(bits):
+            f = float(self._f(depth, h))
             p *= f if b else (1.0 - f)
+            h = self._child(h, b)
         return p
 
     def masses(self) -> np.ndarray:
@@ -92,15 +126,15 @@ class MarginalTree:
         return self.materialize().masses()
 
     def materialize(self) -> "TableMarginalTree":
-        """An explicit table-backed copy (n <= MAX_ENUM_N)."""
+        """An explicit table-backed copy (n <= MAX_ENUM_N), built level by level."""
         if self.n > MAX_ENUM_N:
             raise CapabilityError(f"materialization supported only for n <= {MAX_ENUM_N}")
-        levels = []
-        for i in range(self.n):
-            level = np.empty(1 << i)
-            for j in range(1 << i):
-                level[j] = self.marginal(prefix_str(i, j))
-            levels.append(level)
+        h = np.full(1, self._root, dtype=self._handle_dtype)
+        levels = [self._f(0, h)]
+        for depth in range(1, self.n):
+            # left and right children interleaved: the next level in index order
+            h = np.stack((self._child(h, 0), self._child(h, 1)), axis=1).ravel()
+            levels.append(self._f(depth, h))
         return TableMarginalTree(self.n, levels)
 
     def exact_total_mass(self) -> Fraction:
@@ -111,19 +145,23 @@ class MarginalTree:
         """
         if self.n > 20:
             raise CapabilityError("exact total mass supported only for n <= 20")
+        table = self.materialize()
         masses = [Fraction(1)]
         for i in range(self.n):
-            nxt = []
-            for j, cur in enumerate(masses):
-                f = Fraction(self.marginal(prefix_str(i, j)))
-                nxt.append(cur * (1 - f))
-                nxt.append(cur * f)
-            masses = nxt
+            fs = map(Fraction, table.level(i).tolist())
+            masses = [cur * g for cur, f in zip(masses, fs) for g in (1 - f, f)]
         return sum(masses, Fraction(0))
 
 
 class TableMarginalTree(MarginalTree):
-    """Marginal tree with explicit per-level probability tables."""
+    """Marginal tree with explicit per-level probability tables.
+
+    A node's handle is its index in its level, the big-endian value of its
+    prefix.
+    """
+
+    _handle_dtype = np.int64
+    _root = 0
 
     def __init__(self, n: int, levels: Iterable[np.ndarray]):
         super().__init__(n)
@@ -145,19 +183,11 @@ class TableMarginalTree(MarginalTree):
         """Read-only array of f values for all prefixes of length i."""
         return self._levels[i]
 
-    def marginal_bits(self, bits: tuple[int, ...]) -> float:
-        return float(self._levels[len(bits)][index_of(bits)])
+    def _child(self, h, b):
+        return (h << 1) + b
 
-    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-        m, free = u.shape
-        out = np.empty((m, free), dtype=np.uint8)
-        idx = np.full(m, index_of(bits), dtype=np.int64)
-        for t in range(free):
-            f = self._levels[len(bits) + t][idx]
-            step = u[:, t] < f
-            out[:, t] = step
-            idx = (idx << 1) + step
-        return out
+    def _f(self, depth: int, h):
+        return self._levels[depth][h]
 
     def masses(self) -> np.ndarray:
         out = np.ones(1)
@@ -249,31 +279,3 @@ def chain_rule_kl(a: MarginalTree, b: MarginalTree) -> float:
         nxt[1::2] = weights * fa
         weights = nxt
     return total
-
-
-def tree_to_json(tree: MarginalTree) -> dict:
-    """Serialize as {"n": n, "f": {prefix-string: float}} (n <= MAX_ENUM_N)."""
-    table = tree.materialize()
-    f = {}
-    for i in range(table.n):
-        level = table.level(i)
-        for j in range(1 << i):
-            f[prefix_str(i, j)] = float(level[j])
-    return {"n": table.n, "f": f}
-
-
-def tree_from_json(data: dict) -> TableMarginalTree:
-    n = int(data["n"])
-    if n > MAX_ENUM_N:
-        raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
-    f = data["f"]
-    levels = []
-    for i in range(n):
-        level = np.empty(1 << i)
-        for j in range(1 << i):
-            key = prefix_str(i, j)
-            if key not in f:
-                raise ValueError(f"serialized tree is missing prefix {key!r}")
-            level[j] = float(f[key])
-        levels.append(level)
-    return TableMarginalTree(n, levels)

@@ -15,7 +15,8 @@ from prefixsim import adhoc, divergence_lab as lab, hardness
 from prefixsim.bits import BitString
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.oracles import SampleBudget, TreeOracle
-from prefixsim.reduction import TableIntervalOracle, adapt, encoded_marginal_tree, interval_breakdown
+from prefixsim.reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
+                                 interval_breakdown)
 from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import kl_divergence, random_tree, tv_distance
@@ -240,7 +241,7 @@ def test_ac12_interval_reduction_coupling():
     direct_oracle = TreeOracle(encoded_marginal_tree(weights))
     direct = LazySimulation(adapter.depth, direct_oracle, 0.25, seed)
     native = TableIntervalOracle(weights)
-    adapted_oracle = adapt(adapter, native)
+    adapted_oracle = AdaptedPrefixOracle(adapter, native)
     adapted = LazySimulation(adapter.depth, adapted_oracle, 0.25, seed)
 
     for code in range(size):

@@ -33,23 +33,23 @@ class TestSampling:
     def test_degenerate_indexes(self):
         inst = adhoc.AdHocInstance([1.0, 0.0])
         rng = substream(4, "s")
-        assert all(inst.sample_index(1, rng) == 1 for _ in range(10))
-        assert all(inst.sample_index(2, rng) == 0 for _ in range(10))
+        assert inst.sample_many([10, 10], rng).tolist() == [10, 0]
         assert inst.draws.tolist() == [10, 10]
         assert inst.total_draws == 20
 
     def test_index_bounds(self):
         inst = adhoc.AdHocInstance([0.5])
-        with pytest.raises(IndexError):
-            inst.sample_index(0, substream(5, "s"))
-        with pytest.raises(IndexError):
-            inst.sample_index(2, substream(5, "s"))
+        with pytest.raises(ValueError):
+            inst.sample_many([1, 1], substream(5, "s"))
+        with pytest.raises(ValueError):
+            inst.sample_many([-1], substream(5, "s"))
+        assert inst.total_draws == 0
 
     def test_binomial_statistics(self):
         inst = adhoc.AdHocInstance([0.4])
         rng = substream(6, "s")
         draws = 10_000
-        mean = np.mean([inst.sample_index(1, rng) for _ in range(draws)])
+        mean = inst.sample_many([draws], rng)[0] / draws
         assert abs(mean - 0.4) <= 3.0 * np.sqrt(0.4 * 0.6 / draws)
 
     def test_bulk_sampling_counts(self):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prefixsim import cli, oracles, util
+from prefixsim import cli, oracles, simulation, util
 from prefixsim.cli import main
 
 
@@ -131,6 +131,26 @@ def test_reduce_interval(capsys, size):
         assert t["coupled"] is True
 
 
+def test_reduce_interval_blocks_change_nothing(capsys, monkeypatch):
+    argv = ["reduce-interval", "--size", "300", "--delta", "0.1", "--samples", "50",
+            "--trials", "2", "--seed", "4"]
+    _, whole, _ = run_cli(capsys, argv)
+    rows = []
+    draw = simulation.LazySimulation.sample_batch
+
+    def recording(self, k, rng=None):
+        rows.append(k)
+        return draw(self, k, rng)
+
+    monkeypatch.setattr(simulation.LazySimulation, "sample_batch", recording)
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 7 * 9)   # 7 rows of depth 9
+    _, chunked, _ = run_cli(capsys, argv)
+    assert chunked == whole
+    assert all(t["coupled"] for t in chunked)
+    # per trial, both simulations draw 50 rows in blocks of at most 7
+    assert rows == [7] * 14 + [1] * 2 + [7] * 14 + [1] * 2
+
+
 def test_output_file_and_csv(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     code = main(["simulate", "--n", "3", "--delta", "0.5", "--trials", "40",
@@ -213,6 +233,10 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["reduce-interval", "--size", "8", "--samples", "-5"],
     ["hard-instance", "--n", "30", "--epsilon", "1.5", "--draws", "0"],
     ["hard-instance", "--n", "30", "--epsilon", "1.0", "--draws", "0"],
+    # sizes past util.MAX_BLOCK_UNIFORMS (2^20) would ask for gigabytes in one draw
+    ["adhoc", "--delta", "0.3", "--r", "1e-4"],
+    ["adhoc", "--delta", "0.3", "--r", "0.08", "--n", str(2**20 + 1)],
+    ["hard-instance", "--n", str(2**20 + 1), "--epsilon", "0.1"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -220,7 +244,7 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
-# Trial records of two fixed runs, pinned byte for byte (JSON with sorted keys).
+# Trial records of fixed runs, pinned byte for byte (JSON with sorted keys).
 GOLDEN = {
     ("estimate-tv", "--n", "4", "--epsilon", "0.2", "--trials", "2", "--seed", "7"): [
         '{"budget_a": 54000, "budget_b": 54000, "epsilon": 0.2, "error": 0.008924141239419758, '
@@ -253,6 +277,34 @@ GOLDEN = {
         '"label": "no", "mean_effective": 1.895, "r": 0.7071067811865475, "trial": 1, '
         '"x": "1000001011111101110111010110011111110000101111001011000011101011'
         '0011101001111000111001000110101100011111100010010001011011101111"}',
+    ],
+    ("simulate", "--n", "10", "--delta", "0.25", "--trials", "2", "--seed", "7"): [
+        '{"conditional_samples": 40920, "kind": "trial", "kl": 0.16250963088279635, '
+        '"samples_per_edge": 40, "trial": 0}',
+        '{"conditional_samples": 40920, "kind": "trial", "kl": 0.176911528554274, '
+        '"samples_per_edge": 40, "trial": 1}',
+    ],
+    ("verify-lemmas", "--sweep", "40", "--seed", "7"): [
+        '{"instances": 40, "kind": "trial", "lemma": "bounded-ratio-kl", "passed": true, '
+        '"violations": 0, "worst_margin": 1.4773302558959854e-08}',
+        '{"instances": 40, "kind": "trial", "lemma": "symmetric-chi-square", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0026858253626753257}',
+        '{"instances": 40, "kind": "trial", "lemma": "half-mixture-bias", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0001039346699540655}',
+        '{"instances": 40, "kind": "trial", "lemma": "nonadaptive-run-kl", "passed": true, '
+        '"violations": 0, "worst_margin": 2.8601726947958196e-07}',
+        '{"instances": 40, "kind": "trial", "lemma": "pinsker", "passed": true, '
+        '"violations": 0, "worst_margin": 0.08985108038620454}',
+        '{"instances": 40, "kind": "trial", "lemma": "product-additivity", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0}',
+        '{"instances": 40, "kind": "trial", "lemma": "chain-rule", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0}',
+        '{"instances": 40, "kind": "trial", "lemma": "edge-estimate-kl-bound", '
+        '"passed": true, "violations": 0, "worst_margin": 0.0028522821851420244}',
+        '{"instances": 40, "kind": "trial", "lemma": "log-bounds", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0}',
+        '{"instances": 40, "kind": "trial", "lemma": "binomial-kl-identity", "passed": true, '
+        '"violations": 0, "worst_margin": 0.0}',
     ],
 }
 

@@ -61,8 +61,9 @@ class TestExpectedBinomialKl:
 
 class TestCheckers:
     def test_bounded_ratio_examples(self):
-        assert lab.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.0)
-        assert lab.check_bounded_ratio_dkl([0.55, 0.45], [0.5, 0.5], 0.1)
+        assert lab.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.0) == (0.0, 0.0, True)
+        lhs, rhs, ok = lab.check_bounded_ratio_dkl([0.55, 0.45], [0.5, 0.5], 0.1)
+        assert ok and lhs == lab.vector_kl([0.55, 0.45], [0.5, 0.5]) and rhs == 0.1 * 0.1 / math.log(2.0)
         with pytest.raises(ValueError):
             lab.check_bounded_ratio_dkl([0.7, 0.3], [0.5, 0.5], 0.1)
         with pytest.raises(ValueError):
@@ -70,14 +71,17 @@ class TestCheckers:
 
     def test_symmetric_chi_square_examples(self):
         p = np.array([0.25, 0.75])
-        assert lab.check_symmetric_chi_square(p, p)
-        assert lab.check_symmetric_chi_square([0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
+        assert lab.check_symmetric_chi_square(p, p) == (0.0, 0.0, True)
+        # disjoint mass on two cells: both divergences are infinite
+        assert lab.check_symmetric_chi_square([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]) == (1.0, math.inf, True)
 
     def test_half_mixture_examples(self):
         p = np.array([0.2, 0.8])
         q = np.array([0.6, 0.4])
-        assert lab.check_half_mixture_bias(p, q, 0.0)
-        assert lab.check_half_mixture_bias(p, p, 0.3)
+        assert lab.check_half_mixture_bias(p, q, 0.0)[2]
+        assert lab.check_half_mixture_bias(p, p, 0.3) == (0.0, 0.0, True)
+        lhs, rhs, ok = lab.check_half_mixture_bias(p, q, 0.3)
+        assert ok and 0.0 < lhs < rhs
         with pytest.raises(ValueError):
             lab.check_half_mixture_bias(p, q, 0.6)
 
@@ -103,11 +107,17 @@ class TestCheckers:
         rng = substream(1, "p")
         p = lab.random_distribution(6, rng).masses
         q = lab.random_distribution(6, rng).masses
-        assert lab.check_pinsker(p, q)
+        lhs, rhs, ok = lab.check_pinsker(p, q)
+        assert ok and lhs == 2.0 * lab.total_variation(p, q) ** 2 and rhs == lab.vector_kl(p, q)
         assert lab.check_product_additivity(p, q, q, p)
         a = random_tree(4, rng, 0.05, 0.95)
         b = random_tree(4, rng, 0.05, 0.95)
         assert lab.check_chain_rule(a, b)
+
+    def test_pinsker_closed_form(self):
+        # one bit of divergence against a total-variation distance of 1/2
+        assert lab.check_pinsker([1, 0], [0.5, 0.5]) == (0.5, 1.0, True)
+        assert lab.check_pinsker([0.5, 0.5], [1, 0]) == (0.5, math.inf, True)
 
     def test_log_bounds(self):
         for x in (-0.9, -0.5, 0.0, 0.3, 2.0, 10.0):

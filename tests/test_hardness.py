@@ -64,6 +64,15 @@ class TestHardInstance:
             assert tree.mass(bits) == expected
             assert table.mass(bits) == expected
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_materialize_equals_per_prefix_marginals(self, n):
+        tree = hardness.gen_hard_instance(n, 0.2, "yes", seed=n).marginal_tree()
+        table = tree.materialize()
+        for depth in range(n):
+            assert table.level(depth).tolist() == [
+                tree.marginal(format(v, f"0{depth}b") if depth else "") for v in range(1 << depth)]
+        assert tree.exact_total_mass() == 1
+
     def test_walker_agrees_with_direct_lookup(self):
         for n, rows in ((40, 64), (128, 1), (128, 16)):
             inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=5)
@@ -73,7 +82,7 @@ class TestHardInstance:
             assert out.shape == (rows, n) and out.dtype == np.uint8
             for row, uniforms in zip(out.tolist(), u):
                 for i in range(n):
-                    assert row[i] == int(uniforms[i] < tree.marginal_bits(tuple(row[:i])))
+                    assert row[i] == int(uniforms[i] < tree.marginal(row[:i]))
             # starting below the root walks the same path as the tail of a full walk
             assert np.array_equal(tree.descend(tuple(out[0, :7].tolist()), u[:1, 7:]), out[:1, 7:])
 
@@ -124,8 +133,6 @@ class TestHardInstance:
     def test_yes_label_ignores_r_validity(self):
         inst = hardness.gen_hard_instance(30, 0.1, "yes", seed=7)
         assert inst.r == hardness.default_r(30) > 1.0
-        with pytest.raises(ValueError):
-            inst.tilted_tree()
 
     def test_label_and_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import BitString, Prefix
 from prefixsim.reduction import (
+    AdaptedPrefixOracle,
     TableIntervalOracle,
-    adapt,
     encoded_marginal_tree,
     exact_encoded_masses,
     interval_breakdown,
@@ -22,9 +22,6 @@ class TestEncoding:
     def test_depth_and_element_codes(self):
         adapter = interval_breakdown(8)
         assert adapter.depth == 3
-        # element 5 carries the code binary(5 - 1) = 100
-        assert adapter.encode(5).as_str() == "100"
-        assert adapter.decode(BitString.from_str("100")) == 5
 
     def test_prefix_to_interval(self):
         adapter = interval_breakdown(8)
@@ -37,18 +34,6 @@ class TestEncoding:
         assert adapter.depth == 3
         assert adapter.prefix_interval("11") is None
         assert adapter.prefix_interval("1") == (5, 5)
-        with pytest.raises(ValueError):
-            adapter.decode(BitString.from_str("101"))
-
-    @given(st.integers(min_value=1, max_value=300))
-    def test_bijection(self, n_elements):
-        adapter = interval_breakdown(n_elements)
-        seen = set()
-        for e in range(1, n_elements + 1):
-            code = adapter.encode(e)
-            assert adapter.decode(code) == e
-            seen.add(code.as_int())
-        assert len(seen) == n_elements
 
     @pytest.mark.parametrize("n_elements", [1, 2, 5, 8, 11, 16])
     def test_every_prefix_decodes_to_an_interval(self, n_elements):
@@ -70,17 +55,27 @@ class TestEncoding:
                     assert members == list(range(members[0], members[-1] + 1))
 
 
+def members(adapter, bits):
+    """The elements under the prefix bits, as a set."""
+    interval = adapter.prefix_interval(bits)
+    return set() if interval is None else set(range(interval[0], interval[1] + 1))
+
+
 class TestBreakdownTree:
     @pytest.mark.parametrize("n_elements", [1, 3, 5, 8])
     def test_structural_invariants(self, n_elements):
-        tree = interval_breakdown(n_elements).breakdown_tree()
-        tree.validate()
-        assert tree.node_set(0, 0) == frozenset(range(1, n_elements + 1))
+        # the root holds the whole domain and every node is the disjoint union of its children
+        adapter = interval_breakdown(n_elements)
+        assert members(adapter, ()) == set(range(1, n_elements + 1))
+        for length in range(adapter.depth - 1):
+            for bits in product((0, 1), repeat=length):
+                left, right = members(adapter, bits + (0,)), members(adapter, bits + (1,))
+                assert left | right == members(adapter, bits) and not left & right
 
     def test_padding_leaves_empty(self):
-        tree = interval_breakdown(5).breakdown_tree()
-        assert tree.node_set(3, 5) == frozenset()
-        assert tree.node_set(3, 4) == frozenset({5})
+        adapter = interval_breakdown(5)
+        assert members(adapter, "11") == set()
+        assert members(adapter, "10") == {5}
 
 
 class TestEncodedTree:
@@ -111,7 +106,7 @@ class TestAdaptedOracle:
     def test_one_native_draw_per_conditional_draw(self):
         weights = substream(1, "w").uniform(0.1, 1.0, 8)
         native = TableIntervalOracle(weights)
-        oracle = adapt(interval_breakdown(8), native)
+        oracle = AdaptedPrefixOracle(interval_breakdown(8), native)
         rng = substream(2, "draw")
         oracle.conditional_sample_batch("1", 1, rng)
         oracle.conditional_sample_batch("", 10, rng)
@@ -135,7 +130,7 @@ class TestAdaptedOracle:
     def test_padding_prefix_uses_convention(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
-        oracle = adapt(interval_breakdown(5), native)
+        oracle = AdaptedPrefixOracle(interval_breakdown(5), native)
         out = oracle.conditional_sample_batch("11", 1, substream(7, "draw"))
         assert out.shape == (1, 1)
         assert native.calls == 0
@@ -143,7 +138,8 @@ class TestAdaptedOracle:
 
     def test_transcript_matches_draws(self):
         weights = substream(9, "w").uniform(0.1, 1.0, 6)
-        hooked, plain = (adapt(interval_breakdown(6), TableIntervalOracle(weights)) for _ in range(2))
+        hooked, plain = (AdaptedPrefixOracle(interval_breakdown(6), TableIntervalOracle(weights))
+                         for _ in range(2))
         records = []
         hooked.on_record = records.append
         rng, plain_rng = substream(10, "draw"), substream(10, "draw")
@@ -164,7 +160,7 @@ class TestCoupling:
         direct = LazySimulation(adapter.depth, TreeOracle(encoded_marginal_tree(weights)),
                                 0.4, sim_seed)
         native = TableIntervalOracle(weights)
-        adapted = LazySimulation(adapter.depth, adapt(adapter, native), 0.4, sim_seed)
+        adapted = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, sim_seed)
         for code in range(size):
             x = BitString.from_int(code, adapter.depth)
             assert direct.query(x) == adapted.query(x)
@@ -173,13 +169,30 @@ class TestCoupling:
         assert direct.hist == adapted.hist
         assert direct.oracle.budget.conditional_calls == adapted.oracle.budget.conditional_calls
 
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(1, 4096), seed=st.integers(0, 2**32))
+    def test_direct_equals_adapted_for_positive_weights(self, size, seed):
+        weights = substream(seed, "w").uniform(0.01, 1.0, size)
+        adapter = interval_breakdown(size)
+        delta = adapter.depth / 3   # m = 3 samples per edge
+        direct_oracle = TreeOracle(encoded_marginal_tree(weights))
+        adapted_oracle = AdaptedPrefixOracle(adapter, TableIntervalOracle(weights))
+        direct = LazySimulation(adapter.depth, direct_oracle, delta, seed)
+        adapted = LazySimulation(adapter.depth, adapted_oracle, delta, seed)
+        assert direct.m == 3
+        for got, want in zip(adapted.sample_batch(32), direct.sample_batch(32)):
+            assert np.array_equal(got, want)
+        assert adapted.hist == direct.hist
+        assert adapted_oracle.budget.conditional_calls == direct_oracle.budget.conditional_calls
+        assert adapted_oracle.native.calls <= adapted_oracle.budget.conditional_calls
+
     def test_padded_domain_pipeline_is_consistent(self):
         # padded sizes couple bit for bit (see above); the adapted simulation
         # must also realize exactly on its own
         weights = substream(10, "w").uniform(0.1, 1.0, 5)
         adapter = interval_breakdown(5)
         native = TableIntervalOracle(weights)
-        sim = LazySimulation(adapter.depth, adapt(adapter, native), 0.4, 123)
+        sim = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, 123)
         total = sum(sim.query_exact(BitString.from_int(c, adapter.depth)) for c in range(8))
         assert total == Fraction(1)
         for _ in range(20):

@@ -369,3 +369,14 @@ def test_lazy_equals_eager_over_random_scripts(script, seed):
             assert np.array_equal(eager.query_batch(rows), lazy.query_batch(rows))
         assert lazy.oracle.budget.conditional_calls == lazy.m * lazy.touched_pairs
     assert lazy.hist.items() <= eager.hist.items()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 5), seed=st.integers(0, 2**32),
+       marginals=st.sampled_from([(0.0, 1.0), (0.2, 0.8), (0.0, 0.0)]))
+def test_exact_realization_sums_to_one(n, m, seed, marginals):
+    # m samples per edge, with zero-mass edges in the first and last families
+    tree = random_tree(n, substream(seed, "t"), *marginals)
+    sim = LazySimulation(n, TreeOracle(tree), n / m, seed)
+    assert sim.m == m
+    assert sum(sim.query_exact(BitString.from_int(c, n)) for c in range(1 << n)) == 1

@@ -14,8 +14,6 @@ from prefixsim.trees import (
     kl_divergence,
     point_mass_tree,
     random_tree,
-    tree_from_json,
-    tree_to_json,
     tv_distance,
     uniform_tree,
 )
@@ -53,6 +51,34 @@ class TestConditionalMass:
 
     def test_direct_evaluation(self):
         assert two_level_tree().conditional_mass("0") == pytest.approx(0.7, abs=1e-15)
+
+
+def level_product(tree, bits):
+    """Path mass as a product of per-level table lookups, each from the root."""
+    p = 1.0
+    for i, b in enumerate(bits):
+        f = float(tree.level(i)[int("".join(map(str, bits[:i])) or "0", 2)])
+        p *= f if b else (1.0 - f)
+    return p
+
+
+class TestOnePathWalk:
+    def test_conditional_mass_equals_the_level_product(self):
+        n = 10
+        tree = random_tree(n, substream(4, "walk"))
+        for depth in range(n):
+            for v in range(1 << depth):
+                bits = tuple((v >> (depth - 1 - i)) & 1 for i in range(depth))
+                assert tree.conditional_mass(bits) == level_product(tree, bits)
+                assert tree.marginal(bits) == float(tree.level(depth)[v])
+
+    def test_mass_equals_the_level_product(self):
+        n = 8
+        tree = random_tree(n, substream(5, "walk"))
+        for v in range(1 << n):
+            bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+            assert tree.mass(bits) == level_product(tree, bits)
+            assert type(tree.mass(bits)) is float
 
 
 class TestRealization:
@@ -158,23 +184,6 @@ class TestBernoulliKl:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             bernoulli_kl(1.5, 0.5)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        t = random_tree(4, substream(3, "json"))
-        data = tree_to_json(t)
-        assert data["n"] == 4
-        assert set(len(k) for k in data["f"]) == {0, 1, 2, 3}
-        back = tree_from_json(data)
-        for i in range(4):
-            assert np.array_equal(back.level(i), t.level(i))
-
-    def test_missing_prefix_rejected(self):
-        data = tree_to_json(uniform_tree(2))
-        del data["f"]["1"]
-        with pytest.raises(ValueError):
-            tree_from_json(data)
 
 
 class TestBackings:
