@@ -35,7 +35,6 @@ from .reduction import (
 )
 from .simulation import (
     MAX_PREPROCESS_N,
-    EdgeEstimate,
     LazySimulation,
     est_simulation_edge,
     preprocess,

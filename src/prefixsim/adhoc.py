@@ -10,6 +10,7 @@ expected cost O(1 / (r^2 delta^2)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,11 @@ def tester_parameters(delta: float, r: float) -> tuple[int, float, float]:
         raise ValueError("the tester needs delta > 0")
     if not r > 0.0:
         raise ValueError("the tester needs r > 0")
-    n_prime = ceil_snap(15.0 / (r * r))
-    q = 10.0 / (delta * delta)
+    n_real = 15.0 / (r * r) if r * r else math.inf
+    q = 10.0 / (delta * delta) if delta * delta else math.inf
+    if not (math.isfinite(n_real) and math.isfinite(q)):
+        raise ValueError(f"n' = 15/r^2 = {n_real} and q = 10/delta^2 = {q} must be finite")
+    n_prime = ceil_snap(n_real)
     threshold = (1.0 - r * delta / 2.0) / 2.0 * q * n_prime
     return n_prime, q, threshold
 

@@ -45,12 +45,6 @@ class BitString:
     def as_int(self) -> int:
         return index_of(self.bits)
 
-    def prefix(self, length: int) -> "Prefix":
-        """The true prefix consisting of the first `length` bits."""
-        if not 0 <= length < self.n:
-            raise ValueError("a true prefix must be strictly shorter than the string")
-        return Prefix(self.n, self.bits[:length])
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -79,10 +73,6 @@ class Prefix:
             raise ValueError(f"prefix of length {len(self.bits)} is not a true prefix for n={self.n}")
 
     @classmethod
-    def empty(cls, n: int) -> "Prefix":
-        return cls(n, ())
-
-    @classmethod
     def from_str(cls, n: int, s: str) -> "Prefix":
         return cls(n, tuple(int(c) for c in s))
 
@@ -95,42 +85,16 @@ class Prefix:
         """Position among the 2^depth prefixes of the same length (big-endian)."""
         return index_of(self.bits)
 
-    def as_str(self) -> str:
-        return "".join(map(str, self.bits))
-
-    def child(self, bit: int) -> "Prefix":
-        if self.depth + 1 >= self.n:
-            raise ValueError("child would not be a true prefix; complete to a BitString instead")
-        return Prefix(self.n, self.bits + (int(bit),))
-
-    def complete(self, suffix: Iterable[int]) -> BitString:
-        """Extend with free bits to a full element of {0,1}^n."""
-        x = BitString(self.bits + tuple(int(b) for b in suffix))
-        if x.n != self.n:
-            raise ValueError("suffix has the wrong length")
-        return x
-
     def is_prefix_of(self, x: BitString) -> bool:
         return x.n == self.n and x.bits[: self.depth] == self.bits
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return self.as_str()
 
 
 PrefixLike = Union[Prefix, str, tuple, list]
 BitStringLike = Union[BitString, str, tuple, list]
 
 
-def prefix_str(depth: int, index: int) -> str:
-    """The '01' string of the index-th prefix of length depth (big-endian)."""
-    return format(index, f"0{depth}b") if depth else ""
-
-
 def index_of(bits: Iterable[int]) -> int:
-    """The big-endian value of a bit sequence: the index prefix_str names."""
+    """The big-endian value of a bit sequence."""
     value = 0
     for b in bits:
         value = (value << 1) | b

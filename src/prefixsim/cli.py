@@ -344,7 +344,10 @@ def cmd_adhoc(parser, args) -> int:
     if not 0.0 < args.r < 1.0 / 12.0:
         parser.error("precondition violated: need 0 < r < 1/12")
     _positive(parser, "trials", args.trials)
-    n_prime, q, threshold = tester_parameters(args.delta, args.r)
+    try:
+        n_prime, q, threshold = tester_parameters(args.delta, args.r)
+    except ValueError as exc:
+        parser.error(f"precondition violated: {exc}")
     n = args.n if args.n is not None else n_prime
     if n < n_prime:
         parser.error(f"precondition violated: the tester needs n >= n' = {n_prime}, got n = {n}")

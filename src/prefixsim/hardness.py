@@ -162,7 +162,7 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
         if not 0.0 < r < 1.0:
             raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
         tilted = SignMarginalTree(n, signs, tilt_marginal(-1, r), tilt_marginal(1, r))
-        x = BitString(tuple(tilted.descend((), rng.random((1, n)))[0].tolist()))
+        x = BitString(tuple(tilted.descend(rng.random((1, n)))[0].tolist()))
     return HardInstance(label, n, delta, r, signs, x, seed)
 
 
@@ -173,12 +173,13 @@ def effective_samples(oracle: PrefixOracle, w: PrefixLike, x: BitStringLike,
     Each walk produces prefixes W_j for |w| <= j <= n-1 (starting at W_|w| = w);
     its count is how many of them are prefixes of the target x.  If w itself
     is not a prefix of x, no W_j can be and every count is 0.  The draws are
-    one conditional_sample_batch(w, draws, rng) block, whose uniforms are the
-    same doubles as draws one-row draws in turn, so the counts are too.
+    one conditional_sample_batch block of the one prefix w from rng, whose
+    uniforms are the same doubles as draws one-row draws in turn, so the
+    counts are too.
     """
     wp = as_prefix(oracle.n, w)
     xs = as_bitstring(x, oracle.n)
-    free = oracle.conditional_sample_batch(wp, draws, rng)
+    free = oracle.conditional_sample_batch(np.array([wp.bits], dtype=np.uint8), draws, [rng])
     if not wp.is_prefix_of(xs):
         return np.zeros(draws, dtype=np.int64)
     # W_j is a prefix of x while the free bits before level j agree with x

@@ -1,13 +1,14 @@
 """Sampling oracles over hidden distributions on {0,1}^n.
 
-The only draw is prefix-conditional: a call returns a block of elements
-agreeing with the requested prefix (their free bits); there is no marginal
-or one-element draw.  Every oracle owns a budget ledger that counts draws
-and is never reset implicitly.
+The only draw is prefix-conditional: a call takes k prefixes of one depth
+and returns m elements agreeing with each prefix (their free bits); there is
+no marginal or one-element draw.  Every oracle owns a budget ledger that
+counts draws, m per prefix, and is never reset implicitly.
 
-Draw discipline: a conditional draw consumes one uniform block of shape
-(batch, free-levels) from the supplied stream and walks the levels using one
-column per level.  Keeping consumption a pure function of (prefix, batch
+Draw discipline: one stream per prefix.  A prefix's m rows consume one
+uniform block of shape (m, free-levels) from its own stream and walk the
+levels using one column per level, so they are exactly what a draw of that
+prefix alone gives.  Keeping consumption a pure function of (prefix, batch
 size) is what allows two differently-routed runs with shared keyed streams to
 be compared for bit-equality.  A (rows, free) block holds the same doubles
 in row-major order as its rows drawn one at a time, so a caller may split a
@@ -22,11 +23,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bits import Prefix, PrefixLike, as_prefix
 from .streams import RandomStream
 from .trees import MarginalTree
 
@@ -58,21 +58,40 @@ class PrefixOracle:
             raise ValueError("n must be at least 1")
         self.n = n
         self.budget = budget if budget is not None else SampleBudget()
-        #: optional transcript hook; receives one dict per oracle call.  While it
-        #: is None, draws build no transcript at all.
+        #: optional transcript hook; receives one dict per prefix of each draw.
+        #: While it is None, draws build no transcript at all.
         self.on_record: Optional[Callable[[dict], None]] = None
 
-    def conditional_sample_batch(self, w: PrefixLike, m: int, rng: RandomStream) -> np.ndarray:
-        """m independent conditional draws; returns the free bits, shape (m, n - |w|)."""
+    def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
+                                 rngs: Sequence[RandomStream]) -> np.ndarray:
+        """m independent conditional draws under each row of a (k, depth) 0/1 array.
+
+        Returns the free bits, shape (k * m, n - depth) as uint8; rows j * m
+        to (j + 1) * m are prefix j's, drawn from its own stream rngs[j].
+        """
         raise NotImplementedError
 
-    def _charge(self, wp: Prefix, out: np.ndarray) -> np.ndarray:
-        """Charge the rows of the drawn block out to wp, record them, and return out."""
-        self.budget.charge_conditional(wp.as_str(), len(out))
-        if self.on_record is not None:
-            self.on_record({"kind": "conditional", "prefix": wp.as_str(), "count": len(out),
-                            "result": ["".join(map(str, row)) for row in out.tolist()],
-                            "budget_after": self.budget.conditional_calls})
+    def _validated(self, prefixes, m: int, rngs: Sequence[RandomStream]) -> np.ndarray:
+        """The prefixes as a (k, depth) uint8 array, once the draw's arguments check out."""
+        prefixes = np.asarray(prefixes)
+        if (prefixes.ndim != 2 or prefixes.shape[1] >= self.n or len(rngs) != len(prefixes)
+                or ((prefixes != 0) & (prefixes != 1)).any()):
+            raise ValueError(f"need a (k, depth < {self.n}) 0/1 prefix array and a stream per prefix")
+        if m < 1:
+            raise ValueError("batch size must be positive")
+        return prefixes.astype(np.uint8, copy=False)
+
+    def _charge(self, prefixes: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+        """Charge each prefix its m rows of the drawn block out, record them, and return out."""
+        if self.budget.per_prefix is None and self.on_record is None:
+            self.budget.conditional_calls += len(out)
+            return out
+        for j, w in enumerate("".join(map(str, bits)) for bits in prefixes.tolist()):
+            self.budget.charge_conditional(w, m)
+            if self.on_record is not None:
+                self.on_record({"kind": "conditional", "prefix": w, "count": m,
+                                "result": ["".join(map(str, row)) for row in out[j * m:(j + 1) * m].tolist()],
+                                "budget_after": self.budget.conditional_calls})
         return out
 
 
@@ -89,11 +108,17 @@ class TreeOracle(PrefixOracle):
         super().__init__(tree.n, budget)
         self.tree = tree
 
-    def conditional_sample_batch(self, w: PrefixLike, m: int, rng: RandomStream) -> np.ndarray:
-        wp = as_prefix(self.n, w)
-        if m < 1:
-            raise ValueError("batch size must be positive")
-        u = rng.random((m, self.n - wp.depth))
-        if self.tree.conditional_mass(wp) == 0.0:
-            return self._charge(wp, (u < 0.5).astype(np.uint8))
-        return self._charge(wp, self.tree.descend(wp.bits, u))
+    def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
+                                 rngs: Sequence[RandomStream]) -> np.ndarray:
+        """Walks all prefixes to their start nodes and masses at once, then descends all rows."""
+        prefixes = self._validated(prefixes, m, rngs)
+        k, depth = prefixes.shape
+        u = np.empty((k * m, self.n - depth))
+        for j, rng in enumerate(rngs):
+            rng.random(out=u[j * m:(j + 1) * m])
+        h, mass = self.tree.cylinders(prefixes)
+        out = self.tree.descend(u, depth, np.repeat(h, m))
+        dead = np.repeat(mass == 0.0, m)
+        if dead.any():
+            out[dead] = u[dead] < 0.5
+        return self._charge(prefixes, m, out)

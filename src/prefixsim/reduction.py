@@ -23,6 +23,7 @@ against them as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -203,7 +204,7 @@ class TableIntervalOracle:
 
 
 class AdaptedPrefixOracle(PrefixOracle):
-    """Prefix oracle over codes answering each draw with one native interval draw.
+    """Prefix oracle over codes answering each prefix of a draw with one native interval draw.
 
     A prefix whose cylinder holds no element (pure padding) cannot be
     conditioned on natively; such draws return the uniform-over-cylinder
@@ -218,18 +219,19 @@ class AdaptedPrefixOracle(PrefixOracle):
         self.adapter = adapter
         self.native = native
 
-    def conditional_sample_batch(self, w: PrefixLike, m: int, rng: RandomStream) -> np.ndarray:
-        wp = as_prefix(self.n, w)
-        if m < 1:
-            raise ValueError("batch size must be positive")
-        free = self.n - wp.depth
-        interval = self.adapter.prefix_interval(wp)
-        if interval is None:
-            out = (rng.random((m, free)) < 0.5).astype(np.uint8)
-        else:
-            elems = self.native.draw_batch(interval[0], interval[1], m, rng)
-            codes = elems - 1
-            out = np.empty((m, free), dtype=np.uint8)
-            for t in range(free):
-                out[:, t] = (codes >> (free - 1 - t)) & 1
-        return self._charge(wp, out)
+    def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
+                                 rngs: Sequence[RandomStream]) -> np.ndarray:
+        """One native draw of m elements per prefix, from the prefix's stream."""
+        prefixes = self._validated(prefixes, m, rngs)
+        free = self.n - prefixes.shape[1]
+        out = np.empty((len(prefixes) * m, free), dtype=np.uint8)
+        shifts = np.arange(free - 1, -1, -1)
+        for j, (w, rng) in enumerate(zip(prefixes.tolist(), rngs)):
+            rows = out[j * m:(j + 1) * m]
+            interval = self.adapter.prefix_interval(w)
+            if interval is None:
+                rows[:] = rng.random((m, free)) < 0.5
+            else:
+                codes = self.native.draw_batch(interval[0], interval[1], m, rng) - 1
+                rows[:] = (codes[:, None] >> shifts) & 1
+        return self._charge(prefixes, m, out)

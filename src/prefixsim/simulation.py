@@ -3,18 +3,20 @@
 A single edge w -> wb is estimated by drawing m = ceil(n / delta) samples
 conditioned on w and averaging the first free bit.  Estimating every edge
 independently yields a surrogate distribution whose expected KL divergence
-from the input is at most n/m <= delta.
+from the input is at most n/m <= delta.  The missing edges of one level are
+estimated together, in one multi-prefix draw.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
 entry as k/m and (m - k)/m.  The store is filled lazily, an edge the first
 time it lies on a queried or sampled path, or all at once by preprocess,
 which touches every edge of the tree up front (exponential work).  Because
-each edge's estimation stream is keyed by (master seed, prefix), the order
-in which edges are first touched is irrelevant, and the lazy simulation is
-bit-for-bit equal to the eagerly learned one.  Estimates are kept as exact
-integers; all float probabilities are computed as k/m so the two agree to
-the last bit and realization checks can run in exact rational arithmetic.
+each edge's estimation stream is keyed by (master seed, prefix), neither the
+order in which edges are first touched nor their grouping into draws
+matters, and the lazy simulation is bit-for-bit equal to the eagerly learned
+one.  Estimates are kept as exact integers; all float probabilities are
+computed as k/m so the two agree to the last bit and realization checks can
+run in exact rational arithmetic.
 
 Samples and queries walk many paths at once: sample_batch and query_batch
 take all rows down the tree together, one level at a time, reading the k of
@@ -29,12 +31,12 @@ independent trials parallelize at the state level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix, prefix_str
+from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix
 from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, substream
@@ -54,53 +56,28 @@ def samples_per_edge(n: int, delta: float) -> int:
     return ceil_snap(n / delta)
 
 
-@dataclass(frozen=True)
-class EdgeEstimate:
-    """An edge weight estimated as k matches out of m samples."""
-
-    k: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.m:
-            raise ValueError(f"need 0 <= k <= m, got k={self.k}, m={self.m}")
-
-    @property
-    def value(self) -> float:
-        return self.k / self.m
-
-    @property
-    def exact(self) -> Fraction:
-        return Fraction(self.k, self.m)
-
-    def sibling(self) -> "EdgeEstimate":
-        return EdgeEstimate(self.m - self.k, self.m)
-
-
 def est_simulation_edge(n: int, oracle: PrefixOracle, delta: float,
-                        w: PrefixLike, b: int, rng: RandomStream) -> EdgeEstimate:
-    """Estimate the probability of bit b after prefix w.
+                        prefixes: np.ndarray, rngs: Sequence[RandomStream]) -> np.ndarray:
+    """k of each prefix w, a row of a (k, depth) 0/1 array: the estimate of w -> w1 is k/m.
 
-    Draws m = ceil(n / delta) conditional samples under w and counts those
-    whose first free bit equals b.  Costs exactly m conditional samples,
-    drawn in blocks of row_blocks sizes so memory stays bounded at any m;
-    the blocks draw the same uniforms in the same order as one (m, free)
-    block would.
+    Draws m = ceil(n / delta) conditional samples under each prefix, from its
+    own stream in the list rngs, and counts those whose first free bit is 1:
+    exactly m conditional samples per prefix.  Whole prefixes share a draw
+    while its block stays within util.MAX_BLOCK_UNIFORMS uniforms; a prefix
+    whose m rows alone exceed it is drawn in consecutive row blocks.  Either
+    way a prefix gets the uniforms one (m, free) block from its stream would.
     """
-    if b not in (0, 1):
-        raise ValueError("b must be 0 or 1")
-    wp = as_prefix(n, w)
     m = samples_per_edge(n, delta)
-    k = 0
-    for rows in row_blocks(m, n - wp.depth):
-        k += int(np.count_nonzero(oracle.conditional_sample_batch(wp, rows, rng)[:, 0] == b))
-    return EdgeEstimate(k, m)
-
-
-def _prefix_of(node: int) -> str:
-    """The prefix string of a store key (1 << depth) | index."""
-    depth = node.bit_length() - 1
-    return prefix_str(depth, node ^ (1 << depth))
+    free = n - prefixes.shape[1]
+    ks = np.zeros(len(prefixes), dtype=np.int64)
+    start = 0
+    for size in row_blocks(len(prefixes), m * free):
+        group = slice(start, start + size)
+        for rows in row_blocks(m, size * free):
+            block = oracle.conditional_sample_batch(prefixes[group], rows, rngs[group])
+            ks[group] += np.count_nonzero(block[:, 0].reshape(size, rows), axis=1)
+        start += size
+    return ks
 
 
 class LazySimulation:
@@ -108,7 +85,8 @@ class LazySimulation:
 
     The store maps each touched prefix, keyed by its node id
     (1 << depth) | index, to k, the number of ones among the m samples of
-    its edge; a miss estimates the edge from its (seed, prefix)-keyed stream.
+    its edge.  The misses of one level are estimated together, each edge
+    from its own (seed, prefix)-keyed stream.
     Entries never change once written, so repeated queries are consistent
     and already-revealed masses are honored by later samples.
     """
@@ -123,6 +101,8 @@ class LazySimulation:
         self.delta = delta
         self.seed = seed
         self.m = samples_per_edge(n, delta)
+        # node ids reach 2^n; past int64, keep them as Python ints
+        self._node_dtype = np.int64 if n < 63 else object
         self._ones: dict[int, int] = {}
         self._user_rng = substream(seed, "user")
 
@@ -132,47 +112,49 @@ class LazySimulation:
         return len(self._ones)
 
     @property
-    def hist(self) -> dict[tuple[str, int], EdgeEstimate]:
+    def hist(self) -> dict[tuple[str, int], Fraction]:
         """Both sibling estimates of every touched pair, keyed (prefix string, bit).
 
         Built afresh from the store on each read; edits to it do not reach the store.
         """
-        out = {}
-        for node, k in self._ones.items():
-            w, est = _prefix_of(node), EdgeEstimate(k, self.m)
-            out[(w, 1)] = est
-            out[(w, 0)] = est.sibling()
-        return out
+        return {(format(node, "b")[1:], b): Fraction(k if b else self.m - k, self.m)
+                for node, k in self._ones.items() for b in (1, 0)}
 
-    def edge(self, w: PrefixLike, b: int) -> EdgeEstimate:
-        """The estimate of the edge w -> wb, estimating the pair on a miss."""
+    def edge(self, w: PrefixLike, b: int) -> Fraction:
+        """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
         if b not in (0, 1):
             raise ValueError("b must be 0 or 1")
         wp = as_prefix(self.n, w)
-        k = self._count((1 << wp.depth) | wp.index)
-        return EdgeEstimate(k if b else self.m - k, self.m)
+        k = self._counts(wp.depth, [(1 << wp.depth) | wp.index])[0]
+        return Fraction(k if b else self.m - k, self.m)
 
-    def _count(self, node: int) -> int:
-        k = self._ones.get(node)
-        if k is None:
-            w_str = _prefix_of(node)
-            k = est_simulation_edge(self.n, self.oracle, self.delta, w_str, 1,
-                                    substream(self.seed, "edge", w_str)).k
-            self._ones[node] = k
-        return k
+    def _counts(self, depth: int, nodes: list[int]) -> list[int]:
+        """k of each node in the list, all at depth, estimating the missing edges on the way.
+
+        The distinct misses are estimated in the order rows first reach them,
+        in the groups est_simulation_edge draws as one block each, so a
+        group's prefix bits and streams (keyed by the node id's binary digits
+        after the leading 1) are built only for its call.
+        """
+        ks = list(map(self._ones.get, nodes))
+        if None not in ks:
+            return ks
+        misses = list(dict.fromkeys(node for node, k in zip(nodes, ks) if k is None))
+        shifts, start = np.arange(depth - 1, -1, -1), 0
+        for size in row_blocks(len(misses), self.m * (self.n - depth)):
+            group = misses[start:start + size]
+            bits = (np.array(group, dtype=self._node_dtype)[:, None] >> shifts) & 1
+            rngs = [substream(self.seed, "edge", format(node, "b")[1:]) for node in group]
+            counts = est_simulation_edge(self.n, self.oracle, self.delta, bits.astype(np.uint8), rngs)
+            self._ones.update(zip(group, counts.tolist()))
+            start += size
+        return list(map(self._ones.get, nodes))
 
     def _learn_all(self) -> None:
         if self.n > MAX_PREPROCESS_N:
             raise CapabilityError(f"learning all 2^n - 1 edges is supported only for n <= {MAX_PREPROCESS_N}")
-        for node in range(1, 1 << self.n):
-            self._count(node)
-
-    def _counts(self, nodes: np.ndarray) -> np.ndarray:
-        """k of each node in the array, estimating any missing edge on the way."""
-        ks = list(map(self._ones.get, nodes.tolist()))
-        if None in ks:
-            ks = [self._count(node) for node in nodes.tolist()]
-        return np.array(ks, dtype=np.int64)
+        for depth in range(self.n):
+            self._counts(depth, list(range(1 << depth, 2 << depth)))
 
     def _walk(self, bits: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """Masses of the rows of bits, all rows walked together level by level.
@@ -182,11 +164,10 @@ class LazySimulation:
         operations of a lone walk in the same order.
         """
         m = self.m
-        # node ids reach 2^n; past int64, keep them as Python ints
-        nodes = np.ones(len(bits), dtype=np.int64 if self.n < 63 else object)
+        nodes = np.ones(len(bits), dtype=self._node_dtype)
         p = np.ones(len(bits))
         for i in range(self.n):
-            k = self._counts(nodes)
+            k = np.array(self._counts(i, nodes.tolist()), dtype=np.int64)
             if u is not None:
                 bits[:, i] = u[:, i] < k / m
             b = bits[:, i]
@@ -213,8 +194,8 @@ class LazySimulation:
     def query_exact(self, x: BitStringLike) -> Fraction:
         p = Fraction(1)
         node = 1
-        for b in as_bitstring(x, self.n).bits:
-            k = self._count(node)
+        for i, b in enumerate(as_bitstring(x, self.n).bits):
+            k = self._counts(i, [node])[0]
             p *= Fraction(k if b else self.m - k, self.m)
             node = (node << 1) | b
         return p
@@ -249,9 +230,10 @@ class LazySimulation:
 def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:
     """Learn every edge of the tree up front (eager simulation).
 
-    Fills all 2^n - 1 entries of a fresh LazySimulation, each from its own
-    (seed, prefix)-keyed stream, costing (2^n - 1) * m conditional samples;
-    later queries and samples cost nothing.
+    Fills all 2^n - 1 entries of a fresh LazySimulation level by level, each
+    level in as few multi-prefix draws as the block cap allows and each edge
+    from its own (seed, prefix)-keyed stream, costing (2^n - 1) * m
+    conditional samples; later queries and samples cost nothing.
     """
     sim = LazySimulation(n, oracle, delta, seed)
     sim._learn_all()

@@ -11,9 +11,9 @@ A tree names its nodes by handles: the root's handle, the handle of a node's
 child along a bit, and the marginal f at a handle.  Table trees use a node's
 index in its level; the hard instances' sign trees use a rolling 64-bit state
 computed from the prefix, so instances with n in the thousands need no
-storage.  The base class owns every walk over these names: the descent of a
-block of rows, the mass of one path, one prefix's marginal and the
-level-by-level materialization into tables.
+storage.  The base class owns every walk over these names: the walk of a
+block of prefixes to their handles and masses, the descent of a block of
+rows and the level-by-level materialization into tables.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class MarginalTree:
     A subclass names its nodes with handles: _root is the root's handle,
     _child(h, b) the handle of h's child along bit b, and _f(depth, h) the
     marginal at h, a node at that depth.  Both work elementwise on arrays of
-    handles of dtype _handle_dtype and on plain ints; walks along one path
-    use plain ints.  Every walk below is written once, over these three.
+    handles of dtype _handle_dtype.  Every walk below is written once, over
+    these three.
     """
 
     _handle_dtype: type
@@ -75,33 +75,41 @@ class MarginalTree:
     def _f(self, depth: int, h):
         raise NotImplementedError
 
-    def _node(self, bits: tuple[int, ...]) -> int:
-        """The handle of the prefix bits."""
-        h = self._root
-        for b in bits:
+    def cylinders(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Handles and cylinder masses of the rows of a (k, depth) 0/1 array.
+
+        All rows step down together; a row's mass is p *= f or 1 - f at each
+        node it passes, root first."""
+        h = np.full(len(prefixes), self._root, dtype=self._handle_dtype)
+        p = np.ones(len(prefixes))
+        for depth in range(prefixes.shape[1]):
+            f = self._f(depth, h)
+            b = prefixes[:, depth]
+            p *= np.where(b, f, 1.0 - f)
             h = self._child(h, b)
-        return h
+        return h, p
 
-    def descend(self, bits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-        """Walk from the prefix bits down to the leaves, one row of u per walk.
+    def descend(self, u: np.ndarray, depth: int = 0, h: np.ndarray | None = None) -> np.ndarray:
+        """Walk from nodes at depth down to the leaves, one row of u per walk.
 
-        Row s takes bit t as 1 exactly when u[s, t] < f at the node it has
-        reached, so the result, shape (m, n - len(bits)) as uint8, is a pure
-        function of the prefix and the uniform block u of the same shape.
-        All rows step down together, one level at a time.
+        Row s starts at handle h[s] (the root when h is None) and takes bit t
+        as 1 exactly when u[s, t] < f at the node it has reached, so the
+        result, uint8 of u's shape, is a pure function of the start nodes and
+        u.  All rows step down together, one level at a time.
         """
-        m, free = u.shape
-        out = np.empty((m, free), dtype=np.uint8)
-        h = np.full(m, self._node(bits), dtype=self._handle_dtype)
+        rows, free = u.shape
+        out = np.empty((rows, free), dtype=np.uint8)
+        if h is None:
+            h = np.full(rows, self._root, dtype=self._handle_dtype)
         for t in range(free):
-            out[:, t] = u[:, t] < self._f(len(bits) + t, h)
+            out[:, t] = u[:, t] < self._f(depth + t, h)
             h = self._child(h, out[:, t])
         return out
 
     def marginal(self, w: PrefixLike) -> float:
         """f(w): probability that the bit after prefix w is 1."""
         bits = as_prefix(self.n, w).bits
-        return float(self._f(len(bits), self._node(bits)))
+        return float(self._f(len(bits), self.cylinders(np.array([bits], dtype=np.uint8))[0])[0])
 
     def mass(self, x: BitStringLike) -> float:
         """Probability mass of the element x."""
@@ -112,12 +120,7 @@ class MarginalTree:
         return self._path_mass(as_prefix(self.n, w).bits)
 
     def _path_mass(self, bits: tuple[int, ...]) -> float:
-        p, h = 1.0, self._root
-        for depth, b in enumerate(bits):
-            f = float(self._f(depth, h))
-            p *= f if b else (1.0 - f)
-            h = self._child(h, b)
-        return p
+        return float(self.cylinders(np.array([bits], dtype=np.uint8))[1][0])
 
     def masses(self) -> np.ndarray:
         """All 2^n element masses, indexed by the big-endian value of x."""

@@ -6,14 +6,16 @@ import math
 from typing import Iterator
 
 #: Most uniforms a caller asks of one draw call; larger draws are split into
-#: consecutive blocks of whole rows (row_blocks), so memory stays bounded.
+#: consecutive blocks of whole rows or whole prefixes (row_blocks), so memory
+#: stays bounded.
 MAX_BLOCK_UNIFORMS = 1 << 20
 
 
 def row_blocks(rows: int, free: int) -> Iterator[int]:
-    """Sizes of consecutive blocks covering rows draws of free uniforms each.
+    """Sizes of consecutive blocks covering rows items of free uniforms each.
 
-    Each block holds at most MAX_BLOCK_UNIFORMS uniforms, but at least one row.
+    Each block holds at most MAX_BLOCK_UNIFORMS uniforms, but at least one
+    item; an item is a draw's row, or a prefix with all its rows.
     """
     step = max(1, MAX_BLOCK_UNIFORMS // max(free, 1))
     for start in range(0, rows, step):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 #: standard normal 99th percentile
 Z_99 = 2.3263478740408408
@@ -26,3 +27,36 @@ def chi_square_stat(observed, expected) -> float:
     assert np.all(observed[dead] == 0.0), "observed mass in a zero-probability cell"
     live = ~dead
     return float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
+
+
+def prefix_rows(*prefixes: str) -> np.ndarray:
+    """The '01' strings of prefixes of one depth as a (k, depth) uint8 array."""
+    return np.array([[int(c) for c in w] for w in prefixes], dtype=np.uint8)
+
+
+@st.composite
+def prefix_blocks(draw, n: int) -> np.ndarray:
+    """k prefixes of one depth in [0, n), as a (k, depth) uint8 array; repeats allowed."""
+    depth = draw(st.integers(0, n - 1))
+    codes = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1, max_size=6))
+    return np.array([[(c >> (depth - 1 - i)) & 1 for i in range(depth)] for c in codes],
+                    dtype=np.uint8).reshape(len(codes), depth)
+
+
+def draw(oracle, w: str, m: int, rng) -> np.ndarray:
+    """One prefix's conditional draw: the multi-prefix draw of one prefix and one stream."""
+    return oracle.conditional_sample_batch(prefix_rows(w), m, [rng])
+
+
+def assert_ledger(oracle, prefixes, m: int, block: np.ndarray, records: list) -> None:
+    """The draw of block under prefixes charged m rows per prefix and left one record per prefix."""
+    names = ["".join(map(str, w)) for w in prefixes.tolist()]
+    assert oracle.budget.conditional_calls == len(block) == m * len(names)
+    charged = {}
+    for w in names:
+        charged[w] = charged.get(w, 0) + m
+    assert oracle.budget.per_prefix == charged
+    assert [(r["prefix"], r["count"]) for r in records] == [(w, m) for w in names]
+    assert [r["result"] for r in records] == [
+        ["".join(map(str, row)) for row in block[j * m:(j + 1) * m].tolist()] for j in range(len(names))]
+    assert [r["budget_after"] for r in records] == [m * (j + 1) for j in range(len(names))]

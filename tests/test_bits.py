@@ -36,18 +36,16 @@ def test_prefix_basics():
     w = Prefix.from_str(4, "10")
     assert w.depth == 2
     assert w.index == 2
-    assert w.child(1).as_str() == "101"
-    assert w.complete([0, 1]) == BitString.from_str("1001")
     assert w.is_prefix_of(BitString.from_str("1011"))
     assert not w.is_prefix_of(BitString.from_str("1111"))
-    assert Prefix.empty(4).depth == 0
+    assert Prefix(4, ()).depth == 0
 
 
 def test_prefix_must_be_true_prefix():
     with pytest.raises(ValueError):
         Prefix(3, (0, 1, 1))
     with pytest.raises(ValueError):
-        Prefix.from_str(2, "0").child(1)
+        Prefix.from_str(2, "01")
     with pytest.raises(ValueError):
         Prefix(0, ())
 

@@ -8,6 +8,7 @@ import pytest
 
 from prefixsim import cli, oracles, simulation, util
 from prefixsim.cli import main
+from prefixsim.reduction import AdaptedPrefixOracle
 
 
 def run_cli(capsys, argv):
@@ -87,9 +88,9 @@ def test_hard_instance_blocks_change_nothing(capsys, monkeypatch):
     uniforms = []
     draw = oracles.TreeOracle.conditional_sample_batch
 
-    def recording(self, w, m, rng):
-        uniforms.append(m * (self.n - len(w)))
-        return draw(self, w, m, rng)
+    def recording(self, prefixes, m, rngs):
+        uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
+        return draw(self, prefixes, m, rngs)
 
     monkeypatch.setattr(oracles.TreeOracle, "conditional_sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 3 * 20)
@@ -97,6 +98,28 @@ def test_hard_instance_blocks_change_nothing(capsys, monkeypatch):
     assert chunked == whole
     assert len(uniforms) == 4 * 17 and max(uniforms) <= 3 * 20
     assert sum(uniforms) == 4 * 50 * 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "6", "--delta", "0.5", "--trials", "2", "--seed", "3"],
+    ["reduce-interval", "--size", "12", "--delta", "0.5", "--trials", "2", "--seed", "3"],
+])
+def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
+    # m = 12 (simulate, n = 6) and 8 (reduce-interval, depth 4); a cap of 40
+    # uniforms draws simulate's two shallowest levels in row blocks and
+    # groups up to 5 prefixes per block deeper down
+    _, whole, _ = run_cli(capsys, argv)
+    uniforms = []
+    for cls in (oracles.TreeOracle, AdaptedPrefixOracle):
+        def recording(self, prefixes, m, rngs, draw=cls.conditional_sample_batch):
+            uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
+            return draw(self, prefixes, m, rngs)
+
+        monkeypatch.setattr(cls, "conditional_sample_batch", recording)
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 40)
+    _, chunked, _ = run_cli(capsys, argv)
+    assert chunked == whole
+    assert uniforms and max(uniforms) <= 40
 
 
 def test_hard_instance_no_label_with_explicit_r(capsys):
@@ -236,6 +259,9 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     # sizes past util.MAX_BLOCK_UNIFORMS (2^20) would ask for gigabytes in one draw
     ["adhoc", "--delta", "0.3", "--r", "1e-4"],
     ["adhoc", "--delta", "0.3", "--r", "0.08", "--n", str(2**20 + 1)],
+    # 15/r^2 overflows to inf, and delta^2 underflows to 0
+    ["adhoc", "--delta", "0.3", "--r", "1e-160"],
+    ["adhoc", "--delta", "1e-200", "--r", "0.08"],
     ["hard-instance", "--n", str(2**20 + 1), "--epsilon", "0.1"],
 ])
 def test_usage_errors_exit_2(argv):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from prefixsim import hardness
 from prefixsim.streams import substream
 
+from helpers import draw
+
 
 class TestSignAssignment:
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=24))
@@ -78,13 +80,14 @@ class TestHardInstance:
             inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=5)
             tree = inst.marginal_tree()
             u = substream(5, "u", n, rows).random((rows, n))
-            out = tree.descend((), u)
+            out = tree.descend(u)
             assert out.shape == (rows, n) and out.dtype == np.uint8
             for row, uniforms in zip(out.tolist(), u):
                 for i in range(n):
                     assert row[i] == int(uniforms[i] < tree.marginal(row[:i]))
             # starting below the root walks the same path as the tail of a full walk
-            assert np.array_equal(tree.descend(tuple(out[0, :7].tolist()), u[:1, 7:]), out[:1, 7:])
+            start, _ = tree.cylinders(out[:1, :7])
+            assert np.array_equal(tree.descend(u[:1, 7:], 7, start), out[:1, 7:])
 
     def test_mass_walks_the_rolling_state_once(self, monkeypatch):
         n = 128
@@ -147,7 +150,7 @@ def one_row_counts(oracle, w, x, rng, draws):
     """Effective-sample counts of draws one-row draws, each walk counted in plain Python."""
     counts = []
     for _ in range(draws):
-        row = w + "".join(map(str, oracle.conditional_sample_batch(w, 1, rng)[0].tolist()))
+        row = w + "".join(map(str, draw(oracle, w, 1, rng)[0].tolist()))
         counts.append(sum(row[:j] == x[:j] for j in range(len(w), len(x))))
     return counts
 

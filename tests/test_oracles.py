@@ -1,28 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prefixsim.hardness import SignAssignment, SignMarginalTree
 from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.streams import substream
 from prefixsim.trees import TableMarginalTree, point_mass_tree, random_tree, uniform_tree
 
-from helpers import chi2_critical_99, chi_square_stat
+from helpers import assert_ledger, chi2_critical_99, chi_square_stat, draw, prefix_blocks, prefix_rows
 
 
 class TestBudget:
     def test_documented_increments(self):
         oracle = TreeOracle(uniform_tree(3))
         rng = substream(0, "draws")
-        oracle.conditional_sample_batch("0", 1, rng)
+        draw(oracle, "0", 1, rng)
         assert oracle.budget.conditional_calls == 1
-        oracle.conditional_sample_batch("", 5, rng)
+        draw(oracle, "", 5, rng)
         assert oracle.budget.conditional_calls == 6
 
     def test_per_prefix_histogram(self):
         oracle = TreeOracle(uniform_tree(3), budget=SampleBudget.tracking())
         rng = substream(0, "draws")
-        oracle.conditional_sample_batch("0", 4, rng)
-        oracle.conditional_sample_batch("0", 1, rng)
-        oracle.conditional_sample_batch("11", 1, rng)
+        draw(oracle, "0", 4, rng)
+        draw(oracle, "0", 1, rng)
+        draw(oracle, "11", 1, rng)
         assert oracle.budget.per_prefix == {"0": 5, "11": 1}
         assert oracle.budget.conditional_calls == 6
 
@@ -35,7 +37,7 @@ class TestConditionalSampling:
     def test_sample_extends_prefix(self):
         oracle = TreeOracle(random_tree(5, substream(1, "t")))
         for w in ("", "0", "10", "0110"):
-            out = oracle.conditional_sample_batch(w, 3, substream(2, "draw", w))
+            out = draw(oracle, w, 3, substream(2, "draw", w))
             assert out.shape == (3, 5 - len(w)) and out.dtype == np.uint8
             assert set(np.unique(out)) <= {0, 1}
 
@@ -43,21 +45,21 @@ class TestConditionalSampling:
         # f(w) = 1 at the deepest level forces the closing bit
         levels = [np.array([0.5]), np.array([1.0, 0.0])]
         oracle = TreeOracle(TableMarginalTree(2, levels))
-        out = oracle.conditional_sample_batch("0", 20, substream(3, "draw"))
+        out = draw(oracle, "0", 20, substream(3, "draw"))
         assert np.all(out == 1)
 
     def test_point_mass_returns_the_point(self):
         oracle = TreeOracle(point_mass_tree("1010"))
         rng = substream(4, "draw")
         for w in ("", "1", "10", "101"):
-            out = oracle.conditional_sample_batch(w, 5, rng)
+            out = draw(oracle, w, 5, rng)
             assert all(w + "".join(map(str, row)) == "1010" for row in out.tolist())
 
     def test_cylinder_frequencies_chi_square(self):
         # uniform tree, unconditioned draws: all 8 outcomes equally likely
         oracle = TreeOracle(uniform_tree(3))
         draws = 10_000
-        bits = oracle.conditional_sample_batch("", draws, substream(5, "gof"))
+        bits = draw(oracle, "", draws, substream(5, "gof"))
         codes = bits @ np.array([4, 2, 1])
         observed = np.bincount(codes, minlength=8)
         stat = chi_square_stat(observed, np.full(8, draws / 8))
@@ -67,7 +69,7 @@ class TestConditionalSampling:
         tree = random_tree(4, substream(11, "t"), 0.2, 0.8)
         oracle = TreeOracle(tree)
         draws = 20_000
-        bits = oracle.conditional_sample_batch("10", draws, substream(12, "gof"))
+        bits = draw(oracle, "10", draws, substream(12, "gof"))
         codes = bits @ np.array([2, 1])
         expected = np.array([
             tree.mass("10" + suffix) / tree.conditional_mass("10")
@@ -83,14 +85,14 @@ class TestZeroMassConvention:
         oracle = TreeOracle(point_mass_tree("000"))
         assert oracle.tree.conditional_mass("1") == 0.0
         draws = 20_000
-        bits = oracle.conditional_sample_batch("1", draws, substream(8, "conv"))
+        bits = draw(oracle, "1", draws, substream(8, "conv"))
         means = bits.mean(axis=0)
         # 4 sigma per coordinate keeps the false-alarm rate negligible
         assert np.all(np.abs(means - 0.5) < 4.0 * np.sqrt(0.25 / draws))
 
     def test_sample_still_extends_prefix(self):
         oracle = TreeOracle(point_mass_tree("000"))
-        out = oracle.conditional_sample_batch("11", 1, substream(9, "conv"))
+        out = draw(oracle, "11", 1, substream(9, "conv"))
         assert out.shape == (1, 1)
         assert oracle.budget.conditional_calls == 1
 
@@ -100,8 +102,8 @@ def test_transcript_hook():
     records = []
     oracle.on_record = records.append
     rng = substream(10, "log")
-    out = oracle.conditional_sample_batch("0", 2, rng)
-    last = oracle.conditional_sample_batch("1", 1, rng)
+    out = draw(oracle, "0", 2, rng)
+    last = draw(oracle, "1", 1, rng)
     assert [r["kind"] for r in records] == ["conditional", "conditional"]
     assert [(r["prefix"], r["count"]) for r in records] == [("0", 2), ("1", 1)]
     assert records[0]["result"] == ["".join(map(str, row)) for row in out.tolist()]
@@ -109,3 +111,54 @@ def test_transcript_hook():
     assert records[0]["budget_after"] == 2
     assert records[1]["budget_after"] == 3
 
+
+
+# table trees, where (0, 0) puts all mass on 0...0, and sign trees, where (0, 1)
+# puts it on one path: both leave most prefixes at zero mass
+_trees = st.one_of(
+    st.builds(lambda n, seed, span: random_tree(n, substream(seed, "t"), *span),
+              st.integers(1, 6), st.integers(0, 2**32),
+              st.sampled_from([(0.2, 0.8), (0.0, 1.0), (0.0, 0.0)])),
+    st.builds(lambda n, seed, values: SignMarginalTree(n, SignAssignment(seed), *values),
+              st.integers(1, 10), st.integers(0, 2**32), st.sampled_from([(0.3, 0.7), (0.0, 1.0)])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees, data=st.data(), m=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
+    prefixes = data.draw(prefix_blocks(tree.n))
+
+    def streams():
+        return [substream(seed, "draw", j) for j in range(len(prefixes))]
+
+    oracle = TreeOracle(tree, SampleBudget.tracking())
+    records = []
+    oracle.on_record = records.append
+    block = oracle.conditional_sample_batch(prefixes, m, streams())
+    single = TreeOracle(tree)
+    assert np.array_equal(block, np.concatenate([
+        single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
+    # each row walks the tree's marginals from its prefix in plain Python, or
+    # takes u < 1/2 at every level under a zero-mass prefix
+    for j, (w, rng) in enumerate(zip(prefixes.tolist(), streams())):
+        dead = tree.conditional_mass(w) == 0.0
+        for row, uniforms in zip(block[j * m:(j + 1) * m].tolist(), rng.random((m, tree.n - len(w)))):
+            path = list(w)
+            for u in uniforms:
+                path.append(int(u < (0.5 if dead else tree.marginal(path))))
+            assert row == path[len(w):]
+    assert_ledger(oracle, prefixes, m, block, records)
+
+
+def test_draw_arguments_validated():
+    oracle = TreeOracle(uniform_tree(3))
+    rng = substream(13, "bad")
+    for prefixes, m, rngs in ((prefix_rows("0"), 0, [rng]),          # no rows
+                              (prefix_rows("0", "1"), 1, [rng]),     # a stream short
+                              (prefix_rows("000"), 1, [rng]),        # not a true prefix
+                              (np.array([[2]]), 1, [rng]),           # not a bit
+                              (np.array([0, 1]), 1, [rng])):         # not a 2-d block
+        with pytest.raises(ValueError):
+            oracle.conditional_sample_batch(prefixes, m, rngs)
+    assert oracle.budget.conditional_calls == 0

@@ -14,8 +14,10 @@ from prefixsim.reduction import (
     interval_breakdown,
 )
 from prefixsim.simulation import LazySimulation
-from prefixsim.oracles import TreeOracle
+from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.streams import child_seed, substream
+
+from helpers import assert_ledger, draw, prefix_blocks, prefix_rows
 
 
 class TestEncoding:
@@ -108,8 +110,8 @@ class TestAdaptedOracle:
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(interval_breakdown(8), native)
         rng = substream(2, "draw")
-        oracle.conditional_sample_batch("1", 1, rng)
-        oracle.conditional_sample_batch("", 10, rng)
+        draw(oracle, "1", 1, rng)
+        draw(oracle, "", 10, rng)
         assert native.calls == 11
         assert oracle.budget.conditional_calls == 11
 
@@ -131,7 +133,7 @@ class TestAdaptedOracle:
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(interval_breakdown(5), native)
-        out = oracle.conditional_sample_batch("11", 1, substream(7, "draw"))
+        out = draw(oracle, "11", 1, substream(7, "draw"))
         assert out.shape == (1, 1)
         assert native.calls == 0
         assert oracle.budget.conditional_calls == 1
@@ -144,8 +146,8 @@ class TestAdaptedOracle:
         hooked.on_record = records.append
         rng, plain_rng = substream(10, "draw"), substream(10, "draw")
         for w in ("0", "11"):   # "11" is pure padding
-            out = hooked.conditional_sample_batch(w, 5, rng)
-            assert np.array_equal(out, plain.conditional_sample_batch(w, 5, plain_rng))
+            out = draw(hooked, w, 5, rng)
+            assert np.array_equal(out, draw(plain, w, 5, plain_rng))
             assert records[-1]["result"] == ["".join(map(str, row)) for row in out.tolist()]
         assert [(r["prefix"], r["count"]) for r in records] == [("0", 5), ("11", 5)]
         assert records[-1]["budget_after"] == 10
@@ -198,3 +200,41 @@ class TestCoupling:
         for _ in range(20):
             x, p = sim.sample()
             assert p == sim.query(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 40), data=st.data(), m=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_adapted_multi_prefix_draw_equals_single_prefix_draws(size, data, m, seed):
+    weights = substream(seed, "w").uniform(0.1, 1.0, size)
+    adapter = interval_breakdown(size)
+    prefixes = data.draw(prefix_blocks(adapter.depth))
+
+    def streams():
+        return [substream(seed, "draw", j) for j in range(len(prefixes))]
+
+    native = TableIntervalOracle(weights)
+    oracle = AdaptedPrefixOracle(adapter, native, SampleBudget.tracking())
+    records = []
+    oracle.on_record = records.append
+    block = oracle.conditional_sample_batch(prefixes, m, streams())
+    single = AdaptedPrefixOracle(adapter, TableIntervalOracle(weights))
+    assert np.array_equal(block, np.concatenate([
+        single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
+    padding = sum(adapter.prefix_interval(w) is None for w in prefixes.tolist())
+    assert native.calls == m * (len(prefixes) - padding)
+    assert_ledger(oracle, prefixes, m, block, records)
+
+
+def test_adapted_multi_prefix_draw_with_pure_padding():
+    # size 5 has depth 3: "11" holds only padding codes, "10" only element 5
+    weights = substream(14, "w").uniform(0.1, 1.0, 5)
+    native = TableIntervalOracle(weights)
+    oracle = AdaptedPrefixOracle(interval_breakdown(5), native, SampleBudget.tracking())
+    records = []
+    oracle.on_record = records.append
+    prefixes = prefix_rows("01", "11", "10")
+    block = oracle.conditional_sample_batch(prefixes, 4, [substream(15, w) for w in ("01", "11", "10")])
+    assert native.calls == 8
+    assert np.array_equal(block[4:8], substream(15, "11").random((4, 1)) < 0.5)
+    assert np.all(block[8:] == 0)
+    assert_ledger(oracle, prefixes, 4, block, records)

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import BitString
 from prefixsim.errors import CapabilityError
-from prefixsim import util
+from prefixsim import simulation, util
 from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.simulation import (
-    EdgeEstimate,
     LazySimulation,
     est_simulation_edge,
     preprocess,
@@ -20,7 +19,7 @@ from prefixsim.simulation import (
 from prefixsim.streams import substream
 from prefixsim.trees import kl_divergence, point_mass_tree, random_tree, uniform_tree
 
-from helpers import chi2_critical_99, chi_square_stat
+from helpers import chi2_critical_99, chi_square_stat, draw, prefix_rows
 
 
 class TestSamplesPerEdge:
@@ -41,31 +40,15 @@ class TestSamplesPerEdge:
             samples_per_edge(0, 0.5)
 
 
-class TestEdgeEstimate:
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    def test_siblings_sum_to_one_exactly(self, m, data):
-        k = data.draw(st.integers(min_value=0, max_value=m))
-        est = EdgeEstimate(k, m)
-        assert est.exact + est.sibling().exact == Fraction(1)
-        assert est.value == k / m
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            EdgeEstimate(5, 4)
-        with pytest.raises(ValueError):
-            EdgeEstimate(-1, 4)
-
-
 class TestEstSimulationEdge:
     def test_point_mass_edge(self):
         oracle = TreeOracle(point_mass_tree("1" * 6))
-        est = est_simulation_edge(6, oracle, 0.5, "", 1, substream(0, "e"))
-        assert est.k == est.m == 12
-        assert est.value == 1.0
+        k = est_simulation_edge(6, oracle, 0.5, prefix_rows(""), [substream(0, "e")])
+        assert k.tolist() == [samples_per_edge(6, 0.5)] == [12]
 
     def test_cost_is_exactly_m(self):
         oracle = TreeOracle(uniform_tree(10))
-        est_simulation_edge(10, oracle, 0.5, "0101", 0, substream(1, "e"))
+        est_simulation_edge(10, oracle, 0.5, prefix_rows("0101"), [substream(1, "e")])
         assert oracle.budget.conditional_calls == 20
 
     def test_binomial_statistics(self):
@@ -73,8 +56,8 @@ class TestEstSimulationEdge:
         oracle = TreeOracle(uniform_tree(8))
         repeats = 500
         estimates = [
-            est_simulation_edge(8, oracle, 0.2, "", 1, substream(2, "e", i)).value
-            for i in range(repeats)
+            k / 40 for k in est_simulation_edge(8, oracle, 0.2, prefix_rows(*[""] * repeats),
+                                                [substream(2, "e", i) for i in range(repeats)])
         ]
         m = samples_per_edge(8, 0.2)
         assert m == 40
@@ -83,24 +66,59 @@ class TestEstSimulationEdge:
 
     def test_same_stream_gives_complementary_counts(self):
         tree = random_tree(6, substream(3, "t"), 0.2, 0.8)
-        e1 = est_simulation_edge(6, TreeOracle(tree), 0.4, "01", 1, substream(4, "e"))
-        e0 = est_simulation_edge(6, TreeOracle(tree), 0.4, "01", 0, substream(4, "e"))
-        assert e1.k + e0.k == e1.m
+        k = est_simulation_edge(6, TreeOracle(tree), 0.4, prefix_rows("01"), [substream(4, "e")])
+        first = draw(TreeOracle(tree), "01", samples_per_edge(6, 0.4), substream(4, "e"))[:, 0]
+        assert k.tolist() == [np.count_nonzero(first == 1)]
+        assert samples_per_edge(6, 0.4) - k[0] == np.count_nonzero(first == 0)
 
     def test_blocks_change_nothing(self, monkeypatch):
         # m = 120 rows of 4 free bits under "01"; a cap of 50 uniforms gives 10 blocks of 12
         tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
         whole_oracle = TreeOracle(tree, SampleBudget.tracking())
-        whole = est_simulation_edge(6, whole_oracle, 0.05, "01", 1, substream(6, "e"))
+        whole = est_simulation_edge(6, whole_oracle, 0.05, prefix_rows("01"), [substream(6, "e")])
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 50)
         oracle = TreeOracle(tree, SampleBudget.tracking())
         records = []
         oracle.on_record = records.append
-        chunked = est_simulation_edge(6, oracle, 0.05, "01", 1, substream(6, "e"))
-        assert chunked == whole
+        chunked = est_simulation_edge(6, oracle, 0.05, prefix_rows("01"), [substream(6, "e")])
+        assert chunked.tolist() == whole.tolist()
         assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 120}
         assert [r["count"] for r in records] == [12] * 10
         assert max(r["count"] * len(r["result"][0]) for r in records) <= 50
+
+    @pytest.mark.parametrize("cap", [50, 1000])
+    def test_prefix_groups_change_nothing(self, monkeypatch, cap):
+        # m = 120 rows of 4 free bits per prefix: at a cap of 50 each prefix is
+        # drawn alone in 10 row blocks, at 1000 two prefixes share a block
+        tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
+        prefixes = prefix_rows("01", "11", "10", "01")
+
+        def streams():
+            return [substream(6, "e", j) for j in range(4)]
+
+        whole_oracle = TreeOracle(tree, SampleBudget.tracking())
+        whole = est_simulation_edge(6, whole_oracle, 0.05, prefixes, streams())
+        assert whole.tolist() == [
+            est_simulation_edge(6, TreeOracle(tree), 0.05, prefixes[j:j + 1], [rng])[0]
+            for j, rng in enumerate(streams())]
+        groups = []
+        draw_block = TreeOracle.conditional_sample_batch
+
+        def recording(self, prefixes, m, rngs):
+            groups.append(len(prefixes))
+            return draw_block(self, prefixes, m, rngs)
+
+        monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
+        monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
+        oracle = TreeOracle(tree, SampleBudget.tracking())
+        records = []
+        oracle.on_record = records.append
+        assert est_simulation_edge(6, oracle, 0.05, prefixes, streams()).tolist() == whole.tolist()
+        assert groups == ([1] * 40 if cap == 50 else [2, 2])
+        assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 240, "11": 120, "10": 120}
+        blocks = ([("01", 12)] * 10 + [("11", 12)] * 10 + [("10", 12)] * 10 + [("01", 12)] * 10
+                  if cap == 50 else [("01", 120), ("11", 120), ("10", 120), ("01", 120)])
+        assert [(r["prefix"], r["count"]) for r in records] == blocks
 
 
 class TestPreprocess:
@@ -199,7 +217,7 @@ class TestLazySimulation:
         assert again == first
         assert oracle.budget.conditional_calls == 20
         other = sim.edge("0110", 1)
-        assert first.exact + other.exact == Fraction(1)
+        assert first + other == Fraction(1)
         assert oracle.budget.conditional_calls == 20
 
     def test_fresh_query_cost_and_ledger(self):
@@ -275,7 +293,7 @@ def reference_walk(sim, rng=None, x=None):
     """
     m, p, bits = sim.m, 1.0, []
     for i in range(sim.n):
-        k = sim.edge("".join(map(str, bits)), 1).k
+        k = int(sim.edge("".join(map(str, bits)), 1) * m)
         b = (1 if rng.random() < k / m else 0) if x is None else x[i]
         p *= (k if b else m - k) / m
         bits.append(b)
@@ -380,3 +398,75 @@ def test_exact_realization_sums_to_one(n, m, seed, marginals):
     sim = LazySimulation(n, TreeOracle(tree), n / m, seed)
     assert sim.m == m
     assert sum(sim.query_exact(BitString.from_int(c, n)) for c in range(1 << n)) == 1
+
+
+def level_script(tree):
+    """Learn tree eagerly, and walk it lazily in batches; what each gave, charged and drew."""
+    out = []
+    for eager in (True, False):
+        oracle = TreeOracle(tree, SampleBudget.tracking())
+        records = []
+        oracle.on_record = records.append
+        if eager:
+            sim = preprocess(6, oracle, 0.5, seed=60)
+            results = []
+        else:
+            sim = LazySimulation(6, oracle, 0.5, seed=60)
+            rows = [BitString.from_int(c, 6).bits for c in (45, 2, 63, 44, 17)]
+            results = [sim.query_batch(rows).tolist(), *(a.tolist() for a in sim.sample_batch(30))]
+        drawn = {}
+        for r in records:
+            drawn.setdefault(r["prefix"], []).extend(r["result"])
+        out.append((sim.hist, dict(oracle.budget.per_prefix), list(drawn), drawn, results))
+    return out
+
+
+@pytest.mark.parametrize("cap", [50, 100])
+def test_level_blocks_change_nothing(monkeypatch, cap):
+    # m = 12: at depth d a prefix draws 12 * (6 - d) uniforms, so a cap of 50
+    # splits depths 0 and 1 into row blocks and groups 1 to 4 prefixes deeper
+    tree = random_tree(6, substream(61, "t"), 0.2, 0.8)
+    blocks = []
+    draw_block = TreeOracle.conditional_sample_batch
+
+    def recording(self, prefixes, m, rngs):
+        blocks.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
+        return draw_block(self, prefixes, m, rngs)
+
+    monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
+    whole = level_script(tree)
+    whole_blocks, blocks[:] = len(blocks), []
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
+    groups = []
+    estimate = simulation.est_simulation_edge
+
+    def recording_groups(n, oracle, delta, prefixes, rngs):
+        groups.append((len(prefixes), len(prefixes) * 12 * (n - prefixes.shape[1])))
+        return estimate(n, oracle, delta, prefixes, rngs)
+
+    # a level's prefix bits and streams are built one block's group at a time
+    monkeypatch.setattr(simulation, "est_simulation_edge", recording_groups)
+    assert level_script(tree) == whole
+    assert max(blocks) <= cap and len(blocks) > whole_blocks
+    assert all(k == 1 or uniforms <= cap for k, uniforms in groups)
+    assert max(k for k, _ in groups) > 1
+
+
+def test_lazy_script_touches_edges_in_first_touch_order():
+    # recorded when every edge was its own draw: estimating a level's misses
+    # in one draw keeps the order in which rows first reach them
+    tree = random_tree(5, substream(50, "t"), 0.2, 0.8)
+    oracle = TreeOracle(tree)
+    records = []
+    oracle.on_record = records.append
+    sim = LazySimulation(5, oracle, 0.5, seed=51)
+    sim.sample_batch(3)
+    sim.query_batch([[1, 1, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 1, 1], [0, 1, 1, 1, 0]])
+    sim.query("10101")
+    sim.sample()
+    sim.sample_batch(6)
+    assert [r["prefix"] for r in records] == [
+        "", "0", "1", "01", "10", "010", "100", "101", "0100", "1000", "1010",
+        "11", "00", "110", "000", "011", "1101", "0000", "0111", "0110"]
+    assert [r["count"] for r in records] == [10] * 20
+    assert oracle.budget.conditional_calls == 200
