@@ -84,7 +84,7 @@ class PrefixOracle:
     def _charge(self, prefixes: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """Charge each prefix its m rows of the drawn block out, record them, and return out."""
         if self.budget.per_prefix is None and self.on_record is None:
-            self.budget.conditional_calls += len(out)
+            self.budget.charge_conditional("", len(out))
             return out
         for j, w in enumerate("".join(map(str, bits)) for bits in prefixes.tolist()):
             self.budget.charge_conditional(w, m)

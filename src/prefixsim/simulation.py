@@ -3,8 +3,9 @@
 A single edge w -> wb is estimated by drawing m = ceil(n / delta) samples
 conditioned on w and averaging the first free bit.  Estimating every edge
 independently yields a surrogate distribution whose expected KL divergence
-from the input is at most n/m <= delta.  The missing edges of one level are
-estimated together, in one multi-prefix draw.
+from the input is at most n/m <= delta.  The samples of a level's missing
+edges are drawn together, in one multi-prefix draw (first_free_bits), and
+est_simulation_edge then counts each edge's k from its own m rows.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
@@ -56,28 +57,30 @@ def samples_per_edge(n: int, delta: float) -> int:
     return ceil_snap(n / delta)
 
 
-def est_simulation_edge(n: int, oracle: PrefixOracle, delta: float,
-                        prefixes: np.ndarray, rngs: Sequence[RandomStream]) -> np.ndarray:
-    """k of each prefix w, a row of a (k, depth) 0/1 array: the estimate of w -> w1 is k/m.
+def est_simulation_edge(first_bits: np.ndarray) -> int:
+    """k of one edge w -> w1: how many of the m samples under w have first free bit 1.
 
-    Draws m = ceil(n / delta) conditional samples under each prefix, from its
-    own stream in the list rngs, and counts those whose first free bit is 1:
-    exactly m conditional samples per prefix.  Whole prefixes share a draw
-    while its block stays within util.MAX_BLOCK_UNIFORMS uniforms; a prefix
-    whose m rows alone exceed it is drawn in consecutive row blocks.  Either
-    way a prefix gets the uniforms one (m, free) block from its stream would.
+    first_bits holds the first free bit of each of the m = ceil(n / delta)
+    conditional samples drawn under w, a row of first_free_bits; the
+    estimate of w -> w1 is k/m and of its sibling w -> w0 is (m - k)/m.
     """
-    m = samples_per_edge(n, delta)
-    free = n - prefixes.shape[1]
-    ks = np.zeros(len(prefixes), dtype=np.int64)
-    start = 0
-    for size in row_blocks(len(prefixes), m * free):
-        group = slice(start, start + size)
-        for rows in row_blocks(m, size * free):
-            block = oracle.conditional_sample_batch(prefixes[group], rows, rngs[group])
-            ks[group] += np.count_nonzero(block[:, 0].reshape(size, rows), axis=1)
-        start += size
-    return ks
+    return int(np.count_nonzero(first_bits))
+
+
+def first_free_bits(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
+                    rngs: Sequence[RandomStream]) -> np.ndarray:
+    """First free bit of m conditional samples under each prefix: one uint8 row of m per prefix.
+
+    prefixes is a 0/1 array with one prefix of a common depth per row, and
+    rngs holds one stream per prefix.  The prefixes share one multi-prefix
+    draw, split into consecutive row blocks only when a block would exceed
+    util.MAX_BLOCK_UNIFORMS uniforms.
+    Either way each prefix gets the uniforms one (m, free) block from its
+    stream would, and costs exactly m conditional samples.
+    """
+    count, free = len(prefixes), oracle.n - prefixes.shape[1]
+    return np.hstack([oracle.conditional_sample_batch(prefixes, rows, rngs)[:, 0].reshape(count, rows)
+                      for rows in row_blocks(m, count * free)])
 
 
 class LazySimulation:
@@ -132,9 +135,10 @@ class LazySimulation:
         """k of each node in the list, all at depth, estimating the missing edges on the way.
 
         The distinct misses are estimated in the order rows first reach them,
-        in the groups est_simulation_edge draws as one block each, so a
-        group's prefix bits and streams (keyed by the node id's binary digits
-        after the leading 1) are built only for its call.
+        in groups of whole prefixes whose block stays within
+        util.MAX_BLOCK_UNIFORMS uniforms (a prefix too large alone is its own
+        group).  A group's prefix bits and streams (keyed by the node id's
+        binary digits after the leading 1) are built only for its draw.
         """
         ks = list(map(self._ones.get, nodes))
         if None not in ks:
@@ -145,8 +149,8 @@ class LazySimulation:
             group = misses[start:start + size]
             bits = (np.array(group, dtype=self._node_dtype)[:, None] >> shifts) & 1
             rngs = [substream(self.seed, "edge", format(node, "b")[1:]) for node in group]
-            counts = est_simulation_edge(self.n, self.oracle, self.delta, bits.astype(np.uint8), rngs)
-            self._ones.update(zip(group, counts.tolist()))
+            drawn = first_free_bits(self.oracle, self.m, bits.astype(np.uint8), rngs)
+            self._ones.update(zip(group, map(est_simulation_edge, drawn)))
             start += size
         return list(map(self._ones.get, nodes))
 

@@ -102,8 +102,9 @@ class MarginalTree:
         if h is None:
             h = np.full(rows, self._root, dtype=self._handle_dtype)
         for t in range(free):
+            if t:
+                h = self._child(h, out[:, t - 1])
             out[:, t] = u[:, t] < self._f(depth + t, h)
-            h = self._child(h, out[:, t])
         return out
 
     def marginal(self, w: PrefixLike) -> float:

@@ -13,6 +13,7 @@ from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.simulation import (
     LazySimulation,
     est_simulation_edge,
+    first_free_bits,
     preprocess,
     samples_per_edge,
 )
@@ -43,53 +44,56 @@ class TestSamplesPerEdge:
 class TestEstSimulationEdge:
     def test_point_mass_edge(self):
         oracle = TreeOracle(point_mass_tree("1" * 6))
-        k = est_simulation_edge(6, oracle, 0.5, prefix_rows(""), [substream(0, "e")])
-        assert k.tolist() == [samples_per_edge(6, 0.5)] == [12]
+        first = first_free_bits(oracle, samples_per_edge(6, 0.5), prefix_rows(""), [substream(0, "e")])
+        assert est_simulation_edge(first[0]) == samples_per_edge(6, 0.5) == 12
 
     def test_cost_is_exactly_m(self):
         oracle = TreeOracle(uniform_tree(10))
-        est_simulation_edge(10, oracle, 0.5, prefix_rows("0101"), [substream(1, "e")])
+        first_free_bits(oracle, samples_per_edge(10, 0.5), prefix_rows("0101"), [substream(1, "e")])
         assert oracle.budget.conditional_calls == 20
 
     def test_binomial_statistics(self):
         # m = 40 per estimate; mean of 500 estimates within 3 sigma
         oracle = TreeOracle(uniform_tree(8))
         repeats = 500
-        estimates = [
-            k / 40 for k in est_simulation_edge(8, oracle, 0.2, prefix_rows(*[""] * repeats),
-                                                [substream(2, "e", i) for i in range(repeats)])
-        ]
         m = samples_per_edge(8, 0.2)
         assert m == 40
+        estimates = [
+            est_simulation_edge(first) / m
+            for first in first_free_bits(oracle, m, prefix_rows(*[""] * repeats),
+                                         [substream(2, "e", i) for i in range(repeats)])
+        ]
         band = 3.0 * (0.5 / math.sqrt(m)) / math.sqrt(repeats)
         assert abs(np.mean(estimates) - 0.5) <= band
 
     def test_same_stream_gives_complementary_counts(self):
         tree = random_tree(6, substream(3, "t"), 0.2, 0.8)
-        k = est_simulation_edge(6, TreeOracle(tree), 0.4, prefix_rows("01"), [substream(4, "e")])
-        first = draw(TreeOracle(tree), "01", samples_per_edge(6, 0.4), substream(4, "e"))[:, 0]
-        assert k.tolist() == [np.count_nonzero(first == 1)]
-        assert samples_per_edge(6, 0.4) - k[0] == np.count_nonzero(first == 0)
+        m = samples_per_edge(6, 0.4)
+        k = est_simulation_edge(first_free_bits(TreeOracle(tree), m, prefix_rows("01"), [substream(4, "e")])[0])
+        first = draw(TreeOracle(tree), "01", m, substream(4, "e"))[:, 0]
+        assert k == np.count_nonzero(first == 1)
+        assert m - k == np.count_nonzero(first == 0)
 
     def test_blocks_change_nothing(self, monkeypatch):
         # m = 120 rows of 4 free bits under "01"; a cap of 50 uniforms gives 10 blocks of 12
         tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
         whole_oracle = TreeOracle(tree, SampleBudget.tracking())
-        whole = est_simulation_edge(6, whole_oracle, 0.05, prefix_rows("01"), [substream(6, "e")])
+        whole = first_free_bits(whole_oracle, 120, prefix_rows("01"), [substream(6, "e")])
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 50)
         oracle = TreeOracle(tree, SampleBudget.tracking())
         records = []
         oracle.on_record = records.append
-        chunked = est_simulation_edge(6, oracle, 0.05, prefix_rows("01"), [substream(6, "e")])
+        chunked = first_free_bits(oracle, 120, prefix_rows("01"), [substream(6, "e")])
         assert chunked.tolist() == whole.tolist()
+        assert est_simulation_edge(chunked[0]) == est_simulation_edge(whole[0])
         assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 120}
         assert [r["count"] for r in records] == [12] * 10
         assert max(r["count"] * len(r["result"][0]) for r in records) <= 50
 
     @pytest.mark.parametrize("cap", [50, 1000])
-    def test_prefix_groups_change_nothing(self, monkeypatch, cap):
-        # m = 120 rows of 4 free bits per prefix: at a cap of 50 each prefix is
-        # drawn alone in 10 row blocks, at 1000 two prefixes share a block
+    def test_row_blocks_of_a_prefix_group_change_nothing(self, monkeypatch, cap):
+        # m = 120 rows of 4 free bits for each of 4 prefixes: a cap of 50
+        # draws all four 3 rows at a time, a cap of 1000 62 then 58 rows
         tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
         prefixes = prefix_rows("01", "11", "10", "01")
 
@@ -97,15 +101,14 @@ class TestEstSimulationEdge:
             return [substream(6, "e", j) for j in range(4)]
 
         whole_oracle = TreeOracle(tree, SampleBudget.tracking())
-        whole = est_simulation_edge(6, whole_oracle, 0.05, prefixes, streams())
-        assert whole.tolist() == [
-            est_simulation_edge(6, TreeOracle(tree), 0.05, prefixes[j:j + 1], [rng])[0]
-            for j, rng in enumerate(streams())]
-        groups = []
+        whole = first_free_bits(whole_oracle, 120, prefixes, streams())
+        assert whole.tolist() == [draw(TreeOracle(tree), w, 120, rng)[:, 0].tolist()
+                                  for w, rng in zip(("01", "11", "10", "01"), streams())]
+        blocks = []
         draw_block = TreeOracle.conditional_sample_batch
 
         def recording(self, prefixes, m, rngs):
-            groups.append(len(prefixes))
+            blocks.append(m)
             return draw_block(self, prefixes, m, rngs)
 
         monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
@@ -113,12 +116,11 @@ class TestEstSimulationEdge:
         oracle = TreeOracle(tree, SampleBudget.tracking())
         records = []
         oracle.on_record = records.append
-        assert est_simulation_edge(6, oracle, 0.05, prefixes, streams()).tolist() == whole.tolist()
-        assert groups == ([1] * 40 if cap == 50 else [2, 2])
+        assert first_free_bits(oracle, 120, prefixes, streams()).tolist() == whole.tolist()
+        assert blocks == ([3] * 40 if cap == 50 else [62, 58])
         assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 240, "11": 120, "10": 120}
-        blocks = ([("01", 12)] * 10 + [("11", 12)] * 10 + [("10", 12)] * 10 + [("01", 12)] * 10
-                  if cap == 50 else [("01", 120), ("11", 120), ("10", 120), ("01", 120)])
-        assert [(r["prefix"], r["count"]) for r in records] == blocks
+        assert [(r["prefix"], r["count"]) for r in records] == [
+            (w, rows) for rows in blocks for w in ("01", "11", "10", "01")]
 
 
 class TestPreprocess:
@@ -438,14 +440,14 @@ def test_level_blocks_change_nothing(monkeypatch, cap):
     whole_blocks, blocks[:] = len(blocks), []
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
     groups = []
-    estimate = simulation.est_simulation_edge
+    draw_group = simulation.first_free_bits
 
-    def recording_groups(n, oracle, delta, prefixes, rngs):
-        groups.append((len(prefixes), len(prefixes) * 12 * (n - prefixes.shape[1])))
-        return estimate(n, oracle, delta, prefixes, rngs)
+    def recording_groups(oracle, m, prefixes, rngs):
+        groups.append((len(prefixes), len(prefixes) * m * (oracle.n - prefixes.shape[1])))
+        return draw_group(oracle, m, prefixes, rngs)
 
     # a level's prefix bits and streams are built one block's group at a time
-    monkeypatch.setattr(simulation, "est_simulation_edge", recording_groups)
+    monkeypatch.setattr(simulation, "first_free_bits", recording_groups)
     assert level_script(tree) == whole
     assert max(blocks) <= cap and len(blocks) > whole_blocks
     assert all(k == 1 or uniforms <= cap for k, uniforms in groups)

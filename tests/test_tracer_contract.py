@@ -1,8 +1,9 @@
 """Names and counts that the benchmark's per-layer tracer relies on.
 
 perfbench/tracing.py finds each oracle's draw through vars() of its class,
-looks up prefixsim.simulation.est_simulation_edge by name, and fails a traced
-op unless the rows of the returned draw blocks add up to the budget ledger.
+looks up prefixsim.simulation.est_simulation_edge by name and counts one
+estimated edge per call, and fails a traced op unless the rows of the
+returned draw blocks add up to the budget ledger.
 Renaming, inheriting or re-shaping any of these breaks `--trace 1` runs.
 """
 
@@ -24,6 +25,14 @@ def test_each_oracle_defines_its_own_draw():
 
 def test_edge_estimator_keeps_its_name():
     assert callable(simulation.est_simulation_edge)
+
+
+def test_edge_estimator_runs_once_per_edge(monkeypatch):
+    calls = []
+    estimate = simulation.est_simulation_edge
+    monkeypatch.setattr(simulation, "est_simulation_edge", lambda first: calls.append(1) or estimate(first))
+    simulation.preprocess(4, TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    assert len(calls) == 2 ** 4 - 1
 
 
 def test_block_rows_equal_rows_charged():
