@@ -80,11 +80,6 @@ class Prefix:
     def depth(self) -> int:
         return len(self.bits)
 
-    @property
-    def index(self) -> int:
-        """Position among the 2^depth prefixes of the same length (big-endian)."""
-        return index_of(self.bits)
-
     def is_prefix_of(self, x: BitString) -> bool:
         return x.n == self.n and x.bits[: self.depth] == self.bits
 

@@ -15,6 +15,9 @@ routes.  A zero weight breaks this: with weights [1, 0, 0] the encoded tree
 draws under the zero-mass prefix '1' by the uniform convention, while the
 native oracle returns element 3, so the two simulations do not couple.
 
+The adapted oracle answers a multi-prefix draw with one native draw, one
+stream per interval, whose rows all descend the code tree together.
+
 No separate adapter exists for subcube-conditional oracles: a prefix
 condition is already a subcube condition, so prefix-model algorithms run
 against them as-is.
@@ -27,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import PrefixLike, as_prefix
 from .oracles import PrefixOracle, SampleBudget
 from .streams import RandomStream
 from .trees import TableMarginalTree
@@ -44,14 +46,18 @@ class IntervalAdapter:
     size: int
     depth: int
 
-    def prefix_interval(self, w: PrefixLike) -> tuple[int, int] | None:
-        """Inclusive element interval {a..b} matching the prefix w, or None."""
-        wp = as_prefix(self.depth, w)
-        shift = self.depth - wp.depth
-        lo, hi = wp.index << shift, (wp.index + 1) << shift
-        if lo >= self.size:
-            return None
-        return lo + 1, min(hi, self.size)
+    def element_bounds(self, depth: int, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Inclusive element bounds {a..b} of the depth-`depth` prefixes with the given indexes.
+
+        Returns arrays (a, b, padding); where padding is set the prefix holds
+        no element (pure padding codes) and its a, b are not an interval.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        if not 0 <= depth < self.depth or ((index < 0) | (index >= 1 << depth)).any():
+            raise ValueError(f"need indexes of prefixes of a depth below {self.depth}")
+        shift = self.depth - depth
+        lo = index << shift
+        return lo + 1, np.minimum((index + 1) << shift, self.size), lo >= self.size
 
 
 def interval_breakdown(n_elements: int) -> IntervalAdapter:
@@ -62,13 +68,13 @@ def interval_breakdown(n_elements: int) -> IntervalAdapter:
     return IntervalAdapter(n_elements, depth)
 
 
-def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level: int,
-                     idx, a: int, b: int):
+def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level: int, idx, a, b):
     """Probability of stepping right at each node, restricted to codes [a, b).
 
-    Works elementwise on an index array.  Edges toward a side holding no
-    elements of [a, b) are forced (probability 0 into emptiness); a node
-    whose restriction carries zero mass but elements on both sides splits
+    Works elementwise on an index array, with a and b scalars or arrays of
+    one interval per node.  Edges toward a side holding no elements of
+    [a, b) are forced (probability 0 into emptiness); a node whose
+    restriction carries zero mass but elements on both sides splits
     uniformly, realizing the zero-mass conditioning convention.
     """
     idx = np.asarray(idx, dtype=np.int64)
@@ -76,7 +82,7 @@ def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level: int,
     lo = idx * span
     mid = lo + span // 2
     hi = lo + span
-    elem_cap = min(b, n_elements)
+    elem_cap = np.minimum(b, n_elements)
     left_has = np.maximum(lo, a) < np.minimum(mid, elem_cap)
     right_has = np.maximum(mid, a) < np.minimum(hi, elem_cap)
     lmass = cum[np.minimum(mid, b)] - cum[np.maximum(lo, a)]
@@ -174,8 +180,10 @@ def exact_encoded_masses(weights) -> list:
 class TableIntervalOracle:
     """Interval-conditional oracle over {1..N} for an explicit weight vector.
 
-    Draws descend the balanced splits of the requested interval, one uniform
-    per level below the interval's lowest common ancestor node.
+    A draw descends the balanced splits of the requested interval, one
+    uniform per level below the interval's lowest common ancestor (LCA)
+    node.  One call draws under many intervals, one stream per interval:
+    every interval's rows descend the tree together, one level at a time.
     """
 
     def __init__(self, weights):
@@ -184,31 +192,42 @@ class TableIntervalOracle:
         self._cum = _cumulative_weights(weights, self.depth)
         self.calls = 0
 
-    def draw_batch(self, a_elem: int, b_elem: int, m: int, rng: RandomStream) -> np.ndarray:
-        """m draws conditioned on the inclusive element interval {a..b}."""
-        if not 1 <= a_elem <= b_elem <= self.size:
-            raise ValueError(f"interval must satisfy 1 <= a <= b <= {self.size}")
+    def draw_batch(self, a_elem, b_elem, m: int, rngs: Sequence[RandomStream]) -> np.ndarray:
+        """m draws under each inclusive element interval {a_j..b_j}, shape (k * m,) int64.
+
+        Rows j * m to (j + 1) * m are interval j's: rngs[j] gives one
+        (m, levels below the LCA) uniform block, none when a_j == b_j, so
+        they are exactly what a draw of that interval alone gives.
+        """
+        a, b = np.asarray(a_elem, dtype=np.int64) - 1, np.asarray(b_elem, dtype=np.int64)
+        if (a.ndim != 1 or a.shape != b.shape or len(rngs) != len(a)
+                or not ((0 <= a) & (a < b) & (b <= self.size)).all()):
+            raise ValueError(f"need intervals with 1 <= a <= b <= {self.size} and a stream per interval")
         if m < 1:
             raise ValueError("batch size must be positive")
-        self.calls += m
-        a, b = a_elem - 1, b_elem
-        lca_depth = self.depth if a == b - 1 else self.depth - (a ^ (b - 1)).bit_length()
-        if lca_depth == self.depth:
-            return np.full(m, a_elem, dtype=np.int64)
-        u = rng.random((m, self.depth - lca_depth))
-        idx = np.full(m, a >> (self.depth - lca_depth), dtype=np.int64)
-        for t in range(self.depth - lca_depth):
-            f = _split_fractions(self._cum, self.size, self.depth, lca_depth + t, idx, a, b)
+        self.calls += m * len(rngs)
+        # codes [a, b); levels below each LCA: the bit length of a ^ (b - 1), frexp's exponent
+        below = np.frexp(a ^ (b - 1))[1]
+        levels = int(below.max(initial=0))
+        # rows are aligned on the last level; above its LCA a row's splits are
+        # forced (f is 0 or 1), so its zero uniforms there take the forced side
+        u = np.zeros((len(rngs) * m, levels))
+        for j, (rng, t) in enumerate(zip(rngs, below.tolist())):
+            u[j * m:(j + 1) * m, levels - t:] = rng.random((m, t))
+        a, b = np.repeat(a, m), np.repeat(b, m)
+        idx = a >> levels
+        for t in range(levels):
+            f = _split_fractions(self._cum, self.size, self.depth, self.depth - levels + t, idx, a, b)
             idx = (idx << 1) + (u[:, t] < f)
         return idx + 1
 
 
 class AdaptedPrefixOracle(PrefixOracle):
-    """Prefix oracle over codes answering each prefix of a draw with one native interval draw.
+    """Prefix oracle over codes answering each draw with one native draw, one stream per interval.
 
     A prefix whose cylinder holds no element (pure padding) cannot be
-    conditioned on natively; such draws return the uniform-over-cylinder
-    convention result without consulting the native oracle.
+    conditioned on natively; its rows are the uniform-over-cylinder
+    convention result from its own stream, drawn without the native oracle.
     """
 
     def __init__(self, adapter: IntervalAdapter, native: TableIntervalOracle,
@@ -221,17 +240,15 @@ class AdaptedPrefixOracle(PrefixOracle):
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
                                  rngs: Sequence[RandomStream]) -> np.ndarray:
-        """One native draw of m elements per prefix, from the prefix's stream."""
+        """m elements per prefix: one native draw for every non-padding prefix, each from its own stream."""
         prefixes = self._validated(prefixes, m, rngs)
-        free = self.n - prefixes.shape[1]
-        out = np.empty((len(prefixes) * m, free), dtype=np.uint8)
-        shifts = np.arange(free - 1, -1, -1)
-        for j, (w, rng) in enumerate(zip(prefixes.tolist(), rngs)):
-            rows = out[j * m:(j + 1) * m]
-            interval = self.adapter.prefix_interval(w)
-            if interval is None:
-                rows[:] = rng.random((m, free)) < 0.5
-            else:
-                codes = self.native.draw_batch(interval[0], interval[1], m, rng) - 1
-                rows[:] = (codes[:, None] >> shifts) & 1
+        k, depth = prefixes.shape
+        free = self.n - depth
+        a, b, padding = self.adapter.element_bounds(depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
+        out = np.empty((k * m, free), dtype=np.uint8)
+        live = np.flatnonzero(~padding)
+        codes = self.native.draw_batch(a[live], b[live], m, [rngs[j] for j in live]) - 1
+        out[np.repeat(~padding, m)] = (codes[:, None] >> np.arange(free - 1, -1, -1)) & 1
+        for j in np.flatnonzero(padding):
+            out[j * m:(j + 1) * m] = rngs[j].random((m, free)) < 0.5
         return self._charge(prefixes, m, out)

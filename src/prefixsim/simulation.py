@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix
+from .bits import BitString, BitStringLike, as_bitstring
 from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, substream
@@ -113,23 +113,6 @@ class LazySimulation:
     def touched_pairs(self) -> int:
         """Number of distinct sibling pairs estimated so far."""
         return len(self._ones)
-
-    @property
-    def hist(self) -> dict[tuple[str, int], Fraction]:
-        """Both sibling estimates of every touched pair, keyed (prefix string, bit).
-
-        Built afresh from the store on each read; edits to it do not reach the store.
-        """
-        return {(format(node, "b")[1:], b): Fraction(k if b else self.m - k, self.m)
-                for node, k in self._ones.items() for b in (1, 0)}
-
-    def edge(self, w: PrefixLike, b: int) -> Fraction:
-        """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
-        if b not in (0, 1):
-            raise ValueError("b must be 0 or 1")
-        wp = as_prefix(self.n, w)
-        k = self._counts(wp.depth, [(1 << wp.depth) | wp.index])[0]
-        return Fraction(k if b else self.m - k, self.m)
 
     def _counts(self, depth: int, nodes: list[int]) -> list[int]:
         """k of each node in the list, all at depth, estimating the missing edges on the way.

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -60,3 +61,18 @@ def assert_ledger(oracle, prefixes, m: int, block: np.ndarray, records: list) ->
     assert [r["result"] for r in records] == [
         ["".join(map(str, row)) for row in block[j * m:(j + 1) * m].tolist()] for j in range(len(names))]
     assert [r["budget_after"] for r in records] == [m * (j + 1) for j in range(len(names))]
+
+
+def hist(sim) -> dict:
+    """Both sibling estimates of every pair a simulation has estimated, keyed (prefix string, bit).
+
+    Reads the simulation's store of k per node id (1 << depth) | index.
+    """
+    return {(format(node, "b")[1:], b): Fraction(k if b else sim.m - k, sim.m)
+            for node, k in sim._ones.items() for b in (1, 0)}
+
+
+def edge(sim, w: str, b: int) -> Fraction:
+    """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
+    k = sim._counts(len(w), [(1 << len(w)) | int(w or "0", 2)])[0]
+    return Fraction(k if b else sim.m - k, sim.m)

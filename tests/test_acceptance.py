@@ -21,6 +21,8 @@ from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import kl_divergence, random_tree, tv_distance
 
+from helpers import edge, hist
+
 
 def report(criterion: str, text: str) -> None:
     print(f"{criterion} PASS: {text}")
@@ -76,8 +78,8 @@ def test_ac3_lazy_eager_coupling():
                     assert eager.query(x) == lazy.query(x)
                 else:
                     assert eager.sample(user) == lazy.sample()
-            for (w, b), est in lazy.hist.items():
-                assert est == eager.edge(w, b)
+            for (w, b), est in hist(lazy).items():
+                assert est == edge(eager, w, b)
     assert total_ops >= 1000
     report("AC-3", f"lazy and eager bit-identical over {total_ops} interleaved ops")
 
@@ -100,7 +102,7 @@ def test_ac4_cost_accounting():
         sim.sample()
     assert oracle.budget.conditional_calls == m * sim.touched_pairs
     # per prefix: each touched pair's prefix charged exactly m, no other prefix charged
-    assert dict(oracle.budget.per_prefix) == {w: m for w, _ in sim.hist}
+    assert dict(oracle.budget.per_prefix) == {w: m for w, _ in hist(sim)}
     report("AC-4", f"fresh query = {n}*{m} samples, repeats free, ledger = m * pairs, per prefix")
 
 
@@ -249,7 +251,7 @@ def test_ac12_interval_reduction_coupling():
         assert direct.query(x) == adapted.query(x)
     for _ in range(50):
         assert direct.sample() == adapted.sample()
-    assert direct.hist == adapted.hist
+    assert hist(direct) == hist(adapted)
     assert direct_oracle.budget.conditional_calls == adapted_oracle.budget.conditional_calls
     assert native.calls == adapted_oracle.budget.conditional_calls
     report("AC-12", f"adapter pipeline bit-identical on N={size} "

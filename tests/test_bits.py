@@ -35,7 +35,6 @@ def test_bitstring_int_roundtrip(n, data):
 def test_prefix_basics():
     w = Prefix.from_str(4, "10")
     assert w.depth == 2
-    assert w.index == 2
     assert w.is_prefix_of(BitString.from_str("1011"))
     assert not w.is_prefix_of(BitString.from_str("1111"))
     assert Prefix(4, ()).depth == 0

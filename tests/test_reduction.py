@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim.bits import BitString, Prefix
+from prefixsim.bits import BitString
 from prefixsim.reduction import (
     AdaptedPrefixOracle,
     TableIntervalOracle,
+    _split_fractions,
     encoded_marginal_tree,
     exact_encoded_masses,
     interval_breakdown,
@@ -17,7 +18,14 @@ from prefixsim.simulation import LazySimulation
 from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.streams import child_seed, substream
 
-from helpers import assert_ledger, draw, prefix_blocks, prefix_rows
+from helpers import assert_ledger, draw, hist, prefix_blocks, prefix_rows
+
+
+def prefix_interval(adapter, w):
+    """Inclusive element interval {a..b} of the prefix w (a '01' string or bits), or None for pure padding."""
+    bits = "".join(map(str, w))
+    a, b, padding = adapter.element_bounds(len(bits), [int(bits or "0", 2)])
+    return None if padding[0] else (int(a[0]), int(b[0]))
 
 
 class TestEncoding:
@@ -27,15 +35,26 @@ class TestEncoding:
 
     def test_prefix_to_interval(self):
         adapter = interval_breakdown(8)
-        assert adapter.prefix_interval("") == (1, 8)
-        assert adapter.prefix_interval("1") == (5, 8)
-        assert adapter.prefix_interval("10") == (5, 6)
+        assert prefix_interval(adapter, "") == (1, 8)
+        assert prefix_interval(adapter, "1") == (5, 8)
+        assert prefix_interval(adapter, "10") == (5, 6)
 
     def test_padding(self):
         adapter = interval_breakdown(5)
         assert adapter.depth == 3
-        assert adapter.prefix_interval("11") is None
-        assert adapter.prefix_interval("1") == (5, 5)
+        assert prefix_interval(adapter, "11") is None
+        assert prefix_interval(adapter, "1") == (5, 5)
+
+    def test_bounds_of_a_level_at_once(self):
+        # size 5, depth 3: the depth-2 prefixes hold {1, 2}, {3, 4}, {5} and padding
+        a, b, padding = interval_breakdown(5).element_bounds(2, [0, 1, 2, 3])
+        assert a[:3].tolist() == [1, 3, 5] and b[:3].tolist() == [2, 4, 5]
+        assert padding.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("depth, index", [(1, [2]), (2, [0, -1]), (0, [1]), (3, [0]), (-1, [0])])
+    def test_index_outside_the_tree_is_rejected(self, depth, index):
+        with pytest.raises(ValueError):
+            interval_breakdown(5).element_bounds(depth, index)
 
     @pytest.mark.parametrize("n_elements", [1, 2, 5, 8, 11, 16])
     def test_every_prefix_decodes_to_an_interval(self, n_elements):
@@ -43,13 +62,12 @@ class TestEncoding:
         depth = adapter.depth
         for length in range(depth):
             for bits in product((0, 1), repeat=length):
-                w = Prefix(depth, bits)
                 members = sorted(
                     code + 1
                     for code in range(min(1 << depth, n_elements))
                     if tuple(BitString.from_int(code, depth).bits[:length]) == bits
                 )
-                interval = adapter.prefix_interval(w)
+                interval = prefix_interval(adapter, bits)
                 if not members:
                     assert interval is None
                 else:
@@ -59,7 +77,7 @@ class TestEncoding:
 
 def members(adapter, bits):
     """The elements under the prefix bits, as a set."""
-    interval = adapter.prefix_interval(bits)
+    interval = prefix_interval(adapter, bits)
     return set() if interval is None else set(range(interval[0], interval[1] + 1))
 
 
@@ -120,14 +138,30 @@ class TestAdaptedOracle:
         native = TableIntervalOracle(weights)
         rng = substream(4, "draw")
         for (a, b) in [(1, 11), (2, 2), (3, 7), (9, 11)]:
-            elems = native.draw_batch(a, b, 200, rng)
+            elems = native.draw_batch([a], [b], 200, [rng])
             assert elems.min() >= a and elems.max() <= b
 
     def test_zero_mass_native_interval_still_valid(self):
         weights = np.array([1.0, 0.0, 0.0, 0.0, 2.0])
         native = TableIntervalOracle(weights)
-        elems = native.draw_batch(2, 4, 500, substream(5, "draw"))
+        elems = native.draw_batch([2], [4], 500, [substream(5, "draw")])
         assert set(np.unique(elems)) <= {2, 3, 4}
+
+    @pytest.mark.parametrize("a, b, m, streams", [
+        ([1, 0], [3, 2], 4, 2),     # a < 1 in the second row
+        ([1, 4], [3, 3], 4, 2),     # a > b
+        ([1, 2], [3, 12], 4, 2),    # b > N
+        ([1, 2], [3, 5], 4, 1),     # fewer streams than intervals
+        ([1], [3], 4, 2),           # more streams than intervals
+        ([1, 2], [3], 4, 2),        # bounds of different lengths
+        ([[1]], [[3]], 4, 1),       # not one interval per row
+        ([1, 2], [3, 5], 0, 2),     # m < 1
+    ])
+    def test_draw_batch_rejects_bad_arguments(self, a, b, m, streams):
+        native = TableIntervalOracle(substream(16, "w").uniform(0.1, 1.0, 11))
+        with pytest.raises(ValueError):
+            native.draw_batch(a, b, m, [substream(17, j) for j in range(streams)])
+        assert native.calls == 0
 
     def test_padding_prefix_uses_convention(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
@@ -168,7 +202,7 @@ class TestCoupling:
             assert direct.query(x) == adapted.query(x)
         for _ in range(10):
             assert direct.sample() == adapted.sample()
-        assert direct.hist == adapted.hist
+        assert hist(direct) == hist(adapted)
         assert direct.oracle.budget.conditional_calls == adapted.oracle.budget.conditional_calls
 
     @settings(max_examples=25, deadline=None)
@@ -184,7 +218,7 @@ class TestCoupling:
         assert direct.m == 3
         for got, want in zip(adapted.sample_batch(32), direct.sample_batch(32)):
             assert np.array_equal(got, want)
-        assert adapted.hist == direct.hist
+        assert hist(adapted) == hist(direct)
         assert adapted_oracle.budget.conditional_calls == direct_oracle.budget.conditional_calls
         assert adapted_oracle.native.calls <= adapted_oracle.budget.conditional_calls
 
@@ -220,7 +254,7 @@ def test_adapted_multi_prefix_draw_equals_single_prefix_draws(size, data, m, see
     single = AdaptedPrefixOracle(adapter, TableIntervalOracle(weights))
     assert np.array_equal(block, np.concatenate([
         single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
-    padding = sum(adapter.prefix_interval(w) is None for w in prefixes.tolist())
+    padding = sum(prefix_interval(adapter, w) is None for w in prefixes.tolist())
     assert native.calls == m * (len(prefixes) - padding)
     assert_ledger(oracle, prefixes, m, block, records)
 
@@ -238,3 +272,52 @@ def test_adapted_multi_prefix_draw_with_pure_padding():
     assert np.array_equal(block[4:8], substream(15, "11").random((4, 1)) < 0.5)
     assert np.all(block[8:] == 0)
     assert_ledger(oracle, prefixes, 4, block, records)
+
+
+def single_interval_draw(native, a_elem, b_elem, m, rng):
+    """Reference: m draws under one interval, descending from its LCA with one uniform per level."""
+    a, b = a_elem - 1, b_elem
+    lca_depth = native.depth if a == b - 1 else native.depth - (a ^ (b - 1)).bit_length()
+    if lca_depth == native.depth:
+        return np.full(m, a_elem, dtype=np.int64)
+    u = rng.random((m, native.depth - lca_depth))
+    idx = np.full(m, a >> (native.depth - lca_depth), dtype=np.int64)
+    for t in range(native.depth - lca_depth):
+        f = _split_fractions(native._cum, native.size, native.depth, lca_depth + t, idx, a, b)
+        idx = (idx << 1) + (u[:, t] < f)
+    return idx + 1
+
+
+@st.composite
+def intervals(draw, size: int):
+    a = draw(st.integers(1, size))
+    return a, draw(st.integers(a, size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 300), data=st.data(), m=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_multi_interval_draw_equals_single_interval_draws(size, data, m, seed):
+    weights = substream(seed, "w").uniform(0.1, 1.0, size)
+    zero_a, zero_b = data.draw(intervals(size))
+    weights[zero_a - 1:zero_b] = 0.0   # zero-mass nodes inside split at 0.5
+    if not weights.sum() > 0.0:
+        weights[-1] = 1.0
+    single = data.draw(st.integers(1, size))
+    clipped = data.draw(st.integers(1, size))
+    bounds = [(1, size), (single, single), (clipped, size), (zero_a, zero_b),
+              *data.draw(st.lists(intervals(size), max_size=6))]
+    a, b = (np.array(col) for col in zip(*bounds))
+
+    def streams():
+        return [substream(seed, "draw", j) for j in range(len(bounds))]
+
+    native, reference = TableIntervalOracle(weights), TableIntervalOracle(weights)
+    rngs, reference_rngs = streams(), streams()
+    got = native.draw_batch(a, b, m, rngs)
+    want = np.concatenate([single_interval_draw(reference, lo, hi, m, rng)
+                           for lo, hi, rng in zip(a.tolist(), b.tolist(), reference_rngs)])
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert ((np.repeat(a, m) <= got) & (got <= np.repeat(b, m))).all()
+    assert native.calls == m * len(bounds)
+    # each stream gave exactly the uniforms of its own draw, none for one element
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in reference_rngs]

@@ -20,7 +20,7 @@ from prefixsim.simulation import (
 from prefixsim.streams import substream
 from prefixsim.trees import kl_divergence, point_mass_tree, random_tree, uniform_tree
 
-from helpers import chi2_critical_99, chi_square_stat, draw, prefix_rows
+from helpers import chi2_critical_99, chi_square_stat, draw, edge, hist, prefix_rows
 
 
 class TestSamplesPerEdge:
@@ -141,7 +141,7 @@ class TestPreprocess:
             learned.query(BitString.from_int(v, n))
         for _ in range(50):
             learned.sample()
-        learned.edge("0110", 0)
+        edge(learned, "0110", 0)
         learned.as_marginal_tree()
         assert oracle.budget.conditional_calls == spent
         assert learned.touched_pairs == (1 << n) - 1
@@ -201,7 +201,7 @@ class TestLazySimulation:
         oracle = TreeOracle(uniform_tree(5))
         sim = LazySimulation(5, oracle, 0.5, seed=1)
         assert oracle.budget.conditional_calls == 0
-        assert sim.hist == {}
+        assert hist(sim) == {}
 
     def test_same_seed_same_behavior(self):
         tree = random_tree(5, substream(20, "t"), 0.2, 0.8)
@@ -213,12 +213,12 @@ class TestLazySimulation:
     def test_access_edge_memo_and_sibling_rule(self):
         oracle = TreeOracle(uniform_tree(10))
         sim = LazySimulation(10, oracle, 0.5, seed=2)
-        first = sim.edge("0110", 0)
+        first = edge(sim, "0110", 0)
         assert oracle.budget.conditional_calls == 20
-        again = sim.edge("0110", 0)
+        again = edge(sim, "0110", 0)
         assert again == first
         assert oracle.budget.conditional_calls == 20
-        other = sim.edge("0110", 1)
+        other = edge(sim, "0110", 1)
         assert first + other == Fraction(1)
         assert oracle.budget.conditional_calls == 20
 
@@ -295,7 +295,7 @@ def reference_walk(sim, rng=None, x=None):
     """
     m, p, bits = sim.m, 1.0, []
     for i in range(sim.n):
-        k = int(sim.edge("".join(map(str, bits)), 1) * m)
+        k = int(edge(sim, "".join(map(str, bits)), 1) * m)
         b = (1 if rng.random() < k / m else 0) if x is None else x[i]
         p *= (k if b else m - k) / m
         bits.append(b)
@@ -312,7 +312,7 @@ class TestBatchedWalks:
         assert masses.tolist() == [p for _, p in draws]
         rows = [BitString.from_int(c, 6).bits for c in range(64)]
         assert batched.query_batch(rows).tolist() == [reference_walk(reference, x=x)[1] for x in rows]
-        assert batched.hist == reference.hist
+        assert hist(batched) == hist(reference)
 
     def test_sample_batch_equals_scalar_samples(self):
         batched, scalar = twin_simulations(6, 0.5, seed=30, tree_seed=31)
@@ -322,7 +322,7 @@ class TestBatchedWalks:
             draws = [scalar.sample() for _ in range(k)]
             assert [BitString(tuple(row)) for row in bits.tolist()] == [x for x, _ in draws]
             assert masses.tolist() == [p for _, p in draws]
-        assert batched.hist == scalar.hist
+        assert hist(batched) == hist(scalar)
         assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
 
     def test_query_batch_equals_scalar_queries(self):
@@ -331,7 +331,7 @@ class TestBatchedWalks:
         codes = substream(37, "codes").integers(0, 1 << n, 50).tolist()
         rows = [BitString.from_int(c, n).bits for c in codes]
         assert batched.query_batch(rows).tolist() == [scalar.query(x) for x in rows]
-        assert batched.hist == scalar.hist
+        assert hist(batched) == hist(scalar)
         assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
         assert batched.query_batch(np.zeros((0, n), dtype=np.uint8)).shape == (0,)
 
@@ -388,7 +388,7 @@ def test_lazy_equals_eager_over_random_scripts(script, seed):
             rows = np.array([BitString.from_int(c, n).bits for c in arg], dtype=np.uint8).reshape(-1, n)
             assert np.array_equal(eager.query_batch(rows), lazy.query_batch(rows))
         assert lazy.oracle.budget.conditional_calls == lazy.m * lazy.touched_pairs
-    assert lazy.hist.items() <= eager.hist.items()
+    assert hist(lazy).items() <= hist(eager).items()
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,7 +419,7 @@ def level_script(tree):
         drawn = {}
         for r in records:
             drawn.setdefault(r["prefix"], []).extend(r["result"])
-        out.append((sim.hist, dict(oracle.budget.per_prefix), list(drawn), drawn, results))
+        out.append((hist(sim), dict(oracle.budget.per_prefix), list(drawn), drawn, results))
     return out
 
 

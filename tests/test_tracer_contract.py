@@ -1,9 +1,16 @@
 """Names and counts that the benchmark's per-layer tracer relies on.
 
-perfbench/tracing.py finds each oracle's draw through vars() of its class,
-looks up prefixsim.simulation.est_simulation_edge by name and counts one
-estimated edge per call, and fails a traced op unless the rows of the
-returned draw blocks add up to the budget ledger.
+perfbench/tracing.py wraps functions by name and counts from what they
+return; each assertion here protects one of its counters:
+
+- oracles.rows, oracles.calls and oracles.block_bytes_max: each oracle's
+  draw is found through vars() of its own class, and a traced op fails
+  unless the rows of the returned draw blocks add up to the budget ledger.
+- simulation.edges_estimated: prefixsim.simulation.est_simulation_edge is
+  looked up by name and counts one estimated edge per call.
+- reduction.native_rows: TableIntervalOracle.draw_batch is found through
+  vars() of its class and counts len() of its result, one element per row.
+
 Renaming, inheriting or re-shaping any of these breaks `--trace 1` runs.
 """
 
@@ -21,6 +28,7 @@ from helpers import prefix_rows
 def test_each_oracle_defines_its_own_draw():
     assert "conditional_sample_batch" in vars(TreeOracle)
     assert "conditional_sample_batch" in vars(AdaptedPrefixOracle)
+    assert "draw_batch" in vars(TableIntervalOracle)
 
 
 def test_edge_estimator_keeps_its_name():
@@ -43,3 +51,9 @@ def test_block_rows_equal_rows_charged():
         block = oracle.conditional_sample_batch(prefixes, 7, [substream(3, j) for j in range(3)])
         assert block.shape == (3 * 7, 2) and block.dtype == np.uint8
         assert block.shape[0] == oracle.budget.conditional_calls
+
+
+def test_native_draw_returns_one_element_per_row():
+    native = TableIntervalOracle(substream(7, "w").uniform(0.1, 1.0, 11))
+    elems = native.draw_batch([1, 4, 9, 11], [11, 4, 11, 11], 5, [substream(8, j) for j in range(4)])
+    assert elems.shape == (4 * 5,) and len(elems) == native.calls
