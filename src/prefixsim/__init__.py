@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .bits import BitString, Prefix, as_bitstring, as_prefix
 from .errors import CapabilityError
-from .streams import RandomStream, child_seed, substream
+from .streams import RandomStream, child_seed, substream, substreams
 from .trees import (
     MAX_ENUM_N,
     MarginalTree,
@@ -30,8 +30,8 @@ from .reduction import (
     IntervalAdapter,
     TableIntervalOracle,
     encoded_marginal_tree,
-    exact_encoded_masses,
     interval_breakdown,
+    mass_preserved,
 )
 from .simulation import (
     MAX_PREPROCESS_N,

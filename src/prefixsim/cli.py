@@ -26,7 +26,7 @@ from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
 from .oracles import TreeOracle
 from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
-                        exact_encoded_masses, interval_breakdown)
+                        interval_breakdown, mass_preserved)
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
 from .streams import child_seed, substream
 from .trees import kl_divergence, random_tree, tv_distance
@@ -130,17 +130,10 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
         for a, b in zip(direct.sample_batch(rows), adapted.sample_batch(rows)):
             coupled = coupled and np.array_equal(a, b)
 
-    masses = exact_encoded_masses(weights)
-    from fractions import Fraction
-    total = sum(Fraction(float(w)) for w in weights)
-    mass_preserved = all(
-        masses[code] == (Fraction(float(weights[code])) / total if code < size else 0)
-        for code in range(1 << adapter.depth)
-    )
     return [{
         "kind": "trial", "trial": t, "size": size, "depth": adapter.depth,
         "coupled": coupled, "power_of_two": size & (size - 1) == 0,
-        "mass_preserved": mass_preserved,
+        "mass_preserved": mass_preserved(weights),
         "budget_direct": direct_oracle.budget.conditional_calls,
         "budget_adapted": adapted_oracle.budget.conditional_calls,
         "native_calls": native.calls,

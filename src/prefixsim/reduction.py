@@ -18,6 +18,10 @@ native oracle returns element 3, so the two simulations do not couple.
 The adapted oracle answers a multi-prefix draw with one native draw, one
 stream per interval, whose rows all descend the code tree together.
 
+mass_preserved checks exactly that the encoded tree gives every code its
+element's mass weight / total and every padding code zero: the float
+weights are dyadic, so the builder's split ratios multiply out in integers.
+
 No separate adapter exists for subcube-conditional oracles: a prefix
 condition is already a subcube condition, so prefix-model algorithms run
 against them as-is.
@@ -26,6 +30,7 @@ against them as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -125,56 +130,51 @@ def encoded_marginal_tree(weights) -> TableMarginalTree:
     return TableMarginalTree(adapter.depth, levels)
 
 
-def exact_encoded_masses(weights) -> list:
-    """Per-code masses of the encoded tree in exact rational arithmetic.
+def mass_preserved(weights) -> bool:
+    """Whether the encoded tree gives code e - 1 exactly weight_e / total and every padding code 0.
 
-    Multiplies the same forced-edge split ratios as the float builder, but
-    over Fractions, so the telescoping to weight / total is exact: code
-    masses equal the native element masses under the bijection and
-    padding codes get exactly zero.  Supported up to depth 16.
+    Multiplies the float builder's split ratios, with its forced-edge rules,
+    in exact integer arithmetic.  Every float weight is dyadic, so over
+    their common power-of-two denominator the weights and their cumulative
+    sums are integers.  A node's mass is kept as an unnormalized pair
+    num / den, and each code's is compared with its element's weight by
+    cross-multiplication: num * total == weight * den.
     """
-    from fractions import Fraction
-
-    n_elements = len(weights)
-    adapter = interval_breakdown(n_elements)
-    if adapter.depth > 16:
-        raise ValueError("exact mass check supported up to depth 16")
-    cum = [Fraction(0)]
-    for w in weights:
-        f = Fraction(w)
-        if f < 0:
-            raise ValueError("weights must be non-negative")
-        cum.append(cum[-1] + f)
-    total_codes = 1 << adapter.depth
-    cum.extend([cum[-1]] * (total_codes - n_elements))
-    if cum[-1] <= 0:
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    n_elements = len(ratios)
+    depth = interval_breakdown(n_elements).depth
+    scale = max(q for _, q in ratios)
+    ints = [p * (scale // q) for p, q in ratios]
+    if min(ints) < 0:
+        raise ValueError("weights must be non-negative")
+    cum = [0, *accumulate(ints)]
+    total = cum[-1]
+    if total == 0:
         raise ValueError("weights must have positive total mass")
+    cum += [total] * ((1 << depth) - n_elements)
 
-    masses = [Fraction(1)]
-    for level in range(adapter.depth):
-        span = 1 << (adapter.depth - level)
+    masses = [(1, 1)]
+    for level in range(depth):
+        span = 1 << (depth - level)
         nxt = []
-        for idx, node_mass in enumerate(masses):
+        for idx, (num, den) in enumerate(masses):
             lo = idx * span
             mid = lo + span // 2
             hi = lo + span
-            left_has = lo < min(mid, n_elements)
-            right_has = mid < min(hi, n_elements)
             lmass = cum[mid] - cum[lo]
             rmass = cum[hi] - cum[mid]
-            total = lmass + rmass
-            if not right_has:
-                f = Fraction(0)
-            elif not left_has:
-                f = Fraction(1)
-            elif total > 0:
-                f = rmass / total
-            else:
-                f = Fraction(1, 2)
-            nxt.append(node_mass * (1 - f))
-            nxt.append(node_mass * f)
+            if not mid < min(hi, n_elements):        # f = 0: no element right
+                nxt += [(num, den), (0, den)]
+            elif not lo < min(mid, n_elements):      # f = 1: no element left
+                nxt += [(0, den), (num, den)]
+            elif lmass + rmass > 0:                 # f = rmass / total
+                split = den * (lmass + rmass)
+                nxt += [(num * lmass, split), (num * rmass, split)]
+            else:                                   # f = 1/2 at zero mass
+                nxt += [(num, 2 * den)] * 2
         masses = nxt
-    return masses
+    weight = ints + [0] * (len(masses) - n_elements)
+    return all(num * total == w * den for (num, den), w in zip(masses, weight))
 
 
 class TableIntervalOracle:

@@ -15,9 +15,10 @@ which touches every edge of the tree up front (exponential work).  Because
 each edge's estimation stream is keyed by (master seed, prefix), neither the
 order in which edges are first touched nor their grouping into draws
 matters, and the lazy simulation is bit-for-bit equal to the eagerly learned
-one.  Estimates are kept as exact integers; all float probabilities are
-computed as k/m so the two agree to the last bit and realization checks can
-run in exact rational arithmetic.
+one.  The streams of a group are seeded together (streams.substreams), each
+the generator substream builds for its key.  Estimates are kept as exact
+integers; all float probabilities are computed as k/m so the two agree to
+the last bit and realization checks can run in exact rational arithmetic.
 
 Samples and queries walk many paths at once: sample_batch and query_batch
 take all rows down the tree together, one level at a time, reading the k of
@@ -40,7 +41,7 @@ import numpy as np
 from .bits import BitString, BitStringLike, as_bitstring
 from .errors import CapabilityError
 from .oracles import PrefixOracle
-from .streams import RandomStream, substream
+from .streams import RandomStream, substream, substreams
 from .trees import TableMarginalTree
 from .util import ceil_snap, row_blocks
 
@@ -131,7 +132,7 @@ class LazySimulation:
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
             group = misses[start:start + size]
             bits = (np.array(group, dtype=self._node_dtype)[:, None] >> shifts) & 1
-            rngs = [substream(self.seed, "edge", format(node, "b")[1:]) for node in group]
+            rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group])
             drawn = first_free_bits(self.oracle, self.m, bits.astype(np.uint8), rngs)
             self._ones.update(zip(group, map(est_simulation_edge, drawn)))
             start += size

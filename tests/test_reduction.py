@@ -11,8 +11,8 @@ from prefixsim.reduction import (
     TableIntervalOracle,
     _split_fractions,
     encoded_marginal_tree,
-    exact_encoded_masses,
     interval_breakdown,
+    mass_preserved,
 )
 from prefixsim.simulation import LazySimulation
 from prefixsim.oracles import SampleBudget, TreeOracle
@@ -114,12 +114,83 @@ class TestEncodedTree:
         weights[rng.random(n_elements) < 0.2] = 0.0
         if weights.sum() == 0.0:
             weights[0] = 1.0
-        masses = exact_encoded_masses(weights)
+        masses = fraction_masses(weights)
         total = sum(Fraction(float(w)) for w in weights)
         depth = interval_breakdown(n_elements).depth
         for code in range(1 << depth):
             expected = Fraction(float(weights[code])) / total if code < n_elements else Fraction(0)
             assert masses[code] == expected
+        assert mass_preserved(weights)
+
+    def test_mass_check_rejects_bad_weights(self):
+        for weights in ([], [0.0, 0.0], [0.5, -0.25], [1.0, float("nan")]):
+            with pytest.raises(ValueError):
+                mass_preserved(weights)
+
+
+def fraction_masses(weights) -> list:
+    """Per-code masses of the encoded tree over Fractions: the float builder's split ratios, exactly."""
+    n_elements = len(weights)
+    depth = interval_breakdown(n_elements).depth
+    cum = [Fraction(0)]
+    for w in weights:
+        cum.append(cum[-1] + Fraction(w))
+    cum.extend([cum[-1]] * ((1 << depth) - n_elements))
+    masses = [Fraction(1)]
+    for level in range(depth):
+        span = 1 << (depth - level)
+        nxt = []
+        for idx, node_mass in enumerate(masses):
+            lo = idx * span
+            mid = lo + span // 2
+            hi = lo + span
+            lmass = cum[mid] - cum[lo]
+            rmass = cum[hi] - cum[mid]
+            total = lmass + rmass
+            if not mid < min(hi, n_elements):
+                f = Fraction(0)
+            elif not lo < min(mid, n_elements):
+                f = Fraction(1)
+            elif total > 0:
+                f = rmass / total
+            else:
+                f = Fraction(1, 2)
+            nxt.append(node_mass * (1 - f))
+            nxt.append(node_mass * f)
+        masses = nxt
+    return masses
+
+
+def fraction_verdict(weights) -> bool:
+    """The mass check as cli ran it over Fractions: every code's mass is its weight / total, padding 0."""
+    masses = fraction_masses(weights)
+    total = sum(Fraction(float(w)) for w in weights)
+    return all(mass == (Fraction(float(weights[code])) / total if code < len(weights) else 0)
+               for code, mass in enumerate(masses))
+
+
+@st.composite
+def mass_weights(draw):
+    """Weight vectors with zero runs, N = 1, powers of two and sizes up to 4096."""
+    size = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 64, 300, 512, 513, 4095, 4096]),
+                          st.integers(1, 4096)))
+    rng = substream(draw(st.integers(0, 2 ** 32)), "mass-weights")
+    weights = rng.uniform(0.0, 1.0, size) * 2.0 ** rng.integers(-60, 60, size)
+    if draw(st.booleans()):
+        weights[rng.random(size) < 0.2] = 0.0
+    start = draw(st.integers(0, size - 1))
+    weights[start:start + draw(st.integers(0, size))] = 0.0
+    if draw(st.booleans()):
+        weights = np.round(weights * 8) / 8
+    if not weights.sum() > 0.0:
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    return weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(mass_weights())
+def test_integer_mass_check_equals_fraction_check(weights):
+    assert mass_preserved(weights) == fraction_verdict(weights)
 
 
 class TestAdaptedOracle:

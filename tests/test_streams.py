@@ -1,4 +1,8 @@
-from prefixsim.streams import child_seed, substream
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from prefixsim.streams import _seed_words, child_seed, substream, substreams
 
 
 def test_same_key_same_stream():
@@ -28,3 +32,32 @@ def test_creation_order_is_irrelevant():
     first_again = substream(3, "edge", "01")
     assert second_again.random(5).tolist() == a2
     assert first_again.random(5).tolist() == a1
+
+
+# Group seeding: substreams runs SeedSequence's algorithm vectorized over a
+# group; default_rng (substream) is the reference it must equal bit for bit.
+
+BOUNDARY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 64, 2 ** 96 - 1, 2 ** 128 - 1]   # 0 to 4 nonzero uint32 words
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 128 - 1), max_size=9))
+@example(BOUNDARY_SEEDS)
+def test_seed_words_equal_seed_sequence(seeds):
+    words = _seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        reference = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert np.array_equal(row, reference)
+        assert np.array_equal(_seed_words([seed])[0], reference)
+
+
+@pytest.mark.parametrize("parts", [[], ["01"], ["", "0", "1", "00", "0110", 7]])
+def test_substreams_equal_substream(parts):
+    group = substreams(11, "edge", parts=parts)
+    assert len(group) == len(parts)
+    for part, rng in zip(parts, group):
+        ref = substream(11, "edge", part)
+        assert rng.random() == ref.random()
+        assert np.array_equal(rng.random((40, 3)), ref.random((40, 3)))
+        assert np.array_equal(rng.integers(0, 1000, 25), ref.integers(0, 1000, 25))

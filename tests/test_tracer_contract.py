@@ -10,13 +10,23 @@ return; each assertion here protects one of its counters:
   looked up by name and counts one estimated edge per call.
 - reduction.native_rows: TableIntervalOracle.draw_batch is found through
   vars() of its class and counts len() of its result, one element per row.
+- streams.self_s and streams.calls: the edge streams of an estimator group
+  come from one call of prefixsim.streams.substreams, a public function the
+  tracer wraps, so seeding time lands in streams and the calls count groups;
+  the seed-word carrier class is private, so the tracer does not wrap its
+  generate_state and pay a span per stream.
+- reduction.self_s: the reduce-interval mass check is
+  prefixsim.reduction.mass_preserved, a public function, so its time is
+  reduction's and not cli's.
 
 Renaming, inheriting or re-shaping any of these breaks `--trace 1` runs.
 """
 
+import inspect
+
 import numpy as np
 
-from prefixsim import simulation
+from prefixsim import reduction, simulation, streams
 from prefixsim.oracles import TreeOracle
 from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle, interval_breakdown
 from prefixsim.streams import substream
@@ -57,3 +67,26 @@ def test_native_draw_returns_one_element_per_row():
     native = TableIntervalOracle(substream(7, "w").uniform(0.1, 1.0, 11))
     elems = native.draw_batch([1, 4, 9, 11], [11, 4, 11, 11], 5, [substream(8, j) for j in range(4)])
     assert elems.shape == (4 * 5,) and len(elems) == native.calls
+
+
+def test_edge_streams_are_seeded_once_per_group(monkeypatch):
+    groups = []
+    seed_group = streams.substreams
+    monkeypatch.setattr(simulation, "substreams",
+                        lambda *key, parts: groups.append(len(parts)) or seed_group(*key, parts=parts))
+    simulation.preprocess(4, TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    assert groups == [1, 2, 4, 8]
+    assert inspect.isfunction(seed_group) and seed_group.__module__ == "prefixsim.streams"
+
+
+def test_seed_word_carrier_is_private():
+    carrier = type(streams.substreams(1, "edge", parts=["0"])[0].bit_generator.seed_seq)
+    assert carrier.__module__ == "prefixsim.streams" and carrier.__name__.startswith("_")
+    public = [name for name, obj in vars(streams).items()
+              if inspect.isclass(obj) and obj.__module__ == streams.__name__ and not name.startswith("_")]
+    assert public == []
+
+
+def test_mass_check_is_a_public_reduction_function():
+    assert inspect.isfunction(reduction.mass_preserved)
+    assert reduction.mass_preserved.__module__ == "prefixsim.reduction"
