@@ -9,7 +9,7 @@ the divergence inequalities everything rests on.
 
 __version__ = "0.1.0"
 
-from .bits import BitString, Prefix, as_bitstring, as_prefix
+from .bits import code_rows, element_bits, prefix_bits
 from .errors import CapabilityError
 from .streams import RandomStream, child_seed, substream, substreams
 from .trees import (

@@ -1,120 +1,35 @@
-"""Bit strings and true prefixes of the domain {0,1}^n."""
+"""Elements and true prefixes of the domain {0,1}^n, and the bit order of codes.
+
+A caller passes one element or prefix as a '01' string or a sequence of 0/1
+bits; the package holds it as a tuple of ints.  Blocks of elements or
+prefixes are 0/1 arrays with one per row.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+import numpy as np
 
 
-def _validated_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0 or 1, got {out!r}")
-    return out
+def element_bits(x, n: int) -> tuple[int, ...]:
+    """The element x of {0,1}^n, a '01' string or a 0/1 sequence, as a tuple of ints."""
+    bits = tuple(int(b) for b in x)
+    if len(bits) != n or not set(bits) <= {0, 1}:
+        raise ValueError(f"an element needs {n} bits, each 0 or 1, got {bits!r}")
+    return bits
 
 
-@dataclass(frozen=True)
-class BitString:
-    """An immutable element of {0,1}^n, n >= 1."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _validated_bits(self.bits))
-        if len(self.bits) < 1:
-            raise ValueError("a bit string must have length at least 1")
-
-    @classmethod
-    def from_str(cls, s: str) -> "BitString":
-        return cls(tuple(int(c) for c in s))
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> "BitString":
-        """The n-bit big-endian encoding of value (0 <= value < 2**n)."""
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} does not fit in {n} bits")
-        return cls(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def as_str(self) -> str:
-        return "".join(map(str, self.bits))
-
-    def as_int(self) -> int:
-        return index_of(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
-
-    def __str__(self) -> str:
-        return self.as_str()
+def prefix_bits(w, n: int) -> tuple[int, ...]:
+    """The true prefix w (0 <= |w| < n), a '01' string or a 0/1 sequence, as a tuple of ints."""
+    bits = tuple(int(b) for b in w)
+    if len(bits) >= n or not set(bits) <= {0, 1}:
+        raise ValueError(f"a true prefix for n={n} needs fewer than {n} bits, each 0 or 1, got {bits!r}")
+    return bits
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """A true prefix w of strings in {0,1}^n: 0 <= |w| < n."""
+def code_rows(codes, width: int) -> np.ndarray:
+    """The low width bits of each integer code as a uint8 row, most significant bit first.
 
-    n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _validated_bits(self.bits))
-        if self.n < 1:
-            raise ValueError("ambient length must be at least 1")
-        if len(self.bits) >= self.n:
-            raise ValueError(f"prefix of length {len(self.bits)} is not a true prefix for n={self.n}")
-
-    @classmethod
-    def from_str(cls, n: int, s: str) -> "Prefix":
-        return cls(n, tuple(int(c) for c in s))
-
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
-
-    def is_prefix_of(self, x: BitString) -> bool:
-        return x.n == self.n and x.bits[: self.depth] == self.bits
-
-
-PrefixLike = Union[Prefix, str, tuple, list]
-BitStringLike = Union[BitString, str, tuple, list]
-
-
-def index_of(bits: Iterable[int]) -> int:
-    """The big-endian value of a bit sequence."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
-
-
-def as_prefix(n: int, w: PrefixLike) -> Prefix:
-    """Coerce a prefix-like value (Prefix, '010' string, or bit sequence)."""
-    if isinstance(w, Prefix):
-        if w.n != n:
-            raise ValueError(f"prefix has ambient length {w.n}, expected {n}")
-        return w
-    if isinstance(w, str):
-        return Prefix.from_str(n, w)
-    return Prefix(n, tuple(int(b) for b in w))
-
-
-def as_bitstring(x: BitStringLike, n: int | None = None) -> BitString:
-    """Coerce a bitstring-like value, optionally checking its length."""
-    if isinstance(x, BitString):
-        out = x
-    elif isinstance(x, str):
-        out = BitString.from_str(x)
-    else:
-        out = BitString(tuple(int(b) for b in x))
-    if n is not None and out.n != n:
-        raise ValueError(f"bit string has length {out.n}, expected {n}")
-    return out
+    codes may be an int64 array or an object array of Python ints (node ids
+    past 2^62); the result has codes' shape plus a last axis of width.
+    """
+    return ((np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)

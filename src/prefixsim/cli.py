@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adhoc import gen_instance, run_ad_hoc_tester, tester_parameters
+from .bits import code_rows
 from .distance import estimate_tv, simulation_delta
 from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
@@ -96,7 +98,7 @@ def _hard_instance_trial(cfg: dict, t: int) -> list[dict]:
                                  delta=cfg["delta"], r=cfg["r"])
         record = {
             "kind": "trial", "trial": t, "label": label,
-            "delta": inst.delta, "r": inst.r, "x": inst.x.as_str(),
+            "delta": inst.delta, "r": inst.r, "x": "".join(map(str, inst.x)),
         }
         if cfg["draws"] > 0:
             oracle = inst.oracle()
@@ -123,8 +125,7 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     adapted_oracle = AdaptedPrefixOracle(adapter, native)
     adapted = LazySimulation(adapter.depth, adapted_oracle, cfg["delta"], sim_seed)
 
-    # every code as a row of bits, most significant first
-    codes = (np.arange(1 << adapter.depth)[:, None] >> np.arange(adapter.depth)[::-1]) & 1
+    codes = code_rows(np.arange(1 << adapter.depth), adapter.depth)
     coupled = np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
     for rows in row_blocks(cfg["samples"], adapter.depth):
         for a, b in zip(direct.sample_batch(rows), adapted.sample_batch(rows)):
@@ -196,12 +197,18 @@ def _summary(name: str, args, started: float, passed: bool, **fields) -> dict:
 
 
 def _positive(parser, name, value, strict=True):
-    if value is None:
+    if value is None or (0 < value < math.inf if strict else 0 <= value < math.inf):
         return
-    if strict and not value > 0:
-        parser.error(f"precondition violated: {name} must be positive, got {value}")
-    if not strict and value < 0:
-        parser.error(f"precondition violated: {name} must be non-negative, got {value}")
+    sign = "positive" if strict else "non-negative"
+    parser.error(f"precondition violated: {name} must be finite and {sign}, got {value}")
+
+
+def _checked(parser, fn, *args):
+    """fn(*args), with a ValueError reported as a usage error (exit 2)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        parser.error(f"precondition violated: {exc}")
 
 
 def _within_block_cap(parser, name, value):
@@ -292,6 +299,7 @@ def cmd_simulate(parser, args) -> int:
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
     _marginal_range(parser, args)
+    m = _checked(parser, samples_per_edge, args.n, args.delta)
     started = time.time()
     cfg = {"n": args.n, "delta": args.delta, "seed": args.seed,
            "marginal_low": args.marginal_low, "marginal_high": args.marginal_high}
@@ -301,7 +309,7 @@ def cmd_simulate(parser, args) -> int:
     passed = mean_kl <= args.delta
     summary = _summary("simulate", args, started, passed,
                        mean_kl=mean_kl, max_kl=max(kls), delta=args.delta,
-                       samples_per_edge=samples_per_edge(args.n, args.delta),
+                       samples_per_edge=m,
                        total_conditional_samples=sum(r["conditional_samples"] for r in records))
     _emit(records, summary, args)
     return 0 if passed else 1
@@ -316,6 +324,7 @@ def cmd_estimate_tv(parser, args) -> int:
     _positive(parser, "rounds", args.rounds)
     _positive(parser, "scale", args.scale)
     _marginal_range(parser, args)
+    _checked(parser, samples_per_edge, args.n, _checked(parser, simulation_delta, args.epsilon))
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
            "scale": args.scale, "rounds": args.rounds,
@@ -337,10 +346,7 @@ def cmd_adhoc(parser, args) -> int:
     if not 0.0 < args.r < 1.0 / 12.0:
         parser.error("precondition violated: need 0 < r < 1/12")
     _positive(parser, "trials", args.trials)
-    try:
-        n_prime, q, threshold = tester_parameters(args.delta, args.r)
-    except ValueError as exc:
-        parser.error(f"precondition violated: {exc}")
+    n_prime, q, threshold = _checked(parser, tester_parameters, args.delta, args.r)
     n = args.n if args.n is not None else n_prime
     if n < n_prime:
         parser.error(f"precondition violated: the tester needs n >= n' = {n_prime}, got n = {n}")
@@ -373,10 +379,7 @@ def cmd_hard_instance(parser, args) -> int:
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "delta": args.delta, "r": args.r,
            "labels": labels, "draws": args.draws, "seed": args.seed}
-    try:
-        records = _run_trials(_hard_instance_trial, cfg, args.trials, args.workers)
-    except ValueError as exc:
-        parser.error(f"precondition violated: {exc}")
+    records = _checked(parser, _run_trials, _hard_instance_trial, cfg, args.trials, args.workers)
     checks = []
     if args.draws > 0:
         yes_means = [r["mean_effective"] for r in records if r["label"] == "yes"]
@@ -418,6 +421,7 @@ def cmd_reduce_interval(parser, args) -> int:
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
     _positive(parser, "samples", args.samples, strict=False)
+    _checked(parser, samples_per_edge, interval_breakdown(args.size).depth, args.delta)
     started = time.time()
     cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
     records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)

@@ -37,9 +37,10 @@ class TvEstimate:
 
 def simulation_delta(epsilon: float) -> float:
     """Per-simulation KL accuracy feeding the distance pipeline: eps^2 / 36."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    return epsilon * epsilon / 36.0
+    delta = epsilon * epsilon / 36.0
+    if not 0.0 < epsilon < 1.0 or delta == 0.0:
+        raise ValueError(f"epsilon must be in (0, 1) with epsilon^2 / 36 > 0, got {epsilon}")
+    return delta
 
 
 def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,

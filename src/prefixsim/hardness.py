@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bits import BitString, BitStringLike, PrefixLike, as_bitstring, as_prefix
+from .bits import element_bits, prefix_bits
 from .oracles import PrefixOracle, TreeOracle
 from .streams import RandomStream, child_seed, substream
 from .trees import MarginalTree
@@ -120,7 +120,7 @@ class HardInstance:
     delta: float
     r: float
     signs: SignAssignment
-    x: BitString
+    x: tuple[int, ...]
     seed: int
 
     def marginal_tree(self) -> SignMarginalTree:
@@ -157,17 +157,16 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
     signs = SignAssignment(child_seed(seed, "signs"))
     rng = substream(seed, "challenge")
     if label == "yes":
-        x = BitString(tuple(int(b) for b in rng.integers(0, 2, n)))
+        x = tuple(rng.integers(0, 2, n).tolist())
     else:
         if not 0.0 < r < 1.0:
             raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
         tilted = SignMarginalTree(n, signs, tilt_marginal(-1, r), tilt_marginal(1, r))
-        x = BitString(tuple(tilted.descend(rng.random((1, n)))[0].tolist()))
+        x = tuple(tilted.descend(rng.random((1, n)))[0].tolist())
     return HardInstance(label, n, delta, r, signs, x, seed)
 
 
-def effective_samples(oracle: PrefixOracle, w: PrefixLike, x: BitStringLike,
-                      rng: RandomStream, draws: int) -> np.ndarray:
+def effective_samples(oracle: PrefixOracle, w, x, rng: RandomStream, draws: int) -> np.ndarray:
     """Draw draws times under w; per draw, count the intermediate prefixes of x.
 
     Each walk produces prefixes W_j for |w| <= j <= n-1 (starting at W_|w| = w);
@@ -177,13 +176,12 @@ def effective_samples(oracle: PrefixOracle, w: PrefixLike, x: BitStringLike,
     uniforms are the same doubles as draws one-row draws in turn, so the
     counts are too.
     """
-    wp = as_prefix(oracle.n, w)
-    xs = as_bitstring(x, oracle.n)
-    free = oracle.conditional_sample_batch(np.array([wp.bits], dtype=np.uint8), draws, [rng])
-    if not wp.is_prefix_of(xs):
+    w, x = prefix_bits(w, oracle.n), element_bits(x, oracle.n)
+    free = oracle.conditional_sample_batch(np.array([w], dtype=np.uint8), draws, [rng])
+    if x[:len(w)] != w:
         return np.zeros(draws, dtype=np.int64)
     # W_j is a prefix of x while the free bits before level j agree with x
-    agree = free[:, :-1] == np.array(xs.bits[wp.depth:-1], dtype=np.uint8)
+    agree = free[:, :-1] == np.array(x[len(w):-1], dtype=np.uint8)
     return 1 + np.logical_and.accumulate(agree, axis=1).sum(axis=1)
 
 

@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bits import code_rows
 from .oracles import PrefixOracle, SampleBudget
 from .streams import RandomStream
 from .trees import TableMarginalTree
@@ -223,7 +224,7 @@ class TableIntervalOracle:
 
 
 class AdaptedPrefixOracle(PrefixOracle):
-    """Prefix oracle over codes answering each draw with one native draw, one stream per interval.
+    """An oracle over codes that answers each prefix draw with one native draw, one stream per interval.
 
     A prefix whose cylinder holds no element (pure padding) cannot be
     conditioned on natively; its rows are the uniform-over-cylinder
@@ -232,7 +233,7 @@ class AdaptedPrefixOracle(PrefixOracle):
 
     def __init__(self, adapter: IntervalAdapter, native: TableIntervalOracle,
                  budget: SampleBudget | None = None):
-        if getattr(native, "size", adapter.size) != adapter.size:
+        if native.size != adapter.size:
             raise ValueError("native oracle and adapter disagree on the domain size")
         super().__init__(adapter.depth, budget)
         self.adapter = adapter
@@ -248,7 +249,7 @@ class AdaptedPrefixOracle(PrefixOracle):
         out = np.empty((k * m, free), dtype=np.uint8)
         live = np.flatnonzero(~padding)
         codes = self.native.draw_batch(a[live], b[live], m, [rngs[j] for j in live]) - 1
-        out[np.repeat(~padding, m)] = (codes[:, None] >> np.arange(free - 1, -1, -1)) & 1
+        out[np.repeat(~padding, m)] = code_rows(codes, free)
         for j in np.flatnonzero(padding):
             out[j * m:(j + 1) * m] = rngs[j].random((m, free)) < 0.5
         return self._charge(prefixes, m, out)

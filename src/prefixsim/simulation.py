@@ -33,12 +33,13 @@ independent trials parallelize at the state level.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .bits import BitString, BitStringLike, as_bitstring
+from .bits import code_rows, element_bits
 from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, substream, substreams
@@ -50,11 +51,11 @@ MAX_PREPROCESS_N = 20
 
 
 def samples_per_edge(n: int, delta: float) -> int:
-    """Conditional samples per edge estimate: m = ceil(n / delta)."""
+    """Conditional samples per edge estimate: m = ceil(n / delta), at least 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    if not (delta > 0.0 and math.isfinite(n / delta) and ceil_snap(n / delta) >= 1):
+        raise ValueError(f"delta = {delta} gives no finite m = ceil(n / delta) >= 1")
     return ceil_snap(n / delta)
 
 
@@ -98,8 +99,6 @@ class LazySimulation:
     def __init__(self, n: int, oracle: PrefixOracle, delta: float, seed: int):
         if n != oracle.n:
             raise ValueError(f"oracle is over n={oracle.n}, expected {n}")
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
         self.n = n
         self.oracle = oracle
         self.delta = delta
@@ -128,12 +127,12 @@ class LazySimulation:
         if None not in ks:
             return ks
         misses = list(dict.fromkeys(node for node, k in zip(nodes, ks) if k is None))
-        shifts, start = np.arange(depth - 1, -1, -1), 0
+        start = 0
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
             group = misses[start:start + size]
-            bits = (np.array(group, dtype=self._node_dtype)[:, None] >> shifts) & 1
+            bits = code_rows(np.array(group, dtype=self._node_dtype), depth)
             rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group])
-            drawn = first_free_bits(self.oracle, self.m, bits.astype(np.uint8), rngs)
+            drawn = first_free_bits(self.oracle, self.m, bits, rngs)
             self._ones.update(zip(group, map(est_simulation_edge, drawn)))
             start += size
         return list(map(self._ones.get, nodes))
@@ -175,14 +174,14 @@ class LazySimulation:
             raise ValueError(f"need a (k, {self.n}) array of 0/1 bits")
         return self._walk(bits.astype(np.uint8, copy=False))
 
-    def query(self, x: BitStringLike) -> float:
+    def query(self, x) -> float:
         """Mass of x under the simulated distribution: the walk of query_batch on one row."""
-        return float(self._walk(np.array([as_bitstring(x, self.n).bits], dtype=np.uint8))[0])
+        return float(self._walk(np.array([element_bits(x, self.n)], dtype=np.uint8))[0])
 
-    def query_exact(self, x: BitStringLike) -> Fraction:
+    def query_exact(self, x) -> Fraction:
         p = Fraction(1)
         node = 1
-        for i, b in enumerate(as_bitstring(x, self.n).bits):
+        for i, b in enumerate(element_bits(x, self.n)):
             k = self._counts(i, [node])[0]
             p *= Fraction(k if b else self.m - k, self.m)
             node = (node << 1) | b
@@ -202,10 +201,10 @@ class LazySimulation:
         bits = np.empty((k, self.n), dtype=np.uint8)
         return bits, self._walk(bits, u)
 
-    def sample(self, rng: RandomStream | None = None) -> tuple[BitString, float]:
-        """Draw x from the simulated distribution; returns (x, mass of x): sample_batch of one."""
+    def sample(self, rng: RandomStream | None = None) -> tuple[tuple[int, ...], float]:
+        """Draw x from the simulated distribution: (x as a tuple of bits, its mass), a batch of one."""
         bits, p = self.sample_batch(1, rng)
-        return BitString(tuple(bits[0].tolist())), float(p[0])
+        return tuple(bits[0].tolist()), float(p[0])
 
     def as_marginal_tree(self) -> TableMarginalTree:
         """The simulated distribution as an explicit tree; estimates every untouched edge."""

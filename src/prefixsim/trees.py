@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import BitStringLike, PrefixLike, as_bitstring, as_prefix
+from .bits import element_bits, prefix_bits
 from .errors import CapabilityError
 
 #: Largest n for which exact enumeration over all 2^n elements is supported.
@@ -107,18 +107,18 @@ class MarginalTree:
             out[:, t] = u[:, t] < self._f(depth + t, h)
         return out
 
-    def marginal(self, w: PrefixLike) -> float:
+    def marginal(self, w) -> float:
         """f(w): probability that the bit after prefix w is 1."""
-        bits = as_prefix(self.n, w).bits
+        bits = prefix_bits(w, self.n)
         return float(self._f(len(bits), self.cylinders(np.array([bits], dtype=np.uint8))[0])[0])
 
-    def mass(self, x: BitStringLike) -> float:
+    def mass(self, x) -> float:
         """Probability mass of the element x."""
-        return self._path_mass(as_bitstring(x, self.n).bits)
+        return self._path_mass(element_bits(x, self.n))
 
-    def conditional_mass(self, w: PrefixLike) -> float:
+    def conditional_mass(self, w) -> float:
         """Mass of the cylinder of strings extending the prefix w."""
-        return self._path_mass(as_prefix(self.n, w).bits)
+        return self._path_mass(prefix_bits(w, self.n))
 
     def _path_mass(self, bits: tuple[int, ...]) -> float:
         return float(self.cylinders(np.array([bits], dtype=np.uint8))[1][0])
@@ -211,17 +211,17 @@ def uniform_tree(n: int) -> TableMarginalTree:
     return TableMarginalTree(n, [np.full(1 << i, 0.5) for i in range(n)])
 
 
-def point_mass_tree(x: BitStringLike) -> TableMarginalTree:
+def point_mass_tree(x) -> TableMarginalTree:
     """The distribution putting all mass on the single element x."""
-    xs = as_bitstring(x)
+    xs = element_bits(x, len(x))
     levels = []
     idx = 0
-    for i, b in enumerate(xs.bits):
+    for i, b in enumerate(xs):
         level = np.zeros(1 << i)
         level[idx] = float(b)
         levels.append(level)
         idx = (idx << 1) | b
-    return TableMarginalTree(xs.n, levels)
+    return TableMarginalTree(len(xs), levels)
 
 
 def random_tree(n: int, rng: np.random.Generator, low: float = 0.0, high: float = 1.0) -> TableMarginalTree:

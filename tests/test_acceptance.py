@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from prefixsim import adhoc, divergence_lab as lab, hardness
-from prefixsim.bits import BitString
+from prefixsim.bits import code_rows
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.oracles import SampleBudget, TreeOracle
 from prefixsim.reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
@@ -74,7 +74,7 @@ def test_ac3_lazy_eager_coupling():
             for _ in range(170):
                 total_ops += 1
                 if script.random() < 0.5:
-                    x = BitString(tuple(script.integers(0, 2, n)))
+                    x = tuple(script.integers(0, 2, n))
                     assert eager.query(x) == lazy.query(x)
                 else:
                     assert eager.sample(user) == lazy.sample()
@@ -154,8 +154,7 @@ def test_ac7_realization():
                          delta, seed=70_001)
     exact_total = Fraction(0)
     float_total = 0.0
-    for value in range(1 << n):
-        x = BitString.from_int(value, n)
+    for x in code_rows(np.arange(1 << n), n):
         exact_total += sim.query_exact(x)
         float_total += sim.query(x)
     assert exact_total == Fraction(1)
@@ -246,8 +245,7 @@ def test_ac12_interval_reduction_coupling():
     adapted_oracle = AdaptedPrefixOracle(adapter, native)
     adapted = LazySimulation(adapter.depth, adapted_oracle, 0.25, seed)
 
-    for code in range(size):
-        x = BitString.from_int(code, adapter.depth)
+    for x in code_rows(np.arange(size), adapter.depth):
         assert direct.query(x) == adapted.query(x)
     for _ in range(50):
         assert direct.sample() == adapted.sample()

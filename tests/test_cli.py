@@ -263,6 +263,12 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["adhoc", "--delta", "0.3", "--r", "1e-160"],
     ["adhoc", "--delta", "1e-200", "--r", "0.08"],
     ["hard-instance", "--n", str(2**20 + 1), "--epsilon", "0.1"],
+    # n / delta overflows to inf, delta = inf leaves m = 0, eps^2 / 36 underflows to 0
+    ["simulate", "--n", "2", "--delta", "5e-324"],
+    ["reduce-interval", "--size", "4", "--delta", "1e-320"],
+    ["simulate", "--n", "2", "--delta", "inf"],
+    ["estimate-tv", "--n", "2", "--epsilon", "1e-170"],
+    ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "inf"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,8 @@ def test_simulation_delta():
     assert simulation_delta(0.3) == pytest.approx(0.09 / 36.0)
     with pytest.raises(ValueError):
         simulation_delta(1.0)
+    with pytest.raises(ValueError):
+        simulation_delta(1e-170)   # eps^2 / 36 underflows to 0
 
 
 def test_same_state_estimates_zero():

@@ -92,7 +92,7 @@ class TestHardInstance:
     def test_mass_walks_the_rolling_state_once(self, monkeypatch):
         n = 128
         inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=6)
-        tree, x = inst.marginal_tree(), inst.x.bits
+        tree, x = inst.marginal_tree(), inst.x
         expected = 1.0
         for i in range(n):
             f = hardness.challenge_marginal(inst.signs.sign(x[:i]), inst.delta)
@@ -106,7 +106,7 @@ class TestHardInstance:
     def test_yes_challenge_is_uniform(self):
         n, count = 16, 2000
         rows = np.array([
-            hardness.gen_hard_instance(n, 0.05, "yes", seed=1000 + i).x.bits
+            hardness.gen_hard_instance(n, 0.05, "yes", seed=1000 + i).x
             for i in range(count)
         ])
         means = rows.mean(axis=0)
@@ -121,7 +121,7 @@ class TestHardInstance:
             inst = hardness.gen_hard_instance(6, None, "no", seed=2000 + i, delta=0.2, r=r)
             s = inst.signs.sign("")
             counts[s][0] += 1
-            counts[s][1] += inst.x.bits[0]
+            counts[s][1] += inst.x[0]
         for s in (1, -1):
             total, ones = counts[s]
             expected = hardness.tilt_marginal(s, r)
@@ -167,7 +167,7 @@ class TestEffectiveSamples:
     def test_deepest_prefix_counts_once(self):
         inst = hardness.gen_hard_instance(8, 0.1, "yes", seed=11)
         x = inst.x
-        w = x.as_str()[:7]
+        w = "".join(map(str, x))[:7]
         counts = hardness.effective_samples(inst.oracle(), w, x, substream(12, "d"), 3)
         assert counts.tolist() == [1, 1, 1]
 
@@ -184,7 +184,7 @@ class TestEffectiveSamples:
     def test_batch_equals_one_row_draws(self, label):
         n, draws = 24, 100
         inst = hardness.gen_hard_instance(n, 0.1, label, seed=15, r=0.3)
-        x = inst.x.as_str()
+        x = "".join(map(str, inst.x))
         off_path = x[:4] + ("1" if x[4] == "0" else "0")
         for w in ("", x[:9], off_path):
             batched, looped = inst.oracle(), inst.oracle()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim.bits import BitString
+from prefixsim.bits import code_rows
 from prefixsim.reduction import (
     AdaptedPrefixOracle,
     TableIntervalOracle,
@@ -65,7 +65,7 @@ class TestEncoding:
                 members = sorted(
                     code + 1
                     for code in range(min(1 << depth, n_elements))
-                    if tuple(BitString.from_int(code, depth).bits[:length]) == bits
+                    if tuple(code_rows(code, depth)[:length].tolist()) == bits
                 )
                 interval = prefix_interval(adapter, bits)
                 if not members:
@@ -268,8 +268,7 @@ class TestCoupling:
                                 0.4, sim_seed)
         native = TableIntervalOracle(weights)
         adapted = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, sim_seed)
-        for code in range(size):
-            x = BitString.from_int(code, adapter.depth)
+        for x in code_rows(np.arange(size), adapter.depth):
             assert direct.query(x) == adapted.query(x)
         for _ in range(10):
             assert direct.sample() == adapted.sample()
@@ -300,7 +299,7 @@ class TestCoupling:
         adapter = interval_breakdown(5)
         native = TableIntervalOracle(weights)
         sim = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, 123)
-        total = sum(sim.query_exact(BitString.from_int(c, adapter.depth)) for c in range(8))
+        total = sum(sim.query_exact(x) for x in code_rows(np.arange(8), adapter.depth))
         assert total == Fraction(1)
         for _ in range(20):
             x, p = sim.sample()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim.bits import BitString
+from prefixsim.bits import code_rows
 from prefixsim.errors import CapabilityError
 from prefixsim import simulation, util
 from prefixsim.oracles import SampleBudget, TreeOracle
@@ -39,6 +39,10 @@ class TestSamplesPerEdge:
             samples_per_edge(3, 0.0)
         with pytest.raises(ValueError):
             samples_per_edge(0, 0.5)
+        # n / delta overflows, and a huge delta leaves no sample
+        for delta in (5e-324, 1e10, math.inf):
+            with pytest.raises(ValueError):
+                samples_per_edge(2, delta)
 
 
 class TestEstSimulationEdge:
@@ -138,7 +142,7 @@ class TestPreprocess:
         assert learned.touched_pairs == (1 << n) - 1
         spent = oracle.budget.conditional_calls
         for v in range(1 << n):
-            learned.query(BitString.from_int(v, n))
+            learned.query(code_rows(v, n))
         for _ in range(50):
             learned.sample()
         edge(learned, "0110", 0)
@@ -172,15 +176,15 @@ class TestPreprocess:
 class TestPreprocessedReads:
     def test_realization_exact(self):
         learned = preprocess(4, TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
-        total = sum(learned.query_exact(BitString(bits)) for bits in product((0, 1), repeat=4))
+        total = sum(learned.query_exact(bits) for bits in product((0, 1), repeat=4))
         assert total == Fraction(1)
-        float_total = sum(learned.query(BitString(bits)) for bits in product((0, 1), repeat=4))
+        float_total = sum(learned.query(bits) for bits in product((0, 1), repeat=4))
         assert abs(float_total - 1.0) < 1e-12
 
     def test_point_mass_sample(self):
         learned = preprocess(3, TreeOracle(point_mass_tree("011")), 0.5, seed=10)
         x, p = learned.sample(substream(11, "u"))
-        assert (x.as_str(), p) == ("011", 1.0)
+        assert (x, p) == ((0, 1, 1), 1.0)
 
     def test_sample_frequencies_match_queries(self):
         learned = preprocess(4, TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)),
@@ -189,7 +193,7 @@ class TestPreprocessedReads:
         bits, _ = learned.sample_batch(draws, substream(13, "u"))
         counts = np.bincount(bits @ (1 << np.arange(3, -1, -1)), minlength=16)
         expected = np.array([
-            learned.query(BitString.from_int(v, 4)) for v in range(16)
+            learned.query(code_rows(v, 4)) for v in range(16)
         ]) * draws
         live = expected > 0
         stat = chi_square_stat(counts, expected)
@@ -252,7 +256,7 @@ class TestLazySimulation:
     def test_point_mass_sample(self):
         sim = LazySimulation(4, TreeOracle(point_mass_tree("1100")), 0.5, seed=5)
         for _ in range(5):
-            assert sim.sample() == (BitString.from_str("1100"), 1.0)
+            assert sim.sample() == ((1, 1, 0, 0), 1.0)
 
     def test_sample_distribution_matches_materialized_state(self):
         # n=5: draw a lot, then compare against the (now fully pinned) masses
@@ -262,7 +266,7 @@ class TestLazySimulation:
         bits, _ = sim.sample_batch(draws)
         counts = np.bincount(bits @ (1 << np.arange(4, -1, -1)), minlength=32)
         expected = np.array([
-            sim.query(BitString.from_int(v, 5)) for v in range(32)
+            sim.query(code_rows(v, 5)) for v in range(32)
         ]) * draws
         live = expected > 0
         stat = chi_square_stat(counts, expected)
@@ -277,7 +281,7 @@ class TestLazySimulation:
         script = substream(25, "script")
         for _ in range(300):
             if script.random() < 0.5:
-                x = BitString(tuple(script.integers(0, 2, n)))
+                x = tuple(script.integers(0, 2, n))
                 assert eager.query(x) == lazy.query(x)
             else:
                 assert eager.sample(user) == lazy.sample()
@@ -310,7 +314,7 @@ class TestBatchedWalks:
         draws = [reference_walk(reference, user) for _ in range(60)]
         assert [tuple(row) for row in bits.tolist()] == [x for x, _ in draws]
         assert masses.tolist() == [p for _, p in draws]
-        rows = [BitString.from_int(c, 6).bits for c in range(64)]
+        rows = code_rows(np.arange(64), 6).tolist()
         assert batched.query_batch(rows).tolist() == [reference_walk(reference, x=x)[1] for x in rows]
         assert hist(batched) == hist(reference)
 
@@ -320,7 +324,7 @@ class TestBatchedWalks:
             bits, masses = batched.sample_batch(k)
             assert bits.shape == (k, 6) and bits.dtype == np.uint8
             draws = [scalar.sample() for _ in range(k)]
-            assert [BitString(tuple(row)) for row in bits.tolist()] == [x for x, _ in draws]
+            assert [tuple(row) for row in bits.tolist()] == [x for x, _ in draws]
             assert masses.tolist() == [p for _, p in draws]
         assert hist(batched) == hist(scalar)
         assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
@@ -329,7 +333,7 @@ class TestBatchedWalks:
         n = 6
         batched, scalar = twin_simulations(n, 0.5, seed=35, tree_seed=36)
         codes = substream(37, "codes").integers(0, 1 << n, 50).tolist()
-        rows = [BitString.from_int(c, n).bits for c in codes]
+        rows = code_rows(codes, n).tolist()
         assert batched.query_batch(rows).tolist() == [scalar.query(x) for x in rows]
         assert hist(batched) == hist(scalar)
         assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
@@ -353,7 +357,7 @@ class TestBatchedWalks:
         batched, scalar = (LazySimulation(n, TreeOracle(tree), 10.0, seed=40) for _ in range(2))
         bits, masses = batched.sample_batch(3)
         draws = [scalar.sample() for _ in range(3)]
-        assert [x.bits for x, _ in draws] == [tuple(row) for row in bits.tolist()]
+        assert [x for x, _ in draws] == [tuple(row) for row in bits.tolist()]
         assert masses.tolist() == [p for _, p in draws]
         assert batched.query_batch(bits).tolist() == masses.tolist()
         assert batched.touched_pairs == scalar.touched_pairs
@@ -382,10 +386,10 @@ def test_lazy_equals_eager_over_random_scripts(script, seed):
             for got, want in zip(lazy.sample_batch(arg), eager.sample_batch(arg, user)):
                 assert np.array_equal(got, want)
         elif op == "query":
-            x = BitString.from_int(arg, n)
+            x = code_rows(arg, n)
             assert eager.query(x) == lazy.query(x)
         else:
-            rows = np.array([BitString.from_int(c, n).bits for c in arg], dtype=np.uint8).reshape(-1, n)
+            rows = code_rows(np.array(arg, dtype=np.int64), n).reshape(-1, n)
             assert np.array_equal(eager.query_batch(rows), lazy.query_batch(rows))
         assert lazy.oracle.budget.conditional_calls == lazy.m * lazy.touched_pairs
     assert hist(lazy).items() <= hist(eager).items()
@@ -399,7 +403,7 @@ def test_exact_realization_sums_to_one(n, m, seed, marginals):
     tree = random_tree(n, substream(seed, "t"), *marginals)
     sim = LazySimulation(n, TreeOracle(tree), n / m, seed)
     assert sim.m == m
-    assert sum(sim.query_exact(BitString.from_int(c, n)) for c in range(1 << n)) == 1
+    assert sum(sim.query_exact(x) for x in code_rows(np.arange(1 << n), n)) == 1
 
 
 def level_script(tree):
@@ -414,7 +418,7 @@ def level_script(tree):
             results = []
         else:
             sim = LazySimulation(6, oracle, 0.5, seed=60)
-            rows = [BitString.from_int(c, 6).bits for c in (45, 2, 63, 44, 17)]
+            rows = code_rows([45, 2, 63, 44, 17], 6).tolist()
             results = [sim.query_batch(rows).tolist(), *(a.tolist() for a in sim.sample_batch(30))]
         drawn = {}
         for r in records:
