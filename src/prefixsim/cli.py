@@ -36,6 +36,12 @@ from .util import MAX_BLOCK_UNIFORMS, row_blocks
 
 OUTPUT_DIR_ENV = "PREFIXSIM_OUTPUT_DIR"
 
+#: Most oracle draws one trial may ask for: m x (2^n - 1) for simulate, the
+#: same per simulation at the interval depth for reduce-interval, and for
+#: estimate-tv both m x n per walked row and the pairs per round.  Larger
+#: requests exit 2 instead of running for hours or days.
+MAX_TRIAL_DRAWS = 1 << 27
+
 
 # ---------------------------------------------------------------------------
 # trial functions (top level so worker pools can pickle them)
@@ -218,6 +224,13 @@ def _within_block_cap(parser, name, value):
                      "the most uniforms one draw may ask for")
 
 
+def _within_draw_cap(parser, name, value):
+    # value may be an int of hundreds of digits, or a float up to inf
+    if not value <= MAX_TRIAL_DRAWS:
+        parser.error(f"precondition violated: {name} exceeds {MAX_TRIAL_DRAWS}, "
+                     "the most draws one trial may ask for")
+
+
 def _marginal_range(parser, args):
     if not 0.0 <= args.marginal_low <= args.marginal_high <= 1.0:
         parser.error("precondition violated: need 0 <= marginal-low <= marginal-high <= 1")
@@ -300,6 +313,7 @@ def cmd_simulate(parser, args) -> int:
     _positive(parser, "trials", args.trials)
     _marginal_range(parser, args)
     m = _checked(parser, samples_per_edge, args.n, args.delta)
+    _within_draw_cap(parser, "m x (2^n - 1)", m * ((1 << args.n) - 1))
     started = time.time()
     cfg = {"n": args.n, "delta": args.delta, "seed": args.seed,
            "marginal_low": args.marginal_low, "marginal_high": args.marginal_high}
@@ -324,7 +338,9 @@ def cmd_estimate_tv(parser, args) -> int:
     _positive(parser, "rounds", args.rounds)
     _positive(parser, "scale", args.scale)
     _marginal_range(parser, args)
-    _checked(parser, samples_per_edge, args.n, _checked(parser, simulation_delta, args.epsilon))
+    m = _checked(parser, samples_per_edge, args.n, _checked(parser, simulation_delta, args.epsilon))
+    _within_draw_cap(parser, "m x n per walked row", m * args.n)
+    _within_draw_cap(parser, "pairs per round", args.scale / (args.epsilon * args.epsilon))
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
            "scale": args.scale, "rounds": args.rounds,
@@ -421,7 +437,9 @@ def cmd_reduce_interval(parser, args) -> int:
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
     _positive(parser, "samples", args.samples, strict=False)
-    _checked(parser, samples_per_edge, interval_breakdown(args.size).depth, args.delta)
+    depth = interval_breakdown(args.size).depth
+    m = _checked(parser, samples_per_edge, depth, args.delta)
+    _within_draw_cap(parser, "m x (2^depth - 1)", m * ((1 << depth) - 1))
     started = time.time()
     cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
     records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)

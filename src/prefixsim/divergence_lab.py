@@ -8,12 +8,32 @@ failed check on a valid input is a build-stopping bug; the randomized sweep
 drives each checker over seeded instances and reports violations and the
 worst margin rhs - lhs.
 
+The vector checkers (bounded ratio, symmetric chi-square, half mixture,
+Pinsker, product additivity, the nonadaptive run and the binomial identity)
+evaluate 2-D arrays: instances with the same support size k share one
+(c, k) block, and the binomial ones group by m and build the math.comb
+coefficients once per block.  Blocks are never padded to a common length,
+because a row's sum over k entries is then the sum numpy forms for that
+vector alone, while zero padding regroups numpy's pairwise sums and moves
+the last bit.  So each row's result equals its checker's call on that
+instance alone, bit for bit; the public check_* functions are the batch of
+one.  The sweep draws every instance from its checker's stream in turn and
+evaluates them in chunks of at most SWEEP_CHUNK, so memory stays bounded at
+any count.
+
+Three checkers stay scalar: edge-estimate-kl-bound (expected_binomial_kl),
+log-bounds and chain-rule's per-edge bernoulli_kl loop.  They evaluate math
+functions (lgamma, log1p, log2 of ratios), whose numpy counterparts need not
+round the same way, and the recorded sweep margins pin
+expected_binomial_kl's float expression.
+
 KL divergences are in bits throughout; inequalities stated with natural logs
 carry explicit ln 2 factors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +43,11 @@ from .streams import substream
 from .trees import MarginalTree, bernoulli_kl, chain_rule_kl, kl_divergence, random_tree
 
 SLACK = 1e-12
+LN2 = math.log(2.0)
+
+#: Most instances the sweep holds and evaluates at once; a larger count runs
+#: in consecutive chunks of this many, drawn in the same order.
+SWEEP_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -48,35 +73,64 @@ class FiniteDistribution:
         return self.masses.size
 
 
+def _simplex_point(k: int, rng: np.random.Generator) -> np.ndarray:
+    raw = rng.exponential(1.0, k)
+    return raw / raw.sum()
+
+
 def random_distribution(k: int, rng: np.random.Generator) -> FiniteDistribution:
     """Normalized standard exponentials: a fully supported random point on the simplex."""
-    raw = rng.exponential(1.0, k)
-    return FiniteDistribution(raw / raw.sum())
+    return FiniteDistribution(_simplex_point(k, rng))
 
 
 def _masses(d) -> np.ndarray:
     return d.masses if isinstance(d, FiniteDistribution) else np.asarray(d, dtype=float)
 
 
-def vector_kl(mu, nu) -> float:
-    """KL divergence of explicit mass vectors, in bits; +inf on support mismatch.
+def _alone(rows_fn, *fields) -> tuple:
+    """rows_fn on one instance, as a block of one row; its results as Python scalars."""
+    return tuple(out[0].item() for out in rows_fn(*(np.asarray(f)[None] for f in fields)))
 
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL divergence in bits of each row of p from the same row of q.
+
+    A row is +inf where q is 0 and p is not; a cell with p = 0 adds a 0
+    term, so a row with zero masses may round unlike a sum over its
+    positive cells alone.
     Uses log subtraction rather than mass ratios, so it stays finite and
     overflow-free for masses down to 1e-300.
     """
+    pos = p > 0.0
+    live = pos & (q > 0.0)
+    terms = p * (np.log2(np.where(live, p, 1.0)) - np.log2(np.where(live, q, 1.0)))
+    return np.where((pos & ~live).any(axis=1), math.inf, terms.sum(axis=1))
+
+
+def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * np.abs(p - q).sum(axis=1)
+
+
+def vector_kl(mu, nu) -> float:
+    """KL divergence of explicit mass vectors, in bits; +inf on support mismatch."""
     p = _masses(mu)
     q = _masses(nu)
     if p.shape != q.shape:
         raise ValueError("distributions must share a support")
-    pos = p > 0.0
-    if np.any(pos & (q == 0.0)):
-        return math.inf
-    pp = p[pos]
-    return float(np.sum(pp * (np.log2(pp) - np.log2(q[pos]))))
+    return _kl_rows(p.reshape(1, -1), q.reshape(1, -1))[0].item()
 
 
 def total_variation(mu, nu) -> float:
-    return float(0.5 * np.abs(_masses(mu) - _masses(nu)).sum())
+    return _tv_rows(_masses(mu)[None], _masses(nu)[None])[0].item()
+
+
+def _agree(value: np.ndarray, reference: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise: |value - reference| <= tol * max(1, |reference|), or both infinite."""
+    inf_v, inf_r = np.isinf(value), np.isinf(reference)
+    finite = ~(inf_v | inf_r)
+    diff = np.where(finite, value, 0.0) - np.where(finite, reference, 0.0)
+    close = np.abs(diff) <= tol * np.maximum(1.0, np.abs(reference))
+    return np.where(finite, close, inf_v & inf_r)
 
 
 def expected_binomial_kl(m: int, p: float) -> float:
@@ -102,50 +156,93 @@ def expected_binomial_kl(m: int, p: float) -> float:
     return total
 
 
-def binomial_pmf(m: int, p: float) -> np.ndarray:
-    """Exact pmf of Bin(m, p) over {0..m} (combinatorial coefficients are exact)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+def _binomial_rows(m: int, p: np.ndarray) -> np.ndarray:
+    """Pmf of Bin(m, p) over {0..m}, one row per entry of p (coefficients are exact)."""
     t = np.arange(m + 1)
-    coeff = np.array([math.comb(m, int(i)) for i in t], dtype=float)
+    coeff = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
+    p = p[:, None]
     return coeff * p ** t * (1.0 - p) ** (m - t)
+
+
+def _ratio_rows(p, q, t):
+    good = (0.0 <= t) & (t <= 0.25 + SLACK)
+    if not good.all():
+        raise ValueError(f"need 0 <= t <= 1/4, got {t[~good][0]}")
+    if np.any(np.abs(p - q) > t[:, None] * q * (1.0 + 1e-9) + 1e-15):
+        raise ValueError("ratio precondition violated: mu is not within (1 +- t) nu pointwise")
+    lhs = _kl_rows(p, q)
+    rhs = t * t / LN2
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_bounded_ratio_dkl(mu, nu, t: float) -> tuple[float, float, bool]:
     """If mu(x) is within (1 +- t) nu(x) pointwise, then KL(mu||nu) <= t^2 / ln 2."""
-    if not 0.0 <= t <= 0.25 + SLACK:
-        raise ValueError(f"need 0 <= t <= 1/4, got {t}")
-    p = _masses(mu)
-    q = _masses(nu)
-    if np.any(np.abs(p - q) > t * q * (1.0 + 1e-9) + 1e-15):
-        raise ValueError("ratio precondition violated: mu is not within (1 +- t) nu pointwise")
-    lhs = vector_kl(p, q)
-    rhs = t * t / math.log(2.0)
+    return _alone(_ratio_rows, _masses(mu), _masses(nu), t)
+
+
+def _chi_square_rows(p, q):
+    rhs = (_kl_rows(p, q) + _kl_rows(q, p)) * LN2
+    s = p + q
+    lhs = ((p - q) ** 2 / np.where(s > 0.0, s, 1.0)).sum(axis=1)
     return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_symmetric_chi_square(mu, nu) -> tuple[float, float, bool]:
     """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
-    p = _masses(mu)
-    q = _masses(nu)
-    rhs = (vector_kl(p, q) + vector_kl(q, p)) * math.log(2.0)
-    s = p + q
-    pos = s > 0.0
-    lhs = float(np.sum((p[pos] - q[pos]) ** 2 / s[pos]))
+    return _alone(_chi_square_rows, _masses(mu), _masses(nu))
+
+
+def _mixture_rows(p, q, r):
+    good = np.abs(r) < 0.5
+    if not good.all():
+        raise ValueError(f"need |r| < 1/2, got {r[~good][0]}")
+    col = r[:, None]
+    even = 0.5 * p + 0.5 * q
+    tilted = (1.0 + col) / 2.0 * p + (1.0 - col) / 2.0 * q
+    rhs = 0.5 * r * r * (_kl_rows(p, q) + _kl_rows(q, p))
+    lhs = _kl_rows(even, tilted)
     return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_half_mixture_bias(mu, nu, r: float) -> tuple[float, float, bool]:
     """KL of the even mixture from the r-tilted mixture is at most
     r^2 / 2 times the symmetrized KL of the components (|r| < 1/2)."""
-    if not abs(r) < 0.5:
-        raise ValueError(f"need |r| < 1/2, got {r}")
-    p = _masses(mu)
-    q = _masses(nu)
-    even = 0.5 * p + 0.5 * q
-    tilted = (1.0 + r) / 2.0 * p + (1.0 - r) / 2.0 * q
-    rhs = 0.5 * r * r * (vector_kl(p, q) + vector_kl(q, p))
-    lhs = vector_kl(even, tilted)
+    return _alone(_mixture_rows, _masses(mu), _masses(nu), r)
+
+
+def _nonadaptive_rows(schedules: list[np.ndarray], delta: np.ndarray, r: np.ndarray):
+    """The nonadaptive-run checker over a list of schedules of any lengths.
+
+    Every (schedule, index) entry's KL is evaluated in one block per m; each
+    schedule then adds its entries' KLs one by one in schedule order.
+    """
+    lengths = np.array([len(s) for s in schedules])
+    counts = np.concatenate([np.zeros(0, dtype=np.int64), *schedules])
+    if np.any(counts < 0):
+        raise ValueError("per-index sample counts must be non-negative")
+    if np.any(counts > 20):
+        raise ValueError("exact enumeration supported for per-index counts up to 20")
+    good = (0.0 <= delta) & (delta < 1.0 / 3.0)
+    if not good.all():
+        raise ValueError(f"need 0 <= delta < 1/3, got {delta[~good][0]}")
+    good = (0.0 <= r) & (r < 0.5)
+    if not good.all():
+        raise ValueError(f"need 0 <= r < 1/2, got {r[~good][0]}")
+    owner = np.repeat(np.arange(len(schedules)), lengths)
+    kl = np.empty(counts.size)
+    for m, entries in _groups(counts.tolist()).items():
+        d = delta[owner[entries]]
+        low, high = np.split(_binomial_rows(m, np.concatenate(((1.0 - d) / 2.0, (1.0 + d) / 2.0))), 2)
+        col = r[owner[entries], None]
+        balanced = 0.5 * low + 0.5 * high
+        tilted = (1.0 + col) / 2.0 * low + (1.0 - col) / 2.0 * high
+        kl[entries] = _kl_rows(balanced, tilted)
+    terms = np.zeros((len(schedules), lengths.max(initial=0)))
+    terms[owner, np.arange(counts.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = kl
+    lhs = np.zeros(len(schedules))
+    for column in terms.T:
+        lhs += column
+    rhs = 5.0 * r * r * delta * delta * np.bincount(owner, counts, len(schedules))
     return lhs, rhs, lhs <= rhs + SLACK
 
 
@@ -156,42 +253,35 @@ def check_nonadaptive_run_kl(m_counts, delta: float, r: float) -> tuple[float, f
     ones-counts, distributed as an even (balanced case) or r-tilted (biased
     case) mixture of Bin(m_i, (1 -+ delta)/2).  Returns (lhs, rhs, ok).
     """
-    m_counts = [int(m) for m in m_counts]
-    if any(m < 0 for m in m_counts):
-        raise ValueError("per-index sample counts must be non-negative")
-    if any(m > 20 for m in m_counts):
-        raise ValueError("exact enumeration supported for per-index counts up to 20")
-    if not 0.0 <= delta < 1.0 / 3.0:
-        raise ValueError(f"need 0 <= delta < 1/3, got {delta}")
-    if not 0.0 <= r < 0.5:
-        raise ValueError(f"need 0 <= r < 1/2, got {r}")
-    lhs = 0.0
-    for m in m_counts:
-        low = binomial_pmf(m, (1.0 - delta) / 2.0)
-        high = binomial_pmf(m, (1.0 + delta) / 2.0)
-        balanced = 0.5 * low + 0.5 * high
-        tilted = (1.0 + r) / 2.0 * low + (1.0 - r) / 2.0 * high
-        lhs += vector_kl(balanced, tilted)
-    q = sum(m_counts)
-    rhs = 5.0 * r * r * delta * delta * q
+    schedule = np.array([int(m) for m in m_counts], dtype=np.int64)
+    lhs, rhs, ok = _nonadaptive_rows([schedule], np.array([delta], dtype=float),
+                                     np.array([r], dtype=float))
+    return lhs[0].item(), rhs[0].item(), ok[0].item()
+
+
+def _pinsker_rows(p, q):
+    # Python's float power: numpy's tv ** 2 differs from it in the last bit
+    # on about one row in 2,000
+    lhs = np.array([2.0 * tv ** 2 for tv in _tv_rows(p, q).tolist()])
+    rhs = _kl_rows(p, q)
     return lhs, rhs, lhs <= rhs + SLACK
 
 
 def check_pinsker(mu, nu) -> tuple[float, float, bool]:
     """2 * d_TV(mu, nu)^2 <= KL(mu||nu)."""
-    lhs = 2.0 * total_variation(mu, nu) ** 2
-    rhs = vector_kl(mu, nu)
-    return lhs, rhs, lhs <= rhs + SLACK
+    return _alone(_pinsker_rows, _masses(mu), _masses(nu))
+
+
+def _product_rows(p1, q1, p2, q2, tol: float = 1e-9):
+    c = len(p1)
+    joint = _kl_rows((p1[:, :, None] * p2[:, None, :]).reshape(c, -1),
+                     (q1[:, :, None] * q2[:, None, :]).reshape(c, -1))
+    return (_agree(joint, _kl_rows(p1, q1) + _kl_rows(p2, q2), tol),)
 
 
 def check_product_additivity(mu1, nu1, mu2, nu2, tol: float = 1e-9) -> bool:
     """KL of product distributions equals the sum of component KLs."""
-    p1, q1, p2, q2 = map(_masses, (mu1, nu1, mu2, nu2))
-    joint = vector_kl(np.outer(p1, p2).ravel(), np.outer(q1, q2).ravel())
-    parts = vector_kl(p1, q1) + vector_kl(p2, q2)
-    if math.isinf(joint) or math.isinf(parts):
-        return math.isinf(joint) and math.isinf(parts)
-    return abs(joint - parts) <= tol * max(1.0, abs(parts))
+    return _alone(functools.partial(_product_rows, tol=tol), *map(_masses, (mu1, nu1, mu2, nu2)))[0]
 
 
 def check_chain_rule(a: MarginalTree, b: MarginalTree, tol: float = 1e-9) -> bool:
@@ -218,13 +308,16 @@ def check_log_bounds(x: float) -> bool:
     return True
 
 
+def _binomial_identity_rows(ms, p, q, tol: float = 1e-9):
+    m = int(ms[0])       # a block holds one m
+    bin_p, bin_q = np.split(_binomial_rows(m, np.concatenate((p, q))), 2)
+    scaled = np.array([m * bernoulli_kl(a, b) for a, b in zip(p.tolist(), q.tolist())])
+    return (_agree(_kl_rows(bin_p, bin_q), scaled, tol),)
+
+
 def check_binomial_kl_identity(m: int, p: float, q: float, tol: float = 1e-9) -> bool:
     """KL(Bin(m,p) || Bin(m,q)) = m * KL(Ber(p) || Ber(q))."""
-    joint = vector_kl(binomial_pmf(m, p), binomial_pmf(m, q))
-    scaled = m * bernoulli_kl(p, q)
-    if math.isinf(joint) or math.isinf(scaled):
-        return math.isinf(joint) and math.isinf(scaled)
-    return abs(joint - scaled) <= tol * max(1.0, abs(scaled))
+    return _alone(functools.partial(_binomial_identity_rows, tol=tol), m, float(p), float(q))[0]
 
 
 @dataclass
@@ -244,6 +337,52 @@ class LemmaReport:
                 "passed": self.passed}
 
 
+def _groups(keys) -> dict:
+    """The positions of each distinct key, in first-seen key order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _grouped(rows_fn, instances: list[tuple], key) -> list[np.ndarray]:
+    """rows_fn's results for each instance, evaluated in one block per key.
+
+    The instances of a block have their fields stacked, a mass vector into
+    a (c, k) array and a scalar into a (c,) array; each result is scattered
+    back to its instance's position.
+    """
+    results = None
+    for idx in _groups(map(key, instances)).values():
+        out = rows_fn(*(np.array(col) for col in zip(*[instances[i] for i in idx])))
+        if results is None:
+            results = [np.empty(len(instances), dtype=o.dtype) for o in out]
+        for res, o in zip(results, out):
+            res[idx] = o
+    return results
+
+
+def _support(instance) -> int:
+    return len(instance[0])
+
+
+def _inequality(rows_fn, key=_support):
+    return lambda instances: _grouped(rows_fn, instances, key)
+
+
+def _identity(rows_fn, key):
+    def evaluate(instances):
+        ok, = _grouped(rows_fn, instances, key)
+        zero = np.zeros(len(ok))
+        return zero, zero, ok
+    return evaluate
+
+
+def _scalar(case):
+    """Evaluate case(instance) -> (lhs, rhs, ok) one instance at a time."""
+    return lambda instances: [np.array(col) for col in zip(*map(case, instances))]
+
+
 def _ratio_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     """A pair with mu pointwise within (1 +- t) nu for a realized t <= 1/4.
 
@@ -251,7 +390,7 @@ def _ratio_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, f
     renormalization folded into the realized ratio bound.
     """
     k = int(rng.integers(2, 17))
-    nu = random_distribution(k, rng).masses
+    nu = _simplex_point(k, rng)
     t0 = rng.uniform(0.0, 0.2)
     while True:
         raw = nu * (1.0 + rng.uniform(-1.0, 1.0, k) * t0)
@@ -262,86 +401,71 @@ def _ratio_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, f
         t0 /= 2.0
 
 
+def _nonadaptive(instances):
+    schedules, delta, r = zip(*instances)
+    return _nonadaptive_rows(list(schedules), np.array(delta), np.array(r))
+
+
+def _pair(rng):
+    k = int(rng.integers(2, 17))
+    return _simplex_point(k, rng), _simplex_point(k, rng)
+
+
+def _chain_instance(rng):
+    n = int(rng.integers(2, 6))
+    return random_tree(n, rng, 0.05, 0.95), random_tree(n, rng, 0.05, 0.95)
+
+
+def _edge_kl_case(instance):
+    m, p = instance
+    value = expected_binomial_kl(m, p)
+    return value, 1.0 / m, value <= 1.0 / m + SLACK
+
+
+#: (name, draw one instance from the checker's stream, evaluate a list of
+#: instances to (lhs, rhs, ok) arrays), in sweep order.  Identities report
+#: lhs = rhs = 0, so their margin is 0.
+LEMMAS = (
+    ("bounded-ratio-kl", _ratio_instance, _inequality(_ratio_rows)),
+    ("symmetric-chi-square", _pair, _inequality(_chi_square_rows)),
+    ("half-mixture-bias",
+     lambda rng: (*_pair(rng), rng.uniform(-0.499, 0.499)),
+     _inequality(_mixture_rows)),
+    ("nonadaptive-run-kl",
+     lambda rng: (rng.integers(1, 21, int(rng.integers(1, 9))),
+                  rng.uniform(0.01, 0.33), rng.uniform(0.0, 1.0 / 12.0)),
+     _nonadaptive),
+    ("pinsker", _pair, _inequality(_pinsker_rows)),
+    ("product-additivity",
+     lambda rng: (*_pair(rng), *_pair(rng)),
+     _identity(_product_rows, key=lambda inst: (len(inst[0]), len(inst[2])))),
+    ("chain-rule", _chain_instance, _scalar(lambda ab: (0.0, 0.0, check_chain_rule(*ab)))),
+    ("edge-estimate-kl-bound",
+     lambda rng: (int(rng.integers(1, 65)), rng.uniform(0.0, 1.0)),
+     _scalar(_edge_kl_case)),
+    ("log-bounds",
+     lambda rng: rng.uniform(-0.99, 4.0),
+     _scalar(lambda x: (0.0, 0.0, check_log_bounds(x)))),
+    ("binomial-kl-identity",
+     lambda rng: (int(rng.integers(1, 31)), rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)),
+     _identity(_binomial_identity_rows, key=lambda inst: inst[0])),
+)
+
+
 def run_lemma_sweep(count: int, seed: int) -> list[LemmaReport]:
     """Drive every checker over `count` seeded random instances each."""
     if count < 1:
         raise ValueError("count must be positive")
     reports = []
-
-    def sweep(name, fn):
+    for name, draw, evaluate in LEMMAS:
         rng = substream(seed, "lemma", name)
         violations = 0
         worst = math.inf
-        for _ in range(count):
-            ok, margin = fn(rng)
-            if not ok:
-                violations += 1
-            worst = min(worst, margin)
+        for start in range(0, count, SWEEP_CHUNK):
+            instances = [draw(rng) for _ in range(min(SWEEP_CHUNK, count - start))]
+            lhs, rhs, ok = evaluate(instances)
+            violations += len(ok) - int(np.count_nonzero(ok))
+            # the first smallest in draw order, as a running min one instance at a time
+            worst = min([worst, *(rhs - lhs).tolist()])
         reports.append(LemmaReport(name, count, violations, worst))
-
-    def pair(rng):
-        k = int(rng.integers(2, 17))
-        return random_distribution(k, rng).masses, random_distribution(k, rng).masses
-
-    def ratio_case(rng):
-        lhs, rhs, ok = check_bounded_ratio_dkl(*_ratio_instance(rng))
-        return ok, rhs - lhs
-
-    def chi_case(rng):
-        lhs, rhs, ok = check_symmetric_chi_square(*pair(rng))
-        return ok, rhs - lhs
-
-    def mixture_case(rng):
-        mu, nu = pair(rng)
-        lhs, rhs, ok = check_half_mixture_bias(mu, nu, rng.uniform(-0.499, 0.499))
-        return ok, rhs - lhs
-
-    def nonadaptive_case(rng):
-        schedule = rng.integers(1, 21, int(rng.integers(1, 9)))
-        delta = rng.uniform(0.01, 0.33)
-        r = rng.uniform(0.0, 1.0 / 12.0)
-        lhs, rhs, ok = check_nonadaptive_run_kl(schedule, delta, r)
-        return ok, rhs - lhs
-
-    def pinsker_case(rng):
-        lhs, rhs, ok = check_pinsker(*pair(rng))
-        return ok, rhs - lhs
-
-    def product_case(rng):
-        mu1, nu1 = pair(rng)
-        mu2, nu2 = pair(rng)
-        return check_product_additivity(mu1, nu1, mu2, nu2), 0.0
-
-    def chain_case(rng):
-        n = int(rng.integers(2, 6))
-        a = random_tree(n, rng, 0.05, 0.95)
-        b = random_tree(n, rng, 0.05, 0.95)
-        return check_chain_rule(a, b), 0.0
-
-    def edge_kl_case(rng):
-        m = int(rng.integers(1, 65))
-        p = rng.uniform(0.0, 1.0)
-        value = expected_binomial_kl(m, p)
-        return value <= 1.0 / m + SLACK, 1.0 / m - value
-
-    def log_case(rng):
-        x = rng.uniform(-0.99, 4.0)
-        return check_log_bounds(x), 0.0
-
-    def binom_identity_case(rng):
-        m = int(rng.integers(1, 31))
-        p = rng.uniform(0.01, 0.99)
-        q = rng.uniform(0.01, 0.99)
-        return check_binomial_kl_identity(m, p, q), 0.0
-
-    sweep("bounded-ratio-kl", ratio_case)
-    sweep("symmetric-chi-square", chi_case)
-    sweep("half-mixture-bias", mixture_case)
-    sweep("nonadaptive-run-kl", nonadaptive_case)
-    sweep("pinsker", pinsker_case)
-    sweep("product-additivity", product_case)
-    sweep("chain-rule", chain_case)
-    sweep("edge-estimate-kl-bound", edge_kl_case)
-    sweep("log-bounds", log_case)
-    sweep("binomial-kl-identity", binom_identity_case)
     return reports

@@ -27,14 +27,31 @@ from .trees import MarginalTree
 
 _MASK64 = (1 << 64) - 1
 _SIGN_TAG = 0x632D65B727C07E85
+_GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants as uint64 scalars, so array calls convert nothing
+_GAMMA64, _MUL1_64, _MUL2_64 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _mix(z: int) -> int:
-    """splitmix64 finalizer; a bijective 64-bit scrambler."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix(z):
+    """splitmix64 finalizer; a bijective 64-bit scrambler.
+
+    z is a Python int, or a uint64 array mixed elementwise; array arithmetic
+    wraps mod 2^64 in place of the int path's masks (uint64 scalars would
+    warn on that overflow, so ints take the int path).
+    """
+    if isinstance(z, int):
+        z = (z + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        return z ^ (z >> 31)
+    z = z + _GAMMA64
+    z ^= z >> _S30
+    z *= _MUL1_64
+    z ^= z >> _S27
+    z *= _MUL2_64
+    z ^= z >> _S31
+    return z
 
 
 class SignAssignment:

@@ -122,6 +122,22 @@ def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
     assert uniforms and max(uniforms) <= 40
 
 
+@pytest.mark.parametrize("argv, draws", [
+    (["simulate", "--n", "3", "--delta", "0.5"], 6 * 7),                  # m x (2^n - 1)
+    (["reduce-interval", "--size", "6", "--delta", "0.5"], 6 * 7),        # depth 3
+    (["estimate-tv", "--n", "2", "--epsilon", "0.5"], 288 * 2),           # m x n per row
+    (["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "200"], 800),  # pairs
+])
+def test_draw_cap_admits_its_bound_and_no_more(capsys, monkeypatch, argv, draws):
+    argv = argv + ["--trials", "1", "--seed", "3"]
+    monkeypatch.setattr(cli, "MAX_TRIAL_DRAWS", draws)
+    assert run_cli(capsys, argv)[0] in (0, 1)
+    monkeypatch.setattr(cli, "MAX_TRIAL_DRAWS", draws - 1)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_hard_instance_no_label_with_explicit_r(capsys):
     code, trials, _ = run_cli(capsys, [
         "hard-instance", "--n", "6", "--delta", "0.2", "--r", "0.3",
@@ -269,6 +285,11 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["simulate", "--n", "2", "--delta", "inf"],
     ["estimate-tv", "--n", "2", "--epsilon", "1e-170"],
     ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "inf"],
+    # finite but past cli.MAX_TRIAL_DRAWS: m = 2e300, m ~ 7e301 and 4e300 pairs per round
+    ["simulate", "--n", "2", "--delta", "1e-300"],
+    ["estimate-tv", "--n", "2", "--epsilon", "1e-150", "--rounds", "1"],
+    ["reduce-interval", "--size", "4", "--delta", "1e-300"],
+    ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "1e300"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -141,3 +141,125 @@ def test_sweep_all_pass_small():
         record = report.as_dict()
         assert record["lemma"] == report.name
         assert record["passed"] is True
+
+
+# worst_margin of every checker in run_lemma_sweep(2000, seed=5), recorded
+# with the one-instance-at-a-time sweep before it evaluated in batches
+SWEEP_2000_SEED_5 = {
+    "bounded-ratio-kl": "0x1.53b39aa339b3ep-28",
+    "symmetric-chi-square": "0x1.107e94b5e1eecp-17",
+    "half-mixture-bias": "0x1.47c68bfcfa806p-33",
+    "nonadaptive-run-kl": "0x1.39f1a80bd1b36p-31",
+    "pinsker": "0x1.0b980caa64caap-14",
+    "product-additivity": "0x0.0p+0",
+    "chain-rule": "0x0.0p+0",
+    "edge-estimate-kl-bound": "0x1.ee86a26fc0000p-18",
+    "log-bounds": "0x0.0p+0",
+    "binomial-kl-identity": "0x0.0p+0",
+}
+
+
+def test_sweep_margins_are_pinned():
+    reports = lab.run_lemma_sweep(2000, seed=5)
+    assert {r.name: r.worst_margin.hex() for r in reports} == SWEEP_2000_SEED_5
+    assert all(r.violations == 0 for r in reports)
+
+
+def test_chunks_change_nothing(monkeypatch):
+    whole = lab.run_lemma_sweep(150, seed=5)
+    monkeypatch.setattr(lab, "SWEEP_CHUNK", 7)
+    chunked = lab.run_lemma_sweep(150, seed=5)
+    assert [(r.name, r.violations, r.worst_margin.hex()) for r in chunked] == \
+           [(r.name, r.violations, r.worst_margin.hex()) for r in whole]
+
+
+def _identity_triple(check):
+    return lambda *instance: (0.0, 0.0, check(*instance))
+
+
+# each batched checker's lone call, as (lhs, rhs, ok); identities have lhs = rhs = 0
+LONE_CALLS = {
+    "bounded-ratio-kl": lab.check_bounded_ratio_dkl,
+    "symmetric-chi-square": lab.check_symmetric_chi_square,
+    "half-mixture-bias": lab.check_half_mixture_bias,
+    "nonadaptive-run-kl": lab.check_nonadaptive_run_kl,
+    "pinsker": lab.check_pinsker,
+    "product-additivity": _identity_triple(lab.check_product_additivity),
+    "binomial-kl-identity": _identity_triple(lab.check_binomial_kl_identity),
+}
+
+
+# The one-vector-at-a-time formulas the checkers used before they took
+# blocks, kept as the reference: Python float arithmetic around 1-D numpy
+# sums over the positive cells only.
+def _ref_kl(p, q):
+    pos = p > 0.0
+    if np.any(pos & (q == 0.0)):
+        return math.inf
+    pp = p[pos]
+    return float(np.sum(pp * (np.log2(pp) - np.log2(q[pos]))))
+
+
+def _ref_pmf(m, p):
+    t = np.arange(m + 1)
+    coeff = np.array([math.comb(m, int(i)) for i in t], dtype=float)
+    return coeff * p ** t * (1.0 - p) ** (m - t)
+
+
+def _ref_inequality(fn):
+    def check(*instance):
+        lhs, rhs = fn(*instance)
+        return lhs, rhs, lhs <= rhs + lab.SLACK
+    return check
+
+
+def _ref_agree(value, reference):
+    if math.isinf(value) or math.isinf(reference):
+        return math.isinf(value) and math.isinf(reference)
+    return abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+def _ref_nonadaptive(schedule, delta, r):
+    lhs = 0.0
+    for m in schedule.tolist():
+        low, high = _ref_pmf(m, (1.0 - delta) / 2.0), _ref_pmf(m, (1.0 + delta) / 2.0)
+        lhs += _ref_kl(0.5 * low + 0.5 * high, (1.0 + r) / 2.0 * low + (1.0 - r) / 2.0 * high)
+    return lhs, 5.0 * r * r * delta * delta * sum(schedule.tolist())
+
+
+REFERENCE = {
+    "bounded-ratio-kl": _ref_inequality(lambda p, q, t: (_ref_kl(p, q), t * t / math.log(2.0))),
+    "symmetric-chi-square": _ref_inequality(lambda p, q: (
+        float(np.sum((p - q) ** 2 / (p + q))),
+        (_ref_kl(p, q) + _ref_kl(q, p)) * math.log(2.0))),
+    "half-mixture-bias": _ref_inequality(lambda p, q, r: (
+        _ref_kl(0.5 * p + 0.5 * q, (1.0 + r) / 2.0 * p + (1.0 - r) / 2.0 * q),
+        0.5 * r * r * (_ref_kl(p, q) + _ref_kl(q, p)))),
+    "nonadaptive-run-kl": _ref_inequality(_ref_nonadaptive),
+    "pinsker": _ref_inequality(lambda p, q: (
+        2.0 * float(0.5 * np.abs(p - q).sum()) ** 2, _ref_kl(p, q))),
+    "product-additivity": _identity_triple(lambda p1, q1, p2, q2: _ref_agree(
+        _ref_kl(np.outer(p1, p2).ravel(), np.outer(q1, q2).ravel()),
+        _ref_kl(p1, q1) + _ref_kl(p2, q2))),
+    "binomial-kl-identity": _identity_triple(lambda m, p, q: _ref_agree(
+        _ref_kl(_ref_pmf(m, p), _ref_pmf(m, q)), m * bernoulli_kl(p, q))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_CALLS))
+def test_batch_equals_lone_calls_and_reference(name):
+    _, draw, evaluate = next(lemma for lemma in lab.LEMMAS if lemma[0] == name)
+    rng = substream(11, "batch", name)
+    instances = [draw(rng) for _ in range(2400)]
+    # the blocks cover every support size k, or every binomial m
+    if name == "nonadaptive-run-kl":
+        sizes, expected = {m for inst in instances for m in inst[0].tolist()}, range(1, 21)
+    elif name == "binomial-kl-identity":
+        sizes, expected = {inst[0] for inst in instances}, range(1, 31)
+    else:
+        sizes, expected = {len(inst[0]) for inst in instances}, range(2, 17)
+    assert sizes == set(expected)
+    batched = zip(*(col.tolist() for col in evaluate(instances)))
+    for instance, (lhs, rhs, ok) in zip(instances, batched):
+        for lone in (LONE_CALLS[name](*instance), REFERENCE[name](*instance)):
+            assert (lone[0].hex(), lone[1].hex(), lone[2]) == (lhs.hex(), rhs.hex(), ok)

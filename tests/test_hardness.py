@@ -42,6 +42,17 @@ class TestSignAssignment:
         assert values_a != values_b
 
 
+def test_array_mix_equals_int_mix():
+    # the uint64 array path wraps mod 2^64 exactly as the int path masks
+    z = substream(3, "mix").integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
+    z = np.concatenate((z, np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)))
+    before = z.copy()
+    mixed = hardness._mix(z)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [hardness._mix(v) for v in z.tolist()]
+    assert np.array_equal(z, before)          # the in-place steps work on a copy
+
+
 class TestHardInstance:
     def test_marginals_are_the_two_allowed_values(self):
         inst = hardness.gen_hard_instance(100, 0.05, "yes", seed=3)
