@@ -24,13 +24,13 @@ from .trees import (
     tv_distance,
     uniform_tree,
 )
-from .oracles import PrefixOracle, SampleBudget, TreeOracle
+from .oracles import PrefixOracle, TreeOracle
 from .reduction import (
     AdaptedPrefixOracle,
-    IntervalAdapter,
     TableIntervalOracle,
+    code_depth,
+    element_bounds,
     encoded_marginal_tree,
-    interval_breakdown,
     mass_preserved,
 )
 from .simulation import (

@@ -27,8 +27,8 @@ from .distance import estimate_tv, simulation_delta
 from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
 from .oracles import TreeOracle
-from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
-                        interval_breakdown, mass_preserved)
+from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
+                        mass_preserved)
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
 from .streams import child_seed, substream
 from .trees import kl_divergence, random_tree, tv_distance
@@ -38,8 +38,10 @@ OUTPUT_DIR_ENV = "PREFIXSIM_OUTPUT_DIR"
 
 #: Most oracle draws one trial may ask for: m x (2^n - 1) for simulate, the
 #: same per simulation at the interval depth for reduce-interval, and for
-#: estimate-tv both m x n per walked row and the pairs per round.  Larger
-#: requests exit 2 instead of running for hours or days.
+#: estimate-tv both m x n per walked row and the pairs per round.  The same
+#: cap bounds the bits a trial walks: draws x n for hard-instance and
+#: samples x depth for reduce-interval.  Larger requests exit 2 instead of
+#: running for hours or days.
 MAX_TRIAL_DRAWS = 1 << 27
 
 
@@ -54,7 +56,7 @@ def _simulate_trial(cfg: dict, t: int) -> list[dict]:
     kl = kl_divergence(learned.as_marginal_tree(), tree)
     return [{
         "kind": "trial", "trial": t, "kl": kl,
-        "conditional_samples": oracle.budget.conditional_calls,
+        "conditional_samples": oracle.conditional_calls,
         "samples_per_edge": learned.m,
     }]
 
@@ -114,7 +116,7 @@ def _hard_instance_trial(cfg: dict, t: int) -> list[dict]:
                 total += int(effective_samples(oracle, "", inst.x, rng, rows).sum())
             record["mean_effective"] = total / cfg["draws"]
             record["draws"] = cfg["draws"]
-            record["conditional_samples"] = oracle.budget.conditional_calls
+            record["conditional_samples"] = oracle.conditional_calls
         records.append(record)
     return records
 
@@ -123,26 +125,26 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     seed = cfg["seed"]
     size = cfg["size"]
     weights = substream(seed, "weights", t).uniform(0.1, 1.0, size)
-    adapter = interval_breakdown(size)
     sim_seed = child_seed(seed, "sim", t)
     direct_oracle = TreeOracle(encoded_marginal_tree(weights))
-    direct = LazySimulation(adapter.depth, direct_oracle, cfg["delta"], sim_seed)
     native = TableIntervalOracle(weights)
-    adapted_oracle = AdaptedPrefixOracle(adapter, native)
-    adapted = LazySimulation(adapter.depth, adapted_oracle, cfg["delta"], sim_seed)
+    adapted_oracle = AdaptedPrefixOracle(native)
+    depth = adapted_oracle.n
+    direct = LazySimulation(depth, direct_oracle, cfg["delta"], sim_seed)
+    adapted = LazySimulation(depth, adapted_oracle, cfg["delta"], sim_seed)
 
-    codes = code_rows(np.arange(1 << adapter.depth), adapter.depth)
+    codes = code_rows(np.arange(1 << depth), depth)
     coupled = np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
-    for rows in row_blocks(cfg["samples"], adapter.depth):
+    for rows in row_blocks(cfg["samples"], depth):
         for a, b in zip(direct.sample_batch(rows), adapted.sample_batch(rows)):
             coupled = coupled and np.array_equal(a, b)
 
     return [{
-        "kind": "trial", "trial": t, "size": size, "depth": adapter.depth,
+        "kind": "trial", "trial": t, "size": size, "depth": depth,
         "coupled": coupled, "power_of_two": size & (size - 1) == 0,
         "mass_preserved": mass_preserved(weights),
-        "budget_direct": direct_oracle.budget.conditional_calls,
-        "budget_adapted": adapted_oracle.budget.conditional_calls,
+        "budget_direct": direct_oracle.conditional_calls,
+        "budget_adapted": adapted_oracle.conditional_calls,
         "native_calls": native.calls,
     }]
 
@@ -391,6 +393,7 @@ def cmd_hard_instance(parser, args) -> int:
     _positive(parser, "trials", args.trials)
     _positive(parser, "draws", args.draws, strict=False)
     _within_block_cap(parser, "n", args.n)
+    _within_draw_cap(parser, "draws x n", args.draws * args.n)
     labels = ["yes", "no"] if args.label == "both" else [args.label]
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "delta": args.delta, "r": args.r,
@@ -437,9 +440,10 @@ def cmd_reduce_interval(parser, args) -> int:
     _positive(parser, "delta", args.delta)
     _positive(parser, "trials", args.trials)
     _positive(parser, "samples", args.samples, strict=False)
-    depth = interval_breakdown(args.size).depth
+    depth = code_depth(args.size)
     m = _checked(parser, samples_per_edge, depth, args.delta)
     _within_draw_cap(parser, "m x (2^depth - 1)", m * ((1 << depth) - 1))
+    _within_draw_cap(parser, "samples x depth", args.samples * depth)
     started = time.time()
     cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
     records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)

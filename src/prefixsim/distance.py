@@ -63,8 +63,8 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
     if rounds < 1 or scale <= 0.0:
         raise ValueError("need at least one round and a positive scale")
     pairs = ceil_snap(scale / (epsilon * epsilon))
-    before_a = sim_a.oracle.budget.conditional_calls
-    before_b = sim_b.oracle.budget.conditional_calls
+    before_a = sim_a.oracle.conditional_calls
+    before_b = sim_b.oracle.conditional_calls
     round_values = []
     for _ in range(rounds):
         acc = 0.0
@@ -83,8 +83,8 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
         rounds=rounds,
         pairs_per_round=pairs,
         round_values=round_values,
-        budget_a=sim_a.oracle.budget.conditional_calls - before_a,
-        budget_b=sim_b.oracle.budget.conditional_calls - before_b,
+        budget_a=sim_a.oracle.conditional_calls - before_a,
+        budget_b=sim_b.oracle.conditional_calls - before_b,
     )
 
 

@@ -147,7 +147,7 @@ class HardInstance:
                                 challenge_marginal(1, self.delta))
 
     def oracle(self) -> TreeOracle:
-        """A fresh prefix oracle for mu with its own budget."""
+        """A fresh prefix oracle for mu with its own draw ledger."""
         return TreeOracle(self.marginal_tree())
 
 

@@ -2,8 +2,9 @@
 
 The only draw is prefix-conditional: a call takes k prefixes of one depth
 and returns m elements agreeing with each prefix (their free bits); there is
-no marginal or one-element draw.  Every oracle owns a budget ledger that
-counts draws, m per prefix, and is never reset implicitly.
+no marginal or one-element draw.  Every oracle keeps one integer ledger,
+conditional_calls, that counts draws, m per prefix, and is never reset.
+The only per-prefix account is the optional on_record transcript hook.
 
 Draw discipline: one stream per prefix.  A prefix's m rows consume one
 uniform block of shape (m, free-levels) from its own stream and walk the
@@ -15,14 +16,12 @@ in row-major order as its rows drawn one at a time, so a caller may split a
 large draw into consecutive blocks (see util.row_blocks) without changing a bit.
 
 Trees are immutable and freely shareable; an oracle (with its mutable
-budget) belongs to one logical owner, so concurrent experiments should each
+ledger) belongs to one logical owner, so concurrent experiments should each
 build their own oracle over the shared tree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,34 +29,16 @@ import numpy as np
 from .streams import RandomStream
 from .trees import MarginalTree
 
-@dataclass
-class SampleBudget:
-    """Monotone ledger of oracle usage."""
-
-    conditional_calls: int = 0
-    per_prefix: Optional[Counter] = None
-
-    @classmethod
-    def tracking(cls) -> "SampleBudget":
-        """A budget that also keeps a per-prefix histogram of draws."""
-        return cls(per_prefix=Counter())
-
-    def charge_conditional(self, prefix: str, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("cannot charge a negative count")
-        self.conditional_calls += count
-        if self.per_prefix is not None:
-            self.per_prefix[prefix] += count
-
 
 class PrefixOracle:
     """Base class for prefix-conditional sampling access to a distribution."""
 
-    def __init__(self, n: int, budget: SampleBudget | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = n
-        self.budget = budget if budget is not None else SampleBudget()
+        #: conditional draws made so far, m per prefix of each draw
+        self.conditional_calls = 0
         #: optional transcript hook; receives one dict per prefix of each draw.
         #: While it is None, draws build no transcript at all.
         self.on_record: Optional[Callable[[dict], None]] = None
@@ -82,16 +63,14 @@ class PrefixOracle:
         return prefixes.astype(np.uint8, copy=False)
 
     def _charge(self, prefixes: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-        """Charge each prefix its m rows of the drawn block out, record them, and return out."""
-        if self.budget.per_prefix is None and self.on_record is None:
-            self.budget.charge_conditional("", len(out))
-            return out
-        for j, w in enumerate("".join(map(str, bits)) for bits in prefixes.tolist()):
-            self.budget.charge_conditional(w, m)
-            if self.on_record is not None:
+        """Charge the rows of the drawn block out, record m per prefix if hooked, and return out."""
+        before = self.conditional_calls
+        self.conditional_calls += len(out)
+        if self.on_record is not None:
+            for j, w in enumerate("".join(map(str, bits)) for bits in prefixes.tolist()):
                 self.on_record({"kind": "conditional", "prefix": w, "count": m,
                                 "result": ["".join(map(str, row)) for row in out[j * m:(j + 1) * m].tolist()],
-                                "budget_after": self.budget.conditional_calls})
+                                "budget_after": before + m * (j + 1)})
         return out
 
 
@@ -104,8 +83,8 @@ class TreeOracle(PrefixOracle):
     the same amount of randomness as a regular draw.
     """
 
-    def __init__(self, tree: MarginalTree, budget: SampleBudget | None = None):
-        super().__init__(tree.n, budget)
+    def __init__(self, tree: MarginalTree):
+        super().__init__(tree.n)
         self.tree = tree
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,

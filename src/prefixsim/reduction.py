@@ -1,13 +1,15 @@
 """Running prefix-model algorithms against interval-conditional oracles.
 
 The domain {1..N} is laid out on a balanced binary tree of depth
-ceil(log2 N): element e gets the code binary(e - 1), zero-padded on the left.
-Every tree node then holds a contiguous interval of elements (possibly empty,
-for padding codes beyond N), so a prefix condition over the codes corresponds
-to an interval condition over the elements, and any prefix-model algorithm
-can be executed against an interval oracle draw for draw.
+code_depth(N) = ceil(log2 N), at least 1: element e gets the code
+binary(e - 1), zero-padded on the left.  Every tree node then holds a
+contiguous interval of elements (possibly empty, for padding codes beyond
+N), which element_bounds computes from N alone, so a prefix condition over
+the codes corresponds to an interval condition over the elements, and any
+prefix-model algorithm can be executed against an interval oracle draw for
+draw.
 
-With positive weights, a simulation run through the adapter is bit-identical
+With positive weights, a simulation run through the adapted oracle is bit-identical
 to one over the encoded tree for every N: where padding clips a prefix's
 interval into one child, the native draw consumes fewer uniforms, but the
 first free bit, the only one an edge estimate reads, is forced on both
@@ -15,7 +17,8 @@ routes.  A zero weight breaks this: with weights [1, 0, 0] the encoded tree
 draws under the zero-mass prefix '1' by the uniform convention, while the
 native oracle returns element 3, so the two simulations do not couple.
 
-The adapted oracle answers a multi-prefix draw with one native draw, one
+The adapted oracle, AdaptedPrefixOracle(native), takes N and the depth from
+its native oracle.  It answers a multi-prefix draw with one native draw, one
 stream per interval, whose rows all descend the code tree together.
 
 mass_preserved checks exactly that the encoded tree gives every code its
@@ -29,49 +32,40 @@ against them as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .bits import code_rows
-from .oracles import PrefixOracle, SampleBudget
+from .oracles import PrefixOracle
 from .streams import RandomStream
 from .trees import TableMarginalTree
 
 
-@dataclass(frozen=True)
-class IntervalAdapter:
-    """Element e of {1..N} has the depth-l code e - 1; prefixes map to element intervals.
-
-    Padding codes (values N..2^l - 1) sit at the top of the code range, so
-    the elements of every node form a contiguous interval.
-    """
-
-    size: int
-    depth: int
-
-    def element_bounds(self, depth: int, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Inclusive element bounds {a..b} of the depth-`depth` prefixes with the given indexes.
-
-        Returns arrays (a, b, padding); where padding is set the prefix holds
-        no element (pure padding codes) and its a, b are not an interval.
-        """
-        index = np.asarray(index, dtype=np.int64)
-        if not 0 <= depth < self.depth or ((index < 0) | (index >= 1 << depth)).any():
-            raise ValueError(f"need indexes of prefixes of a depth below {self.depth}")
-        shift = self.depth - depth
-        lo = index << shift
-        return lo + 1, np.minimum((index + 1) << shift, self.size), lo >= self.size
-
-
-def interval_breakdown(n_elements: int) -> IntervalAdapter:
-    """Balanced interval splits of {1..N} with padding at the highest codes."""
-    if n_elements < 1:
+def code_depth(size: int) -> int:
+    """Depth of the balanced code tree over {1..N}: ceil(log2 N), at least 1."""
+    if size < 1:
         raise ValueError("domain must have at least one element")
-    depth = max(1, (n_elements - 1).bit_length())
-    return IntervalAdapter(n_elements, depth)
+    return max(1, (size - 1).bit_length())
+
+
+def element_bounds(size: int, level: int, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inclusive element bounds {a..b} of the level-`level` prefixes with the given indexes.
+
+    Element e of {1..N} has the code e - 1.  Padding codes (values N and up)
+    sit at the top of the code range, so the elements of every node form a
+    contiguous interval.  Returns arrays (a, b, padding); where padding is
+    set the prefix holds no element (pure padding codes) and its a, b are
+    not an interval.
+    """
+    depth = code_depth(size)
+    index = np.asarray(index, dtype=np.int64)
+    if not 0 <= level < depth or ((index < 0) | (index >= 1 << level)).any():
+        raise ValueError(f"need indexes of prefixes of a depth below {depth}")
+    shift = depth - level
+    lo = index << shift
+    return lo + 1, np.minimum((index + 1) << shift, size), lo >= size
 
 
 def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level: int, idx, a, b):
@@ -121,14 +115,14 @@ def encoded_marginal_tree(weights) -> TableMarginalTree:
     and the element masses equal weight / total under the bijection.
     """
     n_elements = len(weights)
-    adapter = interval_breakdown(n_elements)
-    cum = _cumulative_weights(weights, adapter.depth)
-    full = 1 << adapter.depth
+    depth = code_depth(n_elements)
+    cum = _cumulative_weights(weights, depth)
+    full = 1 << depth
     levels = []
-    for level in range(adapter.depth):
+    for level in range(depth):
         idx = np.arange(1 << level, dtype=np.int64)
-        levels.append(_split_fractions(cum, n_elements, adapter.depth, level, idx, 0, full))
-    return TableMarginalTree(adapter.depth, levels)
+        levels.append(_split_fractions(cum, n_elements, depth, level, idx, 0, full))
+    return TableMarginalTree(depth, levels)
 
 
 def mass_preserved(weights) -> bool:
@@ -143,7 +137,7 @@ def mass_preserved(weights) -> bool:
     """
     ratios = [float(w).as_integer_ratio() for w in weights]
     n_elements = len(ratios)
-    depth = interval_breakdown(n_elements).depth
+    depth = code_depth(n_elements)
     scale = max(q for _, q in ratios)
     ints = [p * (scale // q) for p, q in ratios]
     if min(ints) < 0:
@@ -189,7 +183,7 @@ class TableIntervalOracle:
 
     def __init__(self, weights):
         self.size = len(weights)
-        self.depth = interval_breakdown(self.size).depth
+        self.depth = code_depth(self.size)
         self._cum = _cumulative_weights(weights, self.depth)
         self.calls = 0
 
@@ -231,12 +225,8 @@ class AdaptedPrefixOracle(PrefixOracle):
     convention result from its own stream, drawn without the native oracle.
     """
 
-    def __init__(self, adapter: IntervalAdapter, native: TableIntervalOracle,
-                 budget: SampleBudget | None = None):
-        if native.size != adapter.size:
-            raise ValueError("native oracle and adapter disagree on the domain size")
-        super().__init__(adapter.depth, budget)
-        self.adapter = adapter
+    def __init__(self, native: TableIntervalOracle):
+        super().__init__(native.depth)
         self.native = native
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
@@ -245,7 +235,7 @@ class AdaptedPrefixOracle(PrefixOracle):
         prefixes = self._validated(prefixes, m, rngs)
         k, depth = prefixes.shape
         free = self.n - depth
-        a, b, padding = self.adapter.element_bounds(depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
+        a, b, padding = element_bounds(self.native.size, depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
         out = np.empty((k * m, free), dtype=np.uint8)
         live = np.flatnonzero(~padding)
         codes = self.native.draw_batch(a[live], b[live], m, [rngs[j] for j in live]) - 1

@@ -4,8 +4,9 @@ A single edge w -> wb is estimated by drawing m = ceil(n / delta) samples
 conditioned on w and averaging the first free bit.  Estimating every edge
 independently yields a surrogate distribution whose expected KL divergence
 from the input is at most n/m <= delta.  The samples of a level's missing
-edges are drawn together, in one multi-prefix draw (first_free_bits), and
-est_simulation_edge then counts each edge's k from its own m rows.
+edges are drawn together, in one multi-prefix draw (first_free_ones), which
+counts each prefix's ones block by block, and est_simulation_edge then
+takes each edge's k from its count.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
@@ -34,7 +35,6 @@ independent trials parallelize at the state level.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -59,30 +59,34 @@ def samples_per_edge(n: int, delta: float) -> int:
     return ceil_snap(n / delta)
 
 
-def est_simulation_edge(first_bits: np.ndarray) -> int:
+def est_simulation_edge(ones) -> int:
     """k of one edge w -> w1: how many of the m samples under w have first free bit 1.
 
-    first_bits holds the first free bit of each of the m = ceil(n / delta)
-    conditional samples drawn under w, a row of first_free_bits; the
-    estimate of w -> w1 is k/m and of its sibling w -> w0 is (m - k)/m.
+    ones is w's entry of first_free_ones, summed over the draw's row blocks;
+    the estimate of w -> w1 is k/m and of its sibling w -> w0 is (m - k)/m.
+    The benchmark's tracer counts one estimated edge per call.
     """
-    return int(np.count_nonzero(first_bits))
+    return int(ones)
 
 
-def first_free_bits(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
+def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
                     rngs: Sequence[RandomStream]) -> np.ndarray:
-    """First free bit of m conditional samples under each prefix: one uint8 row of m per prefix.
+    """How many of m conditional samples under each prefix have first free bit 1, as int64.
 
     prefixes is a 0/1 array with one prefix of a common depth per row, and
     rngs holds one stream per prefix.  The prefixes share one multi-prefix
     draw, split into consecutive row blocks only when a block would exceed
-    util.MAX_BLOCK_UNIFORMS uniforms.
+    util.MAX_BLOCK_UNIFORMS uniforms; each block's ones are added up before
+    the next is drawn, so memory stays one block at any m.
     Either way each prefix gets the uniforms one (m, free) block from its
     stream would, and costs exactly m conditional samples.
     """
     count, free = len(prefixes), oracle.n - prefixes.shape[1]
-    return np.hstack([oracle.conditional_sample_batch(prefixes, rows, rngs)[:, 0].reshape(count, rows)
-                      for rows in row_blocks(m, count * free)])
+    ones = np.zeros(count, dtype=np.int64)
+    for rows in row_blocks(m, count * free):
+        first = oracle.conditional_sample_batch(prefixes, rows, rngs)[:, 0].reshape(count, rows)
+        ones += np.count_nonzero(first, axis=1)
+    return ones
 
 
 class LazySimulation:
@@ -132,8 +136,8 @@ class LazySimulation:
             group = misses[start:start + size]
             bits = code_rows(np.array(group, dtype=self._node_dtype), depth)
             rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group])
-            drawn = first_free_bits(self.oracle, self.m, bits, rngs)
-            self._ones.update(zip(group, map(est_simulation_edge, drawn)))
+            ones = first_free_ones(self.oracle, self.m, bits, rngs)
+            self._ones.update(zip(group, map(est_simulation_edge, ones.tolist())))
             start += size
         return list(map(self._ones.get, nodes))
 
@@ -177,15 +181,6 @@ class LazySimulation:
     def query(self, x) -> float:
         """Mass of x under the simulated distribution: the walk of query_batch on one row."""
         return float(self._walk(np.array([element_bits(x, self.n)], dtype=np.uint8))[0])
-
-    def query_exact(self, x) -> Fraction:
-        p = Fraction(1)
-        node = 1
-        for i, b in enumerate(element_bits(x, self.n)):
-            k = self._counts(i, [node])[0]
-            p *= Fraction(k if b else self.m - k, self.m)
-            node = (node << 1) | b
-        return p
 
     def sample_batch(self, k: int, rng: RandomStream | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw k elements of the simulated distribution: a (k, n) uint8 bit array and their masses.

@@ -19,7 +19,6 @@ rows and the level-by-level materialization into tables.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -140,21 +139,6 @@ class MarginalTree:
             h = np.stack((self._child(h, 0), self._child(h, 1)), axis=1).ravel()
             levels.append(self._f(depth, h))
         return TableMarginalTree(self.n, levels)
-
-    def exact_total_mass(self) -> Fraction:
-        """Sum of all element masses in exact rational arithmetic.
-
-        Telescopes to 1 for any marginal values; kept as a runnable check of
-        the representation (n <= 20).
-        """
-        if self.n > 20:
-            raise CapabilityError("exact total mass supported only for n <= 20")
-        table = self.materialize()
-        masses = [Fraction(1)]
-        for i in range(self.n):
-            fs = map(Fraction, table.level(i).tolist())
-            masses = [cur * g for cur, f in zip(masses, fs) for g in (1 - f, f)]
-        return sum(masses, Fraction(0))
 
 
 class TableMarginalTree(MarginalTree):

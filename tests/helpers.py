@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from prefixsim.bits import element_bits
+
 #: standard normal 99th percentile
 Z_99 = 2.3263478740408408
 
@@ -49,14 +51,22 @@ def draw(oracle, w: str, m: int, rng) -> np.ndarray:
     return oracle.conditional_sample_batch(prefix_rows(w), m, [rng])
 
 
+def prefix_counts(records: list) -> dict:
+    """Rows drawn per prefix: the transcript records' counts summed by prefix string."""
+    counts = {}
+    for r in records:
+        counts[r["prefix"]] = counts.get(r["prefix"], 0) + r["count"]
+    return counts
+
+
 def assert_ledger(oracle, prefixes, m: int, block: np.ndarray, records: list) -> None:
     """The draw of block under prefixes charged m rows per prefix and left one record per prefix."""
     names = ["".join(map(str, w)) for w in prefixes.tolist()]
-    assert oracle.budget.conditional_calls == len(block) == m * len(names)
+    assert oracle.conditional_calls == len(block) == m * len(names)
     charged = {}
     for w in names:
         charged[w] = charged.get(w, 0) + m
-    assert oracle.budget.per_prefix == charged
+    assert prefix_counts(records) == charged
     assert [(r["prefix"], r["count"]) for r in records] == [(w, m) for w in names]
     assert [r["result"] for r in records] == [
         ["".join(map(str, row)) for row in block[j * m:(j + 1) * m].tolist()] for j in range(len(names))]
@@ -76,3 +86,22 @@ def edge(sim, w: str, b: int) -> Fraction:
     """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
     k = sim._counts(len(w), [(1 << len(w)) | int(w or "0", 2)])[0]
     return Fraction(k if b else sim.m - k, sim.m)
+
+
+def query_exact(sim, x) -> Fraction:
+    """The simulated mass of x as an exact rational: the product of the edge estimates along its path."""
+    bits = "".join(map(str, element_bits(x, sim.n)))
+    p = Fraction(1)
+    for i, b in enumerate(bits):
+        p *= edge(sim, bits[:i], int(b))
+    return p
+
+
+def exact_total_mass(tree) -> Fraction:
+    """Sum of all element masses of a tree (n <= 20) in exact rational arithmetic; telescopes to 1."""
+    table = tree.materialize()
+    masses = [Fraction(1)]
+    for i in range(tree.n):
+        fs = map(Fraction, table.level(i).tolist())
+        masses = [cur * g for cur, f in zip(masses, fs) for g in (1 - f, f)]
+    return sum(masses, Fraction(0))

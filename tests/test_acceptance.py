@@ -14,14 +14,13 @@ import numpy as np
 from prefixsim import adhoc, divergence_lab as lab, hardness
 from prefixsim.bits import code_rows
 from prefixsim.distance import estimate_tv, simulation_delta
-from prefixsim.oracles import SampleBudget, TreeOracle
-from prefixsim.reduction import (AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree,
-                                 interval_breakdown)
+from prefixsim.oracles import TreeOracle
+from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree
 from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import kl_divergence, random_tree, tv_distance
 
-from helpers import edge, hist
+from helpers import edge, hist, prefix_counts, query_exact
 
 
 def report(criterion: str, text: str) -> None:
@@ -87,22 +86,23 @@ def test_ac3_lazy_eager_coupling():
 def test_ac4_cost_accounting():
     n, delta = 10, 0.5
     m = samples_per_edge(n, delta)
-    oracle = TreeOracle(random_tree(n, substream(40_000, "tree"), 0.2, 0.8),
-                        budget=SampleBudget.tracking())
+    oracle = TreeOracle(random_tree(n, substream(40_000, "tree"), 0.2, 0.8))
+    records = []
+    oracle.on_record = records.append
     sim = LazySimulation(n, oracle, delta, seed=40_001)
 
-    assert oracle.budget.conditional_calls == 0
+    assert oracle.conditional_calls == 0
     sim.query("0011010110")
-    assert oracle.budget.conditional_calls == n * m  # fresh path: equality
+    assert oracle.conditional_calls == n * m  # fresh path: equality
     sim.query("0011010110")
-    assert oracle.budget.conditional_calls == n * m  # repeat costs nothing
+    assert oracle.conditional_calls == n * m  # repeat costs nothing
     sim.query("0011010111")
-    assert oracle.budget.conditional_calls == n * m  # sibling pairs shared
+    assert oracle.conditional_calls == n * m  # sibling pairs shared
     for _ in range(25):
         sim.sample()
-    assert oracle.budget.conditional_calls == m * sim.touched_pairs
+    assert oracle.conditional_calls == m * sim.touched_pairs
     # per prefix: each touched pair's prefix charged exactly m, no other prefix charged
-    assert dict(oracle.budget.per_prefix) == {w: m for w, _ in hist(sim)}
+    assert prefix_counts(records) == {w: m for w, _ in hist(sim)}
     report("AC-4", f"fresh query = {n}*{m} samples, repeats free, ledger = m * pairs, per prefix")
 
 
@@ -140,8 +140,8 @@ def test_ac6_distance_estimation_end_to_end():
         if abs(result.estimate - tv_distance(tree_a, tree_b)) <= epsilon:
             hits += 1
         # the ledger must equal the closed-form per-pair cost exactly
-        assert sim_a.oracle.budget.conditional_calls == m * sim_a.touched_pairs
-        assert sim_b.oracle.budget.conditional_calls == m * sim_b.touched_pairs
+        assert sim_a.oracle.conditional_calls == m * sim_a.touched_pairs
+        assert sim_b.oracle.conditional_calls == m * sim_b.touched_pairs
         assert sim_a.touched_pairs <= (1 << n) - 1
         assert sim_b.touched_pairs <= (1 << n) - 1
     assert hits >= math.ceil(2 * runs / 3), f"only {hits}/{runs} within epsilon"
@@ -155,7 +155,7 @@ def test_ac7_realization():
     exact_total = Fraction(0)
     float_total = 0.0
     for x in code_rows(np.arange(1 << n), n):
-        exact_total += sim.query_exact(x)
+        exact_total += query_exact(sim, x)
         float_total += sim.query(x)
     assert exact_total == Fraction(1)
     assert abs(float_total - 1.0) <= 1e-9
@@ -217,7 +217,7 @@ def test_ac10_effective_samples():
     assert mean <= 3.0
     sharper = 2.0 / (1.0 - inst.delta) + 4.0 * se
     assert mean <= sharper, f"mean {mean} above the sharper band {sharper}"
-    assert oracle.budget.conditional_calls == draws
+    assert oracle.conditional_calls == draws
     report("AC-10", f"mean effective count {mean:.4f} <= 3 (sharper band {sharper:.4f})")
 
 
@@ -237,20 +237,19 @@ def test_ac11_threshold_gap_sweep():
 def test_ac12_interval_reduction_coupling():
     size = 8
     weights = substream(120_000, "weights").uniform(0.05, 1.0, size)
-    adapter = interval_breakdown(size)
     seed = child_seed(120_001, "sim")
-    direct_oracle = TreeOracle(encoded_marginal_tree(weights))
-    direct = LazySimulation(adapter.depth, direct_oracle, 0.25, seed)
     native = TableIntervalOracle(weights)
-    adapted_oracle = AdaptedPrefixOracle(adapter, native)
-    adapted = LazySimulation(adapter.depth, adapted_oracle, 0.25, seed)
+    adapted_oracle = AdaptedPrefixOracle(native)
+    direct_oracle = TreeOracle(encoded_marginal_tree(weights))
+    direct = LazySimulation(adapted_oracle.n, direct_oracle, 0.25, seed)
+    adapted = LazySimulation(adapted_oracle.n, adapted_oracle, 0.25, seed)
 
-    for x in code_rows(np.arange(size), adapter.depth):
+    for x in code_rows(np.arange(size), adapted_oracle.n):
         assert direct.query(x) == adapted.query(x)
     for _ in range(50):
         assert direct.sample() == adapted.sample()
     assert hist(direct) == hist(adapted)
-    assert direct_oracle.budget.conditional_calls == adapted_oracle.budget.conditional_calls
-    assert native.calls == adapted_oracle.budget.conditional_calls
+    assert direct_oracle.conditional_calls == adapted_oracle.conditional_calls
+    assert native.calls == adapted_oracle.conditional_calls
     report("AC-12", f"adapter pipeline bit-identical on N={size} "
                     f"({native.calls} coupled native draws)")

@@ -124,9 +124,11 @@ def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv, draws", [
     (["simulate", "--n", "3", "--delta", "0.5"], 6 * 7),                  # m x (2^n - 1)
-    (["reduce-interval", "--size", "6", "--delta", "0.5"], 6 * 7),        # depth 3
+    (["reduce-interval", "--size", "6", "--delta", "0.5", "--samples", "8"], 6 * 7),  # depth 3
     (["estimate-tv", "--n", "2", "--epsilon", "0.5"], 288 * 2),           # m x n per row
     (["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "200"], 800),  # pairs
+    (["hard-instance", "--n", "4", "--epsilon", "0.5", "--draws", "10"], 10 * 4),  # draws x n
+    (["reduce-interval", "--size", "6", "--delta", "0.5", "--samples", "20"], 20 * 3),  # samples x depth
 ])
 def test_draw_cap_admits_its_bound_and_no_more(capsys, monkeypatch, argv, draws):
     argv = argv + ["--trials", "1", "--seed", "3"]
@@ -290,6 +292,9 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["estimate-tv", "--n", "2", "--epsilon", "1e-150", "--rounds", "1"],
     ["reduce-interval", "--size", "4", "--delta", "1e-300"],
     ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "1e300"],
+    # 10^12 draws x n and samples x depth
+    ["hard-instance", "--n", "2", "--epsilon", "0.1", "--draws", "1000000000000"],
+    ["reduce-interval", "--size", "4", "--samples", "1000000000000"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -97,8 +97,8 @@ def test_budgets_and_record_fields():
     assert result.rounds == 3
     assert result.pairs_per_round == 100
     assert len(result.round_values) == 3
-    assert result.budget_a == sim_a.oracle.budget.conditional_calls
-    assert result.budget_b == sim_b.oracle.budget.conditional_calls
+    assert result.budget_a == sim_a.oracle.conditional_calls
+    assert result.budget_b == sim_b.oracle.conditional_calls
     assert result.budget_a == sim_a.m * sim_a.touched_pairs
     assert result.budget_b == sim_b.m * sim_b.touched_pairs
     assert 0.0 <= result.estimate <= 1.0
@@ -124,8 +124,8 @@ def test_parameter_validation():
 def scalar_estimate_tv(sim_a, sim_b, epsilon, scale=16.0, rounds=9):
     """The estimator as one pair at a time: scalar sample, scalar query, running sum."""
     pairs = ceil_snap(scale / (epsilon * epsilon))
-    before_a = sim_a.oracle.budget.conditional_calls
-    before_b = sim_b.oracle.budget.conditional_calls
+    before_a = sim_a.oracle.conditional_calls
+    before_b = sim_b.oracle.conditional_calls
     round_values = []
     for _ in range(rounds):
         acc = 0.0
@@ -135,8 +135,8 @@ def scalar_estimate_tv(sim_a, sim_b, epsilon, scale=16.0, rounds=9):
             acc += max(0.0, 1.0 - pb / pa)
         round_values.append(min(1.0, max(0.0, acc / pairs)))
     return (round_values,
-            sim_a.oracle.budget.conditional_calls - before_a,
-            sim_b.oracle.budget.conditional_calls - before_b)
+            sim_a.oracle.conditional_calls - before_a,
+            sim_b.oracle.conditional_calls - before_b)
 
 
 @pytest.mark.parametrize("n, epsilon, seed", [(3, 0.4, 90), (4, 0.3, 91), (5, 0.5, 92)])

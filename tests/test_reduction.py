@@ -10,56 +10,58 @@ from prefixsim.reduction import (
     AdaptedPrefixOracle,
     TableIntervalOracle,
     _split_fractions,
+    code_depth,
+    element_bounds,
     encoded_marginal_tree,
-    interval_breakdown,
     mass_preserved,
 )
 from prefixsim.simulation import LazySimulation
-from prefixsim.oracles import SampleBudget, TreeOracle
+from prefixsim.oracles import TreeOracle
 from prefixsim.streams import child_seed, substream
 
-from helpers import assert_ledger, draw, hist, prefix_blocks, prefix_rows
+from helpers import assert_ledger, draw, hist, prefix_blocks, prefix_rows, query_exact
 
 
-def prefix_interval(adapter, w):
-    """Inclusive element interval {a..b} of the prefix w (a '01' string or bits), or None for pure padding."""
+def prefix_interval(size, w):
+    """Inclusive element interval {a..b} of the prefix w (a '01' string or bits) over {1..size}, or None for pure padding."""
     bits = "".join(map(str, w))
-    a, b, padding = adapter.element_bounds(len(bits), [int(bits or "0", 2)])
+    a, b, padding = element_bounds(size, len(bits), [int(bits or "0", 2)])
     return None if padding[0] else (int(a[0]), int(b[0]))
 
 
 class TestEncoding:
     def test_depth_and_element_codes(self):
-        adapter = interval_breakdown(8)
-        assert adapter.depth == 3
+        for size, depth in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (4096, 12)):
+            assert code_depth(size) == depth
+            native = TableIntervalOracle(np.ones(size))
+            assert AdaptedPrefixOracle(native).n == native.depth == depth
+        with pytest.raises(ValueError):
+            code_depth(0)
 
     def test_prefix_to_interval(self):
-        adapter = interval_breakdown(8)
-        assert prefix_interval(adapter, "") == (1, 8)
-        assert prefix_interval(adapter, "1") == (5, 8)
-        assert prefix_interval(adapter, "10") == (5, 6)
+        assert prefix_interval(8, "") == (1, 8)
+        assert prefix_interval(8, "1") == (5, 8)
+        assert prefix_interval(8, "10") == (5, 6)
 
     def test_padding(self):
-        adapter = interval_breakdown(5)
-        assert adapter.depth == 3
-        assert prefix_interval(adapter, "11") is None
-        assert prefix_interval(adapter, "1") == (5, 5)
+        assert code_depth(5) == 3
+        assert prefix_interval(5, "11") is None
+        assert prefix_interval(5, "1") == (5, 5)
 
     def test_bounds_of_a_level_at_once(self):
         # size 5, depth 3: the depth-2 prefixes hold {1, 2}, {3, 4}, {5} and padding
-        a, b, padding = interval_breakdown(5).element_bounds(2, [0, 1, 2, 3])
+        a, b, padding = element_bounds(5, 2, [0, 1, 2, 3])
         assert a[:3].tolist() == [1, 3, 5] and b[:3].tolist() == [2, 4, 5]
         assert padding.tolist() == [False, False, False, True]
 
     @pytest.mark.parametrize("depth, index", [(1, [2]), (2, [0, -1]), (0, [1]), (3, [0]), (-1, [0])])
     def test_index_outside_the_tree_is_rejected(self, depth, index):
         with pytest.raises(ValueError):
-            interval_breakdown(5).element_bounds(depth, index)
+            element_bounds(5, depth, index)
 
     @pytest.mark.parametrize("n_elements", [1, 2, 5, 8, 11, 16])
     def test_every_prefix_decodes_to_an_interval(self, n_elements):
-        adapter = interval_breakdown(n_elements)
-        depth = adapter.depth
+        depth = code_depth(n_elements)
         for length in range(depth):
             for bits in product((0, 1), repeat=length):
                 members = sorted(
@@ -67,7 +69,7 @@ class TestEncoding:
                     for code in range(min(1 << depth, n_elements))
                     if tuple(code_rows(code, depth)[:length].tolist()) == bits
                 )
-                interval = prefix_interval(adapter, bits)
+                interval = prefix_interval(n_elements, bits)
                 if not members:
                     assert interval is None
                 else:
@@ -75,9 +77,9 @@ class TestEncoding:
                     assert members == list(range(members[0], members[-1] + 1))
 
 
-def members(adapter, bits):
-    """The elements under the prefix bits, as a set."""
-    interval = prefix_interval(adapter, bits)
+def members(size, bits):
+    """The elements of {1..size} under the prefix bits, as a set."""
+    interval = prefix_interval(size, bits)
     return set() if interval is None else set(range(interval[0], interval[1] + 1))
 
 
@@ -85,17 +87,15 @@ class TestBreakdownTree:
     @pytest.mark.parametrize("n_elements", [1, 3, 5, 8])
     def test_structural_invariants(self, n_elements):
         # the root holds the whole domain and every node is the disjoint union of its children
-        adapter = interval_breakdown(n_elements)
-        assert members(adapter, ()) == set(range(1, n_elements + 1))
-        for length in range(adapter.depth - 1):
+        assert members(n_elements, ()) == set(range(1, n_elements + 1))
+        for length in range(code_depth(n_elements) - 1):
             for bits in product((0, 1), repeat=length):
-                left, right = members(adapter, bits + (0,)), members(adapter, bits + (1,))
-                assert left | right == members(adapter, bits) and not left & right
+                left, right = members(n_elements, bits + (0,)), members(n_elements, bits + (1,))
+                assert left | right == members(n_elements, bits) and not left & right
 
     def test_padding_leaves_empty(self):
-        adapter = interval_breakdown(5)
-        assert members(adapter, "11") == set()
-        assert members(adapter, "10") == {5}
+        assert members(5, "11") == set()
+        assert members(5, "10") == {5}
 
 
 class TestEncodedTree:
@@ -116,7 +116,7 @@ class TestEncodedTree:
             weights[0] = 1.0
         masses = fraction_masses(weights)
         total = sum(Fraction(float(w)) for w in weights)
-        depth = interval_breakdown(n_elements).depth
+        depth = code_depth(n_elements)
         for code in range(1 << depth):
             expected = Fraction(float(weights[code])) / total if code < n_elements else Fraction(0)
             assert masses[code] == expected
@@ -131,7 +131,7 @@ class TestEncodedTree:
 def fraction_masses(weights) -> list:
     """Per-code masses of the encoded tree over Fractions: the float builder's split ratios, exactly."""
     n_elements = len(weights)
-    depth = interval_breakdown(n_elements).depth
+    depth = code_depth(n_elements)
     cum = [Fraction(0)]
     for w in weights:
         cum.append(cum[-1] + Fraction(w))
@@ -197,12 +197,12 @@ class TestAdaptedOracle:
     def test_one_native_draw_per_conditional_draw(self):
         weights = substream(1, "w").uniform(0.1, 1.0, 8)
         native = TableIntervalOracle(weights)
-        oracle = AdaptedPrefixOracle(interval_breakdown(8), native)
+        oracle = AdaptedPrefixOracle(native)
         rng = substream(2, "draw")
         draw(oracle, "1", 1, rng)
         draw(oracle, "", 10, rng)
         assert native.calls == 11
-        assert oracle.budget.conditional_calls == 11
+        assert oracle.conditional_calls == 11
 
     def test_native_draws_stay_in_interval(self):
         weights = substream(3, "w").uniform(0.1, 1.0, 11)
@@ -237,16 +237,15 @@ class TestAdaptedOracle:
     def test_padding_prefix_uses_convention(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
-        oracle = AdaptedPrefixOracle(interval_breakdown(5), native)
+        oracle = AdaptedPrefixOracle(native)
         out = draw(oracle, "11", 1, substream(7, "draw"))
         assert out.shape == (1, 1)
         assert native.calls == 0
-        assert oracle.budget.conditional_calls == 1
+        assert oracle.conditional_calls == 1
 
     def test_transcript_matches_draws(self):
         weights = substream(9, "w").uniform(0.1, 1.0, 6)
-        hooked, plain = (AdaptedPrefixOracle(interval_breakdown(6), TableIntervalOracle(weights))
-                         for _ in range(2))
+        hooked, plain = (AdaptedPrefixOracle(TableIntervalOracle(weights)) for _ in range(2))
         records = []
         hooked.on_record = records.append
         rng, plain_rng = substream(10, "draw"), substream(10, "draw")
@@ -256,50 +255,51 @@ class TestAdaptedOracle:
             assert records[-1]["result"] == ["".join(map(str, row)) for row in out.tolist()]
         assert [(r["prefix"], r["count"]) for r in records] == [("0", 5), ("11", 5)]
         assert records[-1]["budget_after"] == 10
+        # the unhooked oracle keeps the same ledger as the hooked one's transcript
+        assert plain.conditional_calls == records[-1]["budget_after"] == sum(r["count"] for r in records)
 
 
 class TestCoupling:
     @pytest.mark.parametrize("size", [2, 4, 8, 16, 3, 5, 6, 12, 100])
     def test_power_of_two_pipeline_is_bit_identical(self, size):
         weights = substream(size, "w").uniform(0.05, 1.0, size)
-        adapter = interval_breakdown(size)
+        depth = code_depth(size)
         sim_seed = child_seed(99, "sim", size)
-        direct = LazySimulation(adapter.depth, TreeOracle(encoded_marginal_tree(weights)),
+        direct = LazySimulation(depth, TreeOracle(encoded_marginal_tree(weights)),
                                 0.4, sim_seed)
         native = TableIntervalOracle(weights)
-        adapted = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, sim_seed)
-        for x in code_rows(np.arange(size), adapter.depth):
+        adapted = LazySimulation(depth, AdaptedPrefixOracle(native), 0.4, sim_seed)
+        for x in code_rows(np.arange(size), depth):
             assert direct.query(x) == adapted.query(x)
         for _ in range(10):
             assert direct.sample() == adapted.sample()
         assert hist(direct) == hist(adapted)
-        assert direct.oracle.budget.conditional_calls == adapted.oracle.budget.conditional_calls
+        assert direct.oracle.conditional_calls == adapted.oracle.conditional_calls
 
     @settings(max_examples=25, deadline=None)
     @given(size=st.integers(1, 4096), seed=st.integers(0, 2**32))
     def test_direct_equals_adapted_for_positive_weights(self, size, seed):
         weights = substream(seed, "w").uniform(0.01, 1.0, size)
-        adapter = interval_breakdown(size)
-        delta = adapter.depth / 3   # m = 3 samples per edge
+        depth = code_depth(size)
+        delta = depth / 3   # m = 3 samples per edge
         direct_oracle = TreeOracle(encoded_marginal_tree(weights))
-        adapted_oracle = AdaptedPrefixOracle(adapter, TableIntervalOracle(weights))
-        direct = LazySimulation(adapter.depth, direct_oracle, delta, seed)
-        adapted = LazySimulation(adapter.depth, adapted_oracle, delta, seed)
+        adapted_oracle = AdaptedPrefixOracle(TableIntervalOracle(weights))
+        direct = LazySimulation(depth, direct_oracle, delta, seed)
+        adapted = LazySimulation(depth, adapted_oracle, delta, seed)
         assert direct.m == 3
         for got, want in zip(adapted.sample_batch(32), direct.sample_batch(32)):
             assert np.array_equal(got, want)
         assert hist(adapted) == hist(direct)
-        assert adapted_oracle.budget.conditional_calls == direct_oracle.budget.conditional_calls
-        assert adapted_oracle.native.calls <= adapted_oracle.budget.conditional_calls
+        assert adapted_oracle.conditional_calls == direct_oracle.conditional_calls
+        assert adapted_oracle.native.calls <= adapted_oracle.conditional_calls
 
     def test_padded_domain_pipeline_is_consistent(self):
         # padded sizes couple bit for bit (see above); the adapted simulation
         # must also realize exactly on its own
         weights = substream(10, "w").uniform(0.1, 1.0, 5)
-        adapter = interval_breakdown(5)
         native = TableIntervalOracle(weights)
-        sim = LazySimulation(adapter.depth, AdaptedPrefixOracle(adapter, native), 0.4, 123)
-        total = sum(sim.query_exact(x) for x in code_rows(np.arange(8), adapter.depth))
+        sim = LazySimulation(3, AdaptedPrefixOracle(native), 0.4, 123)
+        total = sum(query_exact(sim, x) for x in code_rows(np.arange(8), 3))
         assert total == Fraction(1)
         for _ in range(20):
             x, p = sim.sample()
@@ -310,21 +310,20 @@ class TestCoupling:
 @given(size=st.integers(1, 40), data=st.data(), m=st.integers(1, 5), seed=st.integers(0, 2**32))
 def test_adapted_multi_prefix_draw_equals_single_prefix_draws(size, data, m, seed):
     weights = substream(seed, "w").uniform(0.1, 1.0, size)
-    adapter = interval_breakdown(size)
-    prefixes = data.draw(prefix_blocks(adapter.depth))
+    prefixes = data.draw(prefix_blocks(code_depth(size)))
 
     def streams():
         return [substream(seed, "draw", j) for j in range(len(prefixes))]
 
     native = TableIntervalOracle(weights)
-    oracle = AdaptedPrefixOracle(adapter, native, SampleBudget.tracking())
+    oracle = AdaptedPrefixOracle(native)
     records = []
     oracle.on_record = records.append
     block = oracle.conditional_sample_batch(prefixes, m, streams())
-    single = AdaptedPrefixOracle(adapter, TableIntervalOracle(weights))
+    single = AdaptedPrefixOracle(TableIntervalOracle(weights))
     assert np.array_equal(block, np.concatenate([
         single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
-    padding = sum(prefix_interval(adapter, w) is None for w in prefixes.tolist())
+    padding = sum(prefix_interval(size, w) is None for w in prefixes.tolist())
     assert native.calls == m * (len(prefixes) - padding)
     assert_ledger(oracle, prefixes, m, block, records)
 
@@ -333,7 +332,7 @@ def test_adapted_multi_prefix_draw_with_pure_padding():
     # size 5 has depth 3: "11" holds only padding codes, "10" only element 5
     weights = substream(14, "w").uniform(0.1, 1.0, 5)
     native = TableIntervalOracle(weights)
-    oracle = AdaptedPrefixOracle(interval_breakdown(5), native, SampleBudget.tracking())
+    oracle = AdaptedPrefixOracle(native)
     records = []
     oracle.on_record = records.append
     prefixes = prefix_rows("01", "11", "10")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -9,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 from prefixsim.bits import code_rows
 from prefixsim.errors import CapabilityError
 from prefixsim import simulation, util
-from prefixsim.oracles import SampleBudget, TreeOracle
+from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import (
     LazySimulation,
     est_simulation_edge,
-    first_free_bits,
+    first_free_ones,
     preprocess,
     samples_per_edge,
 )
 from prefixsim.streams import substream
 from prefixsim.trees import kl_divergence, point_mass_tree, random_tree, uniform_tree
 
-from helpers import chi2_critical_99, chi_square_stat, draw, edge, hist, prefix_rows
+from helpers import chi2_critical_99, chi_square_stat, draw, edge, hist, prefix_counts, prefix_rows, query_exact
 
 
 class TestSamplesPerEdge:
@@ -48,13 +49,13 @@ class TestSamplesPerEdge:
 class TestEstSimulationEdge:
     def test_point_mass_edge(self):
         oracle = TreeOracle(point_mass_tree("1" * 6))
-        first = first_free_bits(oracle, samples_per_edge(6, 0.5), prefix_rows(""), [substream(0, "e")])
-        assert est_simulation_edge(first[0]) == samples_per_edge(6, 0.5) == 12
+        ones = first_free_ones(oracle, samples_per_edge(6, 0.5), prefix_rows(""), [substream(0, "e")])
+        assert est_simulation_edge(ones[0]) == samples_per_edge(6, 0.5) == 12
 
     def test_cost_is_exactly_m(self):
         oracle = TreeOracle(uniform_tree(10))
-        first_free_bits(oracle, samples_per_edge(10, 0.5), prefix_rows("0101"), [substream(1, "e")])
-        assert oracle.budget.conditional_calls == 20
+        first_free_ones(oracle, samples_per_edge(10, 0.5), prefix_rows("0101"), [substream(1, "e")])
+        assert oracle.conditional_calls == 20
 
     def test_binomial_statistics(self):
         # m = 40 per estimate; mean of 500 estimates within 3 sigma
@@ -63,9 +64,9 @@ class TestEstSimulationEdge:
         m = samples_per_edge(8, 0.2)
         assert m == 40
         estimates = [
-            est_simulation_edge(first) / m
-            for first in first_free_bits(oracle, m, prefix_rows(*[""] * repeats),
-                                         [substream(2, "e", i) for i in range(repeats)])
+            est_simulation_edge(ones) / m
+            for ones in first_free_ones(oracle, m, prefix_rows(*[""] * repeats),
+                                        [substream(2, "e", i) for i in range(repeats)])
         ]
         band = 3.0 * (0.5 / math.sqrt(m)) / math.sqrt(repeats)
         assert abs(np.mean(estimates) - 0.5) <= band
@@ -73,7 +74,7 @@ class TestEstSimulationEdge:
     def test_same_stream_gives_complementary_counts(self):
         tree = random_tree(6, substream(3, "t"), 0.2, 0.8)
         m = samples_per_edge(6, 0.4)
-        k = est_simulation_edge(first_free_bits(TreeOracle(tree), m, prefix_rows("01"), [substream(4, "e")])[0])
+        k = est_simulation_edge(first_free_ones(TreeOracle(tree), m, prefix_rows("01"), [substream(4, "e")])[0])
         first = draw(TreeOracle(tree), "01", m, substream(4, "e"))[:, 0]
         assert k == np.count_nonzero(first == 1)
         assert m - k == np.count_nonzero(first == 0)
@@ -81,16 +82,19 @@ class TestEstSimulationEdge:
     def test_blocks_change_nothing(self, monkeypatch):
         # m = 120 rows of 4 free bits under "01"; a cap of 50 uniforms gives 10 blocks of 12
         tree = random_tree(6, substream(5, "t"), 0.2, 0.8)
-        whole_oracle = TreeOracle(tree, SampleBudget.tracking())
-        whole = first_free_bits(whole_oracle, 120, prefix_rows("01"), [substream(6, "e")])
+        whole_oracle = TreeOracle(tree)
+        whole_records = []
+        whole_oracle.on_record = whole_records.append
+        whole = first_free_ones(whole_oracle, 120, prefix_rows("01"), [substream(6, "e")])
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 50)
-        oracle = TreeOracle(tree, SampleBudget.tracking())
+        oracle = TreeOracle(tree)
         records = []
         oracle.on_record = records.append
-        chunked = first_free_bits(oracle, 120, prefix_rows("01"), [substream(6, "e")])
+        chunked = first_free_ones(oracle, 120, prefix_rows("01"), [substream(6, "e")])
+        assert [row for r in records for row in r["result"]] == whole_records[0]["result"]
         assert chunked.tolist() == whole.tolist()
         assert est_simulation_edge(chunked[0]) == est_simulation_edge(whole[0])
-        assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 120}
+        assert prefix_counts(records) == prefix_counts(whole_records) == {"01": 120}
         assert [r["count"] for r in records] == [12] * 10
         assert max(r["count"] * len(r["result"][0]) for r in records) <= 50
 
@@ -104,10 +108,14 @@ class TestEstSimulationEdge:
         def streams():
             return [substream(6, "e", j) for j in range(4)]
 
-        whole_oracle = TreeOracle(tree, SampleBudget.tracking())
-        whole = first_free_bits(whole_oracle, 120, prefixes, streams())
-        assert whole.tolist() == [draw(TreeOracle(tree), w, 120, rng)[:, 0].tolist()
-                                  for w, rng in zip(("01", "11", "10", "01"), streams())]
+        whole_oracle = TreeOracle(tree)
+        whole_records = []
+        whole_oracle.on_record = whole_records.append
+        whole = first_free_ones(whole_oracle, 120, prefixes, streams())
+        alone = [draw(TreeOracle(tree), w, 120, rng) for w, rng in zip(("01", "11", "10", "01"), streams())]
+        assert [r["result"] for r in whole_records] == [["".join(map(str, row)) for row in rows.tolist()]
+                                                         for rows in alone]
+        assert whole.tolist() == [np.count_nonzero(rows[:, 0]) for rows in alone]
         blocks = []
         draw_block = TreeOracle.conditional_sample_batch
 
@@ -117,14 +125,32 @@ class TestEstSimulationEdge:
 
         monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
-        oracle = TreeOracle(tree, SampleBudget.tracking())
+        oracle = TreeOracle(tree)
         records = []
         oracle.on_record = records.append
-        assert first_free_bits(oracle, 120, prefixes, streams()).tolist() == whole.tolist()
+        assert first_free_ones(oracle, 120, prefixes, streams()).tolist() == whole.tolist()
         assert blocks == ([3] * 40 if cap == 50 else [62, 58])
-        assert oracle.budget.per_prefix == whole_oracle.budget.per_prefix == {"01": 240, "11": 120, "10": 120}
+        # prefix j's rows, block after block, are its rows of the whole draw
+        assert [[row for r in records[j::4] for row in r["result"]] for j in range(4)] == [
+            r["result"] for r in whole_records]
+        assert prefix_counts(records) == prefix_counts(whole_records) == {"01": 240, "11": 120, "10": 120}
         assert [(r["prefix"], r["count"]) for r in records] == [
             (w, rows) for rows in blocks for w in ("01", "11", "10", "01")]
+
+    def test_a_draw_past_the_block_cap_holds_one_block(self):
+        # n = 1 leaves one free bit per row: m = 2^20 is one block, 2^24 is 16
+        def peak(m):
+            oracle = TreeOracle(uniform_tree(1))
+            tracemalloc.start()
+            try:
+                ones = first_free_ones(oracle, m, prefix_rows(""), [substream(7, "e", m)])
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert oracle.conditional_calls == m and 0 < ones[0] < m
+            return top
+
+        assert peak(1 << 24) - peak(1 << 20) <= 2 << 20
 
 
 class TestPreprocess:
@@ -132,7 +158,7 @@ class TestPreprocess:
         oracle = TreeOracle(uniform_tree(3))
         learned = preprocess(3, oracle, 0.5, seed=7)
         m = samples_per_edge(3, 0.5)
-        assert oracle.budget.conditional_calls == 7 * m
+        assert oracle.conditional_calls == 7 * m
         assert learned.touched_pairs == 7
 
     def test_reads_after_preprocess_are_free(self):
@@ -140,14 +166,14 @@ class TestPreprocess:
         oracle = TreeOracle(random_tree(n, substream(14, "t"), 0.2, 0.8))
         learned = preprocess(n, oracle, 0.5, seed=15)
         assert learned.touched_pairs == (1 << n) - 1
-        spent = oracle.budget.conditional_calls
+        spent = oracle.conditional_calls
         for v in range(1 << n):
             learned.query(code_rows(v, n))
         for _ in range(50):
             learned.sample()
         edge(learned, "0110", 0)
         learned.as_marginal_tree()
-        assert oracle.budget.conditional_calls == spent
+        assert oracle.conditional_calls == spent
         assert learned.touched_pairs == (1 << n) - 1
 
     def test_point_mass_learned_exactly(self):
@@ -176,7 +202,7 @@ class TestPreprocess:
 class TestPreprocessedReads:
     def test_realization_exact(self):
         learned = preprocess(4, TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
-        total = sum(learned.query_exact(bits) for bits in product((0, 1), repeat=4))
+        total = sum(query_exact(learned, bits) for bits in product((0, 1), repeat=4))
         assert total == Fraction(1)
         float_total = sum(learned.query(bits) for bits in product((0, 1), repeat=4))
         assert abs(float_total - 1.0) < 1e-12
@@ -204,7 +230,7 @@ class TestLazySimulation:
     def test_init_is_free(self):
         oracle = TreeOracle(uniform_tree(5))
         sim = LazySimulation(5, oracle, 0.5, seed=1)
-        assert oracle.budget.conditional_calls == 0
+        assert oracle.conditional_calls == 0
         assert hist(sim) == {}
 
     def test_same_seed_same_behavior(self):
@@ -218,13 +244,13 @@ class TestLazySimulation:
         oracle = TreeOracle(uniform_tree(10))
         sim = LazySimulation(10, oracle, 0.5, seed=2)
         first = edge(sim, "0110", 0)
-        assert oracle.budget.conditional_calls == 20
+        assert oracle.conditional_calls == 20
         again = edge(sim, "0110", 0)
         assert again == first
-        assert oracle.budget.conditional_calls == 20
+        assert oracle.conditional_calls == 20
         other = edge(sim, "0110", 1)
         assert first + other == Fraction(1)
-        assert oracle.budget.conditional_calls == 20
+        assert oracle.conditional_calls == 20
 
     def test_fresh_query_cost_and_ledger(self):
         n, delta = 10, 0.5
@@ -233,18 +259,18 @@ class TestLazySimulation:
         m = samples_per_edge(n, delta)
 
         value = sim.query("0110101101")
-        assert oracle.budget.conditional_calls == n * m
+        assert oracle.conditional_calls == n * m
         assert sim.query("0110101101") == value
-        assert oracle.budget.conditional_calls == n * m
+        assert oracle.conditional_calls == n * m
 
         # flipping the last bit shares every sibling pair
         sim.query("0110101100")
-        assert oracle.budget.conditional_calls == n * m
+        assert oracle.conditional_calls == n * m
 
         # a fresh top-level branch pays for n - 1 new pairs
         sim.query("1110101101")
-        assert oracle.budget.conditional_calls == (2 * n - 1) * m
-        assert oracle.budget.conditional_calls == m * sim.touched_pairs
+        assert oracle.conditional_calls == (2 * n - 1) * m
+        assert oracle.conditional_calls == m * sim.touched_pairs
 
     def test_sample_consistency(self):
         oracle = TreeOracle(random_tree(6, substream(22, "t"), 0.2, 0.8))
@@ -327,7 +353,7 @@ class TestBatchedWalks:
             assert [tuple(row) for row in bits.tolist()] == [x for x, _ in draws]
             assert masses.tolist() == [p for _, p in draws]
         assert hist(batched) == hist(scalar)
-        assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
+        assert batched.oracle.conditional_calls == scalar.oracle.conditional_calls
 
     def test_query_batch_equals_scalar_queries(self):
         n = 6
@@ -336,7 +362,7 @@ class TestBatchedWalks:
         rows = code_rows(codes, n).tolist()
         assert batched.query_batch(rows).tolist() == [scalar.query(x) for x in rows]
         assert hist(batched) == hist(scalar)
-        assert batched.oracle.budget.conditional_calls == scalar.oracle.budget.conditional_calls
+        assert batched.oracle.conditional_calls == scalar.oracle.conditional_calls
         assert batched.query_batch(np.zeros((0, n), dtype=np.uint8)).shape == (0,)
 
     def test_query_batch_validates_its_rows(self):
@@ -346,7 +372,7 @@ class TestBatchedWalks:
                 sim.query_batch(bad)
         with pytest.raises(ValueError):
             sim.sample_batch(-1)
-        assert sim.oracle.budget.conditional_calls == 0
+        assert sim.oracle.conditional_calls == 0
 
     def test_node_ids_past_int64(self):
         # n = 70 node ids do not fit in int64; the walk keeps them as Python ints
@@ -391,7 +417,7 @@ def test_lazy_equals_eager_over_random_scripts(script, seed):
         else:
             rows = code_rows(np.array(arg, dtype=np.int64), n).reshape(-1, n)
             assert np.array_equal(eager.query_batch(rows), lazy.query_batch(rows))
-        assert lazy.oracle.budget.conditional_calls == lazy.m * lazy.touched_pairs
+        assert lazy.oracle.conditional_calls == lazy.m * lazy.touched_pairs
     assert hist(lazy).items() <= hist(eager).items()
 
 
@@ -403,14 +429,14 @@ def test_exact_realization_sums_to_one(n, m, seed, marginals):
     tree = random_tree(n, substream(seed, "t"), *marginals)
     sim = LazySimulation(n, TreeOracle(tree), n / m, seed)
     assert sim.m == m
-    assert sum(sim.query_exact(x) for x in code_rows(np.arange(1 << n), n)) == 1
+    assert sum(query_exact(sim, x) for x in code_rows(np.arange(1 << n), n)) == 1
 
 
 def level_script(tree):
     """Learn tree eagerly, and walk it lazily in batches; what each gave, charged and drew."""
     out = []
     for eager in (True, False):
-        oracle = TreeOracle(tree, SampleBudget.tracking())
+        oracle = TreeOracle(tree)
         records = []
         oracle.on_record = records.append
         if eager:
@@ -423,7 +449,7 @@ def level_script(tree):
         drawn = {}
         for r in records:
             drawn.setdefault(r["prefix"], []).extend(r["result"])
-        out.append((hist(sim), dict(oracle.budget.per_prefix), list(drawn), drawn, results))
+        out.append((hist(sim), prefix_counts(records), list(drawn), drawn, results))
     return out
 
 
@@ -444,14 +470,14 @@ def test_level_blocks_change_nothing(monkeypatch, cap):
     whole_blocks, blocks[:] = len(blocks), []
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
     groups = []
-    draw_group = simulation.first_free_bits
+    draw_group = simulation.first_free_ones
 
     def recording_groups(oracle, m, prefixes, rngs):
         groups.append((len(prefixes), len(prefixes) * m * (oracle.n - prefixes.shape[1])))
         return draw_group(oracle, m, prefixes, rngs)
 
     # a level's prefix bits and streams are built one block's group at a time
-    monkeypatch.setattr(simulation, "first_free_bits", recording_groups)
+    monkeypatch.setattr(simulation, "first_free_ones", recording_groups)
     assert level_script(tree) == whole
     assert max(blocks) <= cap and len(blocks) > whole_blocks
     assert all(k == 1 or uniforms <= cap for k, uniforms in groups)
@@ -475,4 +501,4 @@ def test_lazy_script_touches_edges_in_first_touch_order():
         "", "0", "1", "01", "10", "010", "100", "101", "0100", "1000", "1010",
         "11", "00", "110", "000", "011", "1101", "0000", "0111", "0110"]
     assert [r["count"] for r in records] == [10] * 20
-    assert oracle.budget.conditional_calls == 200
+    assert oracle.conditional_calls == 200

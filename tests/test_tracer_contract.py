@@ -5,7 +5,8 @@ return; each assertion here protects one of its counters:
 
 - oracles.rows, oracles.calls and oracles.block_bytes_max: each oracle's
   draw is found through vars() of its own class, and a traced op fails
-  unless the rows of the returned draw blocks add up to the budget ledger.
+  unless the rows of the returned draw blocks add up to the conditional_calls
+  ledger.
 - simulation.edges_estimated: prefixsim.simulation.est_simulation_edge is
   looked up by name and counts one estimated edge per call.
 - reduction.native_rows: TableIntervalOracle.draw_batch is found through
@@ -28,7 +29,7 @@ import numpy as np
 
 from prefixsim import reduction, simulation, streams
 from prefixsim.oracles import TreeOracle
-from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle, interval_breakdown
+from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle
 from prefixsim.streams import substream
 from prefixsim.trees import random_tree
 
@@ -56,11 +57,11 @@ def test_edge_estimator_runs_once_per_edge(monkeypatch):
 def test_block_rows_equal_rows_charged():
     weights = substream(1, "w").uniform(0.1, 1.0, 6)
     for oracle in (TreeOracle(random_tree(3, substream(2, "t"))),
-                   AdaptedPrefixOracle(interval_breakdown(6), TableIntervalOracle(weights))):
+                   AdaptedPrefixOracle(TableIntervalOracle(weights))):
         prefixes = prefix_rows("0", "1", "1")
         block = oracle.conditional_sample_batch(prefixes, 7, [substream(3, j) for j in range(3)])
         assert block.shape == (3 * 7, 2) and block.dtype == np.uint8
-        assert block.shape[0] == oracle.budget.conditional_calls
+        assert block.shape[0] == oracle.conditional_calls
 
 
 def test_native_draw_returns_one_element_per_row():
