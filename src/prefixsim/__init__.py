@@ -19,10 +19,8 @@ from .trees import (
     bernoulli_kl,
     chain_rule_kl,
     kl_divergence,
-    point_mass_tree,
     random_tree,
     tv_distance,
-    uniform_tree,
 )
 from .oracles import PrefixOracle, TreeOracle
 from .reduction import (
@@ -43,13 +41,12 @@ from .simulation import (
 from .distance import (
     TvEstimate,
     estimate_tv,
-    one_sided_expectation,
+    pairs_per_round,
     simulation_delta,
 )
 from .adhoc import AdHocInstance, TesterResult, gen_instance, run_ad_hoc_tester, tester_parameters
 from .hardness import (
     HardInstance,
-    SignAssignment,
     SignMarginalTree,
     ThresholdConstants,
     challenge_marginal,
@@ -62,7 +59,6 @@ from .hardness import (
     tilt_marginal,
 )
 from .divergence_lab import (
-    FiniteDistribution,
     LemmaReport,
     check_bounded_ratio_dkl,
     check_chain_rule,
@@ -72,7 +68,6 @@ from .divergence_lab import (
     check_product_additivity,
     check_symmetric_chi_square,
     expected_binomial_kl,
-    random_distribution,
     run_lemma_sweep,
     vector_kl,
 )

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .adhoc import gen_instance, run_ad_hoc_tester, tester_parameters
 from .bits import code_rows
-from .distance import estimate_tv, simulation_delta
+from .distance import estimate_tv, pairs_per_round, simulation_delta
 from .divergence_lab import run_lemma_sweep
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
 from .oracles import TreeOracle
@@ -343,6 +343,7 @@ def cmd_estimate_tv(parser, args) -> int:
     m = _checked(parser, samples_per_edge, args.n, _checked(parser, simulation_delta, args.epsilon))
     _within_draw_cap(parser, "m x n per walked row", m * args.n)
     _within_draw_cap(parser, "pairs per round", args.scale / (args.epsilon * args.epsilon))
+    _checked(parser, pairs_per_round, args.epsilon, args.scale)
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
            "scale": args.scale, "rounds": args.rounds,
@@ -363,6 +364,8 @@ def cmd_adhoc(parser, args) -> int:
         parser.error("precondition violated: need 0 < delta < 1/3")
     if not 0.0 < args.r < 1.0 / 12.0:
         parser.error("precondition violated: need 0 < r < 1/12")
+    if not 0.0 <= args.min_rate <= 1.0:
+        parser.error("precondition violated: need 0 <= min-rate <= 1")
     _positive(parser, "trials", args.trials)
     n_prime, q, threshold = _checked(parser, tester_parameters, args.delta, args.r)
     n = args.n if args.n is not None else n_prime
@@ -390,6 +393,8 @@ def cmd_hard_instance(parser, args) -> int:
         parser.error("precondition violated: pass --epsilon or --delta")
     if args.epsilon is not None and not 0.0 < args.epsilon < 1.0:
         parser.error("precondition violated: need 0 < epsilon < 1")
+    # only a no-instance needs r < 1; a yes-instance never uses r
+    _positive(parser, "r", args.r)
     _positive(parser, "trials", args.trials)
     _positive(parser, "draws", args.draws, strict=False)
     _within_block_cap(parser, "n", args.n)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simulation import LazySimulation
-from .trees import MarginalTree
 from .util import ceil_snap
 
 #: Most pairs drawn and cross-queried at once, so a round's arrays stay
@@ -43,6 +42,14 @@ def simulation_delta(epsilon: float) -> float:
     return delta
 
 
+def pairs_per_round(epsilon: float, scale: float) -> int:
+    """ceil(scale / epsilon^2), the pairs estimate_tv draws per round; at least 1."""
+    pairs = ceil_snap(scale / (epsilon * epsilon))
+    if pairs < 1:
+        raise ValueError(f"scale / epsilon^2 = {scale / (epsilon * epsilon)} rounds to no pairs per round")
+    return pairs
+
+
 def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
                 scale: float = 16.0, rounds: int = 9) -> TvEstimate:
     """Estimate d_TV between the two simulated distributions within +-epsilon.
@@ -62,7 +69,7 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
         raise ValueError("epsilon must be in (0, 1)")
     if rounds < 1 or scale <= 0.0:
         raise ValueError("need at least one round and a positive scale")
-    pairs = ceil_snap(scale / (epsilon * epsilon))
+    pairs = pairs_per_round(epsilon, scale)
     before_a = sim_a.oracle.conditional_calls
     before_b = sim_b.oracle.conditional_calls
     round_values = []
@@ -87,14 +94,3 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
         budget_b=sim_b.oracle.conditional_calls - before_b,
     )
 
-
-def one_sided_expectation(a: MarginalTree, b: MarginalTree) -> float:
-    """Exact E_{x ~ a}[max(0, 1 - b(x)/a(x))], by enumeration.
-
-    Equals sum_x max(0, a(x) - b(x)) = d_TV(a, b); the identity behind the
-    plug-in estimator, kept as an independent check.
-    """
-    pa = a.masses()
-    pb = b.masses()
-    diff = pa - pb
-    return float(diff[diff > 0].sum())

@@ -1,12 +1,12 @@
 """Numeric verifiers for the divergence inequalities the algorithms rest on.
 
-Every inequality checker evaluates both sides on explicit finite
-distributions in stable log space and returns (lhs, rhs, ok), ok being
-whether lhs <= rhs holds with 1e-12 slack for float round-off; identity
-checkers return only whether the identity holds.  These are theorems, so a
-failed check on a valid input is a build-stopping bug; the randomized sweep
-drives each checker over seeded instances and reports violations and the
-worst margin rhs - lhs.
+Every inequality checker evaluates both sides on explicit mass vectors
+(anything np.asarray reads as floats) in stable log space and returns
+(lhs, rhs, ok), ok being whether lhs <= rhs holds with 1e-12 slack for
+float round-off; identity checkers return only whether the identity holds.
+These are theorems, so a failed check on a valid input is a build-stopping
+bug; the randomized sweep drives each checker over seeded instances and
+reports violations and the worst margin rhs - lhs.
 
 The vector checkers (bounded ratio, symmetric chi-square, half mixture,
 Pinsker, product additivity, the nonadaptive run and the binomial identity)
@@ -50,46 +50,15 @@ LN2 = math.log(2.0)
 SWEEP_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """An explicit distribution on a finite support."""
-
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or m.size < 1:
-            raise ValueError("masses must be a non-empty 1-d vector")
-        if np.any(m < 0.0):
-            raise ValueError("masses must be non-negative")
-        if abs(m.sum() - 1.0) > 1e-12:
-            raise ValueError(f"masses sum to {m.sum()}, not 1")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
-
-    @property
-    def k(self) -> int:
-        return self.masses.size
-
-
 def _simplex_point(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized standard exponentials: a fully supported random point on the simplex."""
     raw = rng.exponential(1.0, k)
     return raw / raw.sum()
 
 
-def random_distribution(k: int, rng: np.random.Generator) -> FiniteDistribution:
-    """Normalized standard exponentials: a fully supported random point on the simplex."""
-    return FiniteDistribution(_simplex_point(k, rng))
-
-
-def _masses(d) -> np.ndarray:
-    return d.masses if isinstance(d, FiniteDistribution) else np.asarray(d, dtype=float)
-
-
 def _alone(rows_fn, *fields) -> tuple:
     """rows_fn on one instance, as a block of one row; its results as Python scalars."""
-    return tuple(out[0].item() for out in rows_fn(*(np.asarray(f)[None] for f in fields)))
+    return tuple(out[0].item() for out in rows_fn(*(np.asarray(f, dtype=float)[None] for f in fields)))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -113,15 +82,11 @@ def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def vector_kl(mu, nu) -> float:
     """KL divergence of explicit mass vectors, in bits; +inf on support mismatch."""
-    p = _masses(mu)
-    q = _masses(nu)
+    p = np.asarray(mu, dtype=float)
+    q = np.asarray(nu, dtype=float)
     if p.shape != q.shape:
         raise ValueError("distributions must share a support")
     return _kl_rows(p.reshape(1, -1), q.reshape(1, -1))[0].item()
-
-
-def total_variation(mu, nu) -> float:
-    return _tv_rows(_masses(mu)[None], _masses(nu)[None])[0].item()
 
 
 def _agree(value: np.ndarray, reference: np.ndarray, tol: float) -> np.ndarray:
@@ -177,7 +142,7 @@ def _ratio_rows(p, q, t):
 
 def check_bounded_ratio_dkl(mu, nu, t: float) -> tuple[float, float, bool]:
     """If mu(x) is within (1 +- t) nu(x) pointwise, then KL(mu||nu) <= t^2 / ln 2."""
-    return _alone(_ratio_rows, _masses(mu), _masses(nu), t)
+    return _alone(_ratio_rows, mu, nu, t)
 
 
 def _chi_square_rows(p, q):
@@ -189,7 +154,7 @@ def _chi_square_rows(p, q):
 
 def check_symmetric_chi_square(mu, nu) -> tuple[float, float, bool]:
     """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
-    return _alone(_chi_square_rows, _masses(mu), _masses(nu))
+    return _alone(_chi_square_rows, mu, nu)
 
 
 def _mixture_rows(p, q, r):
@@ -207,7 +172,7 @@ def _mixture_rows(p, q, r):
 def check_half_mixture_bias(mu, nu, r: float) -> tuple[float, float, bool]:
     """KL of the even mixture from the r-tilted mixture is at most
     r^2 / 2 times the symmetrized KL of the components (|r| < 1/2)."""
-    return _alone(_mixture_rows, _masses(mu), _masses(nu), r)
+    return _alone(_mixture_rows, mu, nu, r)
 
 
 def _nonadaptive_rows(schedules: list[np.ndarray], delta: np.ndarray, r: np.ndarray):
@@ -269,7 +234,7 @@ def _pinsker_rows(p, q):
 
 def check_pinsker(mu, nu) -> tuple[float, float, bool]:
     """2 * d_TV(mu, nu)^2 <= KL(mu||nu)."""
-    return _alone(_pinsker_rows, _masses(mu), _masses(nu))
+    return _alone(_pinsker_rows, mu, nu)
 
 
 def _product_rows(p1, q1, p2, q2, tol: float = 1e-9):
@@ -281,7 +246,7 @@ def _product_rows(p1, q1, p2, q2, tol: float = 1e-9):
 
 def check_product_additivity(mu1, nu1, mu2, nu2, tol: float = 1e-9) -> bool:
     """KL of product distributions equals the sum of component KLs."""
-    return _alone(functools.partial(_product_rows, tol=tol), *map(_masses, (mu1, nu1, mu2, nu2)))[0]
+    return _alone(functools.partial(_product_rows, tol=tol), mu1, nu1, mu2, nu2)[0]
 
 
 def check_chain_rule(a: MarginalTree, b: MarginalTree, tol: float = 1e-9) -> bool:
@@ -317,7 +282,7 @@ def _binomial_identity_rows(ms, p, q, tol: float = 1e-9):
 
 def check_binomial_kl_identity(m: int, p: float, q: float, tol: float = 1e-9) -> bool:
     """KL(Bin(m,p) || Bin(m,q)) = m * KL(Ber(p) || Ber(q))."""
-    return _alone(functools.partial(_binomial_identity_rows, tol=tol), m, float(p), float(q))[0]
+    return _alone(functools.partial(_binomial_identity_rows, tol=tol), m, p, q)[0]
 
 
 @dataclass

@@ -7,9 +7,11 @@ drawn challenge element, a no-instance draws the challenge from mu'.  With
 delta = sqrt(2) * eps / sqrt(n) and r = 8 / sqrt(n), telling the two cases
 apart is as hard as estimating masses within a (1 +- eps) factor.
 
-Signs are materialized lazily as a pure function of (seed, prefix) via a
-rolling 64-bit mix, so instances with n in the thousands need no storage and
-every traversal order sees identical values.
+mu and mu' are SignMarginalTrees on one seed, child_seed(seed, "signs"), so
+they share their signs.  A sign is a pure function of (seed, prefix): the
+trees' block walks carry a rolling 64-bit mix down each path, one step per
+level.  So instances with n in the thousands need no storage, and every walk
+order sees the same signs.
 """
 
 from __future__ import annotations
@@ -27,87 +29,53 @@ from .trees import MarginalTree
 
 _MASK64 = (1 << 64) - 1
 _SIGN_TAG = 0x632D65B727C07E85
-_GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-# the same constants as uint64 scalars, so array calls convert nothing
-_GAMMA64, _MUL1_64, _MUL2_64 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+# splitmix64's constants and shifts as uint64 scalars, so array steps convert nothing
+_GAMMA, _MUL1, _MUL2 = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+                        np.uint64(0x94D049BB133111EB))
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _mix(z):
-    """splitmix64 finalizer; a bijective 64-bit scrambler.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on a uint64 array; a bijective 64-bit scrambler.
 
-    z is a Python int, or a uint64 array mixed elementwise; array arithmetic
-    wraps mod 2^64 in place of the int path's masks (uint64 scalars would
-    warn on that overflow, so ints take the int path).
+    The steps wrap mod 2^64 as uint64 array arithmetic does; they run in
+    place on the sum's fresh array, so z itself is left unchanged.
     """
-    if isinstance(z, int):
-        z = (z + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-        return z ^ (z >> 31)
-    z = z + _GAMMA64
+    z = z + _GAMMA
     z ^= z >> _S30
-    z *= _MUL1_64
+    z *= _MUL1
     z ^= z >> _S27
-    z *= _MUL2_64
+    z *= _MUL2
     z ^= z >> _S31
     return z
 
 
-class SignAssignment:
-    """Lazily materialized uniform signs s_w in {+1, -1}, one per prefix.
-
-    The sign at w is a deterministic function of (seed, w): a rolling state
-    is advanced one mix per bit, so walks can evaluate signs incrementally
-    at O(1) per step, and sign(w) recomputes the state from the root in
-    O(|w|) mixes.  Nothing is cached, so memory stays constant however many
-    prefixes are asked for.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.root_state = _mix(seed & _MASK64)
-
-    @staticmethod
-    def advance(state: int, bit: int) -> int:
-        return _mix(state ^ (bit + 1))
-
-    @staticmethod
-    def sign_of_state(state: int) -> int:
-        return 1 if _mix(state ^ _SIGN_TAG) & 1 else -1
-
-    def sign(self, w) -> int:
-        """The sign of the prefix w (a '01' string or bit sequence)."""
-        state = self.root_state
-        for b in w:
-            state = self.advance(state, int(b))
-        return self.sign_of_state(state)
-
-
 class SignMarginalTree(MarginalTree):
-    """Marginal tree whose f(w) depends on the prefix only through its sign.
+    """Marginal tree whose f(w) depends on the prefix only through a uniform sign s_w.
 
-    A node's handle is the rolling state of the sign assignment at it, so
-    walks step O(1) per level and keep nothing; vectorized walks hold uint64
-    states, which _mix wraps mod 2^64 exactly as it does on plain ints.
+    A node's handle is a rolling 64-bit state: the root's is the mix of the
+    seed, and a child's the mix of its parent's state xor (bit + 1).  The
+    node's sign is +1 when the mix of its state xor a fixed tag is odd.  So
+    signs are a pure function of (seed, prefix), walks step O(1) per level
+    and nothing is stored.  Handles are uint64 and only ever enter arrays,
+    where the mix wraps mod 2^64 (a uint64 scalar would warn on overflow).
     """
 
     _handle_dtype = np.uint64
 
-    def __init__(self, n: int, signs: SignAssignment, minus_value: float, plus_value: float):
+    def __init__(self, n: int, seed: int, minus_value: float, plus_value: float):
         """Marginal is plus_value where the sign is +1 and minus_value where it is -1."""
         super().__init__(n)
         if not (0.0 <= minus_value <= 1.0 and 0.0 <= plus_value <= 1.0):
             raise ValueError("marginal values must be probabilities")
-        self.signs = signs
-        self._root = signs.root_state
+        self._root = _mix(np.array([seed & _MASK64], dtype=np.uint64))[0]
         self._values = np.array([minus_value, plus_value])
 
     def _child(self, h, b):
-        return SignAssignment.advance(h, b)
+        return _mix(h ^ (b + 1))
 
     def _f(self, depth: int, h):
-        return self._values[_mix(h ^ _SIGN_TAG) & 1]     # sign_of_state, elementwise
+        return self._values[_mix(h ^ _SIGN_TAG) & 1]
 
 
 def challenge_marginal(sign, delta):
@@ -136,13 +104,12 @@ class HardInstance:
     n: int
     delta: float
     r: float
-    signs: SignAssignment
     x: tuple[int, ...]
     seed: int
 
     def marginal_tree(self) -> SignMarginalTree:
         """The input distribution mu, marginals (1 + s_w delta) / 2."""
-        return SignMarginalTree(self.n, self.signs,
+        return SignMarginalTree(self.n, child_seed(self.seed, "signs"),
                                 challenge_marginal(-1, self.delta),
                                 challenge_marginal(1, self.delta))
 
@@ -171,16 +138,15 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
         r = default_r(n)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} does not give valid marginals; lower epsilon or pass delta")
-    signs = SignAssignment(child_seed(seed, "signs"))
     rng = substream(seed, "challenge")
     if label == "yes":
         x = tuple(rng.integers(0, 2, n).tolist())
     else:
         if not 0.0 < r < 1.0:
             raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
-        tilted = SignMarginalTree(n, signs, tilt_marginal(-1, r), tilt_marginal(1, r))
+        tilted = SignMarginalTree(n, child_seed(seed, "signs"), tilt_marginal(-1, r), tilt_marginal(1, r))
         x = tuple(tilted.descend(rng.random((1, n)))[0].tolist())
-    return HardInstance(label, n, delta, r, signs, x, seed)
+    return HardInstance(label, n, delta, r, x, seed)
 
 
 def effective_samples(oracle: PrefixOracle, w, x, rng: RandomStream, draws: int) -> np.ndarray:

@@ -11,9 +11,12 @@ A tree names its nodes by handles: the root's handle, the handle of a node's
 child along a bit, and the marginal f at a handle.  Table trees use a node's
 index in its level; the hard instances' sign trees use a rolling 64-bit state
 computed from the prefix, so instances with n in the thousands need no
-storage.  The base class owns every walk over these names: the walk of a
-block of prefixes to their handles and masses, the descent of a block of
-rows and the level-by-level materialization into tables.
+storage.  The base class owns every walk over these names, and the walks
+are a tree's whole interface: cylinders takes a block of prefixes to their
+handles and cylinder masses (a full-length row's cylinder mass is its
+element's mass), descend walks a block of rows down to the leaves, and
+materialize builds the tables level by level.  A caller with one prefix
+passes a block of one row.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import element_bits, prefix_bits
 from .errors import CapabilityError
 
 #: Largest n for which exact enumeration over all 2^n elements is supported.
@@ -61,7 +63,7 @@ class MarginalTree:
     """
 
     _handle_dtype: type
-    _root: int
+    _root: int | np.uint64
 
     def __init__(self, n: int):
         if n < 1:
@@ -105,22 +107,6 @@ class MarginalTree:
                 h = self._child(h, out[:, t - 1])
             out[:, t] = u[:, t] < self._f(depth + t, h)
         return out
-
-    def marginal(self, w) -> float:
-        """f(w): probability that the bit after prefix w is 1."""
-        bits = prefix_bits(w, self.n)
-        return float(self._f(len(bits), self.cylinders(np.array([bits], dtype=np.uint8))[0])[0])
-
-    def mass(self, x) -> float:
-        """Probability mass of the element x."""
-        return self._path_mass(element_bits(x, self.n))
-
-    def conditional_mass(self, w) -> float:
-        """Mass of the cylinder of strings extending the prefix w."""
-        return self._path_mass(prefix_bits(w, self.n))
-
-    def _path_mass(self, bits: tuple[int, ...]) -> float:
-        return float(self.cylinders(np.array([bits], dtype=np.uint8))[1][0])
 
     def masses(self) -> np.ndarray:
         """All 2^n element masses, indexed by the big-endian value of x."""
@@ -189,23 +175,6 @@ class TableMarginalTree(MarginalTree):
 
     def materialize(self) -> "TableMarginalTree":
         return self
-
-
-def uniform_tree(n: int) -> TableMarginalTree:
-    return TableMarginalTree(n, [np.full(1 << i, 0.5) for i in range(n)])
-
-
-def point_mass_tree(x) -> TableMarginalTree:
-    """The distribution putting all mass on the single element x."""
-    xs = element_bits(x, len(x))
-    levels = []
-    idx = 0
-    for i, b in enumerate(xs):
-        level = np.zeros(1 << i)
-        level[idx] = float(b)
-        levels.append(level)
-        idx = (idx << 1) | b
-    return TableMarginalTree(len(xs), levels)
 
 
 def random_tree(n: int, rng: np.random.Generator, low: float = 0.0, high: float = 1.0) -> TableMarginalTree:

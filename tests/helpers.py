@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from prefixsim.bits import element_bits
+from prefixsim.bits import element_bits, prefix_bits
+from prefixsim.hardness import _SIGN_TAG
+from prefixsim.trees import TableMarginalTree
 
 #: standard normal 99th percentile
 Z_99 = 2.3263478740408408
@@ -105,3 +107,80 @@ def exact_total_mass(tree) -> Fraction:
         fs = map(Fraction, table.level(i).tolist())
         masses = [cur * g for cur, f in zip(masses, fs) for g in (1 - f, f)]
     return sum(masses, Fraction(0))
+
+
+def uniform_tree(n: int) -> TableMarginalTree:
+    return TableMarginalTree(n, [np.full(1 << i, 0.5) for i in range(n)])
+
+
+def point_mass_tree(x) -> TableMarginalTree:
+    """The distribution putting all mass on the single element x."""
+    xs = element_bits(x, len(x))
+    levels = []
+    idx = 0
+    for i, b in enumerate(xs):
+        level = np.zeros(1 << i)
+        level[idx] = float(b)
+        levels.append(level)
+        idx = (idx << 1) | b
+    return TableMarginalTree(len(xs), levels)
+
+
+def _one_row(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint8).reshape(1, len(bits))
+
+
+def mass(tree, x) -> float:
+    """The mass of the element x: its cylinder mass as a block of one full-length row."""
+    return float(tree.cylinders(_one_row(element_bits(x, tree.n)))[1][0])
+
+
+def cylinder_mass(tree, w) -> float:
+    """The mass of the strings extending the prefix w, walked as a block of one row."""
+    return float(tree.cylinders(_one_row(prefix_bits(w, tree.n)))[1][0])
+
+
+def marginal(tree, w) -> float:
+    """f(w), the probability that the bit after the prefix w is 1, at w's handle."""
+    bits = prefix_bits(w, tree.n)
+    return float(tree._f(len(bits), tree.cylinders(_one_row(bits))[0])[0])
+
+
+def one_sided_expectation(a, b) -> float:
+    """Exact E_{x ~ a}[max(0, 1 - b(x)/a(x))], by enumeration.
+
+    Equals sum_x max(0, a(x) - b(x)) = d_TV(a, b); the identity behind the
+    plug-in estimator of distance.estimate_tv.
+    """
+    diff = a.masses() - b.masses()
+    return float(diff[diff > 0].sum())
+
+
+MASK64 = (1 << 64) - 1
+
+
+def mix(z: int) -> int:
+    """The splitmix64 finalizer on Python ints, masked to 64 bits: the reference for hardness._mix."""
+    z = (z + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def sign_states(seed: int, bits):
+    """A sign tree's rolling states along bits, in plain ints: the root's, then one per bit."""
+    state = mix(seed & MASK64)
+    yield state
+    for b in bits:
+        state = mix(state ^ (int(b) + 1))
+        yield state
+
+
+def state_sign(state: int) -> int:
+    return 1 if mix(state ^ _SIGN_TAG) & 1 else -1
+
+
+def sign(seed: int, w) -> int:
+    """The sign s_w at the prefix w (a '01' string or bit sequence) of the sign tree on seed."""
+    *_, state = sign_states(seed, w)
+    return state_sign(state)

@@ -295,6 +295,12 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     # 10^12 draws x n and samples x depth
     ["hard-instance", "--n", "2", "--epsilon", "0.1", "--draws", "1000000000000"],
     ["reduce-interval", "--size", "4", "--samples", "1000000000000"],
+    # scale / eps^2 = 4e-12 rounds to no pairs per round
+    ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "1e-12"],
+    # non-finite values would be written into the JSON records as NaN or Infinity
+    ["hard-instance", "--n", "8", "--epsilon", "0.1", "--r", "nan"],
+    ["hard-instance", "--n", "8", "--epsilon", "0.1", "--r", "inf"],
+    ["adhoc", "--delta", "0.3", "--r", "0.0769", "--min-rate", "nan"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,14 @@
 import pytest
 
 from prefixsim import distance
-from prefixsim.distance import (
-    estimate_tv,
-    one_sided_expectation,
-    simulation_delta,
-)
+from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation, preprocess
 from prefixsim.streams import child_seed, substream
-from prefixsim.trees import point_mass_tree, random_tree, tv_distance
+from prefixsim.trees import random_tree, tv_distance
 from prefixsim.util import ceil_snap
+
+from helpers import one_sided_expectation, point_mass_tree
 
 
 def lazy_pair(tree_a, tree_b, epsilon, seed):
@@ -119,6 +117,15 @@ def test_parameter_validation():
         estimate_tv(sim, sim, 0.0)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.3, rounds=0)
+
+
+def test_no_pairs_per_round_rejected():
+    # scale / eps^2 = 4e-12 snaps to 0 pairs, which would leave a round's average 0 / 0
+    tree = random_tree(2, substream(72, "t"))
+    sim = LazySimulation(2, TreeOracle(tree), 0.1, seed=73)
+    with pytest.raises(ValueError):
+        estimate_tv(sim, sim, 0.5, scale=1e-12)
+    assert sim.oracle.conditional_calls == 0
 
 
 def scalar_estimate_tv(sim_a, sim_b, epsilon, scale=16.0, rounds=9):

@@ -6,50 +6,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixsim import hardness
-from prefixsim.streams import substream
+from prefixsim.streams import child_seed, substream
 
-from helpers import draw, exact_total_mass
+from helpers import (draw, exact_total_mass, marginal, mass, mix, sign, sign_states,
+                     state_sign)
 
 
 class TestSignAssignment:
+    """The signs s_w of a sign tree, read through the int reference helpers.sign."""
+
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=24))
     @settings(max_examples=60)
     def test_deterministic_and_binary(self, bits):
-        a = hardness.SignAssignment(12345)
-        b = hardness.SignAssignment(12345)
-        assert a.sign(bits) == b.sign(bits)
-        assert a.sign(bits) in (-1, 1)
+        assert sign(12345, bits) == sign(12345, bits)
+        assert sign(12345, bits) in (-1, 1)
 
     def test_traversal_order_is_irrelevant(self):
         prefixes = ["", "0", "1", "01", "10", "0110", "1001"]
-        forward = hardness.SignAssignment(9)
-        backward = hardness.SignAssignment(9)
-        lhs = {w: forward.sign(w) for w in prefixes}
-        rhs = {w: backward.sign(w) for w in reversed(prefixes)}
+        lhs = {w: sign(9, w) for w in prefixes}
+        rhs = {w: sign(9, w) for w in reversed(prefixes)}
         assert lhs == rhs
 
     def test_signs_look_balanced(self):
-        signs = hardness.SignAssignment(77)
-        values = [signs.sign(format(v, "012b")) for v in range(4096)]
+        values = [sign(77, format(v, "012b")) for v in range(4096)]
         # 4 sigma band for a sum of 4096 fair signs
         assert abs(np.mean(values)) <= 4.0 / math.sqrt(4096)
 
     def test_seeds_decouple(self):
-        a = hardness.SignAssignment(1)
-        b = hardness.SignAssignment(2)
-        values_a = [a.sign(format(v, "08b")) for v in range(256)]
-        values_b = [b.sign(format(v, "08b")) for v in range(256)]
+        values_a = [sign(1, format(v, "08b")) for v in range(256)]
+        values_b = [sign(2, format(v, "08b")) for v in range(256)]
         assert values_a != values_b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, child_seed(3, "signs"), child_seed(4, "signs")])
+    def test_tree_signs_equal_the_int_signs(self, seed):
+        # a sign tree with values (0, 1) puts marginal 1 exactly where the sign is +1
+        tree = hardness.SignMarginalTree(12, seed, 0.0, 1.0)
+        table = tree.materialize()
+        for depth in (0, 1, 5, 11):
+            assert table.level(depth).tolist() == [
+                float(sign(seed, format(v, f"0{depth}b") if depth else "") == 1) for v in range(1 << depth)]
 
 
 def test_array_mix_equals_int_mix():
-    # the uint64 array path wraps mod 2^64 exactly as the int path masks
+    # the uint64 array steps wrap mod 2^64 exactly as the int reference masks
     z = substream(3, "mix").integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
     z = np.concatenate((z, np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)))
     before = z.copy()
     mixed = hardness._mix(z)
     assert mixed.dtype == np.uint64
-    assert mixed.tolist() == [hardness._mix(v) for v in z.tolist()]
+    assert mixed.tolist() == [mix(v) for v in z.tolist()]
     assert np.array_equal(z, before)          # the in-place steps work on a copy
 
 
@@ -60,22 +65,23 @@ class TestHardInstance:
         lo = hardness.challenge_marginal(-1, inst.delta)
         hi = hardness.challenge_marginal(1, inst.delta)
         for w in ("", "0", "1", "0101", "1" * 50):
-            assert tree.marginal(w) in (lo, hi)
+            assert marginal(tree, w) in (lo, hi)
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_oracle_view_matches_materialized_signs(self, n):
         inst = hardness.gen_hard_instance(n, 0.2, "yes", seed=4)
         tree = inst.marginal_tree()
         table = tree.materialize()
+        seed = child_seed(inst.seed, "signs")
         for v in range(0, 1 << n, (1 << n) // 128 + 1):
             bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
             expected = 1.0
             for i in range(n):
-                s = inst.signs.sign(bits[:i])
+                s = sign(seed, bits[:i])
                 f = hardness.challenge_marginal(s, inst.delta)
                 expected *= f if bits[i] else (1.0 - f)
-            assert tree.mass(bits) == expected
-            assert table.mass(bits) == expected
+            assert mass(tree, bits) == expected
+            assert mass(table, bits) == expected
 
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_materialize_equals_per_prefix_marginals(self, n):
@@ -83,19 +89,21 @@ class TestHardInstance:
         table = tree.materialize()
         for depth in range(n):
             assert table.level(depth).tolist() == [
-                tree.marginal(format(v, f"0{depth}b") if depth else "") for v in range(1 << depth)]
+                marginal(tree, format(v, f"0{depth}b") if depth else "") for v in range(1 << depth)]
         assert exact_total_mass(tree) == 1
 
     def test_walker_agrees_with_direct_lookup(self):
         for n, rows in ((40, 64), (128, 1), (128, 16)):
             inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=5)
-            tree = inst.marginal_tree()
+            tree, seed = inst.marginal_tree(), child_seed(inst.seed, "signs")
             u = substream(5, "u", n, rows).random((rows, n))
             out = tree.descend(u)
             assert out.shape == (rows, n) and out.dtype == np.uint8
-            for row, uniforms in zip(out.tolist(), u):
-                for i in range(n):
-                    assert row[i] == int(uniforms[i] < tree.marginal(row[:i]))
+            # each level's marginal from the row's int rolling state, one mix per level
+            for row, uniforms in zip(out.tolist(), u.tolist()):
+                for i, state in zip(range(n), sign_states(seed, row)):
+                    f = hardness.challenge_marginal(state_sign(state), inst.delta)
+                    assert row[i] == int(uniforms[i] < f)
             # starting below the root walks the same path as the tail of a full walk
             start, _ = tree.cylinders(out[:1, :7])
             assert np.array_equal(tree.descend(u[:1, 7:], 7, start), out[:1, 7:])
@@ -106,12 +114,12 @@ class TestHardInstance:
         tree, x = inst.marginal_tree(), inst.x
         expected = 1.0
         for i in range(n):
-            f = hardness.challenge_marginal(inst.signs.sign(x[:i]), inst.delta)
+            f = hardness.challenge_marginal(sign(child_seed(inst.seed, "signs"), x[:i]), inst.delta)
             expected *= f if x[i] else (1.0 - f)
         mixes = []
         mix = hardness._mix
         monkeypatch.setattr(hardness, "_mix", lambda z: mixes.append(z) or mix(z))
-        assert tree.mass(x) == expected
+        assert mass(tree, x) == expected
         assert len(mixes) <= 2 * n + 1
 
     def test_yes_challenge_is_uniform(self):
@@ -130,7 +138,7 @@ class TestHardInstance:
         counts = {1: [0, 0], -1: [0, 0]}
         for i in range(4000):
             inst = hardness.gen_hard_instance(6, None, "no", seed=2000 + i, delta=0.2, r=r)
-            s = inst.signs.sign("")
+            s = sign(child_seed(inst.seed, "signs"), "")
             counts[s][0] += 1
             counts[s][1] += inst.x[0]
         for s in (1, -1):

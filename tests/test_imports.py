@@ -5,17 +5,49 @@ from pathlib import Path
 
 import prefixsim
 
+#: Test-only references and wrappers that live in tests/helpers.py or are
+#: gone; the package reaches trees only through their block walks.
+TEST_ONLY = {"SignAssignment", "FiniteDistribution", "random_distribution", "total_variation",
+             "uniform_tree", "point_mass_tree", "one_sided_expectation"}
+#: One-prefix wrappers over MarginalTree.cylinders; callers pass a block of one row.
+SCALAR_WALKS = {"marginal", "mass", "conditional_mass", "_path_mass"}
+
+
+def _modules():
+    sources = sorted(Path(prefixsim.__file__).parent.glob("*.py"))
+    assert sources
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sources]
+
 
 def test_no_module_imports_fractions():
     # exact rational checks live in the tests (helpers.query_exact and
     # helpers.exact_total_mass); the package computes in integers and floats
-    sources = sorted(Path(prefixsim.__file__).parent.glob("*.py"))
-    assert sources
     offenders = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _modules():
+        for node in ast.walk(tree):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "fractions" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_defines_a_test_only_name():
+    offenders = []
+    mix = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in TEST_ONLY:
+                    offenders.append(f"{path.name}:{node.lineno} {node.name}")
+                if path.name == "hardness.py" and node.name == "_mix":
+                    mix.append(node)
+            if isinstance(node, ast.ClassDef) and node.name == "MarginalTree":
+                offenders += [f"{path.name}:{item.lineno} MarginalTree.{item.name}" for item in node.body
+                              if isinstance(item, ast.FunctionDef) and item.name in SCALAR_WALKS]
+    assert offenders == []
+    # _mix has one path, on uint64 arrays; the int reference is helpers.mix
+    assert len(mix) == 1
+    calls = [node.func.id for node in ast.walk(mix[0])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "isinstance" not in calls

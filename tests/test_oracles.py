@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim.hardness import SignAssignment, SignMarginalTree
+from prefixsim.hardness import SignMarginalTree
 from prefixsim.oracles import TreeOracle
 from prefixsim.streams import substream
-from prefixsim.trees import TableMarginalTree, point_mass_tree, random_tree, uniform_tree
+from prefixsim.trees import TableMarginalTree, random_tree
 
-from helpers import (assert_ledger, chi2_critical_99, chi_square_stat, draw, prefix_blocks, prefix_counts,
-                     prefix_rows)
+from helpers import (assert_ledger, chi2_critical_99, chi_square_stat, cylinder_mass, draw, marginal, mass,
+                     point_mass_tree, prefix_blocks, prefix_counts, prefix_rows, uniform_tree)
 
 
 class TestBudget:
@@ -71,7 +71,7 @@ class TestConditionalSampling:
         bits = draw(oracle, "10", draws, substream(12, "gof"))
         codes = bits @ np.array([2, 1])
         expected = np.array([
-            tree.mass("10" + suffix) / tree.conditional_mass("10")
+            mass(tree, "10" + suffix) / cylinder_mass(tree, "10")
             for suffix in ("00", "01", "10", "11")
         ]) * draws
         stat = chi_square_stat(np.bincount(codes, minlength=4), expected)
@@ -82,7 +82,7 @@ class TestZeroMassConvention:
     def test_uniform_over_cylinder(self):
         # conditioning inside the dead subtree of a point mass
         oracle = TreeOracle(point_mass_tree("000"))
-        assert oracle.tree.conditional_mass("1") == 0.0
+        assert cylinder_mass(oracle.tree, "1") == 0.0
         draws = 20_000
         bits = draw(oracle, "1", draws, substream(8, "conv"))
         means = bits.mean(axis=0)
@@ -118,7 +118,7 @@ _trees = st.one_of(
     st.builds(lambda n, seed, span: random_tree(n, substream(seed, "t"), *span),
               st.integers(1, 6), st.integers(0, 2**32),
               st.sampled_from([(0.2, 0.8), (0.0, 1.0), (0.0, 0.0)])),
-    st.builds(lambda n, seed, values: SignMarginalTree(n, SignAssignment(seed), *values),
+    st.builds(lambda n, seed, values: SignMarginalTree(n, seed, *values),
               st.integers(1, 10), st.integers(0, 2**32), st.sampled_from([(0.3, 0.7), (0.0, 1.0)])),
 )
 
@@ -143,11 +143,11 @@ def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
     # each row walks the tree's marginals from its prefix in plain Python, or
     # takes u < 1/2 at every level under a zero-mass prefix
     for j, (w, rng) in enumerate(zip(prefixes.tolist(), streams())):
-        dead = tree.conditional_mass(w) == 0.0
+        dead = cylinder_mass(tree, w) == 0.0
         for row, uniforms in zip(block[j * m:(j + 1) * m].tolist(), rng.random((m, tree.n - len(w)))):
             path = list(w)
             for u in uniforms:
-                path.append(int(u < (0.5 if dead else tree.marginal(path))))
+                path.append(int(u < (0.5 if dead else marginal(tree, path))))
             assert row == path[len(w):]
     assert_ledger(oracle, prefixes, m, block, records)
 

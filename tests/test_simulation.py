@@ -19,9 +19,10 @@ from prefixsim.simulation import (
     samples_per_edge,
 )
 from prefixsim.streams import substream
-from prefixsim.trees import kl_divergence, point_mass_tree, random_tree, uniform_tree
+from prefixsim.trees import kl_divergence, random_tree
 
-from helpers import chi2_critical_99, chi_square_stat, draw, edge, hist, prefix_counts, prefix_rows, query_exact
+from helpers import (chi2_critical_99, chi_square_stat, draw, edge, hist, point_mass_tree, prefix_counts,
+                     prefix_rows, query_exact, uniform_tree)
 
 
 class TestSamplesPerEdge:
@@ -376,10 +377,10 @@ class TestBatchedWalks:
 
     def test_node_ids_past_int64(self):
         # n = 70 node ids do not fit in int64; the walk keeps them as Python ints
-        from prefixsim.hardness import SignAssignment, SignMarginalTree
+        from prefixsim.hardness import SignMarginalTree
 
         n = 70
-        tree = SignMarginalTree(n, SignAssignment(39), 0.3, 0.7)
+        tree = SignMarginalTree(n, 39, 0.3, 0.7)
         batched, scalar = (LazySimulation(n, TreeOracle(tree), 10.0, seed=40) for _ in range(2))
         bits, masses = batched.sample_batch(3)
         draws = [scalar.sample() for _ in range(3)]

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from prefixsim.errors import CapabilityError
-from prefixsim.hardness import SignAssignment, SignMarginalTree
+from prefixsim.hardness import SignMarginalTree
 from prefixsim.streams import substream
 from prefixsim.trees import (
     TableMarginalTree,
     bernoulli_kl,
     chain_rule_kl,
     kl_divergence,
-    point_mass_tree,
     random_tree,
     tv_distance,
-    uniform_tree,
 )
 
-from helpers import exact_total_mass
+from helpers import cylinder_mass, exact_total_mass, marginal, mass, point_mass_tree, uniform_tree
 
 
 def two_level_tree():
@@ -28,31 +26,31 @@ def two_level_tree():
 
 class TestMass:
     def test_uniform_by_symmetry(self):
-        assert uniform_tree(3).mass("101") == 0.125
+        assert mass(uniform_tree(3), "101") == 0.125
 
     def test_point_mass_degenerate_marginals(self):
         t = point_mass_tree("111")
-        assert t.mass("111") == 1.0
-        assert t.mass("011") == 0.0
+        assert mass(t, "111") == 1.0
+        assert mass(t, "011") == 0.0
 
     def test_product_formula_direct_evaluation(self):
         # 0.7 (bit 0 at the root) * 0.6 (bit 1 under "0")
-        assert two_level_tree().mass("01") == pytest.approx(0.7 * 0.6, abs=1e-15)
+        assert mass(two_level_tree(), "01") == pytest.approx(0.7 * 0.6, abs=1e-15)
 
     def test_length_mismatch_is_domain_error(self):
         with pytest.raises(ValueError):
-            two_level_tree().mass("011")
+            mass(two_level_tree(), "011")
 
 
 class TestConditionalMass:
     def test_empty_prefix_is_whole_domain(self):
-        assert two_level_tree().conditional_mass("") == 1.0
+        assert cylinder_mass(two_level_tree(), "") == 1.0
 
     def test_uniform_cylinder(self):
-        assert uniform_tree(5).conditional_mass("0110") == 2.0 ** -4
+        assert cylinder_mass(uniform_tree(5), "0110") == 2.0 ** -4
 
     def test_direct_evaluation(self):
-        assert two_level_tree().conditional_mass("0") == pytest.approx(0.7, abs=1e-15)
+        assert cylinder_mass(two_level_tree(), "0") == pytest.approx(0.7, abs=1e-15)
 
 
 def level_product(tree, bits):
@@ -71,16 +69,16 @@ class TestOnePathWalk:
         for depth in range(n):
             for v in range(1 << depth):
                 bits = tuple((v >> (depth - 1 - i)) & 1 for i in range(depth))
-                assert tree.conditional_mass(bits) == level_product(tree, bits)
-                assert tree.marginal(bits) == float(tree.level(depth)[v])
+                assert cylinder_mass(tree, bits) == level_product(tree, bits)
+                assert marginal(tree, bits) == float(tree.level(depth)[v])
 
     def test_mass_equals_the_level_product(self):
         n = 8
         tree = random_tree(n, substream(5, "walk"))
         for v in range(1 << n):
             bits = tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-            assert tree.mass(bits) == level_product(tree, bits)
-            assert type(tree.mass(bits)) is float
+            assert mass(tree, bits) == level_product(tree, bits)
+            assert type(mass(tree, bits)) is float
 
 
 class TestRealization:
@@ -95,7 +93,7 @@ class TestRealization:
         assert exact_total_mass(t) == Fraction(1)
 
     def test_enumeration_capability_gate(self):
-        big = SignMarginalTree(30, SignAssignment(0), 0.5, 0.5)
+        big = SignMarginalTree(30, 0, 0.5, 0.5)
         with pytest.raises(CapabilityError):
             big.masses()
 
@@ -112,7 +110,7 @@ class TestTvDistance:
         a = two_level_tree()
         b = TableMarginalTree(2, [np.array([0.5]), np.array([0.1, 0.9])])
         brute = 0.5 * sum(
-            abs(a.mass(x) - b.mass(x))
+            abs(mass(a, x) - mass(b, x))
             for x in ("00", "01", "10", "11")
         )
         assert tv_distance(a, b) == pytest.approx(brute, abs=1e-15)
