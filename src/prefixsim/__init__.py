@@ -16,11 +16,7 @@ from .trees import (
     MAX_ENUM_N,
     MarginalTree,
     TableMarginalTree,
-    bernoulli_kl,
-    chain_rule_kl,
-    kl_divergence,
     random_tree,
-    tv_distance,
 )
 from .oracles import PrefixOracle, TreeOracle
 from .reduction import (
@@ -60,14 +56,9 @@ from .hardness import (
 )
 from .divergence_lab import (
     LemmaReport,
-    check_bounded_ratio_dkl,
-    check_chain_rule,
-    check_half_mixture_bias,
-    check_nonadaptive_run_kl,
-    check_pinsker,
-    check_product_additivity,
-    check_symmetric_chi_square,
+    bernoulli_kl,
     expected_binomial_kl,
+    kl_divergence,
     run_lemma_sweep,
-    vector_kl,
+    tv_distance,
 )

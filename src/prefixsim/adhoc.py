@@ -39,10 +39,6 @@ class AdHocInstance:
         """Read-only view of the hidden vector (for verification, not testers)."""
         return self._p
 
-    @property
-    def total_draws(self) -> int:
-        return int(self.draws.sum())
-
     def sample_many(self, counts, rng: RandomStream) -> np.ndarray:
         """Per-index ones among counts[i] draws of index i+1; bulk counters."""
         c = np.asarray(counts, dtype=np.int64)

@@ -24,24 +24,25 @@ from . import __version__
 from .adhoc import gen_instance, run_ad_hoc_tester, tester_parameters
 from .bits import code_rows
 from .distance import estimate_tv, pairs_per_round, simulation_delta
-from .divergence_lab import run_lemma_sweep
+from .divergence_lab import LEMMAS, kl_divergence, run_lemma_sweep, tv_distance
 from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
 from .oracles import TreeOracle
 from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
                         mass_preserved)
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
 from .streams import child_seed, substream
-from .trees import kl_divergence, random_tree, tv_distance
+from .trees import random_tree
 from .util import MAX_BLOCK_UNIFORMS, row_blocks
 
 OUTPUT_DIR_ENV = "PREFIXSIM_OUTPUT_DIR"
 
 #: Most oracle draws one trial may ask for: m x (2^n - 1) for simulate, the
 #: same per simulation at the interval depth for reduce-interval, and for
-#: estimate-tv both m x n per walked row and the pairs per round.  The same
-#: cap bounds the bits a trial walks: draws x n for hard-instance and
-#: samples x depth for reduce-interval.  Larger requests exit 2 instead of
-#: running for hours or days.
+#: estimate-tv m x n per walked row, the pairs per round and rounds x pairs
+#: per round.  The same cap bounds the bits a trial walks (draws x n for
+#: hard-instance and samples x depth for reduce-interval) and the instances
+#: verify-lemmas evaluates (sweep x checkers).  Larger requests exit 2 instead
+#: of running for hours or days.
 MAX_TRIAL_DRAWS = 1 << 27
 
 
@@ -343,7 +344,8 @@ def cmd_estimate_tv(parser, args) -> int:
     m = _checked(parser, samples_per_edge, args.n, _checked(parser, simulation_delta, args.epsilon))
     _within_draw_cap(parser, "m x n per walked row", m * args.n)
     _within_draw_cap(parser, "pairs per round", args.scale / (args.epsilon * args.epsilon))
-    _checked(parser, pairs_per_round, args.epsilon, args.scale)
+    pairs = _checked(parser, pairs_per_round, args.epsilon, args.scale)
+    _within_draw_cap(parser, "rounds x pairs per round", args.rounds * pairs)
     started = time.time()
     cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
            "scale": args.scale, "rounds": args.rounds,
@@ -426,6 +428,7 @@ def cmd_hard_instance(parser, args) -> int:
 
 def cmd_verify_lemmas(parser, args) -> int:
     _positive(parser, "sweep", args.sweep)
+    _within_draw_cap(parser, "sweep x checkers", args.sweep * len(LEMMAS))
     started = time.time()
     reports = run_lemma_sweep(args.sweep, args.seed)
     records = [{"kind": "trial", **r.as_dict()} for r in reports]

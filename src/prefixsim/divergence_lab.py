@@ -1,31 +1,36 @@
-"""Numeric verifiers for the divergence inequalities the algorithms rest on.
+"""Exact divergences, and numeric verifiers for the divergence inequalities
+the algorithms rest on.
 
-Every inequality checker evaluates both sides on explicit mass vectors
-(anything np.asarray reads as floats) in stable log space and returns
-(lhs, rhs, ok), ok being whether lhs <= rhs holds with 1e-12 slack for
-float round-off; identity checkers return only whether the identity holds.
-These are theorems, so a failed check on a valid input is a build-stopping
-bug; the randomized sweep drives each checker over seeded instances and
-reports violations and the worst margin rhs - lhs.
+This module is the one place that knows how a divergence is computed:
+bernoulli_kl, the enumerated kl_divergence and tv_distance between marginal
+trees, and the row kernels of the checkers.
 
-The vector checkers (bounded ratio, symmetric chi-square, half mixture,
-Pinsker, product additivity, the nonadaptive run and the binomial identity)
-evaluate 2-D arrays: instances with the same support size k share one
-(c, k) block, and the binomial ones group by m and build the math.comb
+A checker is a row kernel, _<name>_rows: it evaluates both sides for a block
+of instances stacked into 2-D arrays (anything np.asarray reads as floats),
+in stable log space, and returns (lhs, rhs, ok) arrays, ok being whether
+lhs <= rhs holds with 1e-12 slack for float round-off; an identity kernel
+returns only whether the identity holds.  These are theorems, so a failed
+check on a valid input is a build-stopping bug; the randomized sweep drives
+each checker over seeded instances and reports violations and the worst
+margin rhs - lhs.
+
+Instances with the same support size k share one (c, k) block: a mass
+vector's k entries, or for chain-rule a tree's 2^n - 1 marginals, level
+after level; the binomial checkers group by m and build the math.comb
 coefficients once per block.  Blocks are never padded to a common length,
 because a row's sum over k entries is then the sum numpy forms for that
 vector alone, while zero padding regroups numpy's pairwise sums and moves
-the last bit.  So each row's result equals its checker's call on that
-instance alone, bit for bit; the public check_* functions are the batch of
-one.  The sweep draws every instance from its checker's stream in turn and
-evaluates them in chunks of at most SWEEP_CHUNK, so memory stays bounded at
-any count.
+the last bit.  So each row's result equals its kernel's result on that
+instance alone, as a block of one row, bit for bit.  The sweep draws every
+instance from its checker's stream in turn and evaluates them in chunks of
+at most SWEEP_CHUNK, so memory stays bounded at any count.
 
-Three checkers stay scalar: edge-estimate-kl-bound (expected_binomial_kl),
-log-bounds and chain-rule's per-edge bernoulli_kl loop.  They evaluate math
-functions (lgamma, log1p, log2 of ratios), whose numpy counterparts need not
-round the same way, and the recorded sweep margins pin
-expected_binomial_kl's float expression.
+Log-bounds evaluates np.log1p, which need not round like math.log1p in the
+last bit; that is far below SLACK, and as an identity it reports margin 0.
+Only edge-estimate-kl-bound stays scalar (_scalar): expected_binomial_kl
+sums math.lgamma terms one outcome at a time, numpy's counterparts need not
+round the same way, and the recorded sweep margins pin that float
+expression.
 
 KL divergences are in bits throughout; inequalities stated with natural logs
 carry explicit ln 2 factors.
@@ -33,14 +38,13 @@ carry explicit ln 2 factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .streams import substream
-from .trees import MarginalTree, bernoulli_kl, chain_rule_kl, kl_divergence, random_tree
+from .trees import MarginalTree
 
 SLACK = 1e-12
 LN2 = math.log(2.0)
@@ -50,15 +54,53 @@ LN2 = math.log(2.0)
 SWEEP_CHUNK = 1024
 
 
+def bernoulli_kl(p: float, q: float) -> float:
+    """KL divergence of Ber(p) from Ber(q), in bits.
+
+    Terms with p in {0, 1} contribute only their live branch; the result is
+    +inf exactly when q puts zero mass where p does not.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValueError(f"probabilities required, got p={p}, q={q}")
+    total = 0.0
+    if p > 0.0:
+        if q == 0.0:
+            return math.inf
+        total += p * math.log2(p / q)
+    if p < 1.0:
+        if q == 1.0:
+            return math.inf
+        total += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
+    return total
+
+
+def tv_distance(a: MarginalTree, b: MarginalTree) -> float:
+    """Exact total-variation distance, by enumeration (n <= MAX_ENUM_N)."""
+    if a.n != b.n:
+        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
+    return float(0.5 * np.sum(np.abs(a.masses() - b.masses())))
+
+
+def kl_divergence(a: MarginalTree, b: MarginalTree) -> float:
+    """Exact KL divergence of a from b in bits, by enumeration.
+
+    Returns +inf iff some element has a-mass > 0 but b-mass 0; elements with
+    a-mass 0 contribute nothing.
+    """
+    if a.n != b.n:
+        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
+    pa = a.masses()
+    pb = b.masses()
+    pos = pa > 0.0
+    if np.any(pos & (pb == 0.0)):
+        return math.inf
+    return float(np.sum(pa[pos] * np.log2(pa[pos] / pb[pos])))
+
+
 def _simplex_point(k: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized standard exponentials: a fully supported random point on the simplex."""
     raw = rng.exponential(1.0, k)
     return raw / raw.sum()
-
-
-def _alone(rows_fn, *fields) -> tuple:
-    """rows_fn on one instance, as a block of one row; its results as Python scalars."""
-    return tuple(out[0].item() for out in rows_fn(*(np.asarray(f, dtype=float)[None] for f in fields)))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -78,15 +120,6 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(p - q).sum(axis=1)
-
-
-def vector_kl(mu, nu) -> float:
-    """KL divergence of explicit mass vectors, in bits; +inf on support mismatch."""
-    p = np.asarray(mu, dtype=float)
-    q = np.asarray(nu, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a support")
-    return _kl_rows(p.reshape(1, -1), q.reshape(1, -1))[0].item()
 
 
 def _agree(value: np.ndarray, reference: np.ndarray, tol: float) -> np.ndarray:
@@ -130,6 +163,7 @@ def _binomial_rows(m: int, p: np.ndarray) -> np.ndarray:
 
 
 def _ratio_rows(p, q, t):
+    """If mu(x) is within (1 +- t) nu(x) pointwise, then KL(mu||nu) <= t^2 / ln 2."""
     good = (0.0 <= t) & (t <= 0.25 + SLACK)
     if not good.all():
         raise ValueError(f"need 0 <= t <= 1/4, got {t[~good][0]}")
@@ -140,24 +174,17 @@ def _ratio_rows(p, q, t):
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_bounded_ratio_dkl(mu, nu, t: float) -> tuple[float, float, bool]:
-    """If mu(x) is within (1 +- t) nu(x) pointwise, then KL(mu||nu) <= t^2 / ln 2."""
-    return _alone(_ratio_rows, mu, nu, t)
-
-
 def _chi_square_rows(p, q):
+    """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
     rhs = (_kl_rows(p, q) + _kl_rows(q, p)) * LN2
     s = p + q
     lhs = ((p - q) ** 2 / np.where(s > 0.0, s, 1.0)).sum(axis=1)
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_symmetric_chi_square(mu, nu) -> tuple[float, float, bool]:
-    """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
-    return _alone(_chi_square_rows, mu, nu)
-
-
 def _mixture_rows(p, q, r):
+    """KL of the even mixture from the r-tilted mixture is at most
+    r^2 / 2 times the symmetrized KL of the components (|r| < 1/2)."""
     good = np.abs(r) < 0.5
     if not good.all():
         raise ValueError(f"need |r| < 1/2, got {r[~good][0]}")
@@ -169,17 +196,15 @@ def _mixture_rows(p, q, r):
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_half_mixture_bias(mu, nu, r: float) -> tuple[float, float, bool]:
-    """KL of the even mixture from the r-tilted mixture is at most
-    r^2 / 2 times the symmetrized KL of the components (|r| < 1/2)."""
-    return _alone(_mixture_rows, mu, nu, r)
-
-
 def _nonadaptive_rows(schedules: list[np.ndarray], delta: np.ndarray, r: np.ndarray):
-    """The nonadaptive-run checker over a list of schedules of any lengths.
+    """KL between fixed-schedule run distributions is at most 5 r^2 delta^2 q.
 
-    Every (schedule, index) entry's KL is evaluated in one block per m; each
-    schedule then adds its entries' KLs one by one in schedule order.
+    A schedule draws m_i bits from index i; a run reduces to the per-index
+    ones-counts, distributed as an even (balanced case) or r-tilted (biased
+    case) mixture of Bin(m_i, (1 -+ delta)/2).  Takes a list of schedules of
+    any lengths: every (schedule, index) entry's KL is evaluated in one block
+    per m; each schedule then adds its entries' KLs one by one in schedule
+    order.
     """
     lengths = np.array([len(s) for s in schedules])
     counts = np.concatenate([np.zeros(0, dtype=np.int64), *schedules])
@@ -211,20 +236,8 @@ def _nonadaptive_rows(schedules: list[np.ndarray], delta: np.ndarray, r: np.ndar
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_nonadaptive_run_kl(m_counts, delta: float, r: float) -> tuple[float, float, bool]:
-    """KL between fixed-schedule run distributions is at most 5 r^2 delta^2 q.
-
-    A schedule draws m_i bits from index i; a run reduces to the per-index
-    ones-counts, distributed as an even (balanced case) or r-tilted (biased
-    case) mixture of Bin(m_i, (1 -+ delta)/2).  Returns (lhs, rhs, ok).
-    """
-    schedule = np.array([int(m) for m in m_counts], dtype=np.int64)
-    lhs, rhs, ok = _nonadaptive_rows([schedule], np.array([delta], dtype=float),
-                                     np.array([r], dtype=float))
-    return lhs[0].item(), rhs[0].item(), ok[0].item()
-
-
 def _pinsker_rows(p, q):
+    """2 * d_TV(mu, nu)^2 <= KL(mu||nu)."""
     # Python's float power: numpy's tv ** 2 differs from it in the last bit
     # on about one row in 2,000
     lhs = np.array([2.0 * tv ** 2 for tv in _tv_rows(p, q).tolist()])
@@ -232,57 +245,54 @@ def _pinsker_rows(p, q):
     return lhs, rhs, lhs <= rhs + SLACK
 
 
-def check_pinsker(mu, nu) -> tuple[float, float, bool]:
-    """2 * d_TV(mu, nu)^2 <= KL(mu||nu)."""
-    return _alone(_pinsker_rows, mu, nu)
-
-
 def _product_rows(p1, q1, p2, q2, tol: float = 1e-9):
+    """KL of product distributions equals the sum of component KLs."""
     c = len(p1)
     joint = _kl_rows((p1[:, :, None] * p2[:, None, :]).reshape(c, -1),
                      (q1[:, :, None] * q2[:, None, :]).reshape(c, -1))
     return (_agree(joint, _kl_rows(p1, q1) + _kl_rows(p2, q2), tol),)
 
 
-def check_product_additivity(mu1, nu1, mu2, nu2, tol: float = 1e-9) -> bool:
-    """KL of product distributions equals the sum of component KLs."""
-    return _alone(functools.partial(_product_rows, tol=tol), mu1, nu1, mu2, nu2)[0]
-
-
-def check_chain_rule(a: MarginalTree, b: MarginalTree, tol: float = 1e-9) -> bool:
-    """Enumerated KL equals the per-level decomposition into edge KLs."""
-    direct = kl_divergence(a, b)
-    decomposed = chain_rule_kl(a, b)
-    if math.isinf(direct) or math.isinf(decomposed):
-        return math.isinf(direct) and math.isinf(decomposed)
-    return abs(direct - decomposed) <= tol * max(1.0, abs(direct))
-
-
-def check_log_bounds(x: float) -> bool:
-    """Scalar facts: -ln(1+x) >= -x for x > -1; -ln(1+x) <= -x + x^2 for
-    x >= -2/3; -ln(1+x) <= -x + x^2/2 for x >= 0."""
-    if not x > -1.0:
-        raise ValueError("need x > -1")
-    v = -math.log1p(x)
-    if v < -x - SLACK:
-        return False
-    if x >= -2.0 / 3.0 and v > -x + x * x + SLACK:
-        return False
-    if x >= 0.0 and v > -x + x * x / 2.0 + SLACK:
-        return False
-    return True
-
-
 def _binomial_identity_rows(ms, p, q, tol: float = 1e-9):
+    """KL(Bin(m,p) || Bin(m,q)) = m * KL(Ber(p) || Ber(q))."""
     m = int(ms[0])       # a block holds one m
     bin_p, bin_q = np.split(_binomial_rows(m, np.concatenate((p, q))), 2)
     scaled = np.array([m * bernoulli_kl(a, b) for a, b in zip(p.tolist(), q.tolist())])
     return (_agree(_kl_rows(bin_p, bin_q), scaled, tol),)
 
 
-def check_binomial_kl_identity(m: int, p: float, q: float, tol: float = 1e-9) -> bool:
-    """KL(Bin(m,p) || Bin(m,q)) = m * KL(Ber(p) || Ber(q))."""
-    return _alone(functools.partial(_binomial_identity_rows, tol=tol), m, p, q)[0]
+def _chain_rows(fa, fb, tol: float = 1e-9):
+    """Enumerated KL equals the per-level decomposition into edge KLs.
+
+    A row holds a tree's 2^n - 1 marginals, level after level.  Each level
+    adds its nodes' one-edge KLs, weighed by their a-cylinder masses, and
+    splits the masses of both trees into their children's; after the last
+    level they are the leaf masses, whose KL is the enumerated one.
+    """
+    c, nodes = fa.shape
+    wa = wb = np.ones((c, 1))
+    decomposed = np.zeros(c)
+    for i in range(nodes.bit_length()):
+        level = slice((1 << i) - 1, (2 << i) - 1)
+        # each node's one-edge Bernoulli law [1 - f, f], (c, 2^i, 2)
+        a, b = (np.stack((1.0 - f[:, level], f[:, level]), axis=2) for f in (fa, fb))
+        edge = _kl_rows(a.reshape(-1, 2), b.reshape(-1, 2)).reshape(c, -1)
+        # a zero weight masks its edge first, so that no 0 * inf is formed
+        decomposed += (wa * np.where(wa > 0.0, edge, 0.0)).sum(axis=1)
+        wa = (wa[:, :, None] * a).reshape(c, -1)
+        wb = (wb[:, :, None] * b).reshape(c, -1)
+    return (_agree(_kl_rows(wa, wb), decomposed, tol),)
+
+
+def _log_bounds_rows(x):
+    """Scalar facts: -ln(1+x) >= -x for x > -1; -ln(1+x) <= -x + x^2 for
+    x >= -2/3; -ln(1+x) <= -x + x^2/2 for x >= 0."""
+    if not np.all(x > -1.0):
+        raise ValueError("need x > -1")
+    v = -np.log1p(x)
+    return (~(v < -x - SLACK)
+            & ~((x >= -2.0 / 3.0) & (v > -x + x * x + SLACK))
+            & ~((x >= 0.0) & (v > -x + x * x / 2.0 + SLACK)),)
 
 
 @dataclass
@@ -377,8 +387,9 @@ def _pair(rng):
 
 
 def _chain_instance(rng):
-    n = int(rng.integers(2, 6))
-    return random_tree(n, rng, 0.05, 0.95), random_tree(n, rng, 0.05, 0.95)
+    """Two trees on n in 2..5 as flat marginal rows, the doubles random_tree(n, rng, 0.05, 0.95) draws."""
+    nodes = (1 << int(rng.integers(2, 6))) - 1
+    return rng.uniform(0.05, 0.95, nodes), rng.uniform(0.05, 0.95, nodes)
 
 
 def _edge_kl_case(instance):
@@ -404,13 +415,13 @@ LEMMAS = (
     ("product-additivity",
      lambda rng: (*_pair(rng), *_pair(rng)),
      _identity(_product_rows, key=lambda inst: (len(inst[0]), len(inst[2])))),
-    ("chain-rule", _chain_instance, _scalar(lambda ab: (0.0, 0.0, check_chain_rule(*ab)))),
+    ("chain-rule", _chain_instance, _identity(_chain_rows, key=_support)),
     ("edge-estimate-kl-bound",
      lambda rng: (int(rng.integers(1, 65)), rng.uniform(0.0, 1.0)),
      _scalar(_edge_kl_case)),
     ("log-bounds",
-     lambda rng: rng.uniform(-0.99, 4.0),
-     _scalar(lambda x: (0.0, 0.0, check_log_bounds(x)))),
+     lambda rng: (rng.uniform(-0.99, 4.0),),
+     _identity(_log_bounds_rows, key=lambda inst: 0)),     # one block
     ("binomial-kl-identity",
      lambda rng: (int(rng.integers(1, 31)), rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)),
      _identity(_binomial_identity_rows, key=lambda inst: inst[0])),

@@ -17,11 +17,14 @@ handles and cylinder masses (a full-length row's cylinder mass is its
 element's mass), descend walks a block of rows down to the leaves, and
 materialize builds the tables level by level.  A caller with one prefix
 passes a block of one row.
+
+This module holds trees, their walks and random_tree only; divergences
+between trees (exact KL and total variation by enumeration) are computed in
+divergence_lab.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -30,26 +33,6 @@ from .errors import CapabilityError
 
 #: Largest n for which exact enumeration over all 2^n elements is supported.
 MAX_ENUM_N = 24
-
-
-def bernoulli_kl(p: float, q: float) -> float:
-    """KL divergence of Ber(p) from Ber(q), in bits.
-
-    Terms with p in {0, 1} contribute only their live branch; the result is
-    +inf exactly when q puts zero mass where p does not.
-    """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError(f"probabilities required, got p={p}, q={q}")
-    total = 0.0
-    if p > 0.0:
-        if q == 0.0:
-            return math.inf
-        total += p * math.log2(p / q)
-    if p < 1.0:
-        if q == 1.0:
-            return math.inf
-        total += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
-    return total
 
 
 class MarginalTree:
@@ -182,57 +165,3 @@ def random_tree(n: int, rng: np.random.Generator, low: float = 0.0, high: float 
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError("need 0 <= low <= high <= 1")
     return TableMarginalTree(n, [rng.uniform(low, high, 1 << i) for i in range(n)])
-
-
-def tv_distance(a: MarginalTree, b: MarginalTree) -> float:
-    """Exact total-variation distance, by enumeration (n <= MAX_ENUM_N)."""
-    if a.n != b.n:
-        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
-    return float(0.5 * np.sum(np.abs(a.masses() - b.masses())))
-
-
-def kl_divergence(a: MarginalTree, b: MarginalTree) -> float:
-    """Exact KL divergence of a from b in bits, by enumeration.
-
-    Returns +inf iff some element has a-mass > 0 but b-mass 0; elements with
-    a-mass 0 contribute nothing.
-    """
-    if a.n != b.n:
-        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
-    pa = a.masses()
-    pb = b.masses()
-    pos = pa > 0.0
-    if np.any(pos & (pb == 0.0)):
-        return math.inf
-    return float(np.sum(pa[pos] * np.log2(pa[pos] / pb[pos])))
-
-
-def chain_rule_kl(a: MarginalTree, b: MarginalTree) -> float:
-    """KL divergence of a from b via the per-level decomposition.
-
-    Sums, over every prefix w, the a-cylinder mass of w times the Bernoulli
-    KL of the one-edge marginals.  Equals the enumerated divergence; kept as
-    an independent route for cross-checking.
-    """
-    if a.n != b.n:
-        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
-    if a.n > MAX_ENUM_N:
-        raise CapabilityError(f"supported only for n <= {MAX_ENUM_N}")
-    ta, tb = a.materialize(), b.materialize()
-    total = 0.0
-    weights = np.ones(1)
-    for i in range(a.n):
-        fa = ta.level(i)
-        fb = tb.level(i)
-        for j in range(1 << i):
-            wgt = weights[j]
-            if wgt > 0.0:
-                term = bernoulli_kl(float(fa[j]), float(fb[j]))
-                if term == math.inf:
-                    return math.inf
-                total += wgt * term
-        nxt = np.empty(2 << i)
-        nxt[0::2] = weights * (1.0 - fa)
-        nxt[1::2] = weights * fa
-        weights = nxt
-    return total

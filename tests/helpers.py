@@ -1,11 +1,13 @@
 """Shared test utilities."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
+from prefixsim import divergence_lab as lab
 from prefixsim.bits import element_bits, prefix_bits
 from prefixsim.hardness import _SIGN_TAG
 from prefixsim.trees import TableMarginalTree
@@ -184,3 +186,94 @@ def sign(seed: int, w) -> int:
     """The sign s_w at the prefix w (a '01' string or bit sequence) of the sign tree on seed."""
     *_, state = sign_states(seed, w)
     return state_sign(state)
+
+
+# The divergence checkers on one instance: lab's row kernels on a block of one
+# row.  The sweep evaluates the same kernels over blocks of instances.
+
+def _alone(rows_fn, *fields) -> tuple:
+    """rows_fn on one instance, as a block of one row; its results as Python scalars."""
+    return tuple(out[0].item() for out in rows_fn(*(np.asarray(f, dtype=float)[None] for f in fields)))
+
+
+def vector_kl(mu, nu) -> float:
+    """KL divergence of explicit mass vectors, in bits; +inf on support mismatch."""
+    p = np.asarray(mu, dtype=float)
+    q = np.asarray(nu, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("distributions must share a support")
+    return lab._kl_rows(p.reshape(1, -1), q.reshape(1, -1))[0].item()
+
+
+def check_bounded_ratio_dkl(mu, nu, t: float) -> tuple[float, float, bool]:
+    return _alone(lab._ratio_rows, mu, nu, t)
+
+
+def check_symmetric_chi_square(mu, nu) -> tuple[float, float, bool]:
+    return _alone(lab._chi_square_rows, mu, nu)
+
+
+def check_half_mixture_bias(mu, nu, r: float) -> tuple[float, float, bool]:
+    return _alone(lab._mixture_rows, mu, nu, r)
+
+
+def check_nonadaptive_run_kl(m_counts, delta: float, r: float) -> tuple[float, float, bool]:
+    """The checker on one schedule, m_counts[i] bits drawn from index i."""
+    schedule = np.array([int(m) for m in m_counts], dtype=np.int64)
+    lhs, rhs, ok = lab._nonadaptive_rows([schedule], np.array([delta], dtype=float),
+                                         np.array([r], dtype=float))
+    return lhs[0].item(), rhs[0].item(), ok[0].item()
+
+
+def check_pinsker(mu, nu) -> tuple[float, float, bool]:
+    return _alone(lab._pinsker_rows, mu, nu)
+
+
+def check_product_additivity(mu1, nu1, mu2, nu2, tol: float = 1e-9) -> bool:
+    return _alone(functools.partial(lab._product_rows, tol=tol), mu1, nu1, mu2, nu2)[0]
+
+
+def check_binomial_kl_identity(m: int, p: float, q: float, tol: float = 1e-9) -> bool:
+    return _alone(functools.partial(lab._binomial_identity_rows, tol=tol), m, p, q)[0]
+
+
+def flat_marginals(tree) -> np.ndarray:
+    """A tree's 2^n - 1 marginals, level after level: one row of the chain-rule kernel."""
+    table = tree.materialize()
+    return np.concatenate([table.level(i) for i in range(tree.n)])
+
+
+def check_chain_rule(a, b, tol: float = 1e-9) -> bool:
+    return _alone(functools.partial(lab._chain_rows, tol=tol), flat_marginals(a), flat_marginals(b))[0]
+
+
+def check_log_bounds(x: float) -> bool:
+    return _alone(lab._log_bounds_rows, x)[0]
+
+
+def chain_rule_kl(a, b) -> float:
+    """KL divergence of a from b via the per-level decomposition, one node at a time.
+
+    Sums, over every prefix w, the a-cylinder mass of w times the Bernoulli
+    KL of the one-edge marginals: the scalar reference for lab._chain_rows.
+    """
+    if a.n != b.n:
+        raise ValueError(f"trees have different lengths: {a.n} vs {b.n}")
+    ta, tb = a.materialize(), b.materialize()
+    total = 0.0
+    weights = np.ones(1)
+    for i in range(a.n):
+        fa = ta.level(i)
+        fb = tb.level(i)
+        for j in range(1 << i):
+            wgt = weights[j]
+            if wgt > 0.0:
+                term = lab.bernoulli_kl(float(fa[j]), float(fb[j]))
+                if term == math.inf:
+                    return math.inf
+                total += wgt * term
+        nxt = np.empty(2 << i)
+        nxt[0::2] = weights * (1.0 - fa)
+        nxt[1::2] = weights * fa
+        weights = nxt
+    return total

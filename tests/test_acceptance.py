@@ -13,12 +13,13 @@ import numpy as np
 
 from prefixsim import adhoc, divergence_lab as lab, hardness
 from prefixsim.bits import code_rows
+from prefixsim.divergence_lab import kl_divergence, tv_distance
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.oracles import TreeOracle
 from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree
 from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
-from prefixsim.trees import kl_divergence, random_tree, tv_distance
+from prefixsim.trees import random_tree
 
 from helpers import edge, hist, prefix_counts, query_exact
 

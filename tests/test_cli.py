@@ -126,9 +126,10 @@ def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
     (["simulate", "--n", "3", "--delta", "0.5"], 6 * 7),                  # m x (2^n - 1)
     (["reduce-interval", "--size", "6", "--delta", "0.5", "--samples", "8"], 6 * 7),  # depth 3
     (["estimate-tv", "--n", "2", "--epsilon", "0.5"], 288 * 2),           # m x n per row
-    (["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "200"], 800),  # pairs
+    (["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "200", "--rounds", "1"], 800),  # pairs
     (["hard-instance", "--n", "4", "--epsilon", "0.5", "--draws", "10"], 10 * 4),  # draws x n
     (["reduce-interval", "--size", "6", "--delta", "0.5", "--samples", "20"], 20 * 3),  # samples x depth
+    (["estimate-tv", "--n", "2", "--epsilon", "0.5", "--scale", "200", "--rounds", "3"], 3 * 800),  # x rounds
 ])
 def test_draw_cap_admits_its_bound_and_no_more(capsys, monkeypatch, argv, draws):
     argv = argv + ["--trials", "1", "--seed", "3"]
@@ -301,6 +302,9 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["hard-instance", "--n", "8", "--epsilon", "0.1", "--r", "nan"],
     ["hard-instance", "--n", "8", "--epsilon", "0.1", "--r", "inf"],
     ["adhoc", "--delta", "0.3", "--r", "0.0769", "--min-rate", "nan"],
+    # rounds x pairs per round, and sweep x checkers, past cli.MAX_TRIAL_DRAWS
+    ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--rounds", "1000000000", "--trials", "1"],
+    ["verify-lemmas", "--sweep", "1000000000"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,11 @@ import pytest
 
 from prefixsim import distance
 from prefixsim.distance import estimate_tv, simulation_delta
+from prefixsim.divergence_lab import tv_distance
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation, preprocess
 from prefixsim.streams import child_seed, substream
-from prefixsim.trees import random_tree, tv_distance
+from prefixsim.trees import random_tree
 from prefixsim.util import ceil_snap
 
 from helpers import one_sided_expectation, point_mass_tree
@@ -75,7 +76,7 @@ def test_both_divergences_usually_small():
         rng = substream(80, "trees", t)
         tree_a = random_tree(n, rng, 0.2, 0.8)
         tree_b = random_tree(n, rng, 0.2, 0.8)
-        from prefixsim.trees import kl_divergence
+        from prefixsim.divergence_lab import kl_divergence
 
         learned_a = preprocess(n, TreeOracle(tree_a), delta, child_seed(81, "a", t))
         learned_b = preprocess(n, TreeOracle(tree_b), delta, child_seed(81, "b", t))

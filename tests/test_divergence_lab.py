@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from prefixsim import divergence_lab as lab
+from prefixsim.divergence_lab import bernoulli_kl, kl_divergence
 from prefixsim.streams import substream
-from prefixsim.trees import bernoulli_kl, random_tree
+from prefixsim.trees import TableMarginalTree, random_tree
+
+import helpers
 
 
 class TestFiniteDistribution:
@@ -19,17 +22,17 @@ class TestFiniteDistribution:
 class TestVectorKl:
     def test_identical_is_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert lab.vector_kl(p, p) == 0.0
+        assert helpers.vector_kl(p, p) == 0.0
 
     def test_support_mismatch(self):
-        assert lab.vector_kl([0.5, 0.5], [1.0, 0.0]) == math.inf
-        assert lab.vector_kl([1.0, 0.0], [0.5, 0.5]) == 1.0
+        assert helpers.vector_kl([0.5, 0.5], [1.0, 0.0]) == math.inf
+        assert helpers.vector_kl([1.0, 0.0], [0.5, 0.5]) == 1.0
 
     def test_tiny_masses_stay_finite(self):
         p = np.array([1e-300, 1.0 - 1e-300])
         q = np.array([0.5, 0.5])
-        assert math.isfinite(lab.vector_kl(p, q))
-        assert math.isfinite(lab.vector_kl(q, p))
+        assert math.isfinite(helpers.vector_kl(p, q))
+        assert math.isfinite(helpers.vector_kl(q, p))
 
 
 class TestExpectedBinomialKl:
@@ -54,74 +57,74 @@ class TestExpectedBinomialKl:
 
 class TestCheckers:
     def test_bounded_ratio_examples(self):
-        assert lab.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.0) == (0.0, 0.0, True)
-        lhs, rhs, ok = lab.check_bounded_ratio_dkl([0.55, 0.45], [0.5, 0.5], 0.1)
-        assert ok and lhs == lab.vector_kl([0.55, 0.45], [0.5, 0.5]) and rhs == 0.1 * 0.1 / math.log(2.0)
+        assert helpers.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.0) == (0.0, 0.0, True)
+        lhs, rhs, ok = helpers.check_bounded_ratio_dkl([0.55, 0.45], [0.5, 0.5], 0.1)
+        assert ok and lhs == helpers.vector_kl([0.55, 0.45], [0.5, 0.5]) and rhs == 0.1 * 0.1 / math.log(2.0)
         with pytest.raises(ValueError):
-            lab.check_bounded_ratio_dkl([0.7, 0.3], [0.5, 0.5], 0.1)
+            helpers.check_bounded_ratio_dkl([0.7, 0.3], [0.5, 0.5], 0.1)
         with pytest.raises(ValueError):
-            lab.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.3)
+            helpers.check_bounded_ratio_dkl([0.5, 0.5], [0.5, 0.5], 0.3)
 
     def test_symmetric_chi_square_examples(self):
         p = np.array([0.25, 0.75])
-        assert lab.check_symmetric_chi_square(p, p) == (0.0, 0.0, True)
+        assert helpers.check_symmetric_chi_square(p, p) == (0.0, 0.0, True)
         # disjoint mass on two cells: both divergences are infinite
-        assert lab.check_symmetric_chi_square([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]) == (1.0, math.inf, True)
+        assert helpers.check_symmetric_chi_square([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]) == (1.0, math.inf, True)
 
     def test_half_mixture_examples(self):
         p = np.array([0.2, 0.8])
         q = np.array([0.6, 0.4])
-        assert lab.check_half_mixture_bias(p, q, 0.0)[2]
-        assert lab.check_half_mixture_bias(p, p, 0.3) == (0.0, 0.0, True)
-        lhs, rhs, ok = lab.check_half_mixture_bias(p, q, 0.3)
+        assert helpers.check_half_mixture_bias(p, q, 0.0)[2]
+        assert helpers.check_half_mixture_bias(p, p, 0.3) == (0.0, 0.0, True)
+        lhs, rhs, ok = helpers.check_half_mixture_bias(p, q, 0.3)
         assert ok and 0.0 < lhs < rhs
         with pytest.raises(ValueError):
-            lab.check_half_mixture_bias(p, q, 0.6)
+            helpers.check_half_mixture_bias(p, q, 0.6)
 
     def test_nonadaptive_zero_bias_gives_zero(self):
-        lhs, rhs, ok = lab.check_nonadaptive_run_kl([3, 5], 0.2, 0.0)
+        lhs, rhs, ok = helpers.check_nonadaptive_run_kl([3, 5], 0.2, 0.0)
         assert lhs == 0.0 and rhs == 0.0 and ok
 
     def test_nonadaptive_single_index_closed_form(self):
         # one index, one draw: the run is a single bit; the balanced law is
         # Ber(1/2), the tilted law Ber((1 - r delta)/2)
         delta, r = 0.3, 0.05
-        lhs, rhs, ok = lab.check_nonadaptive_run_kl([1], delta, r)
+        lhs, rhs, ok = helpers.check_nonadaptive_run_kl([1], delta, r)
         assert lhs == pytest.approx(bernoulli_kl(0.5, (1.0 - r * delta) / 2.0), abs=1e-12)
         assert ok
 
     def test_nonadaptive_validation(self):
         with pytest.raises(ValueError):
-            lab.check_nonadaptive_run_kl([25], 0.2, 0.05)
+            helpers.check_nonadaptive_run_kl([25], 0.2, 0.05)
         with pytest.raises(ValueError):
-            lab.check_nonadaptive_run_kl([3], 0.4, 0.05)
+            helpers.check_nonadaptive_run_kl([3], 0.4, 0.05)
 
     def test_pinsker_and_identities(self):
         rng = substream(1, "p")
         p = lab._simplex_point(6, rng)
         q = lab._simplex_point(6, rng)
-        lhs, rhs, ok = lab.check_pinsker(p, q)
+        lhs, rhs, ok = helpers.check_pinsker(p, q)
         tv = float(0.5 * np.abs(p - q).sum())
-        assert ok and lhs == 2.0 * tv ** 2 and rhs == lab.vector_kl(p, q)
-        assert lab.check_product_additivity(p, q, q, p)
+        assert ok and lhs == 2.0 * tv ** 2 and rhs == helpers.vector_kl(p, q)
+        assert helpers.check_product_additivity(p, q, q, p)
         a = random_tree(4, rng, 0.05, 0.95)
         b = random_tree(4, rng, 0.05, 0.95)
-        assert lab.check_chain_rule(a, b)
+        assert helpers.check_chain_rule(a, b)
 
     def test_pinsker_closed_form(self):
         # one bit of divergence against a total-variation distance of 1/2
-        assert lab.check_pinsker([1, 0], [0.5, 0.5]) == (0.5, 1.0, True)
-        assert lab.check_pinsker([0.5, 0.5], [1, 0]) == (0.5, math.inf, True)
+        assert helpers.check_pinsker([1, 0], [0.5, 0.5]) == (0.5, 1.0, True)
+        assert helpers.check_pinsker([0.5, 0.5], [1, 0]) == (0.5, math.inf, True)
 
     def test_log_bounds(self):
         for x in (-0.9, -0.5, 0.0, 0.3, 2.0, 10.0):
-            assert lab.check_log_bounds(x)
+            assert helpers.check_log_bounds(x)
         with pytest.raises(ValueError):
-            lab.check_log_bounds(-1.0)
+            helpers.check_log_bounds(-1.0)
 
     def test_binomial_identity(self):
-        assert lab.check_binomial_kl_identity(12, 0.3, 0.6)
-        assert lab.check_binomial_kl_identity(1, 0.999, 0.001)
+        assert helpers.check_binomial_kl_identity(12, 0.3, 0.6)
+        assert helpers.check_binomial_kl_identity(1, 0.999, 0.001)
 
 
 def test_sweep_all_pass_small():
@@ -171,15 +174,23 @@ def _identity_triple(check):
     return lambda *instance: (0.0, 0.0, check(*instance))
 
 
+def _trees(*rows):
+    """The TableMarginalTrees whose marginals, level after level, are the flat rows."""
+    return [TableMarginalTree(len(f).bit_length(), np.split(f, (2 << np.arange(len(f).bit_length() - 1)) - 1))
+            for f in rows]
+
+
 # each batched checker's lone call, as (lhs, rhs, ok); identities have lhs = rhs = 0
 LONE_CALLS = {
-    "bounded-ratio-kl": lab.check_bounded_ratio_dkl,
-    "symmetric-chi-square": lab.check_symmetric_chi_square,
-    "half-mixture-bias": lab.check_half_mixture_bias,
-    "nonadaptive-run-kl": lab.check_nonadaptive_run_kl,
-    "pinsker": lab.check_pinsker,
-    "product-additivity": _identity_triple(lab.check_product_additivity),
-    "binomial-kl-identity": _identity_triple(lab.check_binomial_kl_identity),
+    "bounded-ratio-kl": helpers.check_bounded_ratio_dkl,
+    "symmetric-chi-square": helpers.check_symmetric_chi_square,
+    "half-mixture-bias": helpers.check_half_mixture_bias,
+    "nonadaptive-run-kl": helpers.check_nonadaptive_run_kl,
+    "pinsker": helpers.check_pinsker,
+    "product-additivity": _identity_triple(helpers.check_product_additivity),
+    "binomial-kl-identity": _identity_triple(helpers.check_binomial_kl_identity),
+    "chain-rule": _identity_triple(lambda fa, fb: helpers.check_chain_rule(*_trees(fa, fb))),
+    "log-bounds": _identity_triple(helpers.check_log_bounds),
 }
 
 
@@ -221,6 +232,24 @@ def _ref_nonadaptive(schedule, delta, r):
     return lhs, 5.0 * r * r * delta * delta * sum(schedule.tolist())
 
 
+def _ref_log_bounds(x):
+    if not x > -1.0:
+        raise ValueError("need x > -1")
+    v = -math.log1p(x)
+    if v < -x - lab.SLACK:
+        return False
+    if x >= -2.0 / 3.0 and v > -x + x * x + lab.SLACK:
+        return False
+    if x >= 0.0 and v > -x + x * x / 2.0 + lab.SLACK:
+        return False
+    return True
+
+
+def _ref_chain_rule(fa, fb):
+    a, b = _trees(fa, fb)
+    return _ref_agree(kl_divergence(a, b), helpers.chain_rule_kl(a, b))
+
+
 REFERENCE = {
     "bounded-ratio-kl": _ref_inequality(lambda p, q, t: (_ref_kl(p, q), t * t / math.log(2.0))),
     "symmetric-chi-square": _ref_inequality(lambda p, q: (
@@ -237,6 +266,8 @@ REFERENCE = {
         _ref_kl(p1, q1) + _ref_kl(p2, q2))),
     "binomial-kl-identity": _identity_triple(lambda m, p, q: _ref_agree(
         _ref_kl(_ref_pmf(m, p), _ref_pmf(m, q)), m * bernoulli_kl(p, q))),
+    "chain-rule": _identity_triple(_ref_chain_rule),
+    "log-bounds": _identity_triple(_ref_log_bounds),
 }
 
 
@@ -250,6 +281,19 @@ def test_batch_equals_lone_calls_and_reference(name):
         sizes, expected = {m for inst in instances for m in inst[0].tolist()}, range(1, 21)
     elif name == "binomial-kl-identity":
         sizes, expected = {inst[0] for inst in instances}, range(1, 31)
+    elif name == "chain-rule":
+        sizes, expected = {len(inst[0]) for inst in instances}, (3, 7, 15, 31)
+        # the flat rows are the doubles random_tree draws, and leave the stream where it leaves it
+        fresh = substream(11, "batch", name)
+        for fa, fb in instances:
+            n = int(fresh.integers(2, 6))
+            trees = [random_tree(n, fresh, 0.05, 0.95) for _ in range(2)]
+            assert all(np.array_equal(t.level(i), u.level(i))
+                       for t, u in zip(trees, _trees(fa, fb)) for i in range(n))
+        assert fresh.random() == rng.random()
+    elif name == "log-bounds":
+        # each bound's branch: x < -2/3, -2/3 <= x < 0 and x >= 0
+        sizes, expected = {int(x >= -2.0 / 3.0) + int(x >= 0.0) for x, in instances}, range(3)
     else:
         sizes, expected = {len(inst[0]) for inst in instances}, range(2, 17)
     assert sizes == set(expected)

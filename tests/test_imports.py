@@ -8,7 +8,14 @@ import prefixsim
 #: Test-only references and wrappers that live in tests/helpers.py or are
 #: gone; the package reaches trees only through their block walks.
 TEST_ONLY = {"SignAssignment", "FiniteDistribution", "random_distribution", "total_variation",
-             "uniform_tree", "point_mass_tree", "one_sided_expectation"}
+             "uniform_tree", "point_mass_tree", "one_sided_expectation",
+             # the lone forms of the divergence checkers, over lab's row kernels
+             "check_bounded_ratio_dkl", "check_symmetric_chi_square", "check_half_mixture_bias",
+             "check_nonadaptive_run_kl", "check_pinsker", "check_product_additivity",
+             "check_binomial_kl_identity", "check_chain_rule", "check_log_bounds", "_alone",
+             "vector_kl", "chain_rule_kl", "total_draws"}
+#: Divergences between trees are computed in divergence_lab only.
+DIVERGENCES = {"bernoulli_kl", "kl_divergence", "tv_distance", "chain_rule_kl"}
 #: One-prefix wrappers over MarginalTree.cylinders; callers pass a block of one row.
 SCALAR_WALKS = {"marginal", "mass", "conditional_mass", "_path_mass"}
 
@@ -51,3 +58,10 @@ def test_no_module_defines_a_test_only_name():
     calls = [node.func.id for node in ast.walk(mix[0])
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert "isinstance" not in calls
+
+
+def test_trees_defines_no_divergence():
+    path, tree = next((path, tree) for path, tree in _modules() if path.name == "trees.py")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined & DIVERGENCES == set()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import code_rows
+from prefixsim.divergence_lab import kl_divergence
 from prefixsim.errors import CapabilityError
 from prefixsim import simulation, util
 from prefixsim.oracles import TreeOracle
@@ -19,7 +20,7 @@ from prefixsim.simulation import (
     samples_per_edge,
 )
 from prefixsim.streams import substream
-from prefixsim.trees import kl_divergence, random_tree
+from prefixsim.trees import random_tree
 
 from helpers import (chi2_critical_99, chi_square_stat, draw, edge, hist, point_mass_tree, prefix_counts,
                      prefix_rows, query_exact, uniform_tree)

@@ -7,16 +7,11 @@ import pytest
 from prefixsim.errors import CapabilityError
 from prefixsim.hardness import SignMarginalTree
 from prefixsim.streams import substream
-from prefixsim.trees import (
-    TableMarginalTree,
-    bernoulli_kl,
-    chain_rule_kl,
-    kl_divergence,
-    random_tree,
-    tv_distance,
-)
+from prefixsim.divergence_lab import bernoulli_kl, kl_divergence, tv_distance
+from prefixsim.trees import TableMarginalTree, random_tree
 
-from helpers import cylinder_mass, exact_total_mass, marginal, mass, point_mass_tree, uniform_tree
+from helpers import (chain_rule_kl, cylinder_mass, exact_total_mass, marginal, mass, point_mass_tree,
+                     uniform_tree)
 
 
 def two_level_tree():
