@@ -80,9 +80,10 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
             pb = sim_b.query_batch(x)
             if not (pa > 0.0).all():
                 raise RuntimeError("drawn element reported non-positive mass; simulation is inconsistent")
-            # one pair at a time, in draw order, as a scalar loop would add them
-            for value in np.maximum(0.0, 1.0 - pb / pa).tolist():
-                acc += value
+            # one pair at a time, in draw order, as a scalar loop would add them:
+            # accumulate adds left to right, so its last entry is that loop's sum
+            values = np.maximum(0.0, 1.0 - pb / pa)
+            acc = float(np.add.accumulate(np.concatenate(([acc], values)))[-1])
         round_values.append(min(1.0, max(0.0, acc / pairs)))
     return TvEstimate(
         estimate=float(statistics.median(round_values)),

@@ -15,6 +15,13 @@ be compared for bit-equality.  A (rows, free) block holds the same doubles
 in row-major order as its rows drawn one at a time, so a caller may split a
 large draw into consecutive blocks (see util.row_blocks) without changing a bit.
 
+A caller that reads only the first free bits asks for them with levels: the
+draw returns those columns, and a tree oracle descends only those levels.
+Each prefix still consumes its whole (m, free) uniform block and is charged
+m rows, so the columns returned are exactly those of a full draw, and
+streams, ledger and results downstream do not change.  A hooked draw still
+descends every level, because its transcript records whole rows.
+
 Trees are immutable and freely shareable; an oracle (with its mutable
 ledger) belongs to one logical owner, so concurrent experiments should each
 build their own oracle over the shared tree.
@@ -44,23 +51,30 @@ class PrefixOracle:
         self.on_record: Optional[Callable[[dict], None]] = None
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream]) -> np.ndarray:
+                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
         """m independent conditional draws under each row of a (k, depth) 0/1 array.
 
-        Returns the free bits, shape (k * m, n - depth) as uint8; rows j * m
-        to (j + 1) * m are prefix j's, drawn from its own stream rngs[j].
+        Returns the first levels free bits, all n - depth of them when levels
+        is None, shape (k * m, levels) as uint8; rows j * m to (j + 1) * m
+        are prefix j's, drawn from its own stream rngs[j].
         """
         raise NotImplementedError
 
-    def _validated(self, prefixes, m: int, rngs: Sequence[RandomStream]) -> np.ndarray:
-        """The prefixes as a (k, depth) uint8 array, once the draw's arguments check out."""
+    def _validated(self, prefixes, m: int, rngs: Sequence[RandomStream],
+                   levels: int | None) -> tuple[np.ndarray, int]:
+        """The prefixes as a (k, depth) uint8 array and the free levels to return, once the arguments check out."""
         prefixes = np.asarray(prefixes)
         if (prefixes.ndim != 2 or prefixes.shape[1] >= self.n or len(rngs) != len(prefixes)
                 or ((prefixes != 0) & (prefixes != 1)).any()):
             raise ValueError(f"need a (k, depth < {self.n}) 0/1 prefix array and a stream per prefix")
         if m < 1:
             raise ValueError("batch size must be positive")
-        return prefixes.astype(np.uint8, copy=False)
+        free = self.n - prefixes.shape[1]
+        if levels is None:
+            levels = free
+        elif not 1 <= levels <= free:
+            raise ValueError(f"levels must be between 1 and the {free} free levels")
+        return prefixes.astype(np.uint8, copy=False), levels
 
     def _charge(self, prefixes: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """Charge the rows of the drawn block out, record m per prefix if hooked, and return out."""
@@ -88,16 +102,26 @@ class TreeOracle(PrefixOracle):
         self.tree = tree
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream]) -> np.ndarray:
-        """Walks all prefixes to their start nodes and masses at once, then descends all rows."""
-        prefixes = self._validated(prefixes, m, rngs)
+                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
+        """Walks all prefixes to their start nodes and masses at once, then descends all rows.
+
+        The rows descend the levels returned, or every level when hooked;
+        the first free level's marginal is read once per prefix.
+        """
+        prefixes, levels = self._validated(prefixes, m, rngs, levels)
         k, depth = prefixes.shape
         u = np.empty((k * m, self.n - depth))
         for j, rng in enumerate(rngs):
             rng.random(out=u[j * m:(j + 1) * m])
+        walked = u.shape[1] if self.on_record is not None else levels
         h, mass = self.tree.cylinders(prefixes)
-        out = self.tree.descend(u, depth, np.repeat(h, m))
-        dead = np.repeat(mass == 0.0, m)
+        out = np.empty((k * m, walked), dtype=np.uint8)
+        out[:, 0] = u[:, 0] < np.repeat(self.tree._f(depth, h), m)
+        if walked > 1:
+            out[:, 1:] = self.tree.descend(u[:, 1:walked], depth + 1,
+                                           self.tree._child(np.repeat(h, m), out[:, 0]))
+        dead = mass == 0.0
         if dead.any():
-            out[dead] = u[dead] < 0.5
-        return self._charge(prefixes, m, out)
+            dead = np.repeat(dead, m)
+            out[dead] = u[dead, :walked] < 0.5
+        return self._charge(prefixes, m, out)[:, :levels]

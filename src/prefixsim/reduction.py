@@ -230,9 +230,12 @@ class AdaptedPrefixOracle(PrefixOracle):
         self.native = native
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream]) -> np.ndarray:
-        """m elements per prefix: one native draw for every non-padding prefix, each from its own stream."""
-        prefixes = self._validated(prefixes, m, rngs)
+                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
+        """m elements per prefix: one native draw for every non-padding prefix, each from its own stream.
+
+        Whole rows are drawn and recorded; the first levels free bits are returned.
+        """
+        prefixes, levels = self._validated(prefixes, m, rngs, levels)
         k, depth = prefixes.shape
         free = self.n - depth
         a, b, padding = element_bounds(self.native.size, depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
@@ -242,4 +245,4 @@ class AdaptedPrefixOracle(PrefixOracle):
         out[np.repeat(~padding, m)] = code_rows(codes, free)
         for j in np.flatnonzero(padding):
             out[j * m:(j + 1) * m] = rngs[j].random((m, free)) < 0.5
-        return self._charge(prefixes, m, out)
+        return self._charge(prefixes, m, out)[:, :levels]

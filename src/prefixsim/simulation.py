@@ -5,19 +5,22 @@ conditioned on w and averaging the first free bit.  Estimating every edge
 independently yields a surrogate distribution whose expected KL divergence
 from the input is at most n/m <= delta.  The samples of a level's missing
 edges are drawn together, in one multi-prefix draw (first_free_ones), which
-counts each prefix's ones block by block, and est_simulation_edge then
-takes each edge's k from its count.
+asks the oracle for the first free bit only, counts each prefix's ones block
+by block, and est_simulation_edge then takes each edge's k from its count.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
-entry as k/m and (m - k)/m.  The store is filled lazily, an edge the first
-time it lies on a queried or sampled path, or all at once by preprocess,
-which touches every edge of the tree up front (exponential work).  Because
-each edge's estimation stream is keyed by (master seed, prefix), neither the
-order in which edges are first touched nor their grouping into draws
-matters, and the lazy simulation is bit-for-bit equal to the eagerly learned
-one.  The streams of a group are seeded together (streams.substreams), each
-the generator substream builds for its key.  Estimates are kept as exact
+entry as k/m and (m - k)/m.  It is one pair of arrays per depth, the node
+ids of the stored prefixes in sorted order and their k as int64, so a walk
+reads a whole level of rows with a few numpy calls and no Python work per
+row.  The store is filled lazily, an edge the first time it lies on a
+queried or sampled path, or all at once by preprocess, which touches every
+edge of the tree up front (exponential work).  Because each edge's
+estimation stream is keyed by (master seed, prefix), neither the order in
+which edges are first touched nor their grouping into draws matters, and the
+lazy simulation is bit-for-bit equal to the eagerly learned one.  The
+streams of a group are seeded together (streams.substreams), each the
+generator substream builds for its key.  Estimates are kept as exact
 integers; all float probabilities are computed as k/m so the two agree to
 the last bit and realization checks can run in exact rational arithmetic.
 
@@ -79,12 +82,13 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
     util.MAX_BLOCK_UNIFORMS uniforms; each block's ones are added up before
     the next is drawn, so memory stays one block at any m.
     Either way each prefix gets the uniforms one (m, free) block from its
-    stream would, and costs exactly m conditional samples.
+    stream would, and costs exactly m conditional samples; the draw returns
+    only the first free bit (levels=1).
     """
     count, free = len(prefixes), oracle.n - prefixes.shape[1]
     ones = np.zeros(count, dtype=np.int64)
     for rows in row_blocks(m, count * free):
-        first = oracle.conditional_sample_batch(prefixes, rows, rngs)[:, 0].reshape(count, rows)
+        first = oracle.conditional_sample_batch(prefixes, rows, rngs, levels=1).reshape(count, rows)
         ones += np.count_nonzero(first, axis=1)
     return ones
 
@@ -92,10 +96,12 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
 class LazySimulation:
     """Simulated distribution whose edges are estimated on first touch.
 
-    The store maps each touched prefix, keyed by its node id
-    (1 << depth) | index, to k, the number of ones among the m samples of
-    its edge.  The misses of one level are estimated together, each edge
-    from its own (seed, prefix)-keyed stream.
+    The store holds one pair of arrays per depth: the node ids
+    (1 << depth) | index of the touched prefixes, sorted, and beside each
+    its k, the number of ones among the m samples of its edge.  A level of
+    a walk looks up all its rows' nodes at once (searchsorted); the misses
+    of one level are estimated together, each edge from its own
+    (seed, prefix)-keyed stream, and merged in sorted order.
     Entries never change once written, so repeated queries are consistent
     and already-revealed masses are honored by later samples.
     """
@@ -110,16 +116,18 @@ class LazySimulation:
         self.m = samples_per_edge(n, delta)
         # node ids reach 2^n; past int64, keep them as Python ints
         self._node_dtype = np.int64 if n < 63 else object
-        self._ones: dict[int, int] = {}
+        # the store: per depth, the sorted node ids estimated so far and their k
+        self._nodes = [np.empty(0, dtype=self._node_dtype) for _ in range(n)]
+        self._ks = [np.empty(0, dtype=np.int64) for _ in range(n)]
         self._user_rng = substream(seed, "user")
 
     @property
     def touched_pairs(self) -> int:
         """Number of distinct sibling pairs estimated so far."""
-        return len(self._ones)
+        return sum(map(len, self._ks))
 
-    def _counts(self, depth: int, nodes: list[int]) -> list[int]:
-        """k of each node in the list, all at depth, estimating the missing edges on the way.
+    def _counts(self, depth: int, nodes: np.ndarray) -> np.ndarray:
+        """k of each node of the array, all at depth, as int64, estimating the missing edges on the way.
 
         The distinct misses are estimated in the order rows first reach them,
         in groups of whole prefixes whose block stays within
@@ -127,25 +135,40 @@ class LazySimulation:
         group).  A group's prefix bits and streams (keyed by the node id's
         binary digits after the leading 1) are built only for its draw.
         """
-        ks = list(map(self._ones.get, nodes))
-        if None not in ks:
-            return ks
-        misses = list(dict.fromkeys(node for node, k in zip(nodes, ks) if k is None))
+        keys, ks = self._nodes[depth], self._ks[depth]
+        at = keys.searchsorted(nodes)
+        if len(keys) == 1 << depth:  # every node of the level is stored
+            return ks.take(at)
+        missed = nodes
+        if len(keys):
+            hit = keys.take(at, mode="clip") == nodes
+            if np.count_nonzero(hit) == len(nodes):
+                return ks.take(at)
+            missed = nodes[~hit]
+        distinct, first = np.unique(missed, return_index=True)
+        order = first.argsort()  # first-touch order
+        misses = distinct[order]
+        found = []
         start = 0
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
             group = misses[start:start + size]
-            bits = code_rows(np.array(group, dtype=self._node_dtype), depth)
-            rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group])
+            bits = code_rows(group, depth)
+            rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group.tolist()])
             ones = first_free_ones(self.oracle, self.m, bits, rngs)
-            self._ones.update(zip(group, map(est_simulation_edge, ones.tolist())))
+            found += map(est_simulation_edge, ones.tolist())
             start += size
-        return list(map(self._ones.get, nodes))
+        new_ks = np.empty(len(distinct), dtype=np.int64)
+        new_ks[order] = found
+        at = keys.searchsorted(distinct)
+        self._nodes[depth] = keys = np.insert(keys, at, distinct)
+        self._ks[depth] = ks = np.insert(ks, at, new_ks)
+        return ks.take(keys.searchsorted(nodes))
 
     def _learn_all(self) -> None:
         if self.n > MAX_PREPROCESS_N:
             raise CapabilityError(f"learning all 2^n - 1 edges is supported only for n <= {MAX_PREPROCESS_N}")
         for depth in range(self.n):
-            self._counts(depth, list(range(1 << depth, 2 << depth)))
+            self._counts(depth, np.arange(1 << depth, 2 << depth))
 
     def _walk(self, bits: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """Masses of the rows of bits, all rows walked together level by level.
@@ -158,7 +181,7 @@ class LazySimulation:
         nodes = np.ones(len(bits), dtype=self._node_dtype)
         p = np.ones(len(bits))
         for i in range(self.n):
-            k = np.array(self._counts(i, nodes.tolist()), dtype=np.int64)
+            k = self._counts(i, nodes)
             if u is not None:
                 bits[:, i] = u[:, i] < k / m
             b = bits[:, i]
@@ -204,9 +227,7 @@ class LazySimulation:
     def as_marginal_tree(self) -> TableMarginalTree:
         """The simulated distribution as an explicit tree; estimates every untouched edge."""
         self._learn_all()
-        return TableMarginalTree(self.n, [
-            np.array([self._ones[node] for node in range(1 << i, 2 << i)]) / self.m
-            for i in range(self.n)])
+        return TableMarginalTree(self.n, [ks / self.m for ks in self._ks])
 
 
 def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from prefixsim import divergence_lab as lab
 from prefixsim.bits import element_bits, prefix_bits
 from prefixsim.hardness import _SIGN_TAG
+from prefixsim.streams import substream
 from prefixsim.trees import TableMarginalTree
 
 #: standard normal 99th percentile
@@ -77,18 +78,58 @@ def assert_ledger(oracle, prefixes, m: int, block: np.ndarray, records: list) ->
     assert [r["budget_after"] for r in records] == [m * (j + 1) for j in range(len(names))]
 
 
+def assert_levels_draw(make_oracle, prefixes, m: int, streams) -> None:
+    """Every levels draw returns the first columns of the full draw, at the full draw's cost.
+
+    make_oracle() builds a fresh oracle and streams() fresh streams, one per
+    prefix.  For each levels, unhooked and hooked, the draw charges the same
+    ledger and leaves each stream where the full draw does; the hooked one
+    records the whole rows of the full draw.
+    """
+    full_oracle, rngs = make_oracle(), streams()
+    full = full_oracle.conditional_sample_batch(prefixes, m, rngs)
+    after = [rng.random() for rng in rngs]
+    for levels in range(1, full.shape[1] + 1):
+        for hooked in (False, True):
+            oracle, rngs, records = make_oracle(), streams(), []
+            if hooked:
+                oracle.on_record = records.append
+            block = oracle.conditional_sample_batch(prefixes, m, rngs, levels=levels)
+            assert block.dtype == np.uint8 and np.array_equal(block, full[:, :levels])
+            assert oracle.conditional_calls == full_oracle.conditional_calls
+            assert [rng.random() for rng in rngs] == after
+            if hooked:
+                assert_ledger(oracle, prefixes, m, full, records)
+
+
+def dict_counts(store: dict, oracle, m: int, seed: int, nodes) -> list[int]:
+    """Reference for LazySimulation._counts: k per node id kept in a dict.
+
+    Each missing edge is drawn alone, in the order the nodes first reach it,
+    from its own (seed, "edge", prefix) stream, and its k is the count of
+    ones in the first free column.
+    """
+    for node in nodes:
+        if node not in store:
+            w = format(node, "b")[1:]
+            store[node] = int(np.count_nonzero(draw(oracle, w, m, substream(seed, "edge", w))[:, 0]))
+    return [store[node] for node in nodes]
+
+
 def hist(sim) -> dict:
     """Both sibling estimates of every pair a simulation has estimated, keyed (prefix string, bit).
 
-    Reads the simulation's store of k per node id (1 << depth) | index.
+    Reads the simulation's store: per depth, node ids (1 << depth) | index and their k.
     """
     return {(format(node, "b")[1:], b): Fraction(k if b else sim.m - k, sim.m)
-            for node, k in sim._ones.items() for b in (1, 0)}
+            for nodes, ks in zip(sim._nodes, sim._ks)
+            for node, k in zip(nodes.tolist(), ks.tolist()) for b in (1, 0)}
 
 
 def edge(sim, w: str, b: int) -> Fraction:
     """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
-    k = sim._counts(len(w), [(1 << len(w)) | int(w or "0", 2)])[0]
+    node = np.array([(1 << len(w)) | int(w or "0", 2)], dtype=sim._node_dtype)
+    k = int(sim._counts(len(w), node)[0])
     return Fraction(k if b else sim.m - k, sim.m)
 
 

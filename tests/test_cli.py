@@ -88,9 +88,9 @@ def test_hard_instance_blocks_change_nothing(capsys, monkeypatch):
     uniforms = []
     draw = oracles.TreeOracle.conditional_sample_batch
 
-    def recording(self, prefixes, m, rngs):
+    def recording(self, prefixes, m, rngs, levels=None):
         uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-        return draw(self, prefixes, m, rngs)
+        return draw(self, prefixes, m, rngs, levels)
 
     monkeypatch.setattr(oracles.TreeOracle, "conditional_sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 3 * 20)
@@ -111,9 +111,9 @@ def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
     _, whole, _ = run_cli(capsys, argv)
     uniforms = []
     for cls in (oracles.TreeOracle, AdaptedPrefixOracle):
-        def recording(self, prefixes, m, rngs, draw=cls.conditional_sample_batch):
+        def recording(self, prefixes, m, rngs, levels=None, draw=cls.conditional_sample_batch):
             uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-            return draw(self, prefixes, m, rngs)
+            return draw(self, prefixes, m, rngs, levels)
 
         monkeypatch.setattr(cls, "conditional_sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 40)

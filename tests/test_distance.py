@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from prefixsim import distance
@@ -187,3 +190,31 @@ def test_non_positive_mass_is_an_error():
     sim = ZeroMass(3, TreeOracle(tree), 0.1, seed=98)
     with pytest.raises(RuntimeError):
         estimate_tv(sim, sim, 0.3, rounds=1)
+
+
+def test_block_sums_add_left_to_right(monkeypatch):
+    # terms 2^-53 and 1.0: a running sum rounds each 2^-53 added to 1 away,
+    # so the order of addition changes the result
+    tiny = 2.0 ** -53
+    terms = [tiny] * 5 + [1.0] + [tiny] * 9 + [0.5] + [tiny] * 8
+
+    answers = iter(1.0 - np.array(terms))
+
+    class Scripted(LazySimulation):
+        """Draws elements of mass 1; queries answer 1 - term, so pair i adds terms[i]."""
+
+        def sample_batch(self, k, rng=None):
+            return np.zeros((k, self.n), dtype=np.uint8), np.ones(k)
+
+        def query_batch(self, bits):
+            return np.array([next(answers) for _ in bits])
+
+    monkeypatch.setattr(distance, "PAIR_BLOCK", 7)
+    sim_a, sim_b = (Scripted(2, TreeOracle(random_tree(2, substream(99, "t"))), 0.5, seed=s) for s in (0, 1))
+    result = estimate_tv(sim_a, sim_b, 0.5, scale=len(terms) / 4, rounds=1)
+    acc = 0.0
+    for term in terms:
+        acc += term
+    assert result.pairs_per_round == len(terms)
+    assert result.round_values == [acc / len(terms)]
+    assert acc not in (math.fsum(terms), sum(sorted(terms)))

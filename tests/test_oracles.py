@@ -7,8 +7,8 @@ from prefixsim.oracles import TreeOracle
 from prefixsim.streams import substream
 from prefixsim.trees import TableMarginalTree, random_tree
 
-from helpers import (assert_ledger, chi2_critical_99, chi_square_stat, cylinder_mass, draw, marginal, mass,
-                     point_mass_tree, prefix_blocks, prefix_counts, prefix_rows, uniform_tree)
+from helpers import (assert_ledger, assert_levels_draw, chi2_critical_99, chi_square_stat, cylinder_mass, draw,
+                     marginal, mass, point_mass_tree, prefix_blocks, prefix_counts, prefix_rows, uniform_tree)
 
 
 class TestBudget:
@@ -152,6 +152,18 @@ def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
     assert_ledger(oracle, prefixes, m, block, records)
 
 
+@pytest.mark.parametrize("tree, prefixes", [
+    # f = 0 at the root: every prefix starting with 1 has zero mass
+    (TableMarginalTree(4, [np.zeros(1), *(substream(20, "t").uniform(0.2, 0.8, 1 << i) for i in (1, 2, 3))]),
+     prefix_rows("10", "01", "11", "00", "10")),
+    (SignMarginalTree(6, 21, 0.3, 0.7), prefix_rows("01", "11", "01", "10")),
+    (SignMarginalTree(6, 21, 0.3, 0.7), prefix_rows("")),
+])
+def test_levels_draw_is_the_first_columns_of_a_full_draw(tree, prefixes):
+    assert_levels_draw(lambda: TreeOracle(tree), prefixes, 7,
+                       lambda: [substream(22, "draw", j) for j in range(len(prefixes))])
+
+
 def test_draw_arguments_validated():
     oracle = TreeOracle(uniform_tree(3))
     rng = substream(13, "bad")
@@ -162,4 +174,7 @@ def test_draw_arguments_validated():
                               (np.array([0, 1]), 1, [rng])):         # not a 2-d block
         with pytest.raises(ValueError):
             oracle.conditional_sample_batch(prefixes, m, rngs)
+    for levels in (0, 3):                                           # none, or more than are free
+        with pytest.raises(ValueError):
+            oracle.conditional_sample_batch(prefix_rows("0"), 1, [rng], levels=levels)
     assert oracle.conditional_calls == 0

@@ -19,7 +19,7 @@ from prefixsim.simulation import LazySimulation
 from prefixsim.oracles import TreeOracle
 from prefixsim.streams import child_seed, substream
 
-from helpers import assert_ledger, draw, hist, prefix_blocks, prefix_rows, query_exact
+from helpers import assert_ledger, assert_levels_draw, draw, hist, prefix_blocks, prefix_rows, query_exact
 
 
 def prefix_interval(size, w):
@@ -341,6 +341,14 @@ def test_adapted_multi_prefix_draw_with_pure_padding():
     assert np.array_equal(block[4:8], substream(15, "11").random((4, 1)) < 0.5)
     assert np.all(block[8:] == 0)
     assert_ledger(oracle, prefixes, 4, block, records)
+
+
+def test_adapted_levels_draw_is_the_first_columns_of_a_full_draw():
+    # size 5 has depth 3: "11" holds only padding codes, "1" element 5 and padding
+    weights = substream(16, "w").uniform(0.1, 1.0, 5)
+    for prefixes in (prefix_rows("01", "11", "10", "11"), prefix_rows(""), prefix_rows("1", "0", "1")):
+        assert_levels_draw(lambda: AdaptedPrefixOracle(TableIntervalOracle(weights)), prefixes, 6,
+                           lambda: [substream(17, "draw", j) for j in range(len(prefixes))])
 
 
 def single_interval_draw(native, a_elem, b_elem, m, rng):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from prefixsim.bits import code_rows
 from prefixsim.divergence_lab import kl_divergence
 from prefixsim.errors import CapabilityError
+from prefixsim.hardness import SignMarginalTree
 from prefixsim import simulation, util
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import (
@@ -22,8 +23,8 @@ from prefixsim.simulation import (
 from prefixsim.streams import substream
 from prefixsim.trees import random_tree
 
-from helpers import (chi2_critical_99, chi_square_stat, draw, edge, hist, point_mass_tree, prefix_counts,
-                     prefix_rows, query_exact, uniform_tree)
+from helpers import (chi2_critical_99, chi_square_stat, dict_counts, draw, edge, hist, point_mass_tree,
+                     prefix_counts, prefix_rows, query_exact, uniform_tree)
 
 
 class TestSamplesPerEdge:
@@ -121,9 +122,9 @@ class TestEstSimulationEdge:
         blocks = []
         draw_block = TreeOracle.conditional_sample_batch
 
-        def recording(self, prefixes, m, rngs):
+        def recording(self, prefixes, m, rngs, levels=None):
             blocks.append(m)
-            return draw_block(self, prefixes, m, rngs)
+            return draw_block(self, prefixes, m, rngs, levels)
 
         monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
@@ -463,9 +464,9 @@ def test_level_blocks_change_nothing(monkeypatch, cap):
     blocks = []
     draw_block = TreeOracle.conditional_sample_batch
 
-    def recording(self, prefixes, m, rngs):
+    def recording(self, prefixes, m, rngs, levels=None):
         blocks.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-        return draw_block(self, prefixes, m, rngs)
+        return draw_block(self, prefixes, m, rngs, levels)
 
     monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
     whole = level_script(tree)
@@ -504,3 +505,47 @@ def test_lazy_script_touches_edges_in_first_touch_order():
         "11", "00", "110", "000", "011", "1101", "0000", "0111", "0110"]
     assert [r["count"] for r in records] == [10] * 20
     assert oracle.conditional_calls == 200
+
+
+def assert_store_sorted(sim):
+    """Node ids strictly increase at every depth, and touched_pairs counts the entries."""
+    for nodes, ks in zip(sim._nodes, sim._ks):
+        ids = nodes.tolist()
+        assert len(ids) == len(ks) and all(a < b for a, b in zip(ids, ids[1:]))
+    assert sim.touched_pairs == sum(map(len, sim._nodes))
+
+
+@pytest.mark.parametrize("n", [5, 70])
+def test_store_lookups_equal_a_dict_reference(n):
+    # n = 70 keeps node ids as Python ints in object arrays
+    tree = random_tree(5, substream(80, "t"), 0.2, 0.8) if n == 5 else SignMarginalTree(70, 81, 0.3, 0.7)
+    sim = LazySimulation(n, TreeOracle(tree), n / 4, seed=82)
+    records = []
+    sim.oracle.on_record = records.append
+    reference, store, reference_records = TreeOracle(tree), {}, []
+    reference.on_record = reference_records.append
+    deep = n - 2
+    # repeated nodes within a call, and calls interleaving depths and hits with misses
+    calls = [(deep, [5, 1, 5, 3]), (2, [3, 0, 3]), (deep, [3, 0, 1, 7, 0]), (2, [1, 3, 2, 0]),
+             (0, [0, 0]), (deep, [7, 5, 2, 2, 6, 4]), (deep, [6, 0])]
+    for depth, indexes in calls:
+        nodes = [(1 << depth) | i for i in indexes]
+        ks = sim._counts(depth, np.array(nodes, dtype=sim._node_dtype))
+        assert ks.dtype == np.int64
+        assert ks.tolist() == dict_counts(store, reference, sim.m, sim.seed, nodes)
+        assert_store_sorted(sim)
+    assert sim.touched_pairs == len(store) == 13
+    assert sim.oracle.conditional_calls == reference.conditional_calls == sim.m * 13
+    assert [r["prefix"] for r in records] == [r["prefix"] for r in reference_records]
+
+
+def test_store_stays_sorted_through_lazy_walks():
+    sim = LazySimulation(6, TreeOracle(random_tree(6, substream(83, "t"), 0.1, 0.9)), 0.5, seed=84)
+    for _ in range(4):
+        sim.sample_batch(5)
+        sim.query_batch(code_rows(substream(85, "q").integers(0, 64, 7), 6))
+        assert_store_sorted(sim)
+    assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs
+    sim.as_marginal_tree()
+    assert_store_sorted(sim)
+    assert [nodes.tolist() for nodes in sim._nodes] == [list(range(1 << i, 2 << i)) for i in range(6)]

@@ -6,7 +6,10 @@ return; each assertion here protects one of its counters:
 - oracles.rows, oracles.calls and oracles.block_bytes_max: each oracle's
   draw is found through vars() of its own class, and a traced op fails
   unless the rows of the returned draw blocks add up to the conditional_calls
-  ledger.
+  ledger.  An edge estimate's draw returns only its first free column
+  (levels=1), so block_bytes_max is 8 bytes per returned row, not the size
+  of the uniforms drawn; a traced lazy walk is checked here with the
+  tracer itself.
 - simulation.edges_estimated: prefixsim.simulation.est_simulation_edge is
   looked up by name and counts one estimated edge per call.
 - reduction.native_rows: TableIntervalOracle.draw_batch is found through
@@ -23,12 +26,15 @@ return; each assertion here protects one of its counters:
 Renaming, inheriting or re-shaping any of these breaks `--trace 1` runs.
 """
 
+import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 
 from prefixsim import reduction, simulation, streams
 from prefixsim.oracles import TreeOracle
+from prefixsim.simulation import LazySimulation
 from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle
 from prefixsim.streams import substream
 from prefixsim.trees import random_tree
@@ -91,3 +97,23 @@ def test_seed_word_carrier_is_private():
 def test_mass_check_is_a_public_reduction_function():
     assert inspect.isfunction(reduction.mass_preserved)
     assert reduction.mass_preserved.__module__ == "prefixsim.reduction"
+
+
+def test_traced_lazy_walk_counts_rows_and_edges(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    sim = LazySimulation(5, TreeOracle(random_tree(5, substream(9, "t"), 0.1, 0.9)), 0.25, seed=10)
+    with tracer.active():
+        sim.query("10110")
+    _, counts = tracer.take()
+    # one prefix per level: blocks of m rows and one returned column, 8 bytes a row
+    assert counts["oracles.block_bytes_max"] == 8 * sim.m
+    assert counts["oracles.rows"] == 5 * sim.m and counts["simulation.edges_estimated"] == 5
+    with tracer.active():
+        sim.sample_batch(40)
+        sim.query_batch(prefix_rows("10110", "00001", "11111"))
+    assert tracer.is_clean()
+    _, more = tracer.take()
+    counts.update(more)
+    assert counts["oracles.rows"] == sim.oracle.conditional_calls == sim.m * sim.touched_pairs
+    assert counts["simulation.edges_estimated"] == sim.touched_pairs
