@@ -30,7 +30,7 @@ from .oracles import TreeOracle
 from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
                         mass_preserved)
 from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
-from .streams import child_seed, substream
+from .streams import child_seed, substream, substreams
 from .trees import random_tree
 from .util import MAX_BLOCK_UNIFORMS, row_blocks
 
@@ -111,10 +111,10 @@ def _hard_instance_trial(cfg: dict, t: int) -> list[dict]:
         }
         if cfg["draws"] > 0:
             oracle = inst.oracle()
-            rng = substream(seed, "effective", label, t)
+            stream = substreams(seed, "effective", label, parts=[t])
             total = 0
             for rows in row_blocks(cfg["draws"], cfg["n"]):
-                total += int(effective_samples(oracle, "", inst.x, rng, rows).sum())
+                total += int(effective_samples(oracle, "", inst.x, stream, rows).sum())
             record["mean_effective"] = total / cfg["draws"]
             record["draws"] = cfg["draws"]
             record["conditional_samples"] = oracle.conditional_calls
@@ -294,7 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 5)
     p.set_defaults(func=cmd_hard_instance)
 
-    p = sub.add_parser("verify-lemmas", help="run every divergence checker over random instances")
+    p = sub.add_parser("verify-lemmas", help="run every divergence checker over random instances",
+                       description="Run every divergence checker over --sweep random instances.  "
+                                   "A call runs one sweep: --trials must be positive, "
+                                   "but it does not repeat the sweep.")
     p.add_argument("--sweep", type=int, default=10000, help="instances per checker")
     common(p, 1)
     p.set_defaults(func=cmd_verify_lemmas)
@@ -428,6 +431,7 @@ def cmd_hard_instance(parser, args) -> int:
 
 def cmd_verify_lemmas(parser, args) -> int:
     _positive(parser, "sweep", args.sweep)
+    _positive(parser, "trials", args.trials)
     _within_draw_cap(parser, "sweep x checkers", args.sweep * len(LEMMAS))
     started = time.time()
     reports = run_lemma_sweep(args.sweep, args.seed)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bits import element_bits, prefix_bits
 from .oracles import PrefixOracle, TreeOracle
-from .streams import RandomStream, child_seed, substream
+from .streams import _StreamGroup, child_seed, substream
 from .trees import MarginalTree
 
 _MASK64 = (1 << 64) - 1
@@ -149,18 +149,18 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
     return HardInstance(label, n, delta, r, x, seed)
 
 
-def effective_samples(oracle: PrefixOracle, w, x, rng: RandomStream, draws: int) -> np.ndarray:
+def effective_samples(oracle: PrefixOracle, w, x, stream: _StreamGroup, draws: int) -> np.ndarray:
     """Draw draws times under w; per draw, count the intermediate prefixes of x.
 
     Each walk produces prefixes W_j for |w| <= j <= n-1 (starting at W_|w| = w);
     its count is how many of them are prefixes of the target x.  If w itself
     is not a prefix of x, no W_j can be and every count is 0.  The draws are
-    one conditional_sample_batch block of the one prefix w from rng, whose
-    uniforms are the same doubles as draws one-row draws in turn, so the
-    counts are too.
+    one conditional_sample_batch block of the one prefix w from the one-lane
+    stream group, whose uniforms are the same doubles as draws one-row draws
+    in turn, so the counts are too.
     """
     w, x = prefix_bits(w, oracle.n), element_bits(x, oracle.n)
-    free = oracle.conditional_sample_batch(np.array([w], dtype=np.uint8), draws, [rng])
+    free = oracle.conditional_sample_batch(np.array([w], dtype=np.uint8), draws, stream)
     if x[:len(w)] != w:
         return np.zeros(draws, dtype=np.int64)
     # W_j is a prefix of x while the free bits before level j agree with x

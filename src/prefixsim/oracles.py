@@ -6,14 +6,18 @@ no marginal or one-element draw.  Every oracle keeps one integer ledger,
 conditional_calls, that counts draws, m per prefix, and is never reset.
 The only per-prefix account is the optional on_record transcript hook.
 
-Draw discipline: one stream per prefix.  A prefix's m rows consume one
-uniform block of shape (m, free-levels) from its own stream and walk the
+Draw discipline: one stream per prefix.  A draw takes a stream group
+(streams.substreams) with one lane per prefix, and a prefix's m rows consume
+one uniform block of shape (m, free-levels) from its own lane and walk the
 levels using one column per level, so they are exactly what a draw of that
-prefix alone gives.  Keeping consumption a pure function of (prefix, batch
-size) is what allows two differently-routed runs with shared keyed streams to
-be compared for bit-equality.  A (rows, free) block holds the same doubles
-in row-major order as its rows drawn one at a time, so a caller may split a
-large draw into consecutive blocks (see util.row_blocks) without changing a bit.
+prefix alone gives.  Each lane's generator is built for that block and
+dropped after it; the group keeps the lane's position, so the next block
+from the lane continues its stream.  Keeping consumption a pure function of
+(prefix, batch size) is what allows two differently-routed runs with shared
+keyed streams to be compared for bit-equality.  A (rows, free) block holds
+the same doubles in row-major order as its rows drawn one at a time, so a
+caller may split a large draw into consecutive blocks (see util.row_blocks)
+without changing a bit.
 
 A caller that reads only the first free bits asks for them with levels: the
 draw returns those columns, and a tree oracle descends only those levels.
@@ -29,11 +33,11 @@ build their own oracle over the shared tree.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .streams import RandomStream
+from .streams import _StreamGroup
 from .trees import MarginalTree
 
 
@@ -51,20 +55,20 @@ class PrefixOracle:
         self.on_record: Optional[Callable[[dict], None]] = None
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
+                                 streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
         """m independent conditional draws under each row of a (k, depth) 0/1 array.
 
         Returns the first levels free bits, all n - depth of them when levels
         is None, shape (k * m, levels) as uint8; rows j * m to (j + 1) * m
-        are prefix j's, drawn from its own stream rngs[j].
+        are prefix j's, drawn from its own lane j of the stream group.
         """
         raise NotImplementedError
 
-    def _validated(self, prefixes, m: int, rngs: Sequence[RandomStream],
+    def _validated(self, prefixes, m: int, streams: _StreamGroup,
                    levels: int | None) -> tuple[np.ndarray, int]:
         """The prefixes as a (k, depth) uint8 array and the free levels to return, once the arguments check out."""
         prefixes = np.asarray(prefixes)
-        if (prefixes.ndim != 2 or prefixes.shape[1] >= self.n or len(rngs) != len(prefixes)
+        if (prefixes.ndim != 2 or prefixes.shape[1] >= self.n or len(streams) != len(prefixes)
                 or ((prefixes != 0) & (prefixes != 1)).any()):
             raise ValueError(f"need a (k, depth < {self.n}) 0/1 prefix array and a stream per prefix")
         if m < 1:
@@ -102,17 +106,17 @@ class TreeOracle(PrefixOracle):
         self.tree = tree
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
+                                 streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
         """Walks all prefixes to their start nodes and masses at once, then descends all rows.
 
         The rows descend the levels returned, or every level when hooked;
         the first free level's marginal is read once per prefix.
         """
-        prefixes, levels = self._validated(prefixes, m, rngs, levels)
+        prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
         u = np.empty((k * m, self.n - depth))
-        for j, rng in enumerate(rngs):
-            rng.random(out=u[j * m:(j + 1) * m])
+        for j in range(k):
+            streams.random(j, out=u[j * m:(j + 1) * m])
         walked = u.shape[1] if self.on_record is not None else levels
         h, mass = self.tree.cylinders(prefixes)
         out = np.empty((k * m, walked), dtype=np.uint8)

@@ -33,13 +33,12 @@ against them as-is.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
 from .bits import code_rows
 from .oracles import PrefixOracle
-from .streams import RandomStream
+from .streams import _StreamGroup
 from .trees import TableMarginalTree
 
 
@@ -187,28 +186,30 @@ class TableIntervalOracle:
         self._cum = _cumulative_weights(weights, self.depth)
         self.calls = 0
 
-    def draw_batch(self, a_elem, b_elem, m: int, rngs: Sequence[RandomStream]) -> np.ndarray:
+    def draw_batch(self, a_elem, b_elem, m: int, streams: _StreamGroup, lanes=None) -> np.ndarray:
         """m draws under each inclusive element interval {a_j..b_j}, shape (k * m,) int64.
 
-        Rows j * m to (j + 1) * m are interval j's: rngs[j] gives one
-        (m, levels below the LCA) uniform block, none when a_j == b_j, so
-        they are exactly what a draw of that interval alone gives.
+        Rows j * m to (j + 1) * m are interval j's: lane lanes[j] of the
+        stream group (lane j when lanes is None) gives one (m, levels below
+        the LCA) uniform block, none when a_j == b_j, so they are exactly
+        what a draw of that interval alone gives.
         """
         a, b = np.asarray(a_elem, dtype=np.int64) - 1, np.asarray(b_elem, dtype=np.int64)
-        if (a.ndim != 1 or a.shape != b.shape or len(rngs) != len(a)
+        lanes = range(len(streams)) if lanes is None else lanes
+        if (a.ndim != 1 or a.shape != b.shape or len(lanes) != len(a)
                 or not ((0 <= a) & (a < b) & (b <= self.size)).all()):
             raise ValueError(f"need intervals with 1 <= a <= b <= {self.size} and a stream per interval")
         if m < 1:
             raise ValueError("batch size must be positive")
-        self.calls += m * len(rngs)
+        self.calls += m * len(a)
         # codes [a, b); levels below each LCA: the bit length of a ^ (b - 1), frexp's exponent
         below = np.frexp(a ^ (b - 1))[1]
         levels = int(below.max(initial=0))
         # rows are aligned on the last level; above its LCA a row's splits are
         # forced (f is 0 or 1), so its zero uniforms there take the forced side
-        u = np.zeros((len(rngs) * m, levels))
-        for j, (rng, t) in enumerate(zip(rngs, below.tolist())):
-            u[j * m:(j + 1) * m, levels - t:] = rng.random((m, t))
+        u = np.zeros((len(a) * m, levels))
+        for j, (lane, t) in enumerate(zip(lanes, below.tolist())):
+            u[j * m:(j + 1) * m, levels - t:] = streams.random(lane, (m, t))
         a, b = np.repeat(a, m), np.repeat(b, m)
         idx = a >> levels
         for t in range(levels):
@@ -230,19 +231,19 @@ class AdaptedPrefixOracle(PrefixOracle):
         self.native = native
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
-                                 rngs: Sequence[RandomStream], levels: int | None = None) -> np.ndarray:
+                                 streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
         """m elements per prefix: one native draw for every non-padding prefix, each from its own stream.
 
         Whole rows are drawn and recorded; the first levels free bits are returned.
         """
-        prefixes, levels = self._validated(prefixes, m, rngs, levels)
+        prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
         free = self.n - depth
         a, b, padding = element_bounds(self.native.size, depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
         out = np.empty((k * m, free), dtype=np.uint8)
         live = np.flatnonzero(~padding)
-        codes = self.native.draw_batch(a[live], b[live], m, [rngs[j] for j in live]) - 1
+        codes = self.native.draw_batch(a[live], b[live], m, streams, live.tolist()) - 1
         out[np.repeat(~padding, m)] = code_rows(codes, free)
-        for j in np.flatnonzero(padding):
-            out[j * m:(j + 1) * m] = rngs[j].random((m, free)) < 0.5
+        for j in np.flatnonzero(padding).tolist():
+            out[j * m:(j + 1) * m] = streams.random(j, (m, free)) < 0.5
         return self._charge(prefixes, m, out)[:, :levels]

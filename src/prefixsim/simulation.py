@@ -19,10 +19,11 @@ edge of the tree up front (exponential work).  Because each edge's
 estimation stream is keyed by (master seed, prefix), neither the order in
 which edges are first touched nor their grouping into draws matters, and the
 lazy simulation is bit-for-bit equal to the eagerly learned one.  The
-streams of a group are seeded together (streams.substreams), each the
-generator substream builds for its key.  Estimates are kept as exact
-integers; all float probabilities are computed as k/m so the two agree to
-the last bit and realization checks can run in exact rational arithmetic.
+streams of a group are seeded together (streams.substreams), one lane per
+edge, each equal to the generator substream builds for its key.  Estimates
+are kept as exact integers; all float probabilities are computed as k/m so
+the two agree to the last bit and realization checks can run in exact
+rational arithmetic.
 
 Samples and queries walk many paths at once: sample_batch and query_batch
 take all rows down the tree together, one level at a time, reading the k of
@@ -38,14 +39,13 @@ independent trials parallelize at the state level.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .bits import code_rows, element_bits
 from .errors import CapabilityError
 from .oracles import PrefixOracle
-from .streams import RandomStream, substream, substreams
+from .streams import RandomStream, _StreamGroup, substream, substreams
 from .trees import TableMarginalTree
 from .util import ceil_snap, row_blocks
 
@@ -73,22 +73,22 @@ def est_simulation_edge(ones) -> int:
 
 
 def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
-                    rngs: Sequence[RandomStream]) -> np.ndarray:
+                    streams: _StreamGroup) -> np.ndarray:
     """How many of m conditional samples under each prefix have first free bit 1, as int64.
 
     prefixes is a 0/1 array with one prefix of a common depth per row, and
-    rngs holds one stream per prefix.  The prefixes share one multi-prefix
-    draw, split into consecutive row blocks only when a block would exceed
-    util.MAX_BLOCK_UNIFORMS uniforms; each block's ones are added up before
-    the next is drawn, so memory stays one block at any m.
+    streams is a stream group with one lane per prefix.  The prefixes share
+    one multi-prefix draw, split into consecutive row blocks only when a
+    block would exceed util.MAX_BLOCK_UNIFORMS uniforms; each block's ones
+    are added up before the next is drawn, so memory stays one block at any m.
     Either way each prefix gets the uniforms one (m, free) block from its
-    stream would, and costs exactly m conditional samples; the draw returns
+    lane would, and costs exactly m conditional samples; the draw returns
     only the first free bit (levels=1).
     """
     count, free = len(prefixes), oracle.n - prefixes.shape[1]
     ones = np.zeros(count, dtype=np.int64)
     for rows in row_blocks(m, count * free):
-        first = oracle.conditional_sample_batch(prefixes, rows, rngs, levels=1).reshape(count, rows)
+        first = oracle.conditional_sample_batch(prefixes, rows, streams, levels=1).reshape(count, rows)
         ones += np.count_nonzero(first, axis=1)
     return ones
 
@@ -153,8 +153,8 @@ class LazySimulation:
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
             group = misses[start:start + size]
             bits = code_rows(group, depth)
-            rngs = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group.tolist()])
-            ones = first_free_ones(self.oracle, self.m, bits, rngs)
+            streams = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group.tolist()])
+            ones = first_free_ones(self.oracle, self.m, bits, streams)
             found += map(est_simulation_edge, ones.tolist())
             start += size
         new_ks = np.empty(len(distinct), dtype=np.int64)

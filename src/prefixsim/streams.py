@@ -7,14 +7,21 @@ identical no matter when or in which order they are created, which makes
 randomized procedures order-invariant and lets two implementations be
 coupled bit-for-bit.
 
-A group of streams that differ only in their last key part is built in one
-pass by substreams: each part's child seed is hashed as for substream, and
-numpy's SeedSequence algorithm (a pool of four uint32 words filled and mixed
-by hashmix/mix, then generate_state(4, uint64)) runs once over the whole
-group in uint32 array arithmetic.  Each stream is then a PCG64 seeded from
-its row of those words, about 2 us per stream where default_rng, the
-reference substream keeps, costs about 20 us.  tests/test_streams.py pins
-the words to SeedSequence over random 128-bit seeds and every generator of a
+A group of streams that differ only in their last key part is seeded in one
+pass by substreams: the blake2b state over (master seed, *key) is hashed
+once and copied per part, which gives each part the child seed substream
+uses, and numpy's SeedSequence algorithm (a pool of four uint32 words filled
+and mixed by hashmix/mix, then generate_state(4, uint64)) runs once over the
+whole group in uint32 array arithmetic.  The group keeps those words and,
+per stream (a lane), how many doubles it has drawn; it holds no Generator.
+A draw from a lane builds its PCG64 from the lane's words, advances it past
+the doubles already drawn (each double is one PCG64 step), draws and drops
+it, so at most one lane's generator is alive at a time and a lane read in
+several blocks gives the doubles of one whole draw.  Building a group's
+generators up front would keep hundreds of GC-tracked objects alive through
+its draw, enough to start the cyclic garbage collector, whose full sweeps of
+the heap cost about 10 ms each on a 2-vCPU VM.  tests/test_streams.py pins
+the words to SeedSequence over random 128-bit seeds and every lane of a
 group to substream's draws.
 """
 
@@ -31,18 +38,22 @@ RandomStream = np.random.Generator
 _SEP = b"\x1f"
 
 
+def _key_hash(master_seed: int, key):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(master_seed).encode("ascii"))
+    for part in key:
+        h.update(_SEP)
+        h.update(str(part).encode("utf-8"))
+    return h
+
+
 def child_seed(master_seed: int, *key) -> int:
     """Map (master_seed, key parts) to a 128-bit child seed.
 
     Key parts are stringified and joined; use plain tags (words, prefix
     bit-strings, integers) so distinct keys stay distinct.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(master_seed).encode("ascii"))
-    for part in key:
-        h.update(_SEP)
-        h.update(str(part).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(_key_hash(master_seed, key).digest(), "big")
 
 
 def substream(master_seed: int, *key) -> RandomStream:
@@ -105,7 +116,37 @@ class _SeedWords(ISeedSequence):
         return self.words   # PCG64 asks for generate_state(4, np.uint64) once, when built
 
 
-def substreams(master_seed: int, *key, parts: Sequence) -> list[RandomStream]:
-    """substream(master_seed, *key, part) for each part, seeded together in one pass."""
-    words = _seed_words([child_seed(master_seed, *key, part) for part in parts])
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+class _StreamGroup:
+    """The streams substream(master_seed, *key, part) of a group of parts, one lane per part.
+
+    Holds each lane's seed words and the number of doubles it has drawn, and
+    builds a lane's generator only for the draw that reads it.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+        self._drawn = [0] * len(words)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def random(self, lane: int, size=None, out=None):
+        """The lane's next doubles, as Generator.random(size, out=out) of its stream gives them."""
+        bits = np.random.PCG64(_SeedWords(self._words[lane]))
+        if self._drawn[lane]:
+            bits.advance(self._drawn[lane])
+        values = np.random.Generator(bits).random(size, out=out)
+        self._drawn[lane] += np.size(values)
+        return values
+
+
+def substreams(master_seed: int, *key, parts: Sequence) -> _StreamGroup:
+    """substream(master_seed, *key, part) for each part, as the lanes of one group seeded in one pass."""
+    h = _key_hash(master_seed, key)
+    h.update(_SEP)
+    seeds = []
+    for part in parts:
+        lane = h.copy()
+        lane.update(str(part).encode("utf-8"))
+        seeds.append(int.from_bytes(lane.digest(), "big"))
+    return _StreamGroup(_seed_words(seeds))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from prefixsim import divergence_lab as lab
 from prefixsim.bits import element_bits, prefix_bits
 from prefixsim.hardness import _SIGN_TAG
-from prefixsim.streams import substream
+from prefixsim.streams import substreams
 from prefixsim.trees import TableMarginalTree
 
 #: standard normal 99th percentile
@@ -51,9 +51,19 @@ def prefix_blocks(draw, n: int) -> np.ndarray:
                     dtype=np.uint8).reshape(len(codes), depth)
 
 
-def draw(oracle, w: str, m: int, rng) -> np.ndarray:
-    """One prefix's conditional draw: the multi-prefix draw of one prefix and one stream."""
-    return oracle.conditional_sample_batch(prefix_rows(w), m, [rng])
+def lane(seed: int, *key):
+    """A one-lane stream group whose lane is the stream substream(seed, *key)."""
+    return substreams(seed, *key[:-1], parts=key[-1:])
+
+
+def draws_after(streams) -> list[float]:
+    """The next double of every lane of a stream group: where each lane stands."""
+    return [streams.random(j) for j in range(len(streams))]
+
+
+def draw(oracle, w: str, m: int, stream) -> np.ndarray:
+    """One prefix's conditional draw: the multi-prefix draw of one prefix and a one-lane stream group."""
+    return oracle.conditional_sample_batch(prefix_rows(w), m, stream)
 
 
 def prefix_counts(records: list) -> dict:
@@ -81,23 +91,23 @@ def assert_ledger(oracle, prefixes, m: int, block: np.ndarray, records: list) ->
 def assert_levels_draw(make_oracle, prefixes, m: int, streams) -> None:
     """Every levels draw returns the first columns of the full draw, at the full draw's cost.
 
-    make_oracle() builds a fresh oracle and streams() fresh streams, one per
-    prefix.  For each levels, unhooked and hooked, the draw charges the same
-    ledger and leaves each stream where the full draw does; the hooked one
-    records the whole rows of the full draw.
+    make_oracle() builds a fresh oracle and streams() a fresh stream group,
+    one lane per prefix.  For each levels, unhooked and hooked, the draw
+    charges the same ledger and leaves each lane where the full draw does;
+    the hooked one records the whole rows of the full draw.
     """
-    full_oracle, rngs = make_oracle(), streams()
-    full = full_oracle.conditional_sample_batch(prefixes, m, rngs)
-    after = [rng.random() for rng in rngs]
+    full_oracle, group = make_oracle(), streams()
+    full = full_oracle.conditional_sample_batch(prefixes, m, group)
+    after = draws_after(group)
     for levels in range(1, full.shape[1] + 1):
         for hooked in (False, True):
-            oracle, rngs, records = make_oracle(), streams(), []
+            oracle, group, records = make_oracle(), streams(), []
             if hooked:
                 oracle.on_record = records.append
-            block = oracle.conditional_sample_batch(prefixes, m, rngs, levels=levels)
+            block = oracle.conditional_sample_batch(prefixes, m, group, levels=levels)
             assert block.dtype == np.uint8 and np.array_equal(block, full[:, :levels])
             assert oracle.conditional_calls == full_oracle.conditional_calls
-            assert [rng.random() for rng in rngs] == after
+            assert draws_after(group) == after
             if hooked:
                 assert_ledger(oracle, prefixes, m, full, records)
 
@@ -112,7 +122,7 @@ def dict_counts(store: dict, oracle, m: int, seed: int, nodes) -> list[int]:
     for node in nodes:
         if node not in store:
             w = format(node, "b")[1:]
-            store[node] = int(np.count_nonzero(draw(oracle, w, m, substream(seed, "edge", w))[:, 0]))
+            store[node] = int(np.count_nonzero(draw(oracle, w, m, lane(seed, "edge", w))[:, 0]))
     return [store[node] for node in nodes]
 
 

@@ -21,7 +21,7 @@ from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import random_tree
 
-from helpers import edge, hist, prefix_counts, query_exact
+from helpers import edge, hist, lane, prefix_counts, query_exact
 
 
 def report(criterion: str, text: str) -> None:
@@ -211,8 +211,7 @@ def test_ac10_effective_samples():
     n, epsilon, draws = 30, 0.1, 100_000
     inst = hardness.gen_hard_instance(n, epsilon, "yes", seed=100_000)
     oracle = inst.oracle()
-    rng = substream(100_001, "draws")
-    counts = hardness.effective_samples(oracle, "", inst.x, rng, draws)
+    counts = hardness.effective_samples(oracle, "", inst.x, lane(100_001, "draws"), draws)
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(draws)
     assert mean <= 3.0

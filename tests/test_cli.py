@@ -88,9 +88,9 @@ def test_hard_instance_blocks_change_nothing(capsys, monkeypatch):
     uniforms = []
     draw = oracles.TreeOracle.conditional_sample_batch
 
-    def recording(self, prefixes, m, rngs, levels=None):
+    def recording(self, prefixes, m, streams, levels=None):
         uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-        return draw(self, prefixes, m, rngs, levels)
+        return draw(self, prefixes, m, streams, levels)
 
     monkeypatch.setattr(oracles.TreeOracle, "conditional_sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 3 * 20)
@@ -111,9 +111,9 @@ def test_level_blocks_change_nothing(capsys, monkeypatch, argv):
     _, whole, _ = run_cli(capsys, argv)
     uniforms = []
     for cls in (oracles.TreeOracle, AdaptedPrefixOracle):
-        def recording(self, prefixes, m, rngs, levels=None, draw=cls.conditional_sample_batch):
+        def recording(self, prefixes, m, streams, levels=None, draw=cls.conditional_sample_batch):
             uniforms.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-            return draw(self, prefixes, m, rngs, levels)
+            return draw(self, prefixes, m, streams, levels)
 
         monkeypatch.setattr(cls, "conditional_sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 40)
@@ -266,6 +266,8 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["reduce-interval", "--size", "0"],
     ["simulate", "--n", "4", "--delta", "0.5", "--csv"],
     ["verify-lemmas", "--sweep", "0"],
+    ["verify-lemmas", "--trials", "0"],
+    ["verify-lemmas", "--trials", "-4"],
     ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--rounds", "0"],
     ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--scale", "-1"],
     ["estimate-tv", "--n", "3", "--epsilon", "0.2", "--marginal-low", "0.9",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prefixsim import hardness
 from prefixsim.streams import child_seed, substream
 
-from helpers import (draw, exact_total_mass, marginal, mass, mix, sign, sign_states,
+from helpers import (draw, exact_total_mass, lane, marginal, mass, mix, sign, sign_states,
                      state_sign)
 
 
@@ -165,11 +165,11 @@ class TestHardInstance:
             hardness.gen_hard_instance(10, None, "yes", seed=8)
 
 
-def one_row_counts(oracle, w, x, rng, draws):
+def one_row_counts(oracle, w, x, stream, draws):
     """Effective-sample counts of draws one-row draws, each walk counted in plain Python."""
     counts = []
     for _ in range(draws):
-        row = w + "".join(map(str, draw(oracle, w, 1, rng)[0].tolist()))
+        row = w + "".join(map(str, draw(oracle, w, 1, stream)[0].tolist()))
         counts.append(sum(row[:j] == x[:j] for j in range(len(w), len(x))))
     return counts
 
@@ -179,7 +179,7 @@ class TestEffectiveSamples:
         inst = hardness.gen_hard_instance(8, 0.1, "yes", seed=9)
         oracle = inst.oracle()
         x = "1" + "0" * 7
-        counts = hardness.effective_samples(oracle, "0", x, substream(10, "d"), 5)
+        counts = hardness.effective_samples(oracle, "0", x, lane(10, "d"), 5)
         assert counts.tolist() == [0] * 5
         assert oracle.conditional_calls == 5
 
@@ -187,14 +187,14 @@ class TestEffectiveSamples:
         inst = hardness.gen_hard_instance(8, 0.1, "yes", seed=11)
         x = inst.x
         w = "".join(map(str, x))[:7]
-        counts = hardness.effective_samples(inst.oracle(), w, x, substream(12, "d"), 3)
+        counts = hardness.effective_samples(inst.oracle(), w, x, lane(12, "d"), 3)
         assert counts.tolist() == [1, 1, 1]
 
     def test_mean_stays_below_three(self):
         inst = hardness.gen_hard_instance(30, 0.1, "yes", seed=13)
         oracle = inst.oracle()
         draws = 3000
-        counts = hardness.effective_samples(oracle, "", inst.x, substream(14, "d"), draws)
+        counts = hardness.effective_samples(oracle, "", inst.x, lane(14, "d"), draws)
         assert counts.shape == (draws,)
         assert np.mean(counts) <= 3.0
         assert oracle.conditional_calls == draws
@@ -207,8 +207,8 @@ class TestEffectiveSamples:
         off_path = x[:4] + ("1" if x[4] == "0" else "0")
         for w in ("", x[:9], off_path):
             batched, looped = inst.oracle(), inst.oracle()
-            counts = hardness.effective_samples(batched, w, x, substream(16, w), draws)
-            assert counts.tolist() == one_row_counts(looped, w, x, substream(16, w), draws)
+            counts = hardness.effective_samples(batched, w, x, lane(16, w), draws)
+            assert counts.tolist() == one_row_counts(looped, w, x, lane(16, w), draws)
             assert batched.conditional_calls == looped.conditional_calls == draws
             assert (counts == 0).all() == (w == off_path)
 

@@ -4,30 +4,31 @@ from hypothesis import given, settings, strategies as st
 
 from prefixsim.hardness import SignMarginalTree
 from prefixsim.oracles import TreeOracle
-from prefixsim.streams import substream
+from prefixsim.streams import substream, substreams
 from prefixsim.trees import TableMarginalTree, random_tree
 
 from helpers import (assert_ledger, assert_levels_draw, chi2_critical_99, chi_square_stat, cylinder_mass, draw,
-                     marginal, mass, point_mass_tree, prefix_blocks, prefix_counts, prefix_rows, uniform_tree)
+                     draws_after, lane, marginal, mass, point_mass_tree, prefix_blocks, prefix_counts, prefix_rows,
+                     uniform_tree)
 
 
 class TestBudget:
     def test_documented_increments(self):
         oracle = TreeOracle(uniform_tree(3))
-        rng = substream(0, "draws")
-        draw(oracle, "0", 1, rng)
+        stream = lane(0, "draws")
+        draw(oracle, "0", 1, stream)
         assert oracle.conditional_calls == 1
-        draw(oracle, "", 5, rng)
+        draw(oracle, "", 5, stream)
         assert oracle.conditional_calls == 6
 
     def test_per_prefix_histogram(self):
         oracle = TreeOracle(uniform_tree(3))
         records = []
         oracle.on_record = records.append
-        rng = substream(0, "draws")
-        draw(oracle, "0", 4, rng)
-        draw(oracle, "0", 1, rng)
-        draw(oracle, "11", 1, rng)
+        stream = lane(0, "draws")
+        draw(oracle, "0", 4, stream)
+        draw(oracle, "0", 1, stream)
+        draw(oracle, "11", 1, stream)
         assert prefix_counts(records) == {"0": 5, "11": 1}
         assert oracle.conditional_calls == 6
 
@@ -36,7 +37,7 @@ class TestConditionalSampling:
     def test_sample_extends_prefix(self):
         oracle = TreeOracle(random_tree(5, substream(1, "t")))
         for w in ("", "0", "10", "0110"):
-            out = draw(oracle, w, 3, substream(2, "draw", w))
+            out = draw(oracle, w, 3, lane(2, "draw", w))
             assert out.shape == (3, 5 - len(w)) and out.dtype == np.uint8
             assert set(np.unique(out)) <= {0, 1}
 
@@ -44,21 +45,21 @@ class TestConditionalSampling:
         # f(w) = 1 at the deepest level forces the closing bit
         levels = [np.array([0.5]), np.array([1.0, 0.0])]
         oracle = TreeOracle(TableMarginalTree(2, levels))
-        out = draw(oracle, "0", 20, substream(3, "draw"))
+        out = draw(oracle, "0", 20, lane(3, "draw"))
         assert np.all(out == 1)
 
     def test_point_mass_returns_the_point(self):
         oracle = TreeOracle(point_mass_tree("1010"))
-        rng = substream(4, "draw")
+        stream = lane(4, "draw")
         for w in ("", "1", "10", "101"):
-            out = draw(oracle, w, 5, rng)
+            out = draw(oracle, w, 5, stream)
             assert all(w + "".join(map(str, row)) == "1010" for row in out.tolist())
 
     def test_cylinder_frequencies_chi_square(self):
         # uniform tree, unconditioned draws: all 8 outcomes equally likely
         oracle = TreeOracle(uniform_tree(3))
         draws = 10_000
-        bits = draw(oracle, "", draws, substream(5, "gof"))
+        bits = draw(oracle, "", draws, lane(5, "gof"))
         codes = bits @ np.array([4, 2, 1])
         observed = np.bincount(codes, minlength=8)
         stat = chi_square_stat(observed, np.full(8, draws / 8))
@@ -68,7 +69,7 @@ class TestConditionalSampling:
         tree = random_tree(4, substream(11, "t"), 0.2, 0.8)
         oracle = TreeOracle(tree)
         draws = 20_000
-        bits = draw(oracle, "10", draws, substream(12, "gof"))
+        bits = draw(oracle, "10", draws, lane(12, "gof"))
         codes = bits @ np.array([2, 1])
         expected = np.array([
             mass(tree, "10" + suffix) / cylinder_mass(tree, "10")
@@ -84,14 +85,14 @@ class TestZeroMassConvention:
         oracle = TreeOracle(point_mass_tree("000"))
         assert cylinder_mass(oracle.tree, "1") == 0.0
         draws = 20_000
-        bits = draw(oracle, "1", draws, substream(8, "conv"))
+        bits = draw(oracle, "1", draws, lane(8, "conv"))
         means = bits.mean(axis=0)
         # 4 sigma per coordinate keeps the false-alarm rate negligible
         assert np.all(np.abs(means - 0.5) < 4.0 * np.sqrt(0.25 / draws))
 
     def test_sample_still_extends_prefix(self):
         oracle = TreeOracle(point_mass_tree("000"))
-        out = draw(oracle, "11", 1, substream(9, "conv"))
+        out = draw(oracle, "11", 1, lane(9, "conv"))
         assert out.shape == (1, 1)
         assert oracle.conditional_calls == 1
 
@@ -100,9 +101,9 @@ def test_transcript_hook():
     oracle = TreeOracle(uniform_tree(2))
     records = []
     oracle.on_record = records.append
-    rng = substream(10, "log")
-    out = draw(oracle, "0", 2, rng)
-    last = draw(oracle, "1", 1, rng)
+    stream = lane(10, "log")
+    out = draw(oracle, "0", 2, stream)
+    last = draw(oracle, "1", 1, stream)
     assert [r["kind"] for r in records] == ["conditional", "conditional"]
     assert [(r["prefix"], r["count"]) for r in records] == [("0", 2), ("1", 1)]
     assert records[0]["result"] == ["".join(map(str, row)) for row in out.tolist()]
@@ -128,21 +129,20 @@ _trees = st.one_of(
 def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
     prefixes = data.draw(prefix_blocks(tree.n))
 
-    def streams():
-        return [substream(seed, "draw", j) for j in range(len(prefixes))]
-
     oracle = TreeOracle(tree)
     records = []
     oracle.on_record = records.append
-    block = oracle.conditional_sample_batch(prefixes, m, streams())
+    block = oracle.conditional_sample_batch(prefixes, m, substreams(seed, "draw", parts=range(len(prefixes))))
     single = TreeOracle(tree)
     assert np.array_equal(block, np.concatenate([
-        single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
+        single.conditional_sample_batch(prefixes[j:j + 1], m, lane(seed, "draw", j))
+        for j in range(len(prefixes))]))
     # the unhooked oracle keeps the same ledger as the hooked one's transcript
     assert single.conditional_calls == records[-1]["budget_after"] == sum(r["count"] for r in records)
     # each row walks the tree's marginals from its prefix in plain Python, or
     # takes u < 1/2 at every level under a zero-mass prefix
-    for j, (w, rng) in enumerate(zip(prefixes.tolist(), streams())):
+    for j, w in enumerate(prefixes.tolist()):
+        rng = substream(seed, "draw", j)
         dead = cylinder_mass(tree, w) == 0.0
         for row, uniforms in zip(block[j * m:(j + 1) * m].tolist(), rng.random((m, tree.n - len(w)))):
             path = list(w)
@@ -161,20 +161,36 @@ def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
 ])
 def test_levels_draw_is_the_first_columns_of_a_full_draw(tree, prefixes):
     assert_levels_draw(lambda: TreeOracle(tree), prefixes, 7,
-                       lambda: [substream(22, "draw", j) for j in range(len(prefixes))])
+                       lambda: substreams(22, "draw", parts=range(len(prefixes))))
 
 
 def test_draw_arguments_validated():
     oracle = TreeOracle(uniform_tree(3))
-    rng = substream(13, "bad")
-    for prefixes, m, rngs in ((prefix_rows("0"), 0, [rng]),          # no rows
-                              (prefix_rows("0", "1"), 1, [rng]),     # a stream short
-                              (prefix_rows("000"), 1, [rng]),        # not a true prefix
-                              (np.array([[2]]), 1, [rng]),           # not a bit
-                              (np.array([0, 1]), 1, [rng])):         # not a 2-d block
+    stream = lane(13, "bad")
+    for prefixes, m in ((prefix_rows("0"), 0),          # no rows
+                        (prefix_rows("0", "1"), 1),     # a stream short
+                        (prefix_rows("000"), 1),        # not a true prefix
+                        (np.array([[2]]), 1),           # not a bit
+                        (np.array([0, 1]), 1)):         # not a 2-d block
         with pytest.raises(ValueError):
-            oracle.conditional_sample_batch(prefixes, m, rngs)
-    for levels in (0, 3):                                           # none, or more than are free
+            oracle.conditional_sample_batch(prefixes, m, stream)
+    for levels in (0, 3):                               # none, or more than are free
         with pytest.raises(ValueError):
-            oracle.conditional_sample_batch(prefix_rows("0"), 1, [rng], levels=levels)
+            oracle.conditional_sample_batch(prefix_rows("0"), 1, stream, levels=levels)
     assert oracle.conditional_calls == 0
+
+
+def test_a_lane_drawn_in_row_blocks_is_one_whole_draw():
+    # every block after the first rebuilds each lane's generator and advances it past the rows drawn
+    tree = random_tree(6, substream(23, "t"), 0.2, 0.8)
+    prefixes = prefix_rows("01", "11", "01")
+    whole = TreeOracle(tree).conditional_sample_batch(prefixes, 9, substreams(24, "edge", parts=range(3)))
+    group = substreams(24, "edge", parts=range(3))
+    blocks = [TreeOracle(tree).conditional_sample_batch(prefixes, rows, group) for rows in (4, 1, 4)]
+    for j in range(3):
+        rows = np.concatenate([block.reshape(3, -1, 4)[j] for block in blocks])
+        assert np.array_equal(rows, whole[j * 9:(j + 1) * 9])
+    refs = [substream(24, "edge", j) for j in range(3)]
+    for ref in refs:
+        ref.random((9, 4))
+    assert draws_after(group) == [ref.random() for ref in refs]

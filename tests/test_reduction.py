@@ -17,9 +17,10 @@ from prefixsim.reduction import (
 )
 from prefixsim.simulation import LazySimulation
 from prefixsim.oracles import TreeOracle
-from prefixsim.streams import child_seed, substream
+from prefixsim.streams import child_seed, substream, substreams
 
-from helpers import assert_ledger, assert_levels_draw, draw, hist, prefix_blocks, prefix_rows, query_exact
+from helpers import (assert_ledger, assert_levels_draw, draw, draws_after, hist, lane, prefix_blocks, prefix_rows,
+                     query_exact)
 
 
 def prefix_interval(size, w):
@@ -198,24 +199,24 @@ class TestAdaptedOracle:
         weights = substream(1, "w").uniform(0.1, 1.0, 8)
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(native)
-        rng = substream(2, "draw")
-        draw(oracle, "1", 1, rng)
-        draw(oracle, "", 10, rng)
+        stream = lane(2, "draw")
+        draw(oracle, "1", 1, stream)
+        draw(oracle, "", 10, stream)
         assert native.calls == 11
         assert oracle.conditional_calls == 11
 
     def test_native_draws_stay_in_interval(self):
         weights = substream(3, "w").uniform(0.1, 1.0, 11)
         native = TableIntervalOracle(weights)
-        rng = substream(4, "draw")
+        stream = lane(4, "draw")
         for (a, b) in [(1, 11), (2, 2), (3, 7), (9, 11)]:
-            elems = native.draw_batch([a], [b], 200, [rng])
+            elems = native.draw_batch([a], [b], 200, stream)
             assert elems.min() >= a and elems.max() <= b
 
     def test_zero_mass_native_interval_still_valid(self):
         weights = np.array([1.0, 0.0, 0.0, 0.0, 2.0])
         native = TableIntervalOracle(weights)
-        elems = native.draw_batch([2], [4], 500, [substream(5, "draw")])
+        elems = native.draw_batch([2], [4], 500, lane(5, "draw"))
         assert set(np.unique(elems)) <= {2, 3, 4}
 
     @pytest.mark.parametrize("a, b, m, streams", [
@@ -231,14 +232,14 @@ class TestAdaptedOracle:
     def test_draw_batch_rejects_bad_arguments(self, a, b, m, streams):
         native = TableIntervalOracle(substream(16, "w").uniform(0.1, 1.0, 11))
         with pytest.raises(ValueError):
-            native.draw_batch(a, b, m, [substream(17, j) for j in range(streams)])
+            native.draw_batch(a, b, m, substreams(17, parts=range(streams)))
         assert native.calls == 0
 
     def test_padding_prefix_uses_convention(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(native)
-        out = draw(oracle, "11", 1, substream(7, "draw"))
+        out = draw(oracle, "11", 1, lane(7, "draw"))
         assert out.shape == (1, 1)
         assert native.calls == 0
         assert oracle.conditional_calls == 1
@@ -248,10 +249,10 @@ class TestAdaptedOracle:
         hooked, plain = (AdaptedPrefixOracle(TableIntervalOracle(weights)) for _ in range(2))
         records = []
         hooked.on_record = records.append
-        rng, plain_rng = substream(10, "draw"), substream(10, "draw")
+        stream, plain_stream = lane(10, "draw"), lane(10, "draw")
         for w in ("0", "11"):   # "11" is pure padding
-            out = draw(hooked, w, 5, rng)
-            assert np.array_equal(out, draw(plain, w, 5, plain_rng))
+            out = draw(hooked, w, 5, stream)
+            assert np.array_equal(out, draw(plain, w, 5, plain_stream))
             assert records[-1]["result"] == ["".join(map(str, row)) for row in out.tolist()]
         assert [(r["prefix"], r["count"]) for r in records] == [("0", 5), ("11", 5)]
         assert records[-1]["budget_after"] == 10
@@ -312,17 +313,15 @@ def test_adapted_multi_prefix_draw_equals_single_prefix_draws(size, data, m, see
     weights = substream(seed, "w").uniform(0.1, 1.0, size)
     prefixes = data.draw(prefix_blocks(code_depth(size)))
 
-    def streams():
-        return [substream(seed, "draw", j) for j in range(len(prefixes))]
-
     native = TableIntervalOracle(weights)
     oracle = AdaptedPrefixOracle(native)
     records = []
     oracle.on_record = records.append
-    block = oracle.conditional_sample_batch(prefixes, m, streams())
+    block = oracle.conditional_sample_batch(prefixes, m, substreams(seed, "draw", parts=range(len(prefixes))))
     single = AdaptedPrefixOracle(TableIntervalOracle(weights))
     assert np.array_equal(block, np.concatenate([
-        single.conditional_sample_batch(prefixes[j:j + 1], m, [rng]) for j, rng in enumerate(streams())]))
+        single.conditional_sample_batch(prefixes[j:j + 1], m, lane(seed, "draw", j))
+        for j in range(len(prefixes))]))
     padding = sum(prefix_interval(size, w) is None for w in prefixes.tolist())
     assert native.calls == m * (len(prefixes) - padding)
     assert_ledger(oracle, prefixes, m, block, records)
@@ -336,7 +335,7 @@ def test_adapted_multi_prefix_draw_with_pure_padding():
     records = []
     oracle.on_record = records.append
     prefixes = prefix_rows("01", "11", "10")
-    block = oracle.conditional_sample_batch(prefixes, 4, [substream(15, w) for w in ("01", "11", "10")])
+    block = oracle.conditional_sample_batch(prefixes, 4, substreams(15, parts=("01", "11", "10")))
     assert native.calls == 8
     assert np.array_equal(block[4:8], substream(15, "11").random((4, 1)) < 0.5)
     assert np.all(block[8:] == 0)
@@ -348,7 +347,7 @@ def test_adapted_levels_draw_is_the_first_columns_of_a_full_draw():
     weights = substream(16, "w").uniform(0.1, 1.0, 5)
     for prefixes in (prefix_rows("01", "11", "10", "11"), prefix_rows(""), prefix_rows("1", "0", "1")):
         assert_levels_draw(lambda: AdaptedPrefixOracle(TableIntervalOracle(weights)), prefixes, 6,
-                           lambda: [substream(17, "draw", j) for j in range(len(prefixes))])
+                           lambda: substreams(17, "draw", parts=range(len(prefixes))))
 
 
 def single_interval_draw(native, a_elem, b_elem, m, rng):
@@ -385,16 +384,33 @@ def test_multi_interval_draw_equals_single_interval_draws(size, data, m, seed):
               *data.draw(st.lists(intervals(size), max_size=6))]
     a, b = (np.array(col) for col in zip(*bounds))
 
-    def streams():
-        return [substream(seed, "draw", j) for j in range(len(bounds))]
-
     native, reference = TableIntervalOracle(weights), TableIntervalOracle(weights)
-    rngs, reference_rngs = streams(), streams()
-    got = native.draw_batch(a, b, m, rngs)
+    group = substreams(seed, "draw", parts=range(len(bounds)))
+    reference_rngs = [substream(seed, "draw", j) for j in range(len(bounds))]
+    got = native.draw_batch(a, b, m, group)
     want = np.concatenate([single_interval_draw(reference, lo, hi, m, rng)
                            for lo, hi, rng in zip(a.tolist(), b.tolist(), reference_rngs)])
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert ((np.repeat(a, m) <= got) & (got <= np.repeat(b, m))).all()
     assert native.calls == m * len(bounds)
     # each stream gave exactly the uniforms of its own draw, none for one element
-    assert [rng.random() for rng in rngs] == [rng.random() for rng in reference_rngs]
+    assert draws_after(group) == [rng.random() for rng in reference_rngs]
+
+
+def test_an_interval_lane_drawn_in_row_blocks_is_one_whole_draw():
+    # the intervals' lanes draw 4, 0, 2 and 1 uniforms per row; blocks after
+    # the first advance each lane past the rows it drew
+    bounds = ([1, 4, 9, 3], [11, 4, 11, 4])
+    widths = [4, 0, 2, 1]
+    weights = substream(18, "w").uniform(0.1, 1.0, 11)
+    whole = TableIntervalOracle(weights).draw_batch(*bounds, 7, substreams(19, parts=range(4)))
+    group = substreams(19, parts=range(4))
+    native = TableIntervalOracle(weights)
+    blocks = [native.draw_batch(*bounds, rows, group) for rows in (3, 1, 3)]
+    for j in range(4):
+        rows = np.concatenate([block.reshape(4, -1)[j] for block in blocks])
+        assert np.array_equal(rows, whole[j * 7:(j + 1) * 7])
+    refs = [substream(19, j) for j in range(4)]
+    for ref, t in zip(refs, widths):
+        ref.random((7, t))
+    assert draws_after(group) == [ref.random() for ref in refs]

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,10 +21,10 @@ from prefixsim.simulation import (
     preprocess,
     samples_per_edge,
 )
-from prefixsim.streams import substream
+from prefixsim.streams import substream, substreams
 from prefixsim.trees import random_tree
 
-from helpers import (chi2_critical_99, chi_square_stat, dict_counts, draw, edge, hist, point_mass_tree,
+from helpers import (chi2_critical_99, chi_square_stat, dict_counts, draw, edge, hist, lane, point_mass_tree,
                      prefix_counts, prefix_rows, query_exact, uniform_tree)
 
 
@@ -52,12 +53,12 @@ class TestSamplesPerEdge:
 class TestEstSimulationEdge:
     def test_point_mass_edge(self):
         oracle = TreeOracle(point_mass_tree("1" * 6))
-        ones = first_free_ones(oracle, samples_per_edge(6, 0.5), prefix_rows(""), [substream(0, "e")])
+        ones = first_free_ones(oracle, samples_per_edge(6, 0.5), prefix_rows(""), lane(0, "e"))
         assert est_simulation_edge(ones[0]) == samples_per_edge(6, 0.5) == 12
 
     def test_cost_is_exactly_m(self):
         oracle = TreeOracle(uniform_tree(10))
-        first_free_ones(oracle, samples_per_edge(10, 0.5), prefix_rows("0101"), [substream(1, "e")])
+        first_free_ones(oracle, samples_per_edge(10, 0.5), prefix_rows("0101"), lane(1, "e"))
         assert oracle.conditional_calls == 20
 
     def test_binomial_statistics(self):
@@ -69,7 +70,7 @@ class TestEstSimulationEdge:
         estimates = [
             est_simulation_edge(ones) / m
             for ones in first_free_ones(oracle, m, prefix_rows(*[""] * repeats),
-                                        [substream(2, "e", i) for i in range(repeats)])
+                                        substreams(2, "e", parts=range(repeats)))
         ]
         band = 3.0 * (0.5 / math.sqrt(m)) / math.sqrt(repeats)
         assert abs(np.mean(estimates) - 0.5) <= band
@@ -77,8 +78,8 @@ class TestEstSimulationEdge:
     def test_same_stream_gives_complementary_counts(self):
         tree = random_tree(6, substream(3, "t"), 0.2, 0.8)
         m = samples_per_edge(6, 0.4)
-        k = est_simulation_edge(first_free_ones(TreeOracle(tree), m, prefix_rows("01"), [substream(4, "e")])[0])
-        first = draw(TreeOracle(tree), "01", m, substream(4, "e"))[:, 0]
+        k = est_simulation_edge(first_free_ones(TreeOracle(tree), m, prefix_rows("01"), lane(4, "e"))[0])
+        first = draw(TreeOracle(tree), "01", m, lane(4, "e"))[:, 0]
         assert k == np.count_nonzero(first == 1)
         assert m - k == np.count_nonzero(first == 0)
 
@@ -88,12 +89,12 @@ class TestEstSimulationEdge:
         whole_oracle = TreeOracle(tree)
         whole_records = []
         whole_oracle.on_record = whole_records.append
-        whole = first_free_ones(whole_oracle, 120, prefix_rows("01"), [substream(6, "e")])
+        whole = first_free_ones(whole_oracle, 120, prefix_rows("01"), lane(6, "e"))
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 50)
         oracle = TreeOracle(tree)
         records = []
         oracle.on_record = records.append
-        chunked = first_free_ones(oracle, 120, prefix_rows("01"), [substream(6, "e")])
+        chunked = first_free_ones(oracle, 120, prefix_rows("01"), lane(6, "e"))
         assert [row for r in records for row in r["result"]] == whole_records[0]["result"]
         assert chunked.tolist() == whole.tolist()
         assert est_simulation_edge(chunked[0]) == est_simulation_edge(whole[0])
@@ -109,22 +110,22 @@ class TestEstSimulationEdge:
         prefixes = prefix_rows("01", "11", "10", "01")
 
         def streams():
-            return [substream(6, "e", j) for j in range(4)]
+            return substreams(6, "e", parts=range(4))
 
         whole_oracle = TreeOracle(tree)
         whole_records = []
         whole_oracle.on_record = whole_records.append
         whole = first_free_ones(whole_oracle, 120, prefixes, streams())
-        alone = [draw(TreeOracle(tree), w, 120, rng) for w, rng in zip(("01", "11", "10", "01"), streams())]
+        alone = [draw(TreeOracle(tree), w, 120, lane(6, "e", j)) for j, w in enumerate(("01", "11", "10", "01"))]
         assert [r["result"] for r in whole_records] == [["".join(map(str, row)) for row in rows.tolist()]
                                                          for rows in alone]
         assert whole.tolist() == [np.count_nonzero(rows[:, 0]) for rows in alone]
         blocks = []
         draw_block = TreeOracle.conditional_sample_batch
 
-        def recording(self, prefixes, m, rngs, levels=None):
+        def recording(self, prefixes, m, streams, levels=None):
             blocks.append(m)
-            return draw_block(self, prefixes, m, rngs, levels)
+            return draw_block(self, prefixes, m, streams, levels)
 
         monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
         monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", cap)
@@ -146,7 +147,7 @@ class TestEstSimulationEdge:
             oracle = TreeOracle(uniform_tree(1))
             tracemalloc.start()
             try:
-                ones = first_free_ones(oracle, m, prefix_rows(""), [substream(7, "e", m)])
+                ones = first_free_ones(oracle, m, prefix_rows(""), lane(7, "e", m))
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -178,6 +179,24 @@ class TestPreprocess:
         learned.as_marginal_tree()
         assert oracle.conditional_calls == spent
         assert learned.touched_pairs == (1 << n) - 1
+
+    def test_learning_every_edge_starts_no_garbage_collection(self):
+        # a stream group holds no generator between draws, so the 1,023 edge
+        # streams of n = 10 leave no container objects behind to be collected
+        oracle = TreeOracle(random_tree(10, substream(16, "t"), 0.2, 0.8))
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            preprocess(10, oracle, 0.25, seed=17)
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
 
     def test_point_mass_learned_exactly(self):
         tree = point_mass_tree("101")
@@ -464,9 +483,9 @@ def test_level_blocks_change_nothing(monkeypatch, cap):
     blocks = []
     draw_block = TreeOracle.conditional_sample_batch
 
-    def recording(self, prefixes, m, rngs, levels=None):
+    def recording(self, prefixes, m, streams, levels=None):
         blocks.append(len(prefixes) * m * (self.n - prefixes.shape[1]))
-        return draw_block(self, prefixes, m, rngs, levels)
+        return draw_block(self, prefixes, m, streams, levels)
 
     monkeypatch.setattr(TreeOracle, "conditional_sample_batch", recording)
     whole = level_script(tree)
@@ -475,9 +494,9 @@ def test_level_blocks_change_nothing(monkeypatch, cap):
     groups = []
     draw_group = simulation.first_free_ones
 
-    def recording_groups(oracle, m, prefixes, rngs):
+    def recording_groups(oracle, m, prefixes, streams):
         groups.append((len(prefixes), len(prefixes) * m * (oracle.n - prefixes.shape[1])))
-        return draw_group(oracle, m, prefixes, rngs)
+        return draw_group(oracle, m, prefixes, streams)
 
     # a level's prefix bits and streams are built one block's group at a time
     monkeypatch.setattr(simulation, "first_free_ones", recording_groups)

@@ -56,8 +56,27 @@ def test_seed_words_equal_seed_sequence(seeds):
 def test_substreams_equal_substream(parts):
     group = substreams(11, "edge", parts=parts)
     assert len(group) == len(parts)
-    for part, rng in zip(parts, group):
+    for lane, part in enumerate(parts):
         ref = substream(11, "edge", part)
-        assert rng.random() == ref.random()
-        assert np.array_equal(rng.random((40, 3)), ref.random((40, 3)))
-        assert np.array_equal(rng.integers(0, 1000, 25), ref.integers(0, 1000, 25))
+        assert group.random(lane) == ref.random()
+        assert np.array_equal(group.random(lane, (40, 3)), ref.random((40, 3)))
+        out = np.empty(25)
+        assert group.random(lane, out=out) is out and np.array_equal(out, ref.random(25))
+
+
+@pytest.mark.parametrize("key", [(), ("edge",), ("effective", "no", 3), ("ключ", -7, "é")])
+def test_group_child_seeds_equal_child_seed(key):
+    # the group hashes (seed, *key) once and copies the hash per part
+    parts = ["", "0110", 0, 17, -3, "ü", "邊", 2 ** 70]
+    group = substreams(5, *key, parts=parts)
+    assert np.array_equal(group._words, _seed_words([child_seed(5, *key, part) for part in parts]))
+    assert [group.random(lane) for lane in range(len(parts))] == [
+        substream(5, *key, part).random() for part in parts]
+
+
+def test_lanes_keep_their_own_positions():
+    # lanes read in any order and in blocks of any shape each continue their own stream
+    group = substreams(3, "edge", parts=["a", "b"])
+    refs = [substream(3, "edge", part) for part in ("a", "b")]
+    for lane, size in ((0, (2, 3)), (1, 5), (0, None), (1, (1, 0)), (0, (4, 2)), (1, 7)):
+        assert np.array_equal(group.random(lane, size), refs[lane].random(size))

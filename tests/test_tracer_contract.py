@@ -16,9 +16,13 @@ return; each assertion here protects one of its counters:
   vars() of its class and counts len() of its result, one element per row.
 - streams.self_s and streams.calls: the edge streams of an estimator group
   come from one call of prefixsim.streams.substreams, a public function the
-  tracer wraps, so seeding time lands in streams and the calls count groups;
-  the seed-word carrier class is private, so the tracer does not wrap its
-  generate_state and pay a span per stream.
+  tracer wraps, so the group's seeding (its child-seed hashes and seed
+  words) lands in streams and the calls count groups.  The group and its
+  seed-word carrier are private classes, so the tracer wraps neither the
+  group's per-lane draw nor generate_state and pays no span per lane: a
+  lane's generator is built and advanced inside the oracle draw that reads
+  it, so under --trace 1 that time lands in oracles.self_s for a tree
+  oracle and in reduction.self_s for the adapted and interval oracles.
 - reduction.self_s: the reduce-interval mass check is
   prefixsim.reduction.mass_preserved, a public function, so its time is
   reduction's and not cli's.
@@ -36,7 +40,7 @@ from prefixsim import reduction, simulation, streams
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation
 from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle
-from prefixsim.streams import substream
+from prefixsim.streams import substream, substreams
 from prefixsim.trees import random_tree
 
 from helpers import prefix_rows
@@ -65,14 +69,14 @@ def test_block_rows_equal_rows_charged():
     for oracle in (TreeOracle(random_tree(3, substream(2, "t"))),
                    AdaptedPrefixOracle(TableIntervalOracle(weights))):
         prefixes = prefix_rows("0", "1", "1")
-        block = oracle.conditional_sample_batch(prefixes, 7, [substream(3, j) for j in range(3)])
+        block = oracle.conditional_sample_batch(prefixes, 7, substreams(3, parts=range(3)))
         assert block.shape == (3 * 7, 2) and block.dtype == np.uint8
         assert block.shape[0] == oracle.conditional_calls
 
 
 def test_native_draw_returns_one_element_per_row():
     native = TableIntervalOracle(substream(7, "w").uniform(0.1, 1.0, 11))
-    elems = native.draw_batch([1, 4, 9, 11], [11, 4, 11, 11], 5, [substream(8, j) for j in range(4)])
+    elems = native.draw_batch([1, 4, 9, 11], [11, 4, 11, 11], 5, substreams(8, parts=range(4)))
     assert elems.shape == (4 * 5,) and len(elems) == native.calls
 
 
@@ -87,7 +91,7 @@ def test_edge_streams_are_seeded_once_per_group(monkeypatch):
 
 
 def test_seed_word_carrier_is_private():
-    carrier = type(streams.substreams(1, "edge", parts=["0"])[0].bit_generator.seed_seq)
+    carrier = type(streams.substreams(1, "edge", parts=["0"]))
     assert carrier.__module__ == "prefixsim.streams" and carrier.__name__.startswith("_")
     public = [name for name, obj in vars(streams).items()
               if inspect.isclass(obj) and obj.__module__ == streams.__name__ and not name.startswith("_")]
