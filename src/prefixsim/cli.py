@@ -54,7 +54,7 @@ def _simulate_trial(cfg: dict, t: int) -> list[dict]:
                        cfg["marginal_low"], cfg["marginal_high"])
     oracle = TreeOracle(tree)
     learned = preprocess(cfg["n"], oracle, cfg["delta"], child_seed(cfg["seed"], "sim", t))
-    kl = kl_divergence(learned.as_marginal_tree(), tree)
+    kl = kl_divergence(learned, tree)
     return [{
         "kind": "trial", "trial": t, "kl": kl,
         "conditional_samples": oracle.conditional_calls,

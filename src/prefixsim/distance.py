@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simulation import LazySimulation
-from .util import ceil_snap
-
-#: Most pairs drawn and cross-queried at once, so a round's arrays stay
-#: bounded at any epsilon.
-PAIR_BLOCK = 4096
+from .util import ceil_snap, row_blocks
 
 
 @dataclass
@@ -60,10 +56,10 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
     flows through the simulations' own streams; budget_a and budget_b are
     the conditional samples each simulation's oracle drew during the call.
 
-    Each round draws its pairs in blocks of at most PAIR_BLOCK with
-    sample_batch and cross-queries them with query_batch; the block size
-    changes no result, since both walks equal their one-row calls bit for
-    bit and the terms are added one by one in draw order.
+    Each round draws its pairs in row blocks (util.row_blocks, n uniforms
+    a pair) with sample_batch and cross-queries them with query_batch; the
+    block size changes no result, since both walks equal their one-row calls
+    bit for bit and the terms are added one by one in draw order.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -75,8 +71,8 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
     round_values = []
     for _ in range(rounds):
         acc = 0.0
-        for start in range(0, pairs, PAIR_BLOCK):
-            x, pa = sim_a.sample_batch(min(PAIR_BLOCK, pairs - start))
+        for size in row_blocks(pairs, sim_a.n):
+            x, pa = sim_a.sample_batch(size)
             pb = sim_b.query_batch(x)
             if not (pa > 0.0).all():
                 raise RuntimeError("drawn element reported non-positive mass; simulation is inconsistent")

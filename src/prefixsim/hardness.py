@@ -9,7 +9,7 @@ apart is as hard as estimating masses within a (1 +- eps) factor.
 
 mu and mu' are SignMarginalTrees on one seed, child_seed(seed, "signs"), so
 they share their signs.  A sign is a pure function of (seed, prefix): the
-trees' block walks carry a rolling 64-bit mix down each path, one step per
+trees' walk carries a rolling 64-bit mix down each path, one step per
 level.  So instances with n in the thousands need no storage, and every walk
 order sees the same signs.
 """
@@ -69,13 +69,15 @@ class SignMarginalTree(MarginalTree):
         if not (0.0 <= minus_value <= 1.0 and 0.0 <= plus_value <= 1.0):
             raise ValueError("marginal values must be probabilities")
         self._root = _mix(np.array([seed & _MASK64], dtype=np.uint64))[0]
-        self._values = np.array([minus_value, plus_value])
+        # column 0 is the minus node's split (P[bit 1], P[bit 0]), column 1 the plus node's
+        self._splits = np.array([[minus_value, plus_value], [1.0 - minus_value, 1.0 - plus_value]])
 
     def _child(self, h, b):
         return _mix(h ^ (b + 1))
 
-    def _f(self, depth: int, h):
-        return self._values[_mix(h ^ _SIGN_TAG) & 1]
+    def _split(self, depth: int, h):
+        split = self._splits.take(_mix(h ^ _SIGN_TAG) & 1, axis=1)
+        return split[0], split[1]  # a tuple: unpacking an array's rows costs more than the gather
 
 
 def challenge_marginal(sign, delta):
@@ -145,7 +147,9 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
         if not 0.0 < r < 1.0:
             raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
         tilted = SignMarginalTree(n, child_seed(seed, "signs"), tilt_marginal(-1, r), tilt_marginal(1, r))
-        x = tuple(tilted.descend(rng.random((1, n)))[0].tolist())
+        bits = np.empty((1, n), dtype=np.uint8)
+        tilted.walk(bits, rng.random((1, n)))
+        x = tuple(bits[0].tolist())
     return HardInstance(label, n, delta, r, x, seed)
 
 

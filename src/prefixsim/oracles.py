@@ -26,9 +26,11 @@ m rows, so the columns returned are exactly those of a full draw, and
 streams, ledger and results downstream do not change.  A hooked draw still
 descends every level, because its transcript records whole rows.
 
-Trees are immutable and freely shareable; an oracle (with its mutable
-ledger) belongs to one logical owner, so concurrent experiments should each
-build their own oracle over the shared tree.
+Table and sign trees are immutable and freely shareable; an oracle (with
+its mutable ledger) belongs to one logical owner, so concurrent experiments
+should each build their own oracle over the shared tree.  A simulation is a
+tree too, whose splits never change once revealed, but it owns a mutable
+oracle, ledger and store, so it has one owner like an oracle.
 """
 
 from __future__ import annotations
@@ -118,12 +120,13 @@ class TreeOracle(PrefixOracle):
         for j in range(k):
             streams.random(j, out=u[j * m:(j + 1) * m])
         walked = u.shape[1] if self.on_record is not None else levels
-        h, mass = self.tree.cylinders(prefixes)
+        mass = np.ones(k)
+        h = self.tree.walk(prefixes, p=mass)
         out = np.empty((k * m, walked), dtype=np.uint8)
-        out[:, 0] = u[:, 0] < np.repeat(self.tree._f(depth, h), m)
+        out[:, 0] = u[:, 0] < np.repeat(self.tree._split(depth, h)[0], m)
         if walked > 1:
-            out[:, 1:] = self.tree.descend(u[:, 1:walked], depth + 1,
-                                           self.tree._child(np.repeat(h, m), out[:, 0]))
+            self.tree.walk(out[:, 1:], u[:, 1:walked], depth=depth + 1,
+                           h=self.tree._child(np.repeat(h, m), out[:, 0]))
         dead = mass == 0.0
         if dead.any():
             dead = np.repeat(dead, m)

@@ -10,10 +10,10 @@ by block, and est_simulation_edge then takes each edge's k from its count.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
-entry as k/m and (m - k)/m.  It is one pair of arrays per depth, the node
-ids of the stored prefixes in sorted order and their k as int64, so a walk
-reads a whole level of rows with a few numpy calls and no Python work per
-row.  The store is filled lazily, an edge the first time it lies on a
+entry.  Per depth it keeps the node ids of the stored prefixes in sorted
+order, their k as int64 and the splits k/m and (m - k)/m, so a walk reads a
+whole level of rows with a few numpy calls and no Python work per row.  The
+store is filled lazily, an edge the first time it lies on a
 queried or sampled path, or all at once by preprocess, which touches every
 edge of the tree up front (exponential work).  Because each edge's
 estimation stream is keyed by (master seed, prefix), neither the order in
@@ -25,9 +25,11 @@ are kept as exact integers; all float probabilities are computed as k/m so
 the two agree to the last bit and realization checks can run in exact
 rational arithmetic.
 
-Samples and queries walk many paths at once: sample_batch and query_batch
-take all rows down the tree together, one level at a time, reading the k of
-every row's node from the store.  Each row sees the same float operations in
+The simulated distribution is itself a marginal tree (trees.MarginalTree)
+whose handles are node ids and whose splits come from the store.  So
+sample_batch and query_batch are the tree's one walk over all their rows at
+once, in one pass, and materialize (hence kl_divergence and tv_distance)
+reads the same splits.  Each row sees the same float operations in
 the same order as a lone walk, and a (k, n) uniform block holds the same
 doubles as k * n single draws, so a batch returns exactly what its rows
 would one at a time; sample and query are the batch of one.
@@ -46,7 +48,7 @@ from .bits import code_rows, element_bits
 from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, _StreamGroup, substream, substreams
-from .trees import TableMarginalTree
+from .trees import MarginalTree
 from .util import ceil_snap, row_blocks
 
 #: Largest n for which eagerly learning all 2^n - 1 edges is supported.
@@ -93,32 +95,39 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
     return ones
 
 
-class LazySimulation:
+class LazySimulation(MarginalTree):
     """Simulated distribution whose edges are estimated on first touch.
 
-    The store holds one pair of arrays per depth: the node ids
-    (1 << depth) | index of the touched prefixes, sorted, and beside each
-    its k, the number of ones among the m samples of its edge.  A level of
+    The store holds, per depth, the node ids (1 << depth) | index of the
+    touched prefixes, sorted, beside each its k, the number of ones among
+    the m samples of its edge, and the splits k/m and (m - k)/m.  A level of
     a walk looks up all its rows' nodes at once (searchsorted); the misses
     of one level are estimated together, each edge from its own
     (seed, prefix)-keyed stream, and merged in sorted order.
     Entries never change once written, so repeated queries are consistent
-    and already-revealed masses are honored by later samples.
+    and already-revealed masses are honored by later samples.  As a marginal
+    tree its handles are the node ids, and materialize (n <= MAX_PREPROCESS_N)
+    estimates every untouched edge.
     """
+
+    _root = 1
+    _max_table_n = MAX_PREPROCESS_N
 
     def __init__(self, n: int, oracle: PrefixOracle, delta: float, seed: int):
         if n != oracle.n:
             raise ValueError(f"oracle is over n={oracle.n}, expected {n}")
-        self.n = n
+        super().__init__(n)
         self.oracle = oracle
         self.delta = delta
         self.seed = seed
         self.m = samples_per_edge(n, delta)
         # node ids reach 2^n; past int64, keep them as Python ints
-        self._node_dtype = np.int64 if n < 63 else object
+        self._handle_dtype = np.int64 if n < 63 else object
         # the store: per depth, the sorted node ids estimated so far and their k
-        self._nodes = [np.empty(0, dtype=self._node_dtype) for _ in range(n)]
+        self._nodes = [np.empty(0, dtype=self._handle_dtype) for _ in range(n)]
         self._ks = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        # beside them, each level's splits: the arrays k/m and (m - k)/m
+        self._splits = [(np.empty(0), np.empty(0)) for _ in range(n)]
         self._user_rng = substream(seed, "user")
 
     @property
@@ -126,24 +135,25 @@ class LazySimulation:
         """Number of distinct sibling pairs estimated so far."""
         return sum(map(len, self._ks))
 
-    def _counts(self, depth: int, nodes: np.ndarray) -> np.ndarray:
-        """k of each node of the array, all at depth, as int64, estimating the missing edges on the way.
+    def _find(self, depth: int, nodes: np.ndarray) -> np.ndarray:
+        """Where each node of the array, all at depth, sits in its level of the store.
 
-        The distinct misses are estimated in the order rows first reach them,
-        in groups of whole prefixes whose block stays within
-        util.MAX_BLOCK_UNIFORMS uniforms (a prefix too large alone is its own
-        group).  A group's prefix bits and streams (keyed by the node id's
-        binary digits after the leading 1) are built only for its draw.
+        Missing edges are estimated on the way: the distinct misses in the
+        order rows first reach them, in groups of whole prefixes whose block
+        stays within util.MAX_BLOCK_UNIFORMS uniforms (a prefix too large
+        alone is its own group).  A group's prefix bits and streams (keyed by
+        the node id's binary digits after the leading 1) are built only for
+        its draw.  The level's splits are then recomputed from its k.
         """
-        keys, ks = self._nodes[depth], self._ks[depth]
+        keys = self._nodes[depth]
+        if len(keys) == 1 << depth:  # every node of the level is stored, in index order
+            return (nodes - (1 << depth)).astype(np.intp, copy=False)
         at = keys.searchsorted(nodes)
-        if len(keys) == 1 << depth:  # every node of the level is stored
-            return ks.take(at)
         missed = nodes
         if len(keys):
             hit = keys.take(at, mode="clip") == nodes
             if np.count_nonzero(hit) == len(nodes):
-                return ks.take(at)
+                return at
             missed = nodes[~hit]
         distinct, first = np.unique(missed, return_index=True)
         order = first.argsort()  # first-touch order
@@ -161,33 +171,23 @@ class LazySimulation:
         new_ks[order] = found
         at = keys.searchsorted(distinct)
         self._nodes[depth] = keys = np.insert(keys, at, distinct)
-        self._ks[depth] = ks = np.insert(ks, at, new_ks)
-        return ks.take(keys.searchsorted(nodes))
+        self._ks[depth] = ks = np.insert(self._ks[depth], at, new_ks)
+        self._splits[depth] = ks / self.m, (self.m - ks) / self.m
+        return keys.searchsorted(nodes)
+
+    def _child(self, h, b):
+        return (h << 1) | b
+
+    def _split(self, depth: int, h):
+        at = self._find(depth, h)  # first: it may add to the level
+        ones, zeros = self._splits[depth]
+        return ones.take(at), zeros.take(at)
 
     def _learn_all(self) -> None:
         if self.n > MAX_PREPROCESS_N:
             raise CapabilityError(f"learning all 2^n - 1 edges is supported only for n <= {MAX_PREPROCESS_N}")
         for depth in range(self.n):
-            self._counts(depth, np.arange(1 << depth, 2 << depth))
-
-    def _walk(self, bits: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-        """Masses of the rows of bits, all rows walked together level by level.
-
-        With u, column i of bits is first drawn as u[:, i] < k / m.  Each
-        row's mass is p *= (k or m - k) / m from the root down, the float
-        operations of a lone walk in the same order.
-        """
-        m = self.m
-        nodes = np.ones(len(bits), dtype=self._node_dtype)
-        p = np.ones(len(bits))
-        for i in range(self.n):
-            k = self._counts(i, nodes)
-            if u is not None:
-                bits[:, i] = u[:, i] < k / m
-            b = bits[:, i]
-            p *= np.where(b, k, m - k) / m
-            nodes = (nodes << 1) | b
-        return p
+            self._find(depth, np.arange(1 << depth, 2 << depth))
 
     def query_batch(self, bits) -> np.ndarray:
         """Masses of the rows of a (k, n) 0/1 array under the simulated distribution.
@@ -199,11 +199,13 @@ class LazySimulation:
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.n or ((bits != 0) & (bits != 1)).any():
             raise ValueError(f"need a (k, {self.n}) array of 0/1 bits")
-        return self._walk(bits.astype(np.uint8, copy=False))
+        p = np.ones(len(bits))
+        self.walk(bits.astype(np.uint8, copy=False), p=p)
+        return p
 
     def query(self, x) -> float:
-        """Mass of x under the simulated distribution: the walk of query_batch on one row."""
-        return float(self._walk(np.array([element_bits(x, self.n)], dtype=np.uint8))[0])
+        """Mass of x under the simulated distribution: query_batch of one row."""
+        return float(self.query_batch([element_bits(x, self.n)])[0])
 
     def sample_batch(self, k: int, rng: RandomStream | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Draw k elements of the simulated distribution: a (k, n) uint8 bit array and their masses.
@@ -217,17 +219,14 @@ class LazySimulation:
             raise ValueError("cannot draw a negative number of elements")
         u = (self._user_rng if rng is None else rng).random((k, self.n))
         bits = np.empty((k, self.n), dtype=np.uint8)
-        return bits, self._walk(bits, u)
+        p = np.ones(k)
+        self.walk(bits, u, p)
+        return bits, p
 
     def sample(self, rng: RandomStream | None = None) -> tuple[tuple[int, ...], float]:
         """Draw x from the simulated distribution: (x as a tuple of bits, its mass), a batch of one."""
         bits, p = self.sample_batch(1, rng)
         return tuple(bits[0].tolist()), float(p[0])
-
-    def as_marginal_tree(self) -> TableMarginalTree:
-        """The simulated distribution as an explicit tree; estimates every untouched edge."""
-        self._learn_all()
-        return TableMarginalTree(self.n, [ks / self.m for ks in self._ks])
 
 
 def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:

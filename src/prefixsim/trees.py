@@ -8,17 +8,18 @@ next bit being 1.  The induced mass of an element x is the product
 which always defines a probability distribution.
 
 A tree names its nodes by handles: the root's handle, the handle of a node's
-child along a bit, and the marginal f at a handle.  Table trees use a node's
-index in its level; the hard instances' sign trees use a rolling 64-bit state
-computed from the prefix, so instances with n in the thousands need no
-storage.  The base class owns every walk over these names, and the walks
-are a tree's whole interface: cylinders takes a block of prefixes to their
-handles and cylinder masses (a full-length row's cylinder mass is its
-element's mass), descend walks a block of rows down to the leaves, and
-materialize builds the tables level by level.  A caller with one prefix
-passes a block of one row.
+child along a bit, and the split at a handle, the probabilities of its two
+edges.  Table trees use a node's index in its level; the hard instances' sign
+trees a rolling 64-bit state computed from the prefix, so instances with n in
+the thousands need no storage; a simulation (simulation.LazySimulation) its
+node ids, with splits from its store of edge estimates.  The base class owns
+the one walk over these names: walk takes a block of rows down together, one
+level per column, reading or drawing each row's bit and, for a caller that
+passes a mass array, multiplying in each edge's probability, so cylinder
+masses, element masses and draws are all one loop.  materialize builds the
+tables level by level.  A caller with one prefix passes a block of one row.
 
-This module holds trees, their walks and random_tree only; divergences
+This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
 divergence_lab.
 """
@@ -39,74 +40,65 @@ class MarginalTree:
     """Base class: a distribution over {0,1}^n defined by prefix marginals.
 
     A subclass names its nodes with handles: _root is the root's handle,
-    _child(h, b) the handle of h's child along bit b, and _f(depth, h) the
-    marginal at h, a node at that depth.  Both work elementwise on arrays of
-    handles of dtype _handle_dtype.  Every walk below is written once, over
-    these three.
+    _child(h, b) the handle of h's child along bit b, and _split(depth, h)
+    the pair (P[bit 1], P[bit 0]) at h, a node at that depth; by default
+    (f, 1 - f) from the subclass's marginal _f(depth, h).  All work
+    elementwise on arrays of handles of dtype _handle_dtype.  walk and
+    materialize are written once, over these.
     """
 
     _handle_dtype: type
     _root: int | np.uint64
+    #: Largest n that materialize supports.
+    _max_table_n = MAX_ENUM_N
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = n
 
-    def _child(self, h, b):
-        raise NotImplementedError
+    def _split(self, depth: int, h):
+        f = self._f(depth, h)
+        return f, 1.0 - f
 
-    def _f(self, depth: int, h):
-        raise NotImplementedError
+    def walk(self, bits: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None,
+             depth: int = 0, h: np.ndarray | None = None) -> np.ndarray:
+        """Walk the rows of bits down the tree together from nodes at depth, one column per level.
 
-    def cylinders(self, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Handles and cylinder masses of the rows of a (k, depth) 0/1 array.
-
-        All rows step down together; a row's mass is p *= f or 1 - f at each
-        node it passes, root first."""
-        h = np.full(len(prefixes), self._root, dtype=self._handle_dtype)
-        p = np.ones(len(prefixes))
-        for depth in range(prefixes.shape[1]):
-            f = self._f(depth, h)
-            b = prefixes[:, depth]
-            p *= np.where(b, f, 1.0 - f)
-            h = self._child(h, b)
-        return h, p
-
-    def descend(self, u: np.ndarray, depth: int = 0, h: np.ndarray | None = None) -> np.ndarray:
-        """Walk from nodes at depth down to the leaves, one row of u per walk.
-
-        Row s starts at handle h[s] (the root when h is None) and takes bit t
-        as 1 exactly when u[s, t] < f at the node it has reached, so the
-        result, uint8 of u's shape, is a pure function of the start nodes and
-        u.  All rows step down together, one level at a time.
+        Row s starts at handle h[s] (the root when h is None); the handles the
+        rows reach are returned.  With u, column t of bits is first drawn as
+        u[:, t] < P[bit 1] at the node the row has reached, so the bits are a
+        pure function of the start nodes and u.  With p, p[s] is multiplied
+        in place by P[bit taken] at each node row s passes, root first, so
+        from the root a row's p ends as its cylinder mass (a full-length
+        row's, its element's mass).
         """
-        rows, free = u.shape
-        out = np.empty((rows, free), dtype=np.uint8)
         if h is None:
-            h = np.full(rows, self._root, dtype=self._handle_dtype)
-        for t in range(free):
-            if t:
-                h = self._child(h, out[:, t - 1])
-            out[:, t] = u[:, t] < self._f(depth + t, h)
-        return out
+            h = np.full(len(bits), self._root, dtype=self._handle_dtype)
+        for t in range(bits.shape[1]):
+            one, zero = self._split(depth + t, h)
+            if u is not None:
+                bits[:, t] = u[:, t] < one
+            b = bits[:, t]
+            if p is not None:
+                p *= np.where(b, one, zero)
+            h = self._child(h, b)
+        return h
 
     def masses(self) -> np.ndarray:
         """All 2^n element masses, indexed by the big-endian value of x."""
-        if self.n > MAX_ENUM_N:
-            raise CapabilityError(f"enumeration supported only for n <= {MAX_ENUM_N}, got n={self.n}")
         return self.materialize().masses()
 
     def materialize(self) -> "TableMarginalTree":
-        """An explicit table-backed copy (n <= MAX_ENUM_N), built level by level."""
-        if self.n > MAX_ENUM_N:
-            raise CapabilityError(f"materialization supported only for n <= {MAX_ENUM_N}")
+        """An explicit table-backed copy (n <= _max_table_n), built level by level."""
+        if self.n > self._max_table_n:
+            raise CapabilityError(f"materialization supported only for n <= {self._max_table_n}")
         h = np.full(1, self._root, dtype=self._handle_dtype)
-        levels = [self._f(0, h)]
+        levels = [self._split(0, h)[0]]
         for depth in range(1, self.n):
-            # left and right children interleaved: the next level in index order
-            h = np.stack((self._child(h, 0), self._child(h, 1)), axis=1).ravel()
-            levels.append(self._f(depth, h))
+            # each node's children along bits 0 and 1 side by side: the next level in index order
+            h = self._child(h[:, None], np.array([0, 1], dtype=np.uint8)).ravel()
+            levels.append(self._split(depth, h)[0])
         return TableMarginalTree(self.n, levels)
 
 

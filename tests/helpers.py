@@ -113,7 +113,7 @@ def assert_levels_draw(make_oracle, prefixes, m: int, streams) -> None:
 
 
 def dict_counts(store: dict, oracle, m: int, seed: int, nodes) -> list[int]:
-    """Reference for LazySimulation._counts: k per node id kept in a dict.
+    """Reference for the store of LazySimulation (_find, _ks): k per node id kept in a dict.
 
     Each missing edge is drawn alone, in the order the nodes first reach it,
     from its own (seed, "edge", prefix) stream, and its k is the count of
@@ -136,10 +136,16 @@ def hist(sim) -> dict:
             for node, k in zip(nodes.tolist(), ks.tolist()) for b in (1, 0)}
 
 
+def stored_counts(sim, depth: int, nodes: np.ndarray) -> np.ndarray:
+    """k of each node id of the array, all at depth, as stored; estimates the missing edges."""
+    at = sim._find(depth, nodes)  # first: it may add to the level
+    return sim._ks[depth].take(at)
+
+
 def edge(sim, w: str, b: int) -> Fraction:
     """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
-    node = np.array([(1 << len(w)) | int(w or "0", 2)], dtype=sim._node_dtype)
-    k = int(sim._counts(len(w), node)[0])
+    node = np.array([(1 << len(w)) | int(w or "0", 2)], dtype=sim._handle_dtype)
+    k = int(stored_counts(sim, len(w), node)[0])
     return Fraction(k if b else sim.m - k, sim.m)
 
 
@@ -179,24 +185,27 @@ def point_mass_tree(x) -> TableMarginalTree:
     return TableMarginalTree(len(xs), levels)
 
 
-def _one_row(bits) -> np.ndarray:
-    return np.array(bits, dtype=np.uint8).reshape(1, len(bits))
+def _walk_one(tree, bits) -> tuple[np.ndarray, float]:
+    """The handle and cylinder mass of one prefix, walked as a block of one row."""
+    p = np.ones(1)
+    h = tree.walk(np.array(bits, dtype=np.uint8).reshape(1, len(bits)), p=p)
+    return h, float(p[0])
 
 
 def mass(tree, x) -> float:
     """The mass of the element x: its cylinder mass as a block of one full-length row."""
-    return float(tree.cylinders(_one_row(element_bits(x, tree.n)))[1][0])
+    return _walk_one(tree, element_bits(x, tree.n))[1]
 
 
 def cylinder_mass(tree, w) -> float:
     """The mass of the strings extending the prefix w, walked as a block of one row."""
-    return float(tree.cylinders(_one_row(prefix_bits(w, tree.n)))[1][0])
+    return _walk_one(tree, prefix_bits(w, tree.n))[1]
 
 
 def marginal(tree, w) -> float:
     """f(w), the probability that the bit after the prefix w is 1, at w's handle."""
     bits = prefix_bits(w, tree.n)
-    return float(tree._f(len(bits), tree.cylinders(_one_row(bits))[0])[0])
+    return float(tree._split(len(bits), _walk_one(tree, bits)[0])[0][0])
 
 
 def one_sided_expectation(a, b) -> float:

@@ -53,7 +53,7 @@ def test_ac2_learning_accuracy():
                 tree = random_tree(n, substream(20_000, "tree", n, delta, i), 0.2, 0.8)
                 learned = preprocess(n, TreeOracle(tree), delta,
                                      seed=child_seed(20_001, n, delta, i))
-                kls.append(kl_divergence(learned.as_marginal_tree(), tree))
+                kls.append(kl_divergence(learned, tree))
             mean = float(np.mean(kls))
             se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
             assert mean <= delta + 3.0 * se, f"mean KL {mean} above {delta} + 3*{se} (n={n})"

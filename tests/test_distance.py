@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prefixsim import distance
+from prefixsim import util
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.divergence_lab import tv_distance
 from prefixsim.oracles import TreeOracle
@@ -83,8 +83,8 @@ def test_both_divergences_usually_small():
 
         learned_a = preprocess(n, TreeOracle(tree_a), delta, child_seed(81, "a", t))
         learned_b = preprocess(n, TreeOracle(tree_b), delta, child_seed(81, "b", t))
-        if (kl_divergence(learned_a.as_marginal_tree(), tree_a) <= cutoff
-                and kl_divergence(learned_b.as_marginal_tree(), tree_b) <= cutoff):
+        if (kl_divergence(learned_a, tree_a) <= cutoff
+                and kl_divergence(learned_b, tree_b) <= cutoff):
             both_small += 1
     target = (7.0 / 8.0) ** 2
     slack = 3.0 * (target * (1.0 - target) / runs) ** 0.5
@@ -174,8 +174,8 @@ def test_block_size_changes_nothing(monkeypatch):
     tree_a = random_tree(4, substream(95, "a"), 0.1, 0.9)
     tree_b = random_tree(4, substream(95, "b"), 0.1, 0.9)
     whole = estimate_tv(*lazy_pair(tree_a, tree_b, 0.3, 96), 0.3, rounds=3)
-    assert whole.pairs_per_round <= distance.PAIR_BLOCK
-    monkeypatch.setattr(distance, "PAIR_BLOCK", 7)
+    assert whole.pairs_per_round * 4 <= util.MAX_BLOCK_UNIFORMS
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 7 * 4)
     chunked = estimate_tv(*lazy_pair(tree_a, tree_b, 0.3, 96), 0.3, rounds=3)
     assert chunked == whole
 
@@ -209,7 +209,7 @@ def test_block_sums_add_left_to_right(monkeypatch):
         def query_batch(self, bits):
             return np.array([next(answers) for _ in bits])
 
-    monkeypatch.setattr(distance, "PAIR_BLOCK", 7)
+    monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 7 * 2)
     sim_a, sim_b = (Scripted(2, TreeOracle(random_tree(2, substream(99, "t"))), 0.5, seed=s) for s in (0, 1))
     result = estimate_tv(sim_a, sim_b, 0.5, scale=len(terms) / 4, rounds=1)
     acc = 0.0

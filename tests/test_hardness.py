@@ -97,7 +97,8 @@ class TestHardInstance:
             inst = hardness.gen_hard_instance(n, 0.1, "yes", seed=5)
             tree, seed = inst.marginal_tree(), child_seed(inst.seed, "signs")
             u = substream(5, "u", n, rows).random((rows, n))
-            out = tree.descend(u)
+            out = np.empty((rows, n), dtype=np.uint8)
+            tree.walk(out, u)
             assert out.shape == (rows, n) and out.dtype == np.uint8
             # each level's marginal from the row's int rolling state, one mix per level
             for row, uniforms in zip(out.tolist(), u.tolist()):
@@ -105,8 +106,9 @@ class TestHardInstance:
                     f = hardness.challenge_marginal(state_sign(state), inst.delta)
                     assert row[i] == int(uniforms[i] < f)
             # starting below the root walks the same path as the tail of a full walk
-            start, _ = tree.cylinders(out[:1, :7])
-            assert np.array_equal(tree.descend(u[:1, 7:], 7, start), out[:1, 7:])
+            tail = np.empty((1, n - 7), dtype=np.uint8)
+            tree.walk(tail, u[:1, 7:], depth=7, h=tree.walk(out[:1, :7]))
+            assert np.array_equal(tail, out[:1, 7:])
 
     def test_mass_walks_the_rolling_state_once(self, monkeypatch):
         n = 128

@@ -16,8 +16,14 @@ TEST_ONLY = {"SignAssignment", "FiniteDistribution", "random_distribution", "tot
              "vector_kl", "chain_rule_kl", "total_draws"}
 #: Divergences between trees are computed in divergence_lab only.
 DIVERGENCES = {"bernoulli_kl", "kl_divergence", "tv_distance", "chain_rule_kl"}
-#: One-prefix wrappers over MarginalTree.cylinders; callers pass a block of one row.
+#: One-prefix wrappers over MarginalTree.walk; callers pass a block of one row.
 SCALAR_WALKS = {"marginal", "mass", "conditional_mass", "_path_mass"}
+#: Deleted copies of the tree walk and the names that served them: a simulation
+#: is a MarginalTree, walked by MarginalTree.walk and read by materialize, and
+#: estimate_tv blocks its pairs with util.row_blocks.
+GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "descend"}
+#: The per-level hooks of a tree; only trees.py loops over them.
+TREE_HOOKS = {"_split", "_f", "_child"}
 
 
 def _modules():
@@ -65,3 +71,43 @@ def test_trees_defines_no_divergence():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert defined & DIVERGENCES == set()
+
+
+def _defined_names(tree):
+    """Names a module binds: functions, classes, and assignment targets (plain or attribute)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, (ast.Name, ast.Attribute)):
+                        yield node.lineno, sub.id if isinstance(sub, ast.Name) else sub.attr
+
+
+def test_no_module_brings_back_a_deleted_walk():
+    offenders = [f"{path.name}:{line} {name}" for path, tree in _modules()
+                 for line, name in _defined_names(tree) if name in GONE]
+    assert offenders == []
+
+
+def test_only_trees_walks_a_tree_level_by_level():
+    # a loop that reaches a tree hook is a per-level walk; TreeOracle's
+    # one first-level step (a _split and a _child outside any loop) is not
+    offenders = []
+    for path, tree in _modules():
+        if path.name == "trees.py":
+            continue
+        for loop in ast.walk(tree):
+            if isinstance(loop, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                offenders += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(loop)
+                              if isinstance(node, ast.Attribute) and node.attr in TREE_HOOKS]
+    assert offenders == []
+
+
+def test_the_simulation_is_a_tree_and_defines_no_walk():
+    path, tree = next((path, tree) for path, tree in _modules() if path.name == "simulation.py")
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LazySimulation")
+    assert [base.id for base in cls.bases] == ["MarginalTree"]
+    methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+    assert methods & {"walk", "materialize", "masses"} == set()

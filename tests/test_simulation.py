@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixsim.bits import code_rows
-from prefixsim.divergence_lab import kl_divergence
+from prefixsim.divergence_lab import kl_divergence, tv_distance
 from prefixsim.errors import CapabilityError
 from prefixsim.hardness import SignMarginalTree
 from prefixsim import simulation, util
@@ -24,8 +24,8 @@ from prefixsim.simulation import (
 from prefixsim.streams import substream, substreams
 from prefixsim.trees import random_tree
 
-from helpers import (chi2_critical_99, chi_square_stat, dict_counts, draw, edge, hist, lane, point_mass_tree,
-                     prefix_counts, prefix_rows, query_exact, uniform_tree)
+from helpers import (chi2_critical_99, chi_square_stat, cylinder_mass, dict_counts, draw, edge, hist, lane, mass,
+                     point_mass_tree, prefix_counts, prefix_rows, query_exact, stored_counts, uniform_tree)
 
 
 class TestSamplesPerEdge:
@@ -176,7 +176,7 @@ class TestPreprocess:
         for _ in range(50):
             learned.sample()
         edge(learned, "0110", 0)
-        learned.as_marginal_tree()
+        learned.materialize()
         assert oracle.conditional_calls == spent
         assert learned.touched_pairs == (1 << n) - 1
 
@@ -202,7 +202,7 @@ class TestPreprocess:
         tree = point_mass_tree("101")
         learned = preprocess(3, TreeOracle(tree), 0.5, seed=8)
         assert learned.query("101") == 1.0
-        assert kl_divergence(learned.as_marginal_tree(), tree) == 0.0
+        assert kl_divergence(learned, tree) == 0.0
 
     def test_capability_gate(self):
         with pytest.raises(CapabilityError):
@@ -215,7 +215,7 @@ class TestPreprocess:
         for i in range(runs):
             tree = random_tree(n, substream(100, "tree", i), 0.2, 0.8)
             learned = preprocess(n, TreeOracle(tree), delta, seed=200 + i)
-            kls.append(kl_divergence(learned.as_marginal_tree(), tree))
+            kls.append(kl_divergence(learned, tree))
         mean = float(np.mean(kls))
         se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
         assert mean <= delta + 3.0 * se
@@ -549,7 +549,7 @@ def test_store_lookups_equal_a_dict_reference(n):
              (0, [0, 0]), (deep, [7, 5, 2, 2, 6, 4]), (deep, [6, 0])]
     for depth, indexes in calls:
         nodes = [(1 << depth) | i for i in indexes]
-        ks = sim._counts(depth, np.array(nodes, dtype=sim._node_dtype))
+        ks = stored_counts(sim, depth, np.array(nodes, dtype=sim._handle_dtype))
         assert ks.dtype == np.int64
         assert ks.tolist() == dict_counts(store, reference, sim.m, sim.seed, nodes)
         assert_store_sorted(sim)
@@ -565,6 +565,51 @@ def test_store_stays_sorted_through_lazy_walks():
         sim.query_batch(code_rows(substream(85, "q").integers(0, 64, 7), 6))
         assert_store_sorted(sim)
     assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs
-    sim.as_marginal_tree()
+    sim.materialize()
     assert_store_sorted(sim)
     assert [nodes.tolist() for nodes in sim._nodes] == [list(range(1 << i, 2 << i)) for i in range(6)]
+
+
+class TestSimulationIsATree:
+    """A simulation is a MarginalTree whose splits are (k/m, (m - k)/m) from its store."""
+
+    def test_divergences_take_the_simulation_directly(self):
+        tree_a = random_tree(4, substream(86, "a"), 0.1, 0.9)
+        tree_b = random_tree(4, substream(86, "b"), 0.1, 0.9)
+        sims = [LazySimulation(4, TreeOracle(t), 0.5, seed=87 + i) for i, t in enumerate((tree_a, tree_b))]
+        sims[0].sample_batch(3)  # a partly filled store first
+        kl, tv = kl_divergence(sims[0], tree_a), tv_distance(*sims)
+        for sim in sims:
+            assert sim.touched_pairs == 15 and sim.oracle.conditional_calls == 15 * sim.m
+        tables = [sim.materialize() for sim in sims]
+        assert kl == kl_divergence(tables[0], tree_a)
+        assert tv == tv_distance(*tables)
+        # the table holds k/m from the store, level by level in index order
+        for sim, table in zip(sims, tables):
+            for depth in range(4):
+                assert table.level(depth).tolist() == (sim._ks[depth] / sim.m).tolist()
+
+    @pytest.mark.parametrize("n", [6, 70])
+    def test_cylinder_masses_are_store_products(self, n):
+        tree = random_tree(n, substream(88, "t"), 0.1, 0.9) if n == 6 else SignMarginalTree(n, 89, 0.2, 0.7)
+        sim = LazySimulation(n, TreeOracle(tree), n / 3, seed=90)
+        rng = substream(91, "w")
+        for length in (0, 1, 3, n - 1, n):
+            w = "".join(map(str, rng.integers(0, 2, length).tolist()))
+            before = sim.touched_pairs
+            got = mass(sim, w) if length == n else cylinder_mass(sim, w)
+            assert sim.touched_pairs - before <= length
+            want = 1.0
+            for i in range(length):
+                want *= float(edge(sim, w[:i], int(w[i])))
+            assert got == want
+        assert sim.query(w) == want
+
+    @pytest.mark.parametrize("n", [simulation.MAX_PREPROCESS_N + 1, 24, 70])
+    def test_materialize_past_the_learning_cap_draws_nothing(self, n):
+        sim = LazySimulation(n, TreeOracle(SignMarginalTree(n, 92, 0.3, 0.6)), 0.5, seed=93)
+        with pytest.raises(CapabilityError):
+            sim.materialize()
+        with pytest.raises(CapabilityError):
+            sim.masses()
+        assert sim.oracle.conditional_calls == 0 and sim.touched_pairs == 0
