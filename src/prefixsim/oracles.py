@@ -10,21 +10,22 @@ Draw discipline: one stream per prefix.  A draw takes a stream group
 (streams.substreams) with one lane per prefix, and a prefix's m rows consume
 one uniform block of shape (m, free-levels) from its own lane and walk the
 levels using one column per level, so they are exactly what a draw of that
-prefix alone gives.  Each lane's generator is built for that block and
-dropped after it; the group keeps the lane's position, so the next block
-from the lane continues its stream.  Keeping consumption a pure function of
+prefix alone gives.  One call of the group's draw fills the blocks of all
+the prefixes: each lane's generator is built for its block and dropped
+after it, and the group keeps the lane's position, so the next block from
+the lane continues its stream.  Keeping consumption a pure function of
 (prefix, batch size) is what allows two differently-routed runs with shared
 keyed streams to be compared for bit-equality.  A (rows, free) block holds
 the same doubles in row-major order as its rows drawn one at a time, so a
 caller may split a large draw into consecutive blocks (see util.row_blocks)
 without changing a bit.
 
-A caller that reads only the first free bits asks for them with levels: the
-draw returns those columns, and a tree oracle descends only those levels.
-Each prefix still consumes its whole (m, free) uniform block and is charged
-m rows, so the columns returned are exactly those of a full draw, and
+A caller that reads only the first free bits asks for them with levels:
+the draw returns and descends only those columns (the interval adapter's
+native draw descends them), yet each prefix consumes its whole (m, free)
+uniform block and is charged m rows, so the columns equal a full draw's and
 streams, ledger and results downstream do not change.  A hooked draw still
-descends every level, because its transcript records whole rows.
+descends every level: its transcript records whole rows.
 
 Table and sign trees are immutable and freely shareable; an oracle (with
 its mutable ledger) belongs to one logical owner, so concurrent experiments
@@ -116,9 +117,7 @@ class TreeOracle(PrefixOracle):
         """
         prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
-        u = np.empty((k * m, self.n - depth))
-        for j in range(k):
-            streams.random(j, out=u[j * m:(j + 1) * m])
+        u = streams.draw(m, self.n - depth)
         walked = u.shape[1] if self.on_record is not None else levels
         mass = np.ones(k)
         h = self.tree.walk(prefixes, p=mass)

@@ -19,7 +19,9 @@ native oracle returns element 3, so the two simulations do not couple.
 
 The adapted oracle, AdaptedPrefixOracle(native), takes N and the depth from
 its native oracle.  It answers a multi-prefix draw with one native draw, one
-stream per interval, whose rows all descend the code tree together.
+stream per interval, that descends only the levels returned (all when
+hooked, as the transcript records whole rows), reading the first split of
+each interval once, and draws its pure-padding prefixes in one block call.
 
 mass_preserved checks exactly that the encoded tree gives every code its
 element's mass weight / total and every padding code zero: the float
@@ -67,30 +69,27 @@ def element_bounds(size: int, level: int, index) -> tuple[np.ndarray, np.ndarray
     return lo + 1, np.minimum((index + 1) << shift, size), lo >= size
 
 
-def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level: int, idx, a, b):
+def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level, idx, a, b):
     """Probability of stepping right at each node, restricted to codes [a, b).
 
-    Works elementwise on an index array, with a and b scalars or arrays of
-    one interval per node.  Edges toward a side holding no elements of
-    [a, b) are forced (probability 0 into emptiness); a node whose
-    restriction carries zero mass but elements on both sides splits
+    Works elementwise on an index array, with level (< depth), a and b
+    scalars or arrays of one per node.  Edges toward a side holding no
+    elements of [a, b) are forced (probability 0 into emptiness); a node
+    whose restriction carries zero mass but elements on both sides splits
     uniformly, realizing the zero-mass conditioning convention.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    span = 1 << (depth - level)
-    lo = idx * span
-    mid = lo + span // 2
-    hi = lo + span
-    elem_cap = np.minimum(b, n_elements)
-    left_has = np.maximum(lo, a) < np.minimum(mid, elem_cap)
-    right_has = np.maximum(mid, a) < np.minimum(hi, elem_cap)
-    lmass = cum[np.minimum(mid, b)] - cum[np.maximum(lo, a)]
-    rmass = cum[np.minimum(hi, b)] - cum[np.maximum(mid, a)]
-    total = lmass + rmass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(total > 0.0, rmass / np.where(total > 0.0, total, 1.0), 0.5)
-    f = np.where(~right_has, 0.0, np.where(~left_has, 1.0, ratio))
-    return f
+    half = 1 << (depth - level - 1)
+    lo = idx * (2 * half)
+    mid = lo + half
+    # cum is flat past the last element, so capping at it changes no mass
+    cap = np.minimum(b, n_elements)
+    lo_a, mid_a = np.maximum(lo, a), np.maximum(mid, a)
+    mid_c, hi_c = np.minimum(mid, cap), np.minimum(mid + half, cap)
+    rmass = cum[hi_c] - cum[mid_a]
+    total = (cum[mid_c] - cum[lo_a]) + rmass
+    ratio = np.divide(rmass, total, out=np.full(total.shape, 0.5), where=total > 0.0)
+    return np.where(mid_a < hi_c, np.where(lo_a < mid_c, ratio, 1.0), 0.0)
 
 
 def _cumulative_weights(weights, depth: int) -> np.ndarray:
@@ -121,7 +120,7 @@ def encoded_marginal_tree(weights) -> TableMarginalTree:
     for level in range(depth):
         idx = np.arange(1 << level, dtype=np.int64)
         levels.append(_split_fractions(cum, n_elements, depth, level, idx, 0, full))
-    return TableMarginalTree(depth, levels)
+    return TableMarginalTree._trusted(levels)
 
 
 def mass_preserved(weights) -> bool:
@@ -177,7 +176,7 @@ class TableIntervalOracle:
     A draw descends the balanced splits of the requested interval, one
     uniform per level below the interval's lowest common ancestor (LCA)
     node.  One call draws under many intervals, one stream per interval:
-    every interval's rows descend the tree together, one level at a time.
+    their rows descend together, one level at a time, to the depth asked.
     """
 
     def __init__(self, weights):
@@ -186,13 +185,16 @@ class TableIntervalOracle:
         self._cum = _cumulative_weights(weights, self.depth)
         self.calls = 0
 
-    def draw_batch(self, a_elem, b_elem, m: int, streams: _StreamGroup, lanes=None) -> np.ndarray:
+    def draw_batch(self, a_elem, b_elem, m: int, streams: _StreamGroup, lanes=None,
+                   levels: int | None = None) -> np.ndarray:
         """m draws under each inclusive element interval {a_j..b_j}, shape (k * m,) int64.
 
         Rows j * m to (j + 1) * m are interval j's: lane lanes[j] of the
         stream group (lane j when lanes is None) gives one (m, levels below
         the LCA) uniform block, none when a_j == b_j, so they are exactly
-        what a draw of that interval alone gives.
+        what a draw of that interval alone gives.  With levels the rows stop
+        at that code depth and are the nodes reached there: the codes of a
+        full draw shifted right, at its cost in uniforms and calls.
         """
         a, b = np.asarray(a_elem, dtype=np.int64) - 1, np.asarray(b_elem, dtype=np.int64)
         lanes = range(len(streams)) if lanes is None else lanes
@@ -201,21 +203,30 @@ class TableIntervalOracle:
             raise ValueError(f"need intervals with 1 <= a <= b <= {self.size} and a stream per interval")
         if m < 1:
             raise ValueError("batch size must be positive")
+        stop = self.depth if levels is None else levels
+        if not 1 <= stop <= self.depth:
+            raise ValueError(f"levels must be between 1 and the code depth {self.depth}")
         self.calls += m * len(a)
         # codes [a, b); levels below each LCA: the bit length of a ^ (b - 1), frexp's exponent
         below = np.frexp(a ^ (b - 1))[1]
-        levels = int(below.max(initial=0))
-        # rows are aligned on the last level; above its LCA a row's splits are
-        # forced (f is 0 or 1), so its zero uniforms there take the forced side
-        u = np.zeros((len(a) * m, levels))
-        for j, (lane, t) in enumerate(zip(lanes, below.tolist())):
-            u[j * m:(j + 1) * m, levels - t:] = streams.random(lane, (m, t))
-        a, b = np.repeat(a, m), np.repeat(b, m)
-        idx = a >> levels
-        for t in range(levels):
-            f = _split_fractions(self._cum, self.size, self.depth, self.depth - levels + t, idx, a, b)
-            idx = (idx << 1) + (u[:, t] < f)
-        return idx + 1
+        u = streams.draw(m, below, lanes)
+        # each interval's rows step first from depth min(LCA, stop - 1), all from
+        # one node: one split per interval, forced (0 or 1) above the LCA, where
+        # any uniform takes the forced side
+        lca = self.depth - below
+        node = a >> (self.depth - np.minimum(lca, stop - 1))
+        f = _split_fractions(self._cum, self.size, self.depth, np.minimum(lca, stop - 1), node, a, b)
+        stride = np.repeat(below, m)
+        at = np.cumsum(stride) - stride   # where each row's uniforms start in u
+        first = u.take(at, mode="clip") if len(u) else np.zeros(len(at))
+        out = np.repeat(node << 1, m) + (first < np.repeat(f, m))
+        steps = stop - int(lca.min(initial=stop))   # the most levels a row descends
+        lca, a, b = (np.repeat(x, m) for x in (lca, a, b)) if steps > 1 else (lca, a, b)
+        for t in range(1, steps):
+            on = np.flatnonzero(lca + t < stop)
+            f = _split_fractions(self._cum, self.size, self.depth, lca[on] + t, out[on], a[on], b[on])
+            out[on] = (out[on] << 1) + (u[at[on] + t] < f)
+        return out + 1 if levels is None else out
 
 
 class AdaptedPrefixOracle(PrefixOracle):
@@ -234,16 +245,20 @@ class AdaptedPrefixOracle(PrefixOracle):
                                  streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
         """m elements per prefix: one native draw for every non-padding prefix, each from its own stream.
 
-        Whole rows are drawn and recorded; the first levels free bits are returned.
+        The native draw descends only the levels returned, or whole rows
+        when hooked, which are recorded; the pure-padding prefixes' blocks
+        come from one draw of their lanes.
         """
         prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
         free = self.n - depth
+        walked = free if self.on_record is not None else levels
         a, b, padding = element_bounds(self.native.size, depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
-        out = np.empty((k * m, free), dtype=np.uint8)
         live = np.flatnonzero(~padding)
-        codes = self.native.draw_batch(a[live], b[live], m, streams, live.tolist()) - 1
-        out[np.repeat(~padding, m)] = code_rows(codes, free)
-        for j in np.flatnonzero(padding).tolist():
-            out[j * m:(j + 1) * m] = streams.random(j, (m, free)) < 0.5
-        return self._charge(prefixes, m, out)[:, :levels]
+        nodes = self.native.draw_batch(a[live], b[live], m, streams, live.tolist(), levels=depth + walked)
+        out = np.empty((k, m, walked), dtype=np.uint8)
+        out[live] = code_rows(nodes, walked).reshape(-1, m, walked)
+        if len(live) < k:
+            pad = np.flatnonzero(padding)
+            out[pad] = (streams.draw(m, free, pad.tolist())[:, :walked] < 0.5).reshape(-1, m, walked)
+        return self._charge(prefixes, m, out.reshape(k * m, walked))[:, :levels]

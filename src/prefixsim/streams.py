@@ -9,20 +9,20 @@ coupled bit-for-bit.
 
 A group of streams that differ only in their last key part is seeded in one
 pass by substreams: the blake2b state over (master seed, *key) is hashed
-once and copied per part, which gives each part the child seed substream
-uses, and numpy's SeedSequence algorithm (a pool of four uint32 words filled
-and mixed by hashmix/mix, then generate_state(4, uint64)) runs once over the
-whole group in uint32 array arithmetic.  The group keeps those words and,
-per stream (a lane), how many doubles it has drawn; it holds no Generator.
-A draw from a lane builds its PCG64 from the lane's words, advances it past
-the doubles already drawn (each double is one PCG64 step), draws and drops
-it, so at most one lane's generator is alive at a time and a lane read in
-several blocks gives the doubles of one whole draw.  Building a group's
-generators up front would keep hundreds of GC-tracked objects alive through
-its draw, enough to start the cyclic garbage collector, whose full sweeps of
-the heap cost about 10 ms each on a 2-vCPU VM.  tests/test_streams.py pins
-the words to SeedSequence over random 128-bit seeds and every lane of a
-group to substream's draws.
+once and copied per part, each part's digest, byte-reversed (substream's
+child seed, little-endian), goes straight into one entropy block, and
+numpy's SeedSequence algorithm (hashmix/mix over a pool of four uint32
+words, then generate_state(4, uint64)) runs once over it in uint32 array
+arithmetic.  The group keeps those words and each stream's (lane's) count
+of doubles drawn, and no Generator: its one draw fills the next rows of
+many lanes in one call, building each lane's PCG64 from one reused
+seed-word carrier, advancing it past the doubles drawn (one step each) and
+writing straight into the lane's slice, so one generator is alive at a time
+and a lane read in several blocks gives the doubles of one whole draw.
+Generators built up front would keep enough GC-tracked objects alive to
+start the cyclic collector, whose full sweeps cost about 10 ms each on a
+2-vCPU VM.  tests/test_streams.py pins the words to SeedSequence and every
+lane to substream's draws.
 """
 
 from __future__ import annotations
@@ -86,15 +86,20 @@ _STEPS = np.array([
 
 def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     """SeedSequence(s).generate_state(4, np.uint64) of each seed 0 <= s < 2^128, as one (k, 4) array."""
-    fill_x, fill_m, *cross, state_x, state_m, mix_l, mix_r, shift = np.repeat(_STEPS, len(seeds), axis=2)
+    return _entropy_words(b"".join(s.to_bytes(16, "little") * 2 for s in seeds))
+
+
+def _entropy_words(entropy: bytes) -> np.ndarray:
+    """_seed_words of the seeds whose 16-byte little-endian forms, each written twice, make up entropy."""
+    # row r of the entropy is uint32 word r % 4 of every seed, least significant first
+    entropy = np.frombuffer(entropy, dtype="<u4").reshape(-1, 8).T
+    fill_x, fill_m, *cross, state_x, state_m, mix_l, mix_r, shift = np.repeat(_STEPS, entropy.shape[1], axis=2)
 
     def hashmix(value, xor, mul):
         value = (value ^ xor) * mul
         return value ^ (value >> shift)
 
-    # row r of the entropy is uint32 word r % 4 of every seed, least significant first
-    entropy = np.frombuffer(b"".join(s.to_bytes(16, "little") * 2 for s in seeds), dtype="<u4")
-    pool = hashmix(entropy.reshape(-1, 8).T, fill_x, fill_m)
+    pool = hashmix(entropy, fill_x, fill_m)
     for s in range(4):
         # mix(x, y) = r ^ (r >> 16) with r = L * x - R * y, for every pool word but s
         mixed = mix_l * pool - mix_r * hashmix(pool[s], cross[2 * s], cross[2 * s + 1])
@@ -107,10 +112,7 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
 
 
 class _SeedWords(ISeedSequence):
-    """The PCG64 seed words of one stream, computed ahead by _seed_words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    """The PCG64 seed words (its words attribute) of one stream at a time, computed ahead by _seed_words."""
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words   # PCG64 asks for generate_state(4, np.uint64) once, when built
@@ -130,23 +132,36 @@ class _StreamGroup:
     def __len__(self) -> int:
         return len(self._words)
 
-    def random(self, lane: int, size=None, out=None):
-        """The lane's next doubles, as Generator.random(size, out=out) of its stream gives them."""
-        bits = np.random.PCG64(_SeedWords(self._words[lane]))
-        if self._drawn[lane]:
-            bits.advance(self._drawn[lane])
-        values = np.random.Generator(bits).random(size, out=out)
-        self._drawn[lane] += np.size(values)
-        return values
+    def draw(self, rows: int, cols, lanes=None) -> np.ndarray:
+        """The next Generator.random((rows, cols)) doubles of each lane of lanes (all, in order, if None).
+
+        With cols an int, lanes[i]'s are rows i * rows to (i + 1) * rows of one
+        block; with one width per lane, the lanes' blocks follow each other, flat.
+        """
+        lanes = range(len(self)) if lanes is None else lanes
+        sizes = (rows * np.asarray(cols)).tolist() if np.ndim(cols) else [rows * cols] * len(lanes)
+        out = np.empty(sum(sizes))
+        carrier, end = _SeedWords(), 0
+        for lane, size in zip(lanes, sizes):
+            if size:
+                carrier.words = self._words[lane]
+                bits = np.random.PCG64(carrier)
+                drawn = self._drawn[lane]
+                if drawn:
+                    bits.advance(drawn)
+                np.random.Generator(bits).random(out=out[end:end + size])
+                self._drawn[lane] = drawn + size
+                end += size
+        return out if np.ndim(cols) else out.reshape(len(sizes) * rows, cols)
 
 
 def substreams(master_seed: int, *key, parts: Sequence) -> _StreamGroup:
     """substream(master_seed, *key, part) for each part, as the lanes of one group seeded in one pass."""
     h = _key_hash(master_seed, key)
     h.update(_SEP)
-    seeds = []
+    digests = []
     for part in parts:
         lane = h.copy()
         lane.update(str(part).encode("utf-8"))
-        seeds.append(int.from_bytes(lane.digest(), "big"))
-    return _StreamGroup(_seed_words(seeds))
+        digests.append(lane.digest()[::-1] * 2)   # the big-endian child seed as little-endian entropy
+    return _StreamGroup(_entropy_words(b"".join(digests)))

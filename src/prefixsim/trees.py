@@ -17,7 +17,8 @@ the one walk over these names: walk takes a block of rows down together, one
 level per column, reading or drawing each row's bit and, for a caller that
 passes a mass array, multiplying in each edge's probability, so cylinder
 masses, element masses and draws are all one loop.  materialize builds the
-tables level by level.  A caller with one prefix passes a block of one row.
+tables level by level, kept as built: only the public constructor copies
+and checks levels.  A caller with one prefix passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
@@ -99,7 +100,7 @@ class MarginalTree:
             # each node's children along bits 0 and 1 side by side: the next level in index order
             h = self._child(h[:, None], np.array([0, 1], dtype=np.uint8)).ravel()
             levels.append(self._split(depth, h)[0])
-        return TableMarginalTree(self.n, levels)
+        return TableMarginalTree._trusted(levels)
 
 
 class TableMarginalTree(MarginalTree):
@@ -116,17 +117,27 @@ class TableMarginalTree(MarginalTree):
         super().__init__(n)
         if n > MAX_ENUM_N:
             raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
-        self._levels = []
-        for i, level in enumerate(levels):
-            arr = np.asarray(level, dtype=float).copy()
+        self._levels = [np.asarray(level, dtype=float).copy() for level in levels]
+        for i, arr in enumerate(self._levels):
             if arr.shape != (1 << i,):
                 raise ValueError(f"level {i} must have 2^{i} entries, got shape {arr.shape}")
             if np.any((arr < 0.0) | (arr > 1.0)):
                 raise ValueError(f"level {i} contains values outside [0, 1]")
             arr.setflags(write=False)
-            self._levels.append(arr)
         if len(self._levels) != n:
             raise ValueError(f"expected {n} levels, got {len(self._levels)}")
+
+    @classmethod
+    def _trusted(cls, levels: list) -> "TableMarginalTree":
+        """A table over levels just computed: float64 arrays of 2^i values in [0, 1], kept uncopied and unchecked."""
+        tree = cls.__new__(cls)
+        MarginalTree.__init__(tree, len(levels))
+        if tree.n > MAX_ENUM_N:
+            raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
+        for level in levels:
+            level.setflags(write=False)
+        tree._levels = levels
+        return tree
 
     def level(self, i: int) -> np.ndarray:
         """Read-only array of f values for all prefixes of length i."""

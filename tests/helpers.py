@@ -58,7 +58,7 @@ def lane(seed: int, *key):
 
 def draws_after(streams) -> list[float]:
     """The next double of every lane of a stream group: where each lane stands."""
-    return [streams.random(j) for j in range(len(streams))]
+    return streams.draw(1, 1).ravel().tolist()
 
 
 def draw(oracle, w: str, m: int, stream) -> np.ndarray:

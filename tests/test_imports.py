@@ -21,7 +21,11 @@ SCALAR_WALKS = {"marginal", "mass", "conditional_mass", "_path_mass"}
 #: Deleted copies of the tree walk and the names that served them: a simulation
 #: is a MarginalTree, walked by MarginalTree.walk and read by materialize, and
 #: estimate_tv blocks its pairs with util.row_blocks.
-GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "descend"}
+GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "descend",
+        # a stream group draws all its lanes' blocks in one call, _StreamGroup.draw
+        "_StreamGroup.random"}
+#: Generator constructors; streams.py alone builds a generator, from a key's seed words.
+GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
 TREE_HOOKS = {"_split", "_f", "_child"}
 
@@ -74,10 +78,13 @@ def test_trees_defines_no_divergence():
 
 
 def _defined_names(tree):
-    """Names a module binds: functions, classes, and assignment targets (plain or attribute)."""
+    """Names a module binds: functions, classes, methods (also as Class.method) and assignment targets."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for sub in ast.walk(target):
@@ -111,3 +118,17 @@ def test_the_simulation_is_a_tree_and_defines_no_walk():
     assert [base.id for base in cls.bases] == ["MarginalTree"]
     methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
     assert methods & {"walk", "materialize", "masses"} == set()
+
+
+def test_only_streams_builds_a_generator():
+    # every draw reads a keyed stream: a substream, or a lane of a stream group
+    offenders = []
+    for path, tree in _modules():
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in GENERATORS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

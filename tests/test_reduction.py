@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prefixsim import reduction
 from prefixsim.bits import code_rows
 from prefixsim.reduction import (
     AdaptedPrefixOracle,
@@ -414,3 +415,77 @@ def test_an_interval_lane_drawn_in_row_blocks_is_one_whole_draw():
     for ref, t in zip(refs, widths):
         ref.random((7, t))
     assert draws_after(group) == [ref.random() for ref in refs]
+
+
+# Level-limited draws: the native draw stops at a code depth and the adapted
+# oracle asks it for the levels it returns.  Both must give the first columns
+# of a full draw at the full draw's cost, with each lane left where the full
+# draw leaves it.
+
+def level_prefixes(size: int, depth: int) -> np.ndarray:
+    """Prefixes of one depth over {1..size}: the first, the last and one between them, and
+    the one clipped by element size (its LCA lies below it) and the pure-padding one after it."""
+    width = code_depth(size) - depth
+    clipped = (size - 1) >> width
+    index = sorted({0, (1 << depth) // 3, clipped, min(clipped + 1, (1 << depth) - 1), (1 << depth) - 1})
+    return code_rows(np.array(index), depth).reshape(len(index), depth)
+
+
+@pytest.mark.parametrize("size", [5, 300, 1000, 4096])
+def test_native_levels_draw_is_a_full_draw_shifted(size):
+    # the whole domain, the last element alone, the one or two elements of its
+    # parent node, and random intervals
+    weights = substream(size, "w").uniform(0.1, 1.0, size)
+    depth = code_depth(size)
+    lo, hi = np.sort(substream(size, "bounds").integers(1, size + 1, (2, 6)), axis=0)
+    parent_a, parent_b, _ = element_bounds(size, depth - 1, [(size - 1) >> 1])
+    bounds = np.concatenate([[1, size], parent_a, lo]), np.concatenate([[size, size], parent_b, hi])
+    full_native, group = TableIntervalOracle(weights), substreams(size, "draw", parts=range(len(bounds[0])))
+    full = full_native.draw_batch(*bounds, 4, group) - 1
+    after = draws_after(group)
+    for levels in range(1, depth + 1):
+        native, group = TableIntervalOracle(weights), substreams(size, "draw", parts=range(len(bounds[0])))
+        nodes = native.draw_batch(*bounds, 4, group, levels=levels)
+        assert nodes.dtype == np.int64 and np.array_equal(nodes, full >> (depth - levels))
+        assert native.calls == full_native.calls
+        assert draws_after(group) == after
+    with pytest.raises(ValueError):
+        TableIntervalOracle(weights).draw_batch(*bounds, 4, group, levels=depth + 1)
+
+
+@pytest.mark.parametrize("size", [5, 300, 1000, 4096])
+def test_adapted_levels_draw_at_every_depth(size):
+    # the blocks hold whole, deep-LCA and pure-padding prefixes (no padding at 4096)
+    weights = substream(size, "w").uniform(0.1, 1.0, size)
+    for depth in range(code_depth(size)):
+        prefixes = level_prefixes(size, depth)
+        assert_levels_draw(lambda: AdaptedPrefixOracle(TableIntervalOracle(weights)), prefixes, 3,
+                           lambda: substreams(size, depth, parts=range(len(prefixes))))
+
+
+def test_first_free_level_reads_one_split_per_interval(monkeypatch):
+    # every row of an interval sits at the prefix node, so a levels=1 draw
+    # splits one node per non-padding prefix (forced where the LCA lies below)
+    weights = substream(21, "w").uniform(0.1, 1.0, 300)
+    split, sizes = reduction._split_fractions, []
+    monkeypatch.setattr(reduction, "_split_fractions", lambda *args: sizes.append(np.size(args[4])) or split(*args))
+    oracle = AdaptedPrefixOracle(TableIntervalOracle(weights))
+    prefixes = prefix_rows("0000", "0110", "1001", "1111")   # "1001" holds 289..300 (LCA at depth 5), "1111" padding
+    oracle.conditional_sample_batch(prefixes, 50, substreams(22, parts=range(4)), levels=1)
+    assert sizes == [3]
+    sizes.clear()
+    oracle.conditional_sample_batch(prefixes[:1], 50, substreams(22, parts=range(1)), levels=2)
+    assert sizes == [1, 50]
+
+
+def test_full_and_hooked_draws_keep_their_pinned_rows():
+    # pinned from the descent that walked every row to full depth on every draw
+    weights = substream(30, "w").uniform(0.1, 1.0, 11)
+    elems = TableIntervalOracle(weights).draw_batch([1, 4, 9, 3], [11, 4, 11, 4], 3, substreams(31, parts=range(4)))
+    assert elems.tolist() == [5, 11, 2, 4, 4, 4, 11, 10, 11, 3, 3, 3]
+    oracle, records = AdaptedPrefixOracle(TableIntervalOracle(weights)), []
+    oracle.on_record = records.append
+    block = oracle.conditional_sample_batch(prefix_rows("01", "10", "11", "00"), 2, substreams(32, parts=range(4)),
+                                            levels=1)
+    assert block.ravel().tolist() == [1, 0, 1, 1, 1, 0, 1, 0]
+    assert [r["result"] for r in records] == [["10", "00"], ["10", "10"], ["10", "00"], ["10", "00"]]

@@ -58,25 +58,72 @@ def test_substreams_equal_substream(parts):
     assert len(group) == len(parts)
     for lane, part in enumerate(parts):
         ref = substream(11, "edge", part)
-        assert group.random(lane) == ref.random()
-        assert np.array_equal(group.random(lane, (40, 3)), ref.random((40, 3)))
-        out = np.empty(25)
-        assert group.random(lane, out=out) is out and np.array_equal(out, ref.random(25))
+        assert group.draw(1, 1, [lane]).tolist() == [[ref.random()]]
+        assert np.array_equal(group.draw(40, 3, [lane]), ref.random((40, 3)))
+        assert np.array_equal(group.draw(5, [5], [lane]), ref.random(25))
 
 
 @pytest.mark.parametrize("key", [(), ("edge",), ("effective", "no", 3), ("ключ", -7, "é")])
 def test_group_child_seeds_equal_child_seed(key):
-    # the group hashes (seed, *key) once and copies the hash per part
+    # the group hashes (seed, *key) once and writes each part's digest into the entropy block
     parts = ["", "0110", 0, 17, -3, "ü", "邊", 2 ** 70]
     group = substreams(5, *key, parts=parts)
     assert np.array_equal(group._words, _seed_words([child_seed(5, *key, part) for part in parts]))
-    assert [group.random(lane) for lane in range(len(parts))] == [
-        substream(5, *key, part).random() for part in parts]
+    assert group.draw(1, 1).ravel().tolist() == [substream(5, *key, part).random() for part in parts]
 
 
 def test_lanes_keep_their_own_positions():
     # lanes read in any order and in blocks of any shape each continue their own stream
     group = substreams(3, "edge", parts=["a", "b"])
     refs = [substream(3, "edge", part) for part in ("a", "b")]
-    for lane, size in ((0, (2, 3)), (1, 5), (0, None), (1, (1, 0)), (0, (4, 2)), (1, 7)):
-        assert np.array_equal(group.random(lane, size), refs[lane].random(size))
+    for lane, rows, cols in ((0, 2, 3), (1, 5, 1), (0, 1, 1), (1, 1, 0), (0, 4, 2), (1, 7, 1)):
+        assert np.array_equal(group.draw(rows, cols, [lane]), refs[lane].random((rows, cols)))
+
+
+# The block draw: one call fills the next rows of many lanes, each lane's
+# slice what substream's Generator.random gives for that lane's key.
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_draw_of_a_lane_subset_in_any_order(data):
+    parts = ["", "0", "1", "01", "110", 9]
+    group = substreams(13, "edge", parts=parts)
+    refs = [substream(13, "edge", part) for part in parts]
+    for _ in range(3):   # each call continues where the lanes stand
+        lanes = data.draw(st.permutations(range(len(parts))).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda size: order[:size])))
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 4))
+        block = group.draw(rows, cols, lanes)
+        assert block.shape == (len(lanes) * rows, cols) and block.dtype == np.float64
+        for i, lane in enumerate(lanes):
+            assert np.array_equal(block[i * rows:(i + 1) * rows], refs[lane].random((rows, cols)))
+    assert group.draw(1, 1).ravel().tolist() == [ref.random() for ref in refs]
+
+
+def test_block_draw_of_one_width_per_lane():
+    # the lanes' (rows, width) blocks follow each other row-major; width 0 draws nothing
+    group = substreams(14, parts=range(4))
+    refs = [substream(14, part) for part in range(4)]
+    widths = [3, 0, 1, 2]
+    flat = group.draw(5, np.array(widths), [2, 1, 3, 0])
+    assert flat.shape == (5 * 6,)
+    want = [refs[lane].random((5, widths[i])).ravel() for i, lane in enumerate([2, 1, 3, 0])]
+    assert np.array_equal(flat, np.concatenate(want))
+    assert group.draw(1, 1).ravel().tolist() == [ref.random() for ref in refs]
+
+
+def test_block_draw_of_no_rows_draws_nothing():
+    group = substreams(15, "edge", parts=["a", "b", "c"])
+    assert group.draw(0, 4).shape == (0, 4) and group.draw(0, 0).shape == (0, 0)
+    assert group.draw(2, 0).shape == (6, 0)
+    assert group.draw(0, [2, 1], [2, 0]).shape == (0,)
+    assert group.draw(1, 1).ravel().tolist() == [substream(15, "edge", p).random() for p in "abc"]
+
+
+def test_a_lane_read_across_several_blocks_is_one_draw():
+    # blocks of 3, 0, 1 and 4 rows of width 5 give the rows of one (8, 5) draw
+    group = substreams(16, parts=["x", "y"])
+    blocks = [group.draw(rows, 5, [1, 0]) for rows in (3, 0, 1, 4)]
+    for i, part in enumerate(("y", "x")):
+        rows = np.concatenate([block.reshape(2, -1, 5)[i] for block in blocks])
+        assert np.array_equal(rows, substream(16, part).random((8, 5)))

@@ -19,7 +19,7 @@ return; each assertion here protects one of its counters:
   tracer wraps, so the group's seeding (its child-seed hashes and seed
   words) lands in streams and the calls count groups.  The group and its
   seed-word carrier are private classes, so the tracer wraps neither the
-  group's per-lane draw nor generate_state and pays no span per lane: a
+  group's block draw nor generate_state and pays no span per lane: every
   lane's generator is built and advanced inside the oracle draw that reads
   it, so under --trace 1 that time lands in oracles.self_s for a tree
   oracle and in reduction.self_s for the adapted and interval oracles.

@@ -192,3 +192,14 @@ class TestBackings:
         t = uniform_tree(2)
         with pytest.raises(ValueError):
             t.level(1)[0] = 0.9
+
+    def test_materialized_levels_are_read_only_tables_of_the_tree(self):
+        # materialize hands its fresh levels to the table unchecked; they are
+        # the tree's marginals, of the right shapes, and read-only
+        for tree in (SignMarginalTree(5, 3, 0.3, 0.7), random_tree(4, substream(5, "t"))):
+            table = tree.materialize()
+            for i in range(tree.n):
+                level = table.level(i)
+                assert level.dtype == np.float64 and level.shape == (1 << i,) and not level.flags.writeable
+                prefixes = [format(j, "b").zfill(i) if i else "" for j in range(1 << i)]
+                assert level.tolist() == [marginal(tree, w) for w in prefixes]
