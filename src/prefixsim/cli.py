@@ -3,13 +3,18 @@
 Every subcommand validates its parameters, runs seeded trials, and emits
 JSON lines (one object per trial, then one summary object).  Identical
 config and seed reproduce identical trial records; the only wall-clock field
-lives in the summary.  Exit codes: 0 all checks passed, 1 a statistical
-check failed, 2 usage error.
+lives in the summary.  Each record is written as its trial ends, in trial
+order, and only running totals are kept, so memory is flat in --trials (with
+--workers, at most IN_FLIGHT_PER_WORKER trials per worker are in flight).  A
+run that fails midway leaves the records already written and no summary.
+Exit codes: 0 all checks passed, 1 a statistical check failed, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import functools
 import json
@@ -25,7 +30,8 @@ from .adhoc import gen_instance, run_ad_hoc_tester, tester_parameters
 from .bits import code_rows
 from .distance import estimate_tv, pairs_per_round, simulation_delta
 from .divergence_lab import LEMMAS, kl_divergence, run_lemma_sweep, tv_distance
-from .hardness import check_gap, gen_hard_instance, effective_samples, threshold_constants
+from .hardness import (check_gap, effective_samples, gen_hard_instance, hard_instance_parameters,
+                       threshold_constants)
 from .oracles import TreeOracle
 from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
                         mass_preserved)
@@ -150,59 +156,84 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     }]
 
 
+def _lemma_sweep(cfg: dict, t: int) -> list[dict]:
+    return [{"kind": "trial", **r.as_dict()} for r in run_lemma_sweep(cfg["sweep"], cfg["seed"])]
+
+
 # ---------------------------------------------------------------------------
 # harness
 
-def _run_trials(trial_fn, cfg: dict, trials: int, workers: int) -> list[dict]:
-    workers = min(workers, os.cpu_count() or 1)
+#: Trials a pool run submits at once, per worker; the next ones wait until
+#: these are written.
+IN_FLIGHT_PER_WORKER = 4
+
+
+def _trial_batches(trial_fn, cfg: dict, workers: int):
+    """Each of the cfg["trials"] trials' records, in trial order, as its trial ends."""
+    trials = cfg["trials"]
+    workers = min(workers, trials, os.cpu_count() or 1)
+    trial = functools.partial(trial_fn, cfg)
     if workers <= 1:
-        batches = [trial_fn(cfg, t) for t in range(trials)]
-    else:
-        # imported here so that one-process runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        yield from map(trial, range(trials))
+        return
+    # imported here so that one-process runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(functools.partial(trial_fn, cfg), range(trials)))
-    return [record for batch in batches for record in batch]
-
-
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    window = IN_FLIGHT_PER_WORKER * workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, trials, window):
+            yield from pool.map(trial, range(trials)[start:start + window])
 
 
-def _emit(records: list[dict], summary: dict, args) -> None:
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    lines.append(json.dumps(summary, sort_keys=True))
-    path = _resolve_output(args.output)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.csv:
-            fields = sorted({key for r in records for key in r
-                             if not isinstance(r[key], (list, dict))})
-            with open(path + ".csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-                writer.writeheader()
-                writer.writerows(records)
+def _write_csv(path: str) -> None:
+    def records():  # one pass over the finished JSON lines
+        with open(path, encoding="utf-8") as fh:
+            yield from (r for r in map(json.loads, fh) if r["kind"] == "trial")
+
+    fields = sorted({key for r in records() for key in r})
+    with open(path + ".csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(records())
 
 
-def _summary(name: str, args, started: float, passed: bool, **fields) -> dict:
+def _run(args, trial_fn, summarize, **overrides) -> int:
+    """Run the trials, writing each record as it ends, then the summary; the exit code.
+
+    Trials see cfg = config | overrides, config being the parameters the
+    summary reports, and run cfg["trials"] times.  Each record is folded into
+    running totals keyed by (its label or None, field): the sum and the
+    maximum of each numeric field.  A bool adds 0 or 1, so a field holds in
+    all n records when its sum is n.  summarize(sums, maxima) returns (passed,
+    summary fields).  Sums add with += in trial order, which is what the
+    built-in sum does through Python 3.11 (3.12's sum is compensated).
+    """
+    started = time.time()
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "output", "csv", "workers")}
-    return {
-        "kind": "summary", "subcommand": name, "passed": passed,
-        "config": config, "version": __version__,
-        "elapsed_seconds": time.time() - started, **fields,
-    }
+    cfg = {**config, **overrides}
+    sums, maxima = collections.Counter(), {}
+    # an absolute --output replaces the base directory
+    path = None if args.output is None else os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), args.output)
+    if path is not None:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as out:
+        for batch in _trial_batches(trial_fn, cfg, args.workers):
+            for record in batch:
+                out.write(json.dumps(record, sort_keys=True) + "\n")
+                for field, value in record.items():
+                    if isinstance(value, (int, float)):
+                        key = record.get("label"), field
+                        sums[key] += value
+                        maxima[key] = max(maxima.get(key, value), value)
+        passed, fields = summarize(sums, maxima)
+        summary = {"kind": "summary", "subcommand": args.subcommand, "passed": passed,
+                   "config": config, "version": __version__,
+                   "elapsed_seconds": time.time() - started, **fields}
+        out.write(json.dumps(summary, sort_keys=True) + "\n")
+    if args.csv:
+        _write_csv(path)
+    return 0 if passed else 1
 
 
 def _positive(parser, name, value, strict=True):
@@ -249,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prefixsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, trials_default):
+    def common(p, trials_default, func):
+        p.set_defaults(func=func)
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--output", help="write JSON lines here instead of stdout "
@@ -262,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True, help="target expected KL divergence")
     p.add_argument("--marginal-low", type=float, default=0.2)
     p.add_argument("--marginal-high", type=float, default=0.8)
-    common(p, 100)
-    p.set_defaults(func=cmd_simulate)
+    common(p, 100, cmd_simulate)
 
     p = sub.add_parser("estimate-tv", help="end-to-end distance estimation against enumerated truth")
     p.add_argument("--n", type=int, required=True)
@@ -272,16 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=9)
     p.add_argument("--marginal-low", type=float, default=0.1)
     p.add_argument("--marginal-high", type=float, default=0.9)
-    common(p, 100)
-    p.set_defaults(func=cmd_estimate_tv)
+    common(p, 100, cmd_estimate_tv)
 
     p = sub.add_parser("adhoc", help="accept/reject rates of the per-index Bernoulli tester")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n", type=int, help="indexes per instance (default: the tester's n')")
     p.add_argument("--min-rate", type=float, default=0.6)
-    common(p, 300)
-    p.set_defaults(func=cmd_adhoc)
+    common(p, 300, cmd_adhoc)
 
     p = sub.add_parser("hard-instance", help="generate hard instances and check effective-sample decay")
     p.add_argument("--n", type=int, required=True)
@@ -291,23 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", choices=["yes", "no", "both"], default="yes")
     p.add_argument("--draws", type=int, default=1000,
                    help="conditional draws for the effective-sample average (0 to skip)")
-    common(p, 5)
-    p.set_defaults(func=cmd_hard_instance)
+    common(p, 5, cmd_hard_instance)
 
     p = sub.add_parser("verify-lemmas", help="run every divergence checker over random instances",
                        description="Run every divergence checker over --sweep random instances.  "
                                    "A call runs one sweep: --trials must be positive, "
                                    "but it does not repeat the sweep.")
     p.add_argument("--sweep", type=int, default=10000, help="instances per checker")
-    common(p, 1)
-    p.set_defaults(func=cmd_verify_lemmas)
+    common(p, 1, cmd_verify_lemmas)
 
     p = sub.add_parser("reduce-interval", help="run the simulation through the interval adapter and compare")
     p.add_argument("--size", type=int, required=True, help="interval domain size N")
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--samples", type=int, default=16, help="coupled samples per trial")
-    common(p, 10)
-    p.set_defaults(func=cmd_reduce_interval)
+    common(p, 10, cmd_reduce_interval)
 
     return parser
 
@@ -316,23 +342,17 @@ def cmd_simulate(parser, args) -> int:
     if not 1 <= args.n <= MAX_PREPROCESS_N:
         parser.error(f"precondition violated: simulate needs 1 <= n <= {MAX_PREPROCESS_N}")
     _positive(parser, "delta", args.delta)
-    _positive(parser, "trials", args.trials)
     _marginal_range(parser, args)
     m = _checked(parser, samples_per_edge, args.n, args.delta)
     _within_draw_cap(parser, "m x (2^n - 1)", m * ((1 << args.n) - 1))
-    started = time.time()
-    cfg = {"n": args.n, "delta": args.delta, "seed": args.seed,
-           "marginal_low": args.marginal_low, "marginal_high": args.marginal_high}
-    records = _run_trials(_simulate_trial, cfg, args.trials, args.workers)
-    kls = [r["kl"] for r in records]
-    mean_kl = sum(kls) / len(kls)
-    passed = mean_kl <= args.delta
-    summary = _summary("simulate", args, started, passed,
-                       mean_kl=mean_kl, max_kl=max(kls), delta=args.delta,
-                       samples_per_edge=m,
-                       total_conditional_samples=sum(r["conditional_samples"] for r in records))
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        mean_kl = sums[None, "kl"] / args.trials
+        return mean_kl <= args.delta, {
+            "mean_kl": mean_kl, "max_kl": maxima[None, "kl"], "delta": args.delta,
+            "samples_per_edge": m, "total_conditional_samples": sums[None, "conditional_samples"]}
+
+    return _run(args, _simulate_trial, summarize)
 
 
 def cmd_estimate_tv(parser, args) -> int:
@@ -340,7 +360,6 @@ def cmd_estimate_tv(parser, args) -> int:
         parser.error("precondition violated: estimate-tv needs 1 <= n <= 10 (exact enumeration)")
     if not 0.0 < args.epsilon < 1.0:
         parser.error("precondition violated: need 0 < epsilon < 1")
-    _positive(parser, "trials", args.trials)
     _positive(parser, "rounds", args.rounds)
     _positive(parser, "scale", args.scale)
     _marginal_range(parser, args)
@@ -349,19 +368,14 @@ def cmd_estimate_tv(parser, args) -> int:
     _within_draw_cap(parser, "pairs per round", args.scale / (args.epsilon * args.epsilon))
     pairs = _checked(parser, pairs_per_round, args.epsilon, args.scale)
     _within_draw_cap(parser, "rounds x pairs per round", args.rounds * pairs)
-    started = time.time()
-    cfg = {"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
-           "scale": args.scale, "rounds": args.rounds,
-           "marginal_low": args.marginal_low, "marginal_high": args.marginal_high}
-    records = _run_trials(_estimate_tv_trial, cfg, args.trials, args.workers)
-    rate = sum(r["within"] for r in records) / len(records)
-    passed = rate >= 2.0 / 3.0
-    summary = _summary("estimate-tv", args, started, passed,
-                       success_rate=rate,
-                       mean_error=sum(r["error"] for r in records) / len(records),
-                       total_budget=sum(r["budget_a"] + r["budget_b"] for r in records))
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        rate = sums[None, "within"] / args.trials
+        return rate >= 2.0 / 3.0, {
+            "success_rate": rate, "mean_error": sums[None, "error"] / args.trials,
+            "total_budget": sums[None, "budget_a"] + sums[None, "budget_b"]}
+
+    return _run(args, _estimate_tv_trial, summarize)
 
 
 def cmd_adhoc(parser, args) -> int:
@@ -371,101 +385,78 @@ def cmd_adhoc(parser, args) -> int:
         parser.error("precondition violated: need 0 < r < 1/12")
     if not 0.0 <= args.min_rate <= 1.0:
         parser.error("precondition violated: need 0 <= min-rate <= 1")
-    _positive(parser, "trials", args.trials)
     n_prime, q, threshold = _checked(parser, tester_parameters, args.delta, args.r)
     n = args.n if args.n is not None else n_prime
     if n < n_prime:
         parser.error(f"precondition violated: the tester needs n >= n' = {n_prime}, got n = {n}")
     _within_block_cap(parser, "n", n)
-    started = time.time()
-    cfg = {"n": n, "delta": args.delta, "r": args.r, "seed": args.seed}
-    records = _run_trials(_adhoc_trial, cfg, args.trials, args.workers)
-    accept_rate = (sum(r["correct"] for r in records if r["label"] == "balanced")
-                   / args.trials)
-    reject_rate = (sum(r["correct"] for r in records if r["label"] == "tilted")
-                   / args.trials)
-    passed = accept_rate >= args.min_rate and reject_rate >= args.min_rate
-    summary = _summary("adhoc", args, started, passed,
-                       accept_rate=accept_rate, reject_rate=reject_rate,
-                       n=n, n_prime=n_prime, q=q, threshold=threshold,
-                       mean_loop_count=sum(r["loop_count"] for r in records) / len(records))
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        accept_rate = sums["balanced", "correct"] / args.trials
+        reject_rate = sums["tilted", "correct"] / args.trials
+        loops = sums["balanced", "loop_count"] + sums["tilted", "loop_count"]
+        return accept_rate >= args.min_rate and reject_rate >= args.min_rate, {
+            "accept_rate": accept_rate, "reject_rate": reject_rate,
+            "n": n, "n_prime": n_prime, "q": q, "threshold": threshold,
+            "mean_loop_count": loops / (2 * args.trials)}
+
+    return _run(args, _adhoc_trial, summarize, n=n)
 
 
 def cmd_hard_instance(parser, args) -> int:
-    if args.epsilon is None and args.delta is None:
-        parser.error("precondition violated: pass --epsilon or --delta")
     if args.epsilon is not None and not 0.0 < args.epsilon < 1.0:
         parser.error("precondition violated: need 0 < epsilon < 1")
-    # only a no-instance needs r < 1; a yes-instance never uses r
+    # a yes-instance never uses r, so only a no label needs r < 1
     _positive(parser, "r", args.r)
-    _positive(parser, "trials", args.trials)
+    labels = ["yes", "no"] if args.label == "both" else [args.label]
+    for label in labels:
+        _checked(parser, hard_instance_parameters, args.n, args.epsilon, label, args.delta, args.r)
     _positive(parser, "draws", args.draws, strict=False)
     _within_block_cap(parser, "n", args.n)
     _within_draw_cap(parser, "draws x n", args.draws * args.n)
-    labels = ["yes", "no"] if args.label == "both" else [args.label]
-    started = time.time()
-    cfg = {"n": args.n, "epsilon": args.epsilon, "delta": args.delta, "r": args.r,
-           "labels": labels, "draws": args.draws, "seed": args.seed}
-    records = _checked(parser, _run_trials, _hard_instance_trial, cfg, args.trials, args.workers)
-    checks = []
-    if args.draws > 0:
-        yes_means = [r["mean_effective"] for r in records if r["label"] == "yes"]
-        if yes_means:
-            checks.append(max(yes_means) <= 3.0)
-    gap_ok = None
-    if args.epsilon is not None and args.delta is None:
-        gap_ok = check_gap(args.n, args.epsilon)
-        checks.append(gap_ok)
-    passed = all(checks) if checks else True
-    extra = {"gap_ok": gap_ok}
+    extra = {"gap_ok": None}
     if args.epsilon is not None and args.delta is None:
         consts = threshold_constants(args.n, args.epsilon)
-        extra.update(log_p_high=consts.log_p_high, log_p_low=consts.log_p_low,
+        extra.update(gap_ok=check_gap(args.n, args.epsilon),
+                     log_p_high=consts.log_p_high, log_p_low=consts.log_p_low,
                      k_high=consts.k_high, k_low=consts.k_low)
-    summary = _summary("hard-instance", args, started, passed, **extra)
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        # effective samples average at most 3 on every yes-instance
+        yes_ok = maxima.get(("yes", "mean_effective"), 0.0) <= 3.0
+        return yes_ok and extra["gap_ok"] is not False, extra
+
+    return _run(args, _hard_instance_trial, summarize, labels=labels)
 
 
 def cmd_verify_lemmas(parser, args) -> int:
     _positive(parser, "sweep", args.sweep)
-    _positive(parser, "trials", args.trials)
     _within_draw_cap(parser, "sweep x checkers", args.sweep * len(LEMMAS))
-    started = time.time()
-    reports = run_lemma_sweep(args.sweep, args.seed)
-    records = [{"kind": "trial", **r.as_dict()} for r in reports]
-    passed = all(r.passed for r in reports)
-    summary = _summary("verify-lemmas", args, started, passed,
-                       checkers=len(reports),
-                       violations=sum(r.violations for r in reports))
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        return sums[None, "passed"] == len(LEMMAS), {
+            "checkers": len(LEMMAS), "violations": sums[None, "violations"]}
+
+    # one sweep, whatever --trials says
+    return _run(args, _lemma_sweep, summarize, trials=1)
 
 
 def cmd_reduce_interval(parser, args) -> int:
-    if args.size < 1:
-        parser.error("precondition violated: size must be at least 1")
-    if args.size > 4096:
-        parser.error("precondition violated: reduce-interval enumerates codes; size <= 4096")
+    if not 1 <= args.size <= 4096:
+        parser.error("precondition violated: reduce-interval enumerates codes; need 1 <= size <= 4096")
     _positive(parser, "delta", args.delta)
-    _positive(parser, "trials", args.trials)
     _positive(parser, "samples", args.samples, strict=False)
     depth = code_depth(args.size)
     m = _checked(parser, samples_per_edge, depth, args.delta)
     _within_draw_cap(parser, "m x (2^depth - 1)", m * ((1 << depth) - 1))
     _within_draw_cap(parser, "samples x depth", args.samples * depth)
-    started = time.time()
-    cfg = {"size": args.size, "delta": args.delta, "samples": args.samples, "seed": args.seed}
-    records = _run_trials(_reduce_trial, cfg, args.trials, args.workers)
-    mass_ok = all(r["mass_preserved"] for r in records)
-    coupled_ok = all(r["coupled"] for r in records)
-    passed = mass_ok and coupled_ok
-    summary = _summary("reduce-interval", args, started, passed,
-                       mass_preserved=mass_ok, coupled=coupled_ok)
-    _emit(records, summary, args)
-    return 0 if passed else 1
+
+    def summarize(sums, maxima):
+        mass_ok = sums[None, "mass_preserved"] == args.trials
+        coupled_ok = sums[None, "coupled"] == args.trials
+        return mass_ok and coupled_ok, {"mass_preserved": mass_ok, "coupled": coupled_ok}
+
+    return _run(args, _reduce_trial, summarize)
 
 
 def main(argv=None) -> int:
@@ -473,6 +464,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.csv and not args.output:
         parser.error("--csv requires --output")
+    _positive(parser, "trials", args.trials)
     _positive(parser, "workers", args.workers)
     return args.func(parser, args)
 

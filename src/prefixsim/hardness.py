@@ -120,13 +120,13 @@ class HardInstance:
         return TreeOracle(self.marginal_tree())
 
 
-def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
-                      delta: float | None = None, r: float | None = None) -> HardInstance:
-    """Generate a yes- or no-instance.
+def hard_instance_parameters(n: int, epsilon: float | None, label: str,
+                             delta: float | None = None, r: float | None = None) -> tuple[float, float]:
+    """The (delta, r) of a yes- or no-instance; ValueError when they are not valid.
 
     delta and r default to sqrt(2) eps / sqrt(n) and 8 / sqrt(n); the r
     default is only a valid probability shift for n > 64, so small-n
-    no-instances must pass r explicitly.
+    no-instances must pass r explicitly.  A yes-instance never uses r.
     """
     if label not in ("yes", "no"):
         raise ValueError("label must be 'yes' or 'no'")
@@ -140,12 +140,19 @@ def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
         r = default_r(n)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} does not give valid marginals; lower epsilon or pass delta")
+    if label == "no" and not 0.0 < r < 1.0:
+        raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
+    return delta, r
+
+
+def gen_hard_instance(n: int, epsilon: float | None, label: str, seed: int, *,
+                      delta: float | None = None, r: float | None = None) -> HardInstance:
+    """Generate a yes- or no-instance, with hard_instance_parameters' defaults and checks."""
+    delta, r = hard_instance_parameters(n, epsilon, label, delta, r)
     rng = substream(seed, "challenge")
     if label == "yes":
         x = tuple(rng.integers(0, 2, n).tolist())
     else:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"r={r} does not give valid marginals; pass r explicitly for small n")
         tilted = SignMarginalTree(n, child_seed(seed, "signs"), tilt_marginal(-1, r), tilt_marginal(1, r))
         bits = np.empty((1, n), dtype=np.uint8)
         tilted.walk(bits, rng.random((1, n)))

@@ -1,8 +1,10 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -201,9 +203,52 @@ def test_output_file_and_csv(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 41
-    csv_lines = (tmp_path / "run.jsonl.csv").read_text().strip().splitlines()
+    csv_bytes = (tmp_path / "run.jsonl.csv").read_bytes()
+    csv_lines = csv_bytes.decode().strip().splitlines()
     assert len(csv_lines) == 41  # header + 40 trials
-    assert "kl" in csv_lines[0].split(",")
+    assert csv_lines[0] == "conditional_samples,kind,kl,samples_per_edge,trial"
+    assert hashlib.sha256(csv_bytes).hexdigest() == CSV_SHA256
+
+
+# sha256 of the .csv bytes test_output_file_and_csv writes (1416 bytes, CRLF rows)
+CSV_SHA256 = "24a6bd4ded39d250aedb66252d1c951b21bc69e2d2fcab9012ee6b7d8df39171"
+
+
+def test_failure_midway_keeps_the_records_written(tmp_path, monkeypatch):
+    trial = cli._simulate_trial
+
+    def failing(cfg, t):
+        if t == 3:
+            raise RuntimeError("trial 3 failed")
+        return trial(cfg, t)
+
+    monkeypatch.setattr(cli, "_simulate_trial", failing)
+    out = tmp_path / "run.jsonl"
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--n", "3", "--delta", "0.5", "--trials", "10", "--seed", "1",
+              "--output", str(out), "--csv"])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["kind"], r["trial"]) for r in records] == [("trial", t) for t in range(3)]
+    assert not (tmp_path / "run.jsonl.csv").exists()
+
+
+def test_memory_is_flat_in_trials(tmp_path):
+    # records are written as each trial ends and only running totals are kept,
+    # so 10^4 trials peak within 1 MB of 10^3 trials
+    def peak(trials):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        main(["hard-instance", "--n", "1", "--delta", "0.5", "--draws", "0",
+              "--trials", str(trials), "--output", str(tmp_path / f"run{trials}.jsonl")])
+        return tracemalloc.get_traced_memory()[1] - base
+
+    peak(10)   # imports and caches
+    tracemalloc.start()
+    try:
+        small, large = peak(1000), peak(10_000)
+    finally:
+        tracemalloc.stop()
+    assert large <= small + 1_000_000
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):
@@ -214,17 +259,25 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sub" / "run.jsonl").exists()
 
 
-def test_workers_match_sequential(capsys):
-    argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "6", "--seed", "11"]
-    _, seq, _ = run_cli(capsys, argv)
-    _, par, _ = run_cli(capsys, argv + ["--workers", "2"])
+def test_workers_match_sequential(capsys, monkeypatch):
+    # 50 trials run past the in-flight window of two workers
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "50", "--seed", "11"]
+    _, seq, seq_summary = run_cli(capsys, argv)
+    _, par, par_summary = run_cli(capsys, argv + ["--workers", "2"])
+    assert len(par) == 50 and 50 > cli.IN_FLIGHT_PER_WORKER * 2
     assert seq == par
+    for summary in (seq_summary, par_summary):
+        summary.pop("elapsed_seconds")
+    assert seq_summary == par_summary
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the trials
+    each map call submits at once, and maps in-process."""
 
     created: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -236,6 +289,7 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
+        self.submitted.append(len(items))
         return map(fn, items)
 
 
@@ -247,12 +301,17 @@ class _RecordingPool:
 def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "4", "--seed", "11"]
+    argv = ["simulate", "--n", "3", "--delta", "0.5", "--trials", "30", "--seed", "11"]
     _, seq, _ = run_cli(capsys, argv)
     _, par, _ = run_cli(capsys, argv + ["--workers", str(workers)])
     assert _RecordingPool.created == pools
     assert seq == par
+    # never the whole range at once: at most a fixed number of trials per worker in flight
+    assert sum(_RecordingPool.submitted) == (30 if pools else 0)
+    window = cli.IN_FLIGHT_PER_WORKER * max(pools, default=1)
+    assert all(k <= window for k in _RecordingPool.submitted)
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,11 +366,21 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     # rounds x pairs per round, and sweep x checkers, past cli.MAX_TRIAL_DRAWS
     ["estimate-tv", "--n", "2", "--epsilon", "0.5", "--rounds", "1000000000", "--trials", "1"],
     ["verify-lemmas", "--sweep", "1000000000"],
+    # n < 1, delta = sqrt(2) eps / sqrt(n) or --delta outside (0, 1), and the
+    # 8 / sqrt(n) r default past 1 for a no label: checked before the first trial
+    ["hard-instance", "--n", "0", "--epsilon", "0.1"],
+    ["hard-instance", "--n", "-5", "--epsilon", "0.1", "--draws", "3"],
+    ["hard-instance", "--n", "2", "--epsilon", "0.1", "--label", "no"],
+    ["hard-instance", "--n", "8", "--delta", "1.5"],
+    ["hard-instance", "--n", "1", "--epsilon", "0.9"],
 ])
-def test_usage_errors_exit_2(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys, argv):
+    # --workers 2 goes first, so that a later --workers in argv still wins
+    for workers in ([], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *workers, *argv[1:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 # Trial records of fixed runs, pinned byte for byte (JSON with sorted keys).
@@ -379,11 +448,47 @@ GOLDEN = {
 }
 
 
+# The summary lines of the GOLDEN runs, without elapsed_seconds.
+GOLDEN_SUMMARIES = {
+    ("estimate-tv", "--n", "4", "--epsilon", "0.2", "--trials", "2", "--seed", "7"):
+        '{"config": {"epsilon": 0.2, "marginal_high": 0.9, "marginal_low": 0.1, "n": 4, '
+        '"rounds": 9, "scale": 16.0, "seed": 7, "subcommand": "estimate-tv", "trials": 2}, '
+        '"kind": "summary", "mean_error": 0.011147698310355614, "passed": true, '
+        '"subcommand": "estimate-tv", "success_rate": 1.0, "total_budget": 216000, '
+        '"version": "0.1.0"}',
+    ("reduce-interval", "--size", "300", "--delta", "0.1", "--trials", "1", "--seed", "7"):
+        '{"config": {"delta": 0.1, "samples": 16, "seed": 7, "size": 300, '
+        '"subcommand": "reduce-interval", "trials": 1}, "coupled": true, "kind": "summary", '
+        '"mass_preserved": true, "passed": true, "subcommand": "reduce-interval", '
+        '"version": "0.1.0"}',
+    ("hard-instance", "--n", "128", "--epsilon", "0.1", "--label", "both", "--draws",
+     "200", "--trials", "2", "--seed", "7"):
+        '{"config": {"delta": null, "draws": 200, "epsilon": 0.1, "label": "both", "n": 128, '
+        '"r": null, "seed": 7, "subcommand": "hard-instance", "trials": 2}, "gap_ok": true, '
+        '"k_high": 44.40408205773457, "k_low": 36.287187078897965, "kind": "summary", '
+        '"log_p_high": -89.22276335947153, "log_p_low": -89.42569630380706, "passed": true, '
+        '"subcommand": "hard-instance", "version": "0.1.0"}',
+    ("simulate", "--n", "10", "--delta", "0.25", "--trials", "2", "--seed", "7"):
+        '{"config": {"delta": 0.25, "marginal_high": 0.8, "marginal_low": 0.2, "n": 10, '
+        '"seed": 7, "subcommand": "simulate", "trials": 2}, "delta": 0.25, "kind": "summary", '
+        '"max_kl": 0.176911528554274, "mean_kl": 0.16971057971853518, "passed": true, '
+        '"samples_per_edge": 40, "subcommand": "simulate", "total_conditional_samples": 81840, '
+        '"version": "0.1.0"}',
+    ("verify-lemmas", "--sweep", "40", "--seed", "7"):
+        '{"checkers": 10, "config": {"seed": 7, "subcommand": "verify-lemmas", "sweep": 40, '
+        '"trials": 1}, "kind": "summary", "passed": true, "subcommand": "verify-lemmas", '
+        '"version": "0.1.0", "violations": 0}',
+}
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_golden_trial_records(capsys, argv):
     assert main(list(argv)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == GOLDEN[argv]
+    summary = json.loads(lines[-1])
+    summary.pop("elapsed_seconds")
+    assert json.dumps(summary, sort_keys=True) == GOLDEN_SUMMARIES[argv]
 
 
 def test_parser_built_once_per_process():
