@@ -27,7 +27,7 @@ class AdHocInstance:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("need a non-empty 1-d probability vector")
-        if np.any((p < 0.0) | (p > 1.0)):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
             raise ValueError("entries must be probabilities")
         self._p = p
         self._p.setflags(write=False)

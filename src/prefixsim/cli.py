@@ -35,7 +35,7 @@ from .hardness import (check_gap, effective_samples, gen_hard_instance, hard_ins
 from .oracles import TreeOracle
 from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
                         mass_preserved)
-from .simulation import MAX_PREPROCESS_N, LazySimulation, preprocess, samples_per_edge
+from .simulation import MAX_PREPROCESS_N, LazySimulation, samples_per_edge
 from .streams import child_seed, substream, substreams
 from .trees import random_tree
 from .util import MAX_BLOCK_UNIFORMS, row_blocks
@@ -59,8 +59,8 @@ def _simulate_trial(cfg: dict, t: int) -> list[dict]:
     tree = random_tree(cfg["n"], substream(cfg["seed"], "tree", t),
                        cfg["marginal_low"], cfg["marginal_high"])
     oracle = TreeOracle(tree)
-    learned = preprocess(cfg["n"], oracle, cfg["delta"], child_seed(cfg["seed"], "sim", t))
-    kl = kl_divergence(learned, tree)
+    learned = LazySimulation(oracle, cfg["delta"], child_seed(cfg["seed"], "sim", t))
+    kl = kl_divergence(learned, tree)  # materializing learns every edge, level by level
     return [{
         "kind": "trial", "trial": t, "kl": kl,
         "conditional_samples": oracle.conditional_calls,
@@ -76,8 +76,8 @@ def _estimate_tv_trial(cfg: dict, t: int) -> list[dict]:
     tree_b = random_tree(cfg["n"], substream(seed, "tree-b", t),
                          cfg["marginal_low"], cfg["marginal_high"])
     exact = tv_distance(tree_a, tree_b)
-    sim_a = LazySimulation(cfg["n"], TreeOracle(tree_a), delta, child_seed(seed, "sim-a", t))
-    sim_b = LazySimulation(cfg["n"], TreeOracle(tree_b), delta, child_seed(seed, "sim-b", t))
+    sim_a = LazySimulation(TreeOracle(tree_a), delta, child_seed(seed, "sim-a", t))
+    sim_b = LazySimulation(TreeOracle(tree_b), delta, child_seed(seed, "sim-b", t))
     result = estimate_tv(sim_a, sim_b, cfg["epsilon"], scale=cfg["scale"], rounds=cfg["rounds"])
     return [{
         "kind": "trial", "trial": t, "exact": exact, "estimate": result.estimate,
@@ -137,8 +137,8 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     native = TableIntervalOracle(weights)
     adapted_oracle = AdaptedPrefixOracle(native)
     depth = adapted_oracle.n
-    direct = LazySimulation(depth, direct_oracle, cfg["delta"], sim_seed)
-    adapted = LazySimulation(depth, adapted_oracle, cfg["delta"], sim_seed)
+    direct = LazySimulation(direct_oracle, cfg["delta"], sim_seed)
+    adapted = LazySimulation(adapted_oracle, cfg["delta"], sim_seed)
 
     codes = code_rows(np.arange(1 << depth), depth)
     coupled = np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))

@@ -23,9 +23,10 @@ stream per interval, that descends only the levels returned (all when
 hooked, as the transcript records whole rows), reading the first split of
 each interval once, and draws its pure-padding prefixes in one block call.
 
-mass_preserved checks exactly that the encoded tree gives every code its
-element's mass weight / total and every padding code zero: the float
-weights are dyadic, so the builder's split ratios multiply out in integers.
+mass_preserved recomputes the encoded tree's split rules in integers (the
+float weights are dyadic) from the weights alone, and checks that every code
+gets weight / total and every padding code zero.  So valid weights always
+pass: it checks the rules, as verify-lemmas checks the lemmas.
 
 No separate adapter exists for subcube-conditional oracles: a prefix
 condition is already a subcube condition, so prefix-model algorithms run
@@ -98,10 +99,12 @@ def _cumulative_weights(weights, depth: int) -> np.ndarray:
         raise ValueError("weights must be a non-empty 1-d sequence")
     if np.any(w < 0.0):
         raise ValueError("weights must be non-negative")
-    if not w.sum() > 0.0:
-        raise ValueError("weights must have positive total mass")
     cum = np.zeros((1 << depth) + 1)
-    cum[1 : w.size + 1] = np.cumsum(w)
+    with np.errstate(over="ignore"):
+        cum[1 : w.size + 1] = np.cumsum(w)
+    # the sums are non-decreasing, so a finite total means every weight and sum is finite
+    if not (np.isfinite(cum[w.size]) and cum[w.size] > 0.0):
+        raise ValueError("weights must be finite, with a positive total mass that is finite")
     cum[w.size + 1 :] = cum[w.size]
     return cum
 
@@ -126,24 +129,24 @@ def encoded_marginal_tree(weights) -> TableMarginalTree:
 def mass_preserved(weights) -> bool:
     """Whether the encoded tree gives code e - 1 exactly weight_e / total and every padding code 0.
 
-    Multiplies the float builder's split ratios, with its forced-edge rules,
-    in exact integer arithmetic.  Every float weight is dyadic, so over
-    their common power-of-two denominator the weights and their cumulative
-    sums are integers.  A node's mass is kept as an unnormalized pair
-    num / den, and each code's is compared with its element's weight by
-    cross-multiplication: num * total == weight * den.
+    Rejects what the float builder rejects, then applies the builder's split
+    rules in exact integer arithmetic to the weights alone: it never reads
+    the float tree.  Every float weight is dyadic, so over their common
+    power-of-two denominator the weights and their cumulative sums are
+    integers.  A node's mass is kept as an unnormalized pair num / den, and
+    each code's is compared with its element's weight by cross-multiplication:
+    num * total == weight * den.  A node's mass is its subtree's weight /
+    total, so valid weights always give True: this checks the split rules,
+    as verify-lemmas checks the lemmas.
     """
-    ratios = [float(w).as_integer_ratio() for w in weights]
-    n_elements = len(ratios)
+    n_elements = len(weights)
     depth = code_depth(n_elements)
+    _cumulative_weights(weights, depth)
+    ratios = [float(w).as_integer_ratio() for w in weights]
     scale = max(q for _, q in ratios)
     ints = [p * (scale // q) for p, q in ratios]
-    if min(ints) < 0:
-        raise ValueError("weights must be non-negative")
     cum = [0, *accumulate(ints)]
     total = cum[-1]
-    if total == 0:
-        raise ValueError("weights must have positive total mass")
     cum += [total] * ((1 << depth) - n_elements)
 
     masses = [(1, 1)]

@@ -13,9 +13,9 @@ of ones among the m samples of its edge, so both siblings are read from one
 entry.  Per depth it keeps the node ids of the stored prefixes in sorted
 order, their k as int64 and the splits k/m and (m - k)/m, so a walk reads a
 whole level of rows with a few numpy calls and no Python work per row.  The
-store is filled lazily, an edge the first time it lies on a
-queried or sampled path, or all at once by preprocess, which touches every
-edge of the tree up front (exponential work).  Because each edge's
+store is filled lazily, an edge the first time a walk passes it, so a
+materialize (preprocess, kl_divergence, tv_distance) learns every untouched
+edge of the tree in its one pass (exponential work).  Because each edge's
 estimation stream is keyed by (master seed, prefix), neither the order in
 which edges are first touched nor their grouping into draws matters, and the
 lazy simulation is bit-for-bit equal to the eagerly learned one.  The
@@ -45,7 +45,6 @@ import math
 import numpy as np
 
 from .bits import code_rows, element_bits
-from .errors import CapabilityError
 from .oracles import PrefixOracle
 from .streams import RandomStream, _StreamGroup, substream, substreams
 from .trees import MarginalTree
@@ -96,7 +95,7 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
 
 
 class LazySimulation(MarginalTree):
-    """Simulated distribution whose edges are estimated on first touch.
+    """Simulated distribution over the oracle's n bits whose edges are estimated on first touch.
 
     The store holds, per depth, the node ids (1 << depth) | index of the
     touched prefixes, sorted, beside each its k, the number of ones among
@@ -113,10 +112,9 @@ class LazySimulation(MarginalTree):
     _root = 1
     _max_table_n = MAX_PREPROCESS_N
 
-    def __init__(self, n: int, oracle: PrefixOracle, delta: float, seed: int):
-        if n != oracle.n:
-            raise ValueError(f"oracle is over n={oracle.n}, expected {n}")
-        super().__init__(n)
+    def __init__(self, oracle: PrefixOracle, delta: float, seed: int):
+        super().__init__(oracle.n)
+        n = self.n
         self.oracle = oracle
         self.delta = delta
         self.seed = seed
@@ -183,12 +181,6 @@ class LazySimulation(MarginalTree):
         ones, zeros = self._splits[depth]
         return ones.take(at), zeros.take(at)
 
-    def _learn_all(self) -> None:
-        if self.n > MAX_PREPROCESS_N:
-            raise CapabilityError(f"learning all 2^n - 1 edges is supported only for n <= {MAX_PREPROCESS_N}")
-        for depth in range(self.n):
-            self._find(depth, np.arange(1 << depth, 2 << depth))
-
     def query_batch(self, bits) -> np.ndarray:
         """Masses of the rows of a (k, n) 0/1 array under the simulated distribution.
 
@@ -229,14 +221,15 @@ class LazySimulation(MarginalTree):
         return tuple(bits[0].tolist()), float(p[0])
 
 
-def preprocess(n: int, oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:
-    """Learn every edge of the tree up front (eager simulation).
+def preprocess(oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:
+    """Learn every edge of the oracle's tree up front: a LazySimulation, materialized.
 
-    Fills all 2^n - 1 entries of a fresh LazySimulation level by level, each
-    level in as few multi-prefix draws as the block cap allows and each edge
+    materialize fills all 2^n - 1 entries level by level, each level in index
+    order and in as few multi-prefix draws as the block cap allows, each edge
     from its own (seed, prefix)-keyed stream, costing (2^n - 1) * m
-    conditional samples; later queries and samples cost nothing.
+    conditional samples; later queries and samples cost nothing.  Past
+    MAX_PREPROCESS_N it raises CapabilityError before any draw.
     """
-    sim = LazySimulation(n, oracle, delta, seed)
-    sim._learn_all()
+    sim = LazySimulation(oracle, delta, seed)
+    sim.materialize()
     return sim

@@ -121,8 +121,8 @@ class TableMarginalTree(MarginalTree):
         for i, arr in enumerate(self._levels):
             if arr.shape != (1 << i,):
                 raise ValueError(f"level {i} must have 2^{i} entries, got shape {arr.shape}")
-            if np.any((arr < 0.0) | (arr > 1.0)):
-                raise ValueError(f"level {i} contains values outside [0, 1]")
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
+                raise ValueError(f"level {i} contains values outside [0, 1] or NaN")
             arr.setflags(write=False)
         if len(self._levels) != n:
             raise ValueError(f"expected {n} levels, got {len(self._levels)}")

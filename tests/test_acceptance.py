@@ -51,8 +51,7 @@ def test_ac2_learning_accuracy():
             kls = []
             for i in range(runs):
                 tree = random_tree(n, substream(20_000, "tree", n, delta, i), 0.2, 0.8)
-                learned = preprocess(n, TreeOracle(tree), delta,
-                                     seed=child_seed(20_001, n, delta, i))
+                learned = preprocess(TreeOracle(tree), delta, seed=child_seed(20_001, n, delta, i))
                 kls.append(kl_divergence(learned, tree))
             mean = float(np.mean(kls))
             se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
@@ -67,8 +66,8 @@ def test_ac3_lazy_eager_coupling():
         for delta in (0.5, 0.25):
             seed = child_seed(30_000, n, delta)
             tree = random_tree(n, substream(30_001, "tree", n, delta), 0.2, 0.8)
-            eager = preprocess(n, TreeOracle(tree), delta, seed)
-            lazy = LazySimulation(n, TreeOracle(tree), delta, seed)
+            eager = preprocess(TreeOracle(tree), delta, seed)
+            lazy = LazySimulation(TreeOracle(tree), delta, seed)
             user = substream(seed, "user")
             script = substream(30_002, "script", n, delta)
             for _ in range(170):
@@ -90,7 +89,7 @@ def test_ac4_cost_accounting():
     oracle = TreeOracle(random_tree(n, substream(40_000, "tree"), 0.2, 0.8))
     records = []
     oracle.on_record = records.append
-    sim = LazySimulation(n, oracle, delta, seed=40_001)
+    sim = LazySimulation(oracle, delta, seed=40_001)
 
     assert oracle.conditional_calls == 0
     sim.query("0011010110")
@@ -135,8 +134,8 @@ def test_ac6_distance_estimation_end_to_end():
         rng = substream(60_000, "trees", t)
         tree_a = random_tree(n, rng, 0.1, 0.9)
         tree_b = random_tree(n, rng, 0.1, 0.9)
-        sim_a = LazySimulation(n, TreeOracle(tree_a), delta, child_seed(60_001, "a", t))
-        sim_b = LazySimulation(n, TreeOracle(tree_b), delta, child_seed(60_001, "b", t))
+        sim_a = LazySimulation(TreeOracle(tree_a), delta, child_seed(60_001, "a", t))
+        sim_b = LazySimulation(TreeOracle(tree_b), delta, child_seed(60_001, "b", t))
         result = estimate_tv(sim_a, sim_b, epsilon)
         if abs(result.estimate - tv_distance(tree_a, tree_b)) <= epsilon:
             hits += 1
@@ -151,8 +150,7 @@ def test_ac6_distance_estimation_end_to_end():
 
 def test_ac7_realization():
     n, delta = 10, 0.5
-    sim = LazySimulation(n, TreeOracle(random_tree(n, substream(70_000, "tree"))),
-                         delta, seed=70_001)
+    sim = LazySimulation(TreeOracle(random_tree(n, substream(70_000, "tree"))), delta, seed=70_001)
     exact_total = Fraction(0)
     float_total = 0.0
     for x in code_rows(np.arange(1 << n), n):
@@ -241,8 +239,8 @@ def test_ac12_interval_reduction_coupling():
     native = TableIntervalOracle(weights)
     adapted_oracle = AdaptedPrefixOracle(native)
     direct_oracle = TreeOracle(encoded_marginal_tree(weights))
-    direct = LazySimulation(adapted_oracle.n, direct_oracle, 0.25, seed)
-    adapted = LazySimulation(adapted_oracle.n, adapted_oracle, 0.25, seed)
+    direct = LazySimulation(direct_oracle, 0.25, seed)
+    adapted = LazySimulation(adapted_oracle, 0.25, seed)
 
     for x in code_rows(np.arange(size), adapted_oracle.n):
         assert direct.query(x) == adapted.query(x)

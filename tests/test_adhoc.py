@@ -37,6 +37,11 @@ class TestSampling:
         assert inst.draws.tolist() == [10, 10]
         assert int(inst.draws.sum()) == 20
 
+    @pytest.mark.parametrize("p", [[0.5, float("nan")], [-0.1], [1.5], [], [[0.5]]])
+    def test_probability_vector_validation(self, p):
+        with pytest.raises(ValueError):
+            adhoc.AdHocInstance(p)
+
     def test_index_bounds(self):
         inst = adhoc.AdHocInstance([0.5])
         with pytest.raises(ValueError):

@@ -45,6 +45,28 @@ def test_simulate_deterministic_records(capsys):
     assert s1 == s2
 
 
+def test_simulate_learns_in_one_pass(capsys, monkeypatch):
+    # kl_divergence's materialize is the only learning pass: one store lookup
+    # per depth per trial, and one estimate per edge
+    depths, estimates = [], []
+    find, estimate = simulation.LazySimulation._find, simulation.est_simulation_edge
+
+    def recording_find(self, depth, nodes):
+        depths.append(depth)
+        return find(self, depth, nodes)
+
+    def recording_estimate(ones):
+        estimates.append(ones)
+        return estimate(ones)
+
+    monkeypatch.setattr(simulation.LazySimulation, "_find", recording_find)
+    monkeypatch.setattr(simulation, "est_simulation_edge", recording_estimate)
+    code, trials, _ = run_cli(capsys, ["simulate", "--n", "4", "--delta", "0.25", "--trials", "3", "--seed", "7"])
+    assert code == 0 and len(trials) == 3
+    assert depths == [0, 1, 2, 3] * 3
+    assert len(estimates) == 15 * 3
+
+
 def test_estimate_tv(capsys):
     code, trials, summary = run_cli(capsys, [
         "estimate-tv", "--n", "3", "--epsilon", "0.25", "--trials", "10", "--seed", "1",

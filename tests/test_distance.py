@@ -17,8 +17,8 @@ from helpers import one_sided_expectation, point_mass_tree
 
 def lazy_pair(tree_a, tree_b, epsilon, seed):
     delta = simulation_delta(epsilon)
-    sim_a = LazySimulation(tree_a.n, TreeOracle(tree_a), delta, child_seed(seed, "a"))
-    sim_b = LazySimulation(tree_b.n, TreeOracle(tree_b), delta, child_seed(seed, "b"))
+    sim_a = LazySimulation(TreeOracle(tree_a), delta, child_seed(seed, "a"))
+    sim_b = LazySimulation(TreeOracle(tree_b), delta, child_seed(seed, "b"))
     return sim_a, sim_b
 
 
@@ -32,7 +32,7 @@ def test_simulation_delta():
 
 def test_same_state_estimates_zero():
     tree = random_tree(4, substream(1, "t"), 0.2, 0.8)
-    sim = LazySimulation(4, TreeOracle(tree), 0.01, seed=5)
+    sim = LazySimulation(TreeOracle(tree), 0.01, seed=5)
     result = estimate_tv(sim, sim, 0.3, rounds=3)
     assert result.estimate == 0.0
 
@@ -81,8 +81,8 @@ def test_both_divergences_usually_small():
         tree_b = random_tree(n, rng, 0.2, 0.8)
         from prefixsim.divergence_lab import kl_divergence
 
-        learned_a = preprocess(n, TreeOracle(tree_a), delta, child_seed(81, "a", t))
-        learned_b = preprocess(n, TreeOracle(tree_b), delta, child_seed(81, "b", t))
+        learned_a = preprocess(TreeOracle(tree_a), delta, child_seed(81, "a", t))
+        learned_b = preprocess(TreeOracle(tree_b), delta, child_seed(81, "b", t))
         if (kl_divergence(learned_a, tree_a) <= cutoff
                 and kl_divergence(learned_b, tree_b) <= cutoff):
             both_small += 1
@@ -108,7 +108,7 @@ def test_budgets_and_record_fields():
 
 def test_preprocessed_handles_work_too():
     tree = random_tree(3, substream(60, "t"), 0.2, 0.8)
-    learned = preprocess(3, TreeOracle(tree), 0.05, seed=61)
+    learned = preprocess(TreeOracle(tree), 0.05, seed=61)
     result = estimate_tv(learned, learned, 0.3, rounds=3)
     assert result.estimate == 0.0
     assert result.budget_a == 0
@@ -116,7 +116,7 @@ def test_preprocessed_handles_work_too():
 
 def test_parameter_validation():
     tree = random_tree(3, substream(70, "t"))
-    sim = LazySimulation(3, TreeOracle(tree), 0.1, seed=71)
+    sim = LazySimulation(TreeOracle(tree), 0.1, seed=71)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.0)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_parameter_validation():
 def test_no_pairs_per_round_rejected():
     # scale / eps^2 = 4e-12 snaps to 0 pairs, which would leave a round's average 0 / 0
     tree = random_tree(2, substream(72, "t"))
-    sim = LazySimulation(2, TreeOracle(tree), 0.1, seed=73)
+    sim = LazySimulation(TreeOracle(tree), 0.1, seed=73)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.5, scale=1e-12)
     assert sim.oracle.conditional_calls == 0
@@ -163,7 +163,7 @@ def test_batched_estimate_equals_scalar_loop(n, epsilon, seed):
 
 def test_one_simulation_on_both_sides_equals_scalar_loop():
     tree = random_tree(4, substream(93, "t"), 0.2, 0.8)
-    sims = [LazySimulation(4, TreeOracle(tree), 0.01, seed=94) for _ in range(2)]
+    sims = [LazySimulation(TreeOracle(tree), 0.01, seed=94) for _ in range(2)]
     result = estimate_tv(sims[0], sims[0], 0.3, rounds=2)
     round_values, budget_a, _ = scalar_estimate_tv(sims[1], sims[1], 0.3, rounds=2)
     assert result.round_values == round_values == [0.0, 0.0]
@@ -187,7 +187,7 @@ def test_non_positive_mass_is_an_error():
             return bits, 0.0 * masses
 
     tree = random_tree(3, substream(97, "t"), 0.2, 0.8)
-    sim = ZeroMass(3, TreeOracle(tree), 0.1, seed=98)
+    sim = ZeroMass(TreeOracle(tree), 0.1, seed=98)
     with pytest.raises(RuntimeError):
         estimate_tv(sim, sim, 0.3, rounds=1)
 
@@ -210,7 +210,7 @@ def test_block_sums_add_left_to_right(monkeypatch):
             return np.array([next(answers) for _ in bits])
 
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 7 * 2)
-    sim_a, sim_b = (Scripted(2, TreeOracle(random_tree(2, substream(99, "t"))), 0.5, seed=s) for s in (0, 1))
+    sim_a, sim_b = (Scripted(TreeOracle(random_tree(2, substream(99, "t"))), 0.5, seed=s) for s in (0, 1))
     result = estimate_tv(sim_a, sim_b, 0.5, scale=len(terms) / 4, rounds=1)
     acc = 0.0
     for term in terms:

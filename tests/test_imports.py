@@ -23,7 +23,9 @@ SCALAR_WALKS = {"marginal", "mass", "conditional_mass", "_path_mass"}
 #: estimate_tv blocks its pairs with util.row_blocks.
 GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "descend",
         # a stream group draws all its lanes' blocks in one call, _StreamGroup.draw
-        "_StreamGroup.random"}
+        "_StreamGroup.random",
+        # eager learning is materialize's walk
+        "LazySimulation._learn_all"}
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.

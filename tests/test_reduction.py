@@ -125,9 +125,20 @@ class TestEncodedTree:
         assert mass_preserved(weights)
 
     def test_mass_check_rejects_bad_weights(self):
-        for weights in ([], [0.0, 0.0], [0.5, -0.25], [1.0, float("nan")]):
+        for weights in ([], [0.0, 0.0], [0.5, -0.25], [1.0, float("nan")], [1.0, float("inf")],
+                        [1e308, 1e308]):
             with pytest.raises(ValueError):
                 mass_preserved(weights)
+
+    @pytest.mark.parametrize("weights", [[1.0, float("inf"), 2.0], [1.0, float("nan")], [1e308, 1e308],
+                                         [float("inf")]])
+    def test_tree_and_oracle_reject_non_finite_weights(self, weights):
+        # an infinite weight (or a total past the float range) gave NaN splits
+        # and an oracle that never drew the infinite element
+        with pytest.raises(ValueError):
+            encoded_marginal_tree(weights)
+        with pytest.raises(ValueError):
+            TableIntervalOracle(weights)
 
 
 def fraction_masses(weights) -> list:
@@ -267,10 +278,9 @@ class TestCoupling:
         weights = substream(size, "w").uniform(0.05, 1.0, size)
         depth = code_depth(size)
         sim_seed = child_seed(99, "sim", size)
-        direct = LazySimulation(depth, TreeOracle(encoded_marginal_tree(weights)),
-                                0.4, sim_seed)
+        direct = LazySimulation(TreeOracle(encoded_marginal_tree(weights)), 0.4, sim_seed)
         native = TableIntervalOracle(weights)
-        adapted = LazySimulation(depth, AdaptedPrefixOracle(native), 0.4, sim_seed)
+        adapted = LazySimulation(AdaptedPrefixOracle(native), 0.4, sim_seed)
         for x in code_rows(np.arange(size), depth):
             assert direct.query(x) == adapted.query(x)
         for _ in range(10):
@@ -286,8 +296,8 @@ class TestCoupling:
         delta = depth / 3   # m = 3 samples per edge
         direct_oracle = TreeOracle(encoded_marginal_tree(weights))
         adapted_oracle = AdaptedPrefixOracle(TableIntervalOracle(weights))
-        direct = LazySimulation(depth, direct_oracle, delta, seed)
-        adapted = LazySimulation(depth, adapted_oracle, delta, seed)
+        direct = LazySimulation(direct_oracle, delta, seed)
+        adapted = LazySimulation(adapted_oracle, delta, seed)
         assert direct.m == 3
         for got, want in zip(adapted.sample_batch(32), direct.sample_batch(32)):
             assert np.array_equal(got, want)
@@ -300,7 +310,7 @@ class TestCoupling:
         # must also realize exactly on its own
         weights = substream(10, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
-        sim = LazySimulation(3, AdaptedPrefixOracle(native), 0.4, 123)
+        sim = LazySimulation(AdaptedPrefixOracle(native), 0.4, 123)
         total = sum(query_exact(sim, x) for x in code_rows(np.arange(8), 3))
         assert total == Fraction(1)
         for _ in range(20):

@@ -160,7 +160,7 @@ class TestEstSimulationEdge:
 class TestPreprocess:
     def test_total_cost(self):
         oracle = TreeOracle(uniform_tree(3))
-        learned = preprocess(3, oracle, 0.5, seed=7)
+        learned = preprocess(oracle, 0.5, seed=7)
         m = samples_per_edge(3, 0.5)
         assert oracle.conditional_calls == 7 * m
         assert learned.touched_pairs == 7
@@ -168,7 +168,7 @@ class TestPreprocess:
     def test_reads_after_preprocess_are_free(self):
         n = 5
         oracle = TreeOracle(random_tree(n, substream(14, "t"), 0.2, 0.8))
-        learned = preprocess(n, oracle, 0.5, seed=15)
+        learned = preprocess(oracle, 0.5, seed=15)
         assert learned.touched_pairs == (1 << n) - 1
         spent = oracle.conditional_calls
         for v in range(1 << n):
@@ -193,20 +193,22 @@ class TestPreprocess:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            preprocess(10, oracle, 0.25, seed=17)
+            preprocess(oracle, 0.25, seed=17)
         finally:
             gc.callbacks.remove(count)
         assert collections == []
 
     def test_point_mass_learned_exactly(self):
         tree = point_mass_tree("101")
-        learned = preprocess(3, TreeOracle(tree), 0.5, seed=8)
+        learned = preprocess(TreeOracle(tree), 0.5, seed=8)
         assert learned.query("101") == 1.0
         assert kl_divergence(learned, tree) == 0.0
 
     def test_capability_gate(self):
+        oracle = TreeOracle(uniform_tree(21))
         with pytest.raises(CapabilityError):
-            preprocess(21, TreeOracle(uniform_tree(21)), 0.5, seed=0)
+            preprocess(oracle, 0.5, seed=0)
+        assert oracle.conditional_calls == 0
 
     def test_expected_divergence_bound(self):
         # Monte Carlo check of the learning guarantee at n=4, delta=0.25
@@ -214,7 +216,7 @@ class TestPreprocess:
         kls = []
         for i in range(runs):
             tree = random_tree(n, substream(100, "tree", i), 0.2, 0.8)
-            learned = preprocess(n, TreeOracle(tree), delta, seed=200 + i)
+            learned = preprocess(TreeOracle(tree), delta, seed=200 + i)
             kls.append(kl_divergence(learned, tree))
         mean = float(np.mean(kls))
         se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
@@ -223,20 +225,19 @@ class TestPreprocess:
 
 class TestPreprocessedReads:
     def test_realization_exact(self):
-        learned = preprocess(4, TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
+        learned = preprocess(TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
         total = sum(query_exact(learned, bits) for bits in product((0, 1), repeat=4))
         assert total == Fraction(1)
         float_total = sum(learned.query(bits) for bits in product((0, 1), repeat=4))
         assert abs(float_total - 1.0) < 1e-12
 
     def test_point_mass_sample(self):
-        learned = preprocess(3, TreeOracle(point_mass_tree("011")), 0.5, seed=10)
+        learned = preprocess(TreeOracle(point_mass_tree("011")), 0.5, seed=10)
         x, p = learned.sample(substream(11, "u"))
         assert (x, p) == ((0, 1, 1), 1.0)
 
     def test_sample_frequencies_match_queries(self):
-        learned = preprocess(4, TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)),
-                             0.5, seed=12)
+        learned = preprocess(TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)), 0.5, seed=12)
         draws = 20_000
         bits, _ = learned.sample_batch(draws, substream(13, "u"))
         counts = np.bincount(bits @ (1 << np.arange(3, -1, -1)), minlength=16)
@@ -251,20 +252,20 @@ class TestPreprocessedReads:
 class TestLazySimulation:
     def test_init_is_free(self):
         oracle = TreeOracle(uniform_tree(5))
-        sim = LazySimulation(5, oracle, 0.5, seed=1)
+        sim = LazySimulation(oracle, 0.5, seed=1)
         assert oracle.conditional_calls == 0
         assert hist(sim) == {}
 
     def test_same_seed_same_behavior(self):
         tree = random_tree(5, substream(20, "t"), 0.2, 0.8)
-        sims = [LazySimulation(5, TreeOracle(tree), 0.5, seed=42) for _ in range(2)]
+        sims = [LazySimulation(TreeOracle(tree), 0.5, seed=42) for _ in range(2)]
         xs = ["01101", "11000", "01101"]
         assert [sims[0].query(x) for x in xs] == [sims[1].query(x) for x in xs]
         assert sims[0].sample() == sims[1].sample()
 
     def test_access_edge_memo_and_sibling_rule(self):
         oracle = TreeOracle(uniform_tree(10))
-        sim = LazySimulation(10, oracle, 0.5, seed=2)
+        sim = LazySimulation(oracle, 0.5, seed=2)
         first = edge(sim, "0110", 0)
         assert oracle.conditional_calls == 20
         again = edge(sim, "0110", 0)
@@ -277,7 +278,7 @@ class TestLazySimulation:
     def test_fresh_query_cost_and_ledger(self):
         n, delta = 10, 0.5
         oracle = TreeOracle(random_tree(n, substream(21, "t"), 0.2, 0.8))
-        sim = LazySimulation(n, oracle, delta, seed=3)
+        sim = LazySimulation(oracle, delta, seed=3)
         m = samples_per_edge(n, delta)
 
         value = sim.query("0110101101")
@@ -296,20 +297,20 @@ class TestLazySimulation:
 
     def test_sample_consistency(self):
         oracle = TreeOracle(random_tree(6, substream(22, "t"), 0.2, 0.8))
-        sim = LazySimulation(6, oracle, 0.5, seed=4)
+        sim = LazySimulation(oracle, 0.5, seed=4)
         for _ in range(50):
             x, p = sim.sample()
             assert p == sim.query(x)
 
     def test_point_mass_sample(self):
-        sim = LazySimulation(4, TreeOracle(point_mass_tree("1100")), 0.5, seed=5)
+        sim = LazySimulation(TreeOracle(point_mass_tree("1100")), 0.5, seed=5)
         for _ in range(5):
             assert sim.sample() == ((1, 1, 0, 0), 1.0)
 
     def test_sample_distribution_matches_materialized_state(self):
         # n=5: draw a lot, then compare against the (now fully pinned) masses
         oracle = TreeOracle(random_tree(5, substream(23, "t"), 0.2, 0.8))
-        sim = LazySimulation(5, oracle, 0.5, seed=6)
+        sim = LazySimulation(oracle, 0.5, seed=6)
         draws = 100_000
         bits, _ = sim.sample_batch(draws)
         counts = np.bincount(bits @ (1 << np.arange(4, -1, -1)), minlength=32)
@@ -323,8 +324,8 @@ class TestLazySimulation:
     def test_lazy_matches_eager_bit_for_bit(self):
         n, delta, seed = 6, 0.25, 77
         tree = random_tree(n, substream(24, "t"), 0.2, 0.8)
-        eager = preprocess(n, TreeOracle(tree), delta, seed)
-        lazy = LazySimulation(n, TreeOracle(tree), delta, seed)
+        eager = preprocess(TreeOracle(tree), delta, seed)
+        lazy = LazySimulation(TreeOracle(tree), delta, seed)
         user = substream(seed, "user")
         script = substream(25, "script")
         for _ in range(300):
@@ -337,7 +338,7 @@ class TestLazySimulation:
 
 def twin_simulations(n, delta, seed, tree_seed):
     tree = random_tree(n, substream(tree_seed, "t"), 0.2, 0.8)
-    return [LazySimulation(n, TreeOracle(tree), delta, seed) for _ in range(2)]
+    return [LazySimulation(TreeOracle(tree), delta, seed) for _ in range(2)]
 
 
 def reference_walk(sim, rng=None, x=None):
@@ -388,7 +389,7 @@ class TestBatchedWalks:
         assert batched.query_batch(np.zeros((0, n), dtype=np.uint8)).shape == (0,)
 
     def test_query_batch_validates_its_rows(self):
-        sim = LazySimulation(3, TreeOracle(uniform_tree(3)), 0.5, seed=38)
+        sim = LazySimulation(TreeOracle(uniform_tree(3)), 0.5, seed=38)
         for bad in ([[0, 1]], [[0, 1, 2]], [0, 1, 1], [[0, -1, 1]]):
             with pytest.raises(ValueError):
                 sim.query_batch(bad)
@@ -402,7 +403,7 @@ class TestBatchedWalks:
 
         n = 70
         tree = SignMarginalTree(n, 39, 0.3, 0.7)
-        batched, scalar = (LazySimulation(n, TreeOracle(tree), 10.0, seed=40) for _ in range(2))
+        batched, scalar = (LazySimulation(TreeOracle(tree), 10.0, seed=40) for _ in range(2))
         bits, masses = batched.sample_batch(3)
         draws = [scalar.sample() for _ in range(3)]
         assert [x for x, _ in draws] == [tuple(row) for row in bits.tolist()]
@@ -424,8 +425,8 @@ _ops = st.one_of(
 def test_lazy_equals_eager_over_random_scripts(script, seed):
     n, delta = 4, 0.5
     tree = random_tree(n, substream(41, "t"), 0.2, 0.8)
-    eager = preprocess(n, TreeOracle(tree), delta, seed)
-    lazy = LazySimulation(n, TreeOracle(tree), delta, seed)
+    eager = preprocess(TreeOracle(tree), delta, seed)
+    lazy = LazySimulation(TreeOracle(tree), delta, seed)
     user = substream(seed, "user")
     for op, arg in script:
         if op == "sample":
@@ -449,7 +450,7 @@ def test_lazy_equals_eager_over_random_scripts(script, seed):
 def test_exact_realization_sums_to_one(n, m, seed, marginals):
     # m samples per edge, with zero-mass edges in the first and last families
     tree = random_tree(n, substream(seed, "t"), *marginals)
-    sim = LazySimulation(n, TreeOracle(tree), n / m, seed)
+    sim = LazySimulation(TreeOracle(tree), n / m, seed)
     assert sim.m == m
     assert sum(query_exact(sim, x) for x in code_rows(np.arange(1 << n), n)) == 1
 
@@ -462,10 +463,10 @@ def level_script(tree):
         records = []
         oracle.on_record = records.append
         if eager:
-            sim = preprocess(6, oracle, 0.5, seed=60)
+            sim = preprocess(oracle, 0.5, seed=60)
             results = []
         else:
-            sim = LazySimulation(6, oracle, 0.5, seed=60)
+            sim = LazySimulation(oracle, 0.5, seed=60)
             rows = code_rows([45, 2, 63, 44, 17], 6).tolist()
             results = [sim.query_batch(rows).tolist(), *(a.tolist() for a in sim.sample_batch(30))]
         drawn = {}
@@ -513,7 +514,7 @@ def test_lazy_script_touches_edges_in_first_touch_order():
     oracle = TreeOracle(tree)
     records = []
     oracle.on_record = records.append
-    sim = LazySimulation(5, oracle, 0.5, seed=51)
+    sim = LazySimulation(oracle, 0.5, seed=51)
     sim.sample_batch(3)
     sim.query_batch([[1, 1, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 1, 1], [0, 1, 1, 1, 0]])
     sim.query("10101")
@@ -538,7 +539,7 @@ def assert_store_sorted(sim):
 def test_store_lookups_equal_a_dict_reference(n):
     # n = 70 keeps node ids as Python ints in object arrays
     tree = random_tree(5, substream(80, "t"), 0.2, 0.8) if n == 5 else SignMarginalTree(70, 81, 0.3, 0.7)
-    sim = LazySimulation(n, TreeOracle(tree), n / 4, seed=82)
+    sim = LazySimulation(TreeOracle(tree), n / 4, seed=82)
     records = []
     sim.oracle.on_record = records.append
     reference, store, reference_records = TreeOracle(tree), {}, []
@@ -559,7 +560,7 @@ def test_store_lookups_equal_a_dict_reference(n):
 
 
 def test_store_stays_sorted_through_lazy_walks():
-    sim = LazySimulation(6, TreeOracle(random_tree(6, substream(83, "t"), 0.1, 0.9)), 0.5, seed=84)
+    sim = LazySimulation(TreeOracle(random_tree(6, substream(83, "t"), 0.1, 0.9)), 0.5, seed=84)
     for _ in range(4):
         sim.sample_batch(5)
         sim.query_batch(code_rows(substream(85, "q").integers(0, 64, 7), 6))
@@ -576,7 +577,7 @@ class TestSimulationIsATree:
     def test_divergences_take_the_simulation_directly(self):
         tree_a = random_tree(4, substream(86, "a"), 0.1, 0.9)
         tree_b = random_tree(4, substream(86, "b"), 0.1, 0.9)
-        sims = [LazySimulation(4, TreeOracle(t), 0.5, seed=87 + i) for i, t in enumerate((tree_a, tree_b))]
+        sims = [LazySimulation(TreeOracle(t), 0.5, seed=87 + i) for i, t in enumerate((tree_a, tree_b))]
         sims[0].sample_batch(3)  # a partly filled store first
         kl, tv = kl_divergence(sims[0], tree_a), tv_distance(*sims)
         for sim in sims:
@@ -592,7 +593,7 @@ class TestSimulationIsATree:
     @pytest.mark.parametrize("n", [6, 70])
     def test_cylinder_masses_are_store_products(self, n):
         tree = random_tree(n, substream(88, "t"), 0.1, 0.9) if n == 6 else SignMarginalTree(n, 89, 0.2, 0.7)
-        sim = LazySimulation(n, TreeOracle(tree), n / 3, seed=90)
+        sim = LazySimulation(TreeOracle(tree), n / 3, seed=90)
         rng = substream(91, "w")
         for length in (0, 1, 3, n - 1, n):
             w = "".join(map(str, rng.integers(0, 2, length).tolist()))
@@ -607,7 +608,7 @@ class TestSimulationIsATree:
 
     @pytest.mark.parametrize("n", [simulation.MAX_PREPROCESS_N + 1, 24, 70])
     def test_materialize_past_the_learning_cap_draws_nothing(self, n):
-        sim = LazySimulation(n, TreeOracle(SignMarginalTree(n, 92, 0.3, 0.6)), 0.5, seed=93)
+        sim = LazySimulation(TreeOracle(SignMarginalTree(n, 92, 0.3, 0.6)), 0.5, seed=93)
         with pytest.raises(CapabilityError):
             sim.materialize()
         with pytest.raises(CapabilityError):

@@ -60,7 +60,7 @@ def test_edge_estimator_runs_once_per_edge(monkeypatch):
     calls = []
     estimate = simulation.est_simulation_edge
     monkeypatch.setattr(simulation, "est_simulation_edge", lambda first: calls.append(1) or estimate(first))
-    simulation.preprocess(4, TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    simulation.preprocess(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
     assert len(calls) == 2 ** 4 - 1
 
 
@@ -85,7 +85,7 @@ def test_edge_streams_are_seeded_once_per_group(monkeypatch):
     seed_group = streams.substreams
     monkeypatch.setattr(simulation, "substreams",
                         lambda *key, parts: groups.append(len(parts)) or seed_group(*key, parts=parts))
-    simulation.preprocess(4, TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    simulation.preprocess(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
     assert groups == [1, 2, 4, 8]
     assert inspect.isfunction(seed_group) and seed_group.__module__ == "prefixsim.streams"
 
@@ -106,7 +106,7 @@ def test_mass_check_is_a_public_reduction_function():
 def test_traced_lazy_walk_counts_rows_and_edges(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     tracer = importlib.import_module("tracing").Tracer()
-    sim = LazySimulation(5, TreeOracle(random_tree(5, substream(9, "t"), 0.1, 0.9)), 0.25, seed=10)
+    sim = LazySimulation(TreeOracle(random_tree(5, substream(9, "t"), 0.1, 0.9)), 0.25, seed=10)
     with tracer.active():
         sim.query("10110")
     _, counts = tracer.take()

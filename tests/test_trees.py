@@ -187,6 +187,10 @@ class TestBackings:
             TableMarginalTree(2, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
         with pytest.raises(ValueError):
             TableMarginalTree(1, [np.array([1.2])])
+        with pytest.raises(ValueError):
+            TableMarginalTree(1, [np.array([np.nan])])
+        with pytest.raises(ValueError):
+            TableMarginalTree(2, [np.array([0.5]), np.array([0.5, np.nan])])
 
     def test_levels_are_read_only(self):
         t = uniform_tree(2)
