@@ -21,17 +21,16 @@ from .trees import (
 from .oracles import PrefixOracle, TreeOracle
 from .reduction import (
     AdaptedPrefixOracle,
+    EncodedMarginalTree,
     TableIntervalOracle,
     code_depth,
     element_bounds,
-    encoded_marginal_tree,
     mass_preserved,
 )
 from .simulation import (
     MAX_PREPROCESS_N,
     LazySimulation,
     est_simulation_edge,
-    preprocess,
     samples_per_edge,
 )
 from .distance import (

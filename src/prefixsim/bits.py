@@ -29,7 +29,7 @@ def prefix_bits(w, n: int) -> tuple[int, ...]:
 def code_rows(codes, width: int) -> np.ndarray:
     """The low width bits of each integer code as a uint8 row, most significant bit first.
 
-    codes may be an int64 array or an object array of Python ints (node ids
-    past 2^62); the result has codes' shape plus a last axis of width.
+    codes may be an int64 array or an object array of Python ints (codes
+    past 2^63); the result has codes' shape plus a last axis of width.
     """
     return ((np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)

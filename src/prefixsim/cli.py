@@ -33,8 +33,7 @@ from .divergence_lab import LEMMAS, kl_divergence, run_lemma_sweep, tv_distance
 from .hardness import (check_gap, effective_samples, gen_hard_instance, hard_instance_parameters,
                        threshold_constants)
 from .oracles import TreeOracle
-from .reduction import (AdaptedPrefixOracle, TableIntervalOracle, code_depth, encoded_marginal_tree,
-                        mass_preserved)
+from .reduction import AdaptedPrefixOracle, TableIntervalOracle, code_depth, mass_preserved
 from .simulation import MAX_PREPROCESS_N, LazySimulation, samples_per_edge
 from .streams import child_seed, substream, substreams
 from .trees import random_tree
@@ -133,8 +132,8 @@ def _reduce_trial(cfg: dict, t: int) -> list[dict]:
     size = cfg["size"]
     weights = substream(seed, "weights", t).uniform(0.1, 1.0, size)
     sim_seed = child_seed(seed, "sim", t)
-    direct_oracle = TreeOracle(encoded_marginal_tree(weights))
     native = TableIntervalOracle(weights)
+    direct_oracle = TreeOracle(native.tree.materialize())
     adapted_oracle = AdaptedPrefixOracle(native)
     depth = adapted_oracle.n
     direct = LazySimulation(direct_oracle, cfg["delta"], sim_seed)

@@ -9,6 +9,11 @@ the codes corresponds to an interval condition over the elements, and any
 prefix-model algorithm can be executed against an interval oracle draw for
 draw.
 
+The encoded tree, EncodedMarginalTree(weights), is a lazy marginal tree over
+the codes, each split computed from the N + 1 cumulative sums of the weights
+when a walk reaches it; the native oracle, TableIntervalOracle(weights),
+keeps that tree and draws with the same split rule (_split_fractions).
+
 With positive weights, a simulation run through the adapted oracle is bit-identical
 to one over the encoded tree for every N: where padding clips a prefix's
 interval into one child, the native draw consumes fewer uniforms, but the
@@ -42,7 +47,7 @@ import numpy as np
 from .bits import code_rows
 from .oracles import PrefixOracle
 from .streams import _StreamGroup
-from .trees import TableMarginalTree
+from .trees import MarginalTree
 
 
 def code_depth(size: int) -> int:
@@ -83,47 +88,48 @@ def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level, idx, a
     half = 1 << (depth - level - 1)
     lo = idx * (2 * half)
     mid = lo + half
-    # cum is flat past the last element, so capping at it changes no mass
+    # cum holds N + 1 sums and no code past N - 1 has mass, so every bound is capped at N
     cap = np.minimum(b, n_elements)
-    lo_a, mid_a = np.maximum(lo, a), np.maximum(mid, a)
     mid_c, hi_c = np.minimum(mid, cap), np.minimum(mid + half, cap)
+    lo_a, mid_a = np.maximum(np.minimum(lo, cap), a), np.maximum(mid_c, a)
     rmass = cum[hi_c] - cum[mid_a]
     total = (cum[mid_c] - cum[lo_a]) + rmass
     ratio = np.divide(rmass, total, out=np.full(total.shape, 0.5), where=total > 0.0)
     return np.where(mid_a < hi_c, np.where(lo_a < mid_c, ratio, 1.0), 0.0)
 
 
-def _cumulative_weights(weights, depth: int) -> np.ndarray:
+def _cumulative_weights(weights) -> np.ndarray:
+    """The N + 1 sums of the first 0, 1, ..., N weights, once the weights check out."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-d sequence")
     if np.any(w < 0.0):
         raise ValueError("weights must be non-negative")
-    cum = np.zeros((1 << depth) + 1)
+    cum = np.zeros(w.size + 1)
     with np.errstate(over="ignore"):
-        cum[1 : w.size + 1] = np.cumsum(w)
+        np.cumsum(w, out=cum[1:])
     # the sums are non-decreasing, so a finite total means every weight and sum is finite
-    if not (np.isfinite(cum[w.size]) and cum[w.size] > 0.0):
+    if not (np.isfinite(cum[-1]) and cum[-1] > 0.0):
         raise ValueError("weights must be finite, with a positive total mass that is finite")
-    cum[w.size + 1 :] = cum[w.size]
     return cum
 
 
-def encoded_marginal_tree(weights) -> TableMarginalTree:
-    """The marginal tree over codes representing a weight vector on {1..N}.
+class EncodedMarginalTree(MarginalTree):
+    """The marginal tree over codes representing a weight vector on {1..N}, read lazily.
 
-    Padding codes receive edge probability 0, so their mass is exactly zero
-    and the element masses equal weight / total under the bijection.
+    A node's handle is its index in its level and its marginal the split of
+    its subtree's weight, read from cum, the N + 1 cumulative weight sums.
+    Padding codes get edge probability 0, so element masses are weight / total.
     """
-    n_elements = len(weights)
-    depth = code_depth(n_elements)
-    cum = _cumulative_weights(weights, depth)
-    full = 1 << depth
-    levels = []
-    for level in range(depth):
-        idx = np.arange(1 << level, dtype=np.int64)
-        levels.append(_split_fractions(cum, n_elements, depth, level, idx, 0, full))
-    return TableMarginalTree._trusted(levels)
+
+    def __init__(self, weights):
+        self.size = len(weights)
+        super().__init__(code_depth(self.size))
+        self.cum = _cumulative_weights(weights)
+        self.cum.setflags(write=False)
+
+    def _f(self, depth: int, h):
+        return _split_fractions(self.cum, self.size, self.n, depth, h, 0, self.size)
 
 
 def mass_preserved(weights) -> bool:
@@ -141,7 +147,7 @@ def mass_preserved(weights) -> bool:
     """
     n_elements = len(weights)
     depth = code_depth(n_elements)
-    _cumulative_weights(weights, depth)
+    _cumulative_weights(weights)
     ratios = [float(w).as_integer_ratio() for w in weights]
     scale = max(q for _, q in ratios)
     ints = [p * (scale // q) for p, q in ratios]
@@ -183,9 +189,8 @@ class TableIntervalOracle:
     """
 
     def __init__(self, weights):
-        self.size = len(weights)
-        self.depth = code_depth(self.size)
-        self._cum = _cumulative_weights(weights, self.depth)
+        self.tree = EncodedMarginalTree(weights)
+        self.size, self.depth = self.tree.size, self.tree.n
         self.calls = 0
 
     def draw_batch(self, a_elem, b_elem, m: int, streams: _StreamGroup, lanes=None,
@@ -218,7 +223,7 @@ class TableIntervalOracle:
         # any uniform takes the forced side
         lca = self.depth - below
         node = a >> (self.depth - np.minimum(lca, stop - 1))
-        f = _split_fractions(self._cum, self.size, self.depth, np.minimum(lca, stop - 1), node, a, b)
+        f = _split_fractions(self.tree.cum, self.size, self.depth, np.minimum(lca, stop - 1), node, a, b)
         stride = np.repeat(below, m)
         at = np.cumsum(stride) - stride   # where each row's uniforms start in u
         first = u.take(at, mode="clip") if len(u) else np.zeros(len(at))
@@ -227,7 +232,7 @@ class TableIntervalOracle:
         lca, a, b = (np.repeat(x, m) for x in (lca, a, b)) if steps > 1 else (lca, a, b)
         for t in range(1, steps):
             on = np.flatnonzero(lca + t < stop)
-            f = _split_fractions(self._cum, self.size, self.depth, lca[on] + t, out[on], a[on], b[on])
+            f = _split_fractions(self.tree.cum, self.size, self.depth, lca[on] + t, out[on], a[on], b[on])
             out[on] = (out[on] << 1) + (u[at[on] + t] < f)
         return out + 1 if levels is None else out
 

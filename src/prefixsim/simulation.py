@@ -10,15 +10,16 @@ by block, and est_simulation_edge then takes each edge's k from its count.
 
 One store holds the estimates: for each prefix w it keeps k(w), the number
 of ones among the m samples of its edge, so both siblings are read from one
-entry.  Per depth it keeps the node ids of the stored prefixes in sorted
-order, their k as int64 and the splits k/m and (m - k)/m, so a walk reads a
-whole level of rows with a few numpy calls and no Python work per row.  The
-store is filled lazily, an edge the first time a walk passes it, so a
-materialize (preprocess, kl_divergence, tv_distance) learns every untouched
-edge of the tree in its one pass (exponential work).  Because each edge's
-estimation stream is keyed by (master seed, prefix), neither the order in
-which edges are first touched nor their grouping into draws matters, and the
-lazy simulation is bit-for-bit equal to the eagerly learned one.  The
+entry.  Per depth it keeps the indexes of the stored prefixes (their
+big-endian values) in sorted order, their k as int64 and the splits k/m and
+(m - k)/m, so a walk reads a whole level of rows with a few numpy calls and
+no Python work per row.  The store is filled lazily, an edge the first time
+a walk passes it, so a materialize (as kl_divergence and tv_distance call
+it) learns every untouched edge of the tree in its one pass (exponential
+work).  Because each edge's estimation stream is keyed by (master seed,
+prefix), neither the order in which edges are first touched nor their
+grouping into draws matters, and the lazy simulation is bit-for-bit equal
+to the eagerly learned one.  The
 streams of a group are seeded together (streams.substreams), one lane per
 edge, each equal to the generator substream builds for its key.  Estimates
 are kept as exact integers; all float probabilities are computed as k/m so
@@ -26,8 +27,8 @@ the two agree to the last bit and realization checks can run in exact
 rational arithmetic.
 
 The simulated distribution is itself a marginal tree (trees.MarginalTree)
-whose handles are node ids and whose splits come from the store.  So
-sample_batch and query_batch are the tree's one walk over all their rows at
+whose handles are the prefixes' indexes and whose splits come from the
+store.  So sample_batch and query_batch are the tree's one walk over all their rows at
 once, in one pass, and materialize (hence kl_divergence and tv_distance)
 reads the same splits.  Each row sees the same float operations in
 the same order as a lone walk, and a (k, n) uniform block holds the same
@@ -46,11 +47,11 @@ import numpy as np
 
 from .bits import code_rows, element_bits
 from .oracles import PrefixOracle
-from .streams import RandomStream, _StreamGroup, substream, substreams
+from .streams import _StreamGroup, substream, substreams
 from .trees import MarginalTree
 from .util import ceil_snap, row_blocks
 
-#: Largest n for which eagerly learning all 2^n - 1 edges is supported.
+#: Largest n for which learning all 2^n - 1 edges (materialize) is supported.
 MAX_PREPROCESS_N = 20
 
 
@@ -97,19 +98,18 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
 class LazySimulation(MarginalTree):
     """Simulated distribution over the oracle's n bits whose edges are estimated on first touch.
 
-    The store holds, per depth, the node ids (1 << depth) | index of the
-    touched prefixes, sorted, beside each its k, the number of ones among
-    the m samples of its edge, and the splits k/m and (m - k)/m.  A level of
+    The store holds, per depth, the indexes of the touched prefixes, sorted,
+    beside each its k, the number of ones among the m samples of its edge,
+    and the splits k/m and (m - k)/m.  A level of
     a walk looks up all its rows' nodes at once (searchsorted); the misses
     of one level are estimated together, each edge from its own
     (seed, prefix)-keyed stream, and merged in sorted order.
     Entries never change once written, so repeated queries are consistent
     and already-revealed masses are honored by later samples.  As a marginal
-    tree its handles are the node ids, and materialize (n <= MAX_PREPROCESS_N)
+    tree its handles are the indexes, and materialize (n <= MAX_PREPROCESS_N)
     estimates every untouched edge.
     """
 
-    _root = 1
     _max_table_n = MAX_PREPROCESS_N
 
     def __init__(self, oracle: PrefixOracle, delta: float, seed: int):
@@ -119,9 +119,9 @@ class LazySimulation(MarginalTree):
         self.delta = delta
         self.seed = seed
         self.m = samples_per_edge(n, delta)
-        # node ids reach 2^n; past int64, keep them as Python ints
-        self._handle_dtype = np.int64 if n < 63 else object
-        # the store: per depth, the sorted node ids estimated so far and their k
+        # a walk's handles reach 2^n - 1; past int64, keep them as Python ints
+        self._handle_dtype = np.int64 if n < 64 else object
+        # the store: per depth, the sorted indexes estimated so far and their k
         self._nodes = [np.empty(0, dtype=self._handle_dtype) for _ in range(n)]
         self._ks = [np.empty(0, dtype=np.int64) for _ in range(n)]
         # beside them, each level's splits: the arrays k/m and (m - k)/m
@@ -140,12 +140,12 @@ class LazySimulation(MarginalTree):
         order rows first reach them, in groups of whole prefixes whose block
         stays within util.MAX_BLOCK_UNIFORMS uniforms (a prefix too large
         alone is its own group).  A group's prefix bits and streams (keyed by
-        the node id's binary digits after the leading 1) are built only for
-        its draw.  The level's splits are then recomputed from its k.
+        the prefix: the index's depth binary digits) are built only for its
+        draw.  The level's splits are then recomputed from its k.
         """
         keys = self._nodes[depth]
         if len(keys) == 1 << depth:  # every node of the level is stored, in index order
-            return (nodes - (1 << depth)).astype(np.intp, copy=False)
+            return nodes.astype(np.intp, copy=False)
         at = keys.searchsorted(nodes)
         missed = nodes
         if len(keys):
@@ -161,8 +161,8 @@ class LazySimulation(MarginalTree):
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
             group = misses[start:start + size]
             bits = code_rows(group, depth)
-            streams = substreams(self.seed, "edge", parts=[format(node, "b")[1:] for node in group.tolist()])
-            ones = first_free_ones(self.oracle, self.m, bits, streams)
+            parts = [format(node | 1 << depth, "b")[1:] for node in group.tolist()]
+            ones = first_free_ones(self.oracle, self.m, bits, substreams(self.seed, "edge", parts=parts))
             found += map(est_simulation_edge, ones.tolist())
             start += size
         new_ks = np.empty(len(distinct), dtype=np.int64)
@@ -172,9 +172,6 @@ class LazySimulation(MarginalTree):
         self._ks[depth] = ks = np.insert(self._ks[depth], at, new_ks)
         self._splits[depth] = ks / self.m, (self.m - ks) / self.m
         return keys.searchsorted(nodes)
-
-    def _child(self, h, b):
-        return (h << 1) | b
 
     def _split(self, depth: int, h):
         at = self._find(depth, h)  # first: it may add to the level
@@ -199,37 +196,22 @@ class LazySimulation(MarginalTree):
         """Mass of x under the simulated distribution: query_batch of one row."""
         return float(self.query_batch([element_bits(x, self.n)])[0])
 
-    def sample_batch(self, k: int, rng: RandomStream | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def sample_batch(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw k elements of the simulated distribution: a (k, n) uint8 bit array and their masses.
 
-        The uniforms, one (k, n) block, come from rng when given, else from
-        the simulation's own (seed, "user") stream; it holds the same
-        doubles as k * n single draws, so k calls of sample() give the same
-        elements and masses.
+        The uniforms, one (k, n) block, come from the simulation's own
+        (seed, "user") stream; it holds the same doubles as k * n single
+        draws, so k calls of sample() give the same elements and masses.
         """
         if k < 0:
             raise ValueError("cannot draw a negative number of elements")
-        u = (self._user_rng if rng is None else rng).random((k, self.n))
+        u = self._user_rng.random((k, self.n))
         bits = np.empty((k, self.n), dtype=np.uint8)
         p = np.ones(k)
         self.walk(bits, u, p)
         return bits, p
 
-    def sample(self, rng: RandomStream | None = None) -> tuple[tuple[int, ...], float]:
+    def sample(self) -> tuple[tuple[int, ...], float]:
         """Draw x from the simulated distribution: (x as a tuple of bits, its mass), a batch of one."""
-        bits, p = self.sample_batch(1, rng)
+        bits, p = self.sample_batch(1)
         return tuple(bits[0].tolist()), float(p[0])
-
-
-def preprocess(oracle: PrefixOracle, delta: float, seed: int) -> LazySimulation:
-    """Learn every edge of the oracle's tree up front: a LazySimulation, materialized.
-
-    materialize fills all 2^n - 1 entries level by level, each level in index
-    order and in as few multi-prefix draws as the block cap allows, each edge
-    from its own (seed, prefix)-keyed stream, costing (2^n - 1) * m
-    conditional samples; later queries and samples cost nothing.  Past
-    MAX_PREPROCESS_N it raises CapabilityError before any draw.
-    """
-    sim = LazySimulation(oracle, delta, seed)
-    sim.materialize()
-    return sim

@@ -84,13 +84,11 @@ _STEPS = np.array([
 ], dtype=np.uint32)[:, :, None]
 
 
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) of each seed 0 <= s < 2^128, as one (k, 4) array."""
-    return _entropy_words(b"".join(s.to_bytes(16, "little") * 2 for s in seeds))
-
-
 def _entropy_words(entropy: bytes) -> np.ndarray:
-    """_seed_words of the seeds whose 16-byte little-endian forms, each written twice, make up entropy."""
+    """SeedSequence(s).generate_state(4, np.uint64) of each seed s in entropy, as one (k, 4) array.
+
+    entropy holds each seed 0 <= s < 2^128 as its 16-byte little-endian form, written twice.
+    """
     # row r of the entropy is uint32 word r % 4 of every seed, least significant first
     entropy = np.frombuffer(entropy, dtype="<u4").reshape(-1, 8).T
     fill_x, fill_m, *cross, state_x, state_m, mix_l, mix_r, shift = np.repeat(_STEPS, entropy.shape[1], axis=2)
@@ -112,7 +110,7 @@ def _entropy_words(entropy: bytes) -> np.ndarray:
 
 
 class _SeedWords(ISeedSequence):
-    """The PCG64 seed words (its words attribute) of one stream at a time, computed ahead by _seed_words."""
+    """The PCG64 seed words (its words attribute) of one stream at a time, computed ahead by _entropy_words."""
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words   # PCG64 asks for generate_state(4, np.uint64) once, when built

@@ -9,16 +9,19 @@ which always defines a probability distribution.
 
 A tree names its nodes by handles: the root's handle, the handle of a node's
 child along a bit, and the split at a handle, the probabilities of its two
-edges.  Table trees use a node's index in its level; the hard instances' sign
-trees a rolling 64-bit state computed from the prefix, so instances with n in
-the thousands need no storage; a simulation (simulation.LazySimulation) its
-node ids, with splits from its store of edge estimates.  The base class owns
-the one walk over these names: walk takes a block of rows down together, one
-level per column, reading or drawing each row's bit and, for a caller that
-passes a mass array, multiplying in each edge's probability, so cylinder
-masses, element masses and draws are all one loop.  materialize builds the
-tables level by level, kept as built: only the public constructor copies
-and checks levels.  A caller with one prefix passes a block of one row.
+edges.  By default a node's handle is its index in its level, the big-endian
+value of its prefix: table trees read their tables at it, a simulation
+(simulation.LazySimulation) its store of edge estimates, and the interval
+code tree (reduction.EncodedMarginalTree) a cumulative weight array.  Only
+the hard instances' sign trees name nodes otherwise, by a rolling 64-bit
+state computed from the prefix, so instances with n in the thousands need no
+storage.  The base class owns the one walk over these names: walk takes a
+block of rows down together, one level per column, reading or drawing each
+row's bit and, for a caller that passes a mass array, multiplying in each
+edge's probability, so cylinder masses, element masses and draws are all
+one loop.  materialize builds the tables level by level, kept as built:
+only the public constructor copies and checks levels.  A caller with one
+prefix passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
@@ -40,16 +43,17 @@ MAX_ENUM_N = 24
 class MarginalTree:
     """Base class: a distribution over {0,1}^n defined by prefix marginals.
 
-    A subclass names its nodes with handles: _root is the root's handle,
+    A tree names its nodes with handles: _root is the root's handle,
     _child(h, b) the handle of h's child along bit b, and _split(depth, h)
     the pair (P[bit 1], P[bit 0]) at h, a node at that depth; by default
     (f, 1 - f) from the subclass's marginal _f(depth, h).  All work
-    elementwise on arrays of handles of dtype _handle_dtype.  walk and
-    materialize are written once, over these.
+    elementwise on arrays of handles of dtype _handle_dtype, by default the
+    nodes' indexes in their levels as int64.  walk and materialize are
+    written once, over these.
     """
 
-    _handle_dtype: type
-    _root: int | np.uint64
+    _handle_dtype: type = np.int64
+    _root: int | np.uint64 = 0
     #: Largest n that materialize supports.
     _max_table_n = MAX_ENUM_N
 
@@ -57,6 +61,9 @@ class MarginalTree:
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = n
+
+    def _child(self, h, b):
+        return (h << 1) | b
 
     def _split(self, depth: int, h):
         f = self._f(depth, h)
@@ -104,47 +111,39 @@ class MarginalTree:
 
 
 class TableMarginalTree(MarginalTree):
-    """Marginal tree with explicit per-level probability tables.
+    """Marginal tree with explicit per-level probability tables, read at each node's index.
 
-    A node's handle is its index in its level, the big-endian value of its
-    prefix.
+    n is the number of levels; level i holds the 2^i marginals of the
+    prefixes of length i in index order.
     """
 
-    _handle_dtype = np.int64
-    _root = 0
-
-    def __init__(self, n: int, levels: Iterable[np.ndarray]):
-        super().__init__(n)
-        if n > MAX_ENUM_N:
-            raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
-        self._levels = [np.asarray(level, dtype=float).copy() for level in levels]
+    def __init__(self, levels: Iterable[np.ndarray]):
+        self._keep([np.asarray(level, dtype=float).copy() for level in levels])
         for i, arr in enumerate(self._levels):
             if arr.shape != (1 << i,):
                 raise ValueError(f"level {i} must have 2^{i} entries, got shape {arr.shape}")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
                 raise ValueError(f"level {i} contains values outside [0, 1] or NaN")
-            arr.setflags(write=False)
-        if len(self._levels) != n:
-            raise ValueError(f"expected {n} levels, got {len(self._levels)}")
 
     @classmethod
     def _trusted(cls, levels: list) -> "TableMarginalTree":
         """A table over levels just computed: float64 arrays of 2^i values in [0, 1], kept uncopied and unchecked."""
         tree = cls.__new__(cls)
-        MarginalTree.__init__(tree, len(levels))
-        if tree.n > MAX_ENUM_N:
+        tree._keep(levels)
+        return tree
+
+    def _keep(self, levels: list) -> None:
+        """Take levels as the tables, one per level from the root, read-only from now on."""
+        super().__init__(len(levels))
+        if self.n > MAX_ENUM_N:
             raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
         for level in levels:
             level.setflags(write=False)
-        tree._levels = levels
-        return tree
+        self._levels = levels
 
     def level(self, i: int) -> np.ndarray:
         """Read-only array of f values for all prefixes of length i."""
         return self._levels[i]
-
-    def _child(self, h, b):
-        return (h << 1) + b
 
     def _f(self, depth: int, h):
         return self._levels[depth][h]
@@ -167,4 +166,4 @@ def random_tree(n: int, rng: np.random.Generator, low: float = 0.0, high: float 
     """A tree with independent marginals drawn uniformly from [low, high]."""
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError("need 0 <= low <= high <= 1")
-    return TableMarginalTree(n, [rng.uniform(low, high, 1 << i) for i in range(n)])
+    return TableMarginalTree([rng.uniform(low, high, 1 << i) for i in range(n)])

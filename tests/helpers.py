@@ -112,40 +112,45 @@ def assert_levels_draw(make_oracle, prefixes, m: int, streams) -> None:
                 assert_ledger(oracle, prefixes, m, full, records)
 
 
-def dict_counts(store: dict, oracle, m: int, seed: int, nodes) -> list[int]:
-    """Reference for the store of LazySimulation (_find, _ks): k per node id kept in a dict.
+def prefix_string(depth: int, index: int) -> str:
+    """The prefix of length depth whose big-endian value is index, as a '01' string."""
+    return format(index | 1 << depth, "b")[1:]
 
-    Each missing edge is drawn alone, in the order the nodes first reach it,
+
+def dict_counts(store: dict, oracle, m: int, seed: int, depth: int, indexes) -> list[int]:
+    """Reference for the store of LazySimulation (_find, _ks): k per (depth, index) kept in a dict.
+
+    Each missing edge is drawn alone, in the order the indexes first reach it,
     from its own (seed, "edge", prefix) stream, and its k is the count of
     ones in the first free column.
     """
-    for node in nodes:
-        if node not in store:
-            w = format(node, "b")[1:]
-            store[node] = int(np.count_nonzero(draw(oracle, w, m, lane(seed, "edge", w))[:, 0]))
-    return [store[node] for node in nodes]
+    for index in indexes:
+        if (depth, index) not in store:
+            w = prefix_string(depth, index)
+            store[depth, index] = int(np.count_nonzero(draw(oracle, w, m, lane(seed, "edge", w))[:, 0]))
+    return [store[depth, index] for index in indexes]
 
 
 def hist(sim) -> dict:
     """Both sibling estimates of every pair a simulation has estimated, keyed (prefix string, bit).
 
-    Reads the simulation's store: per depth, node ids (1 << depth) | index and their k.
+    Reads the simulation's store: per depth, the prefixes' indexes and their k.
     """
-    return {(format(node, "b")[1:], b): Fraction(k if b else sim.m - k, sim.m)
-            for nodes, ks in zip(sim._nodes, sim._ks)
-            for node, k in zip(nodes.tolist(), ks.tolist()) for b in (1, 0)}
+    return {(prefix_string(depth, index), b): Fraction(k if b else sim.m - k, sim.m)
+            for depth, (indexes, ks) in enumerate(zip(sim._nodes, sim._ks))
+            for index, k in zip(indexes.tolist(), ks.tolist()) for b in (1, 0)}
 
 
-def stored_counts(sim, depth: int, nodes: np.ndarray) -> np.ndarray:
-    """k of each node id of the array, all at depth, as stored; estimates the missing edges."""
-    at = sim._find(depth, nodes)  # first: it may add to the level
+def stored_counts(sim, depth: int, indexes: np.ndarray) -> np.ndarray:
+    """k of each index of the array, all prefixes at depth, as stored; estimates the missing edges."""
+    at = sim._find(depth, indexes)  # first: it may add to the level
     return sim._ks[depth].take(at)
 
 
 def edge(sim, w: str, b: int) -> Fraction:
     """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
-    node = np.array([(1 << len(w)) | int(w or "0", 2)], dtype=sim._handle_dtype)
-    k = int(stored_counts(sim, len(w), node)[0])
+    index = np.array([int(w or "0", 2)], dtype=sim._handle_dtype)
+    k = int(stored_counts(sim, len(w), index)[0])
     return Fraction(k if b else sim.m - k, sim.m)
 
 
@@ -168,8 +173,34 @@ def exact_total_mass(tree) -> Fraction:
     return sum(masses, Fraction(0))
 
 
+def table_builder_levels(weights) -> list:
+    """The interval code tree's levels as a table builder makes them: the reference for EncodedMarginalTree.
+
+    The cumulative sums are padded with the total to 2^depth + 1 entries, and
+    each level splits every index at once over the whole domain, with no
+    bound capped below its node's own.
+    """
+    w = np.asarray(weights, dtype=float)
+    size = w.size
+    depth = max(1, (size - 1).bit_length())
+    cum = np.zeros((1 << depth) + 1)
+    cum[1:size + 1] = np.cumsum(w)
+    cum[size + 1:] = cum[size]
+    levels = []
+    for level in range(depth):
+        half = 1 << (depth - level - 1)
+        lo = np.arange(1 << level, dtype=np.int64) * (2 * half)
+        mid = lo + half
+        mid_c, hi_c = np.minimum(mid, size), np.minimum(mid + half, size)
+        rmass = cum[hi_c] - cum[mid]
+        total = (cum[mid_c] - cum[lo]) + rmass
+        ratio = np.divide(rmass, total, out=np.full(total.shape, 0.5), where=total > 0.0)
+        levels.append(np.where(mid < hi_c, np.where(lo < mid_c, ratio, 1.0), 0.0))
+    return levels
+
+
 def uniform_tree(n: int) -> TableMarginalTree:
-    return TableMarginalTree(n, [np.full(1 << i, 0.5) for i in range(n)])
+    return TableMarginalTree([np.full(1 << i, 0.5) for i in range(n)])
 
 
 def point_mass_tree(x) -> TableMarginalTree:
@@ -182,7 +213,7 @@ def point_mass_tree(x) -> TableMarginalTree:
         level[idx] = float(b)
         levels.append(level)
         idx = (idx << 1) | b
-    return TableMarginalTree(len(xs), levels)
+    return TableMarginalTree(levels)
 
 
 def _walk_one(tree, bits) -> tuple[np.ndarray, float]:

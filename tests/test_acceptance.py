@@ -16,8 +16,8 @@ from prefixsim.bits import code_rows
 from prefixsim.divergence_lab import kl_divergence, tv_distance
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.oracles import TreeOracle
-from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle, encoded_marginal_tree
-from prefixsim.simulation import LazySimulation, preprocess, samples_per_edge
+from prefixsim.reduction import AdaptedPrefixOracle, TableIntervalOracle
+from prefixsim.simulation import LazySimulation, samples_per_edge
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import random_tree
 
@@ -51,7 +51,8 @@ def test_ac2_learning_accuracy():
             kls = []
             for i in range(runs):
                 tree = random_tree(n, substream(20_000, "tree", n, delta, i), 0.2, 0.8)
-                learned = preprocess(TreeOracle(tree), delta, seed=child_seed(20_001, n, delta, i))
+                learned = LazySimulation(TreeOracle(tree), delta, seed=child_seed(20_001, n, delta, i))
+                learned.materialize()
                 kls.append(kl_divergence(learned, tree))
             mean = float(np.mean(kls))
             se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
@@ -66,9 +67,9 @@ def test_ac3_lazy_eager_coupling():
         for delta in (0.5, 0.25):
             seed = child_seed(30_000, n, delta)
             tree = random_tree(n, substream(30_001, "tree", n, delta), 0.2, 0.8)
-            eager = preprocess(TreeOracle(tree), delta, seed)
+            eager = LazySimulation(TreeOracle(tree), delta, seed)
+            eager.materialize()
             lazy = LazySimulation(TreeOracle(tree), delta, seed)
-            user = substream(seed, "user")
             script = substream(30_002, "script", n, delta)
             for _ in range(170):
                 total_ops += 1
@@ -76,7 +77,7 @@ def test_ac3_lazy_eager_coupling():
                     x = tuple(script.integers(0, 2, n))
                     assert eager.query(x) == lazy.query(x)
                 else:
-                    assert eager.sample(user) == lazy.sample()
+                    assert eager.sample() == lazy.sample()
             for (w, b), est in hist(lazy).items():
                 assert est == edge(eager, w, b)
     assert total_ops >= 1000
@@ -238,7 +239,7 @@ def test_ac12_interval_reduction_coupling():
     seed = child_seed(120_001, "sim")
     native = TableIntervalOracle(weights)
     adapted_oracle = AdaptedPrefixOracle(native)
-    direct_oracle = TreeOracle(encoded_marginal_tree(weights))
+    direct_oracle = TreeOracle(native.tree.materialize())
     direct = LazySimulation(direct_oracle, 0.25, seed)
     adapted = LazySimulation(adapted_oracle, 0.25, seed)
 

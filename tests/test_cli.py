@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from prefixsim import cli, oracles, simulation, util
+from prefixsim import cli, oracles, reduction, simulation, util
 from prefixsim.cli import main
 from prefixsim.reduction import AdaptedPrefixOracle
 
@@ -65,6 +65,23 @@ def test_simulate_learns_in_one_pass(capsys, monkeypatch):
     assert code == 0 and len(trials) == 3
     assert depths == [0, 1, 2, 3] * 3
     assert len(estimates) == 15 * 3
+
+
+def test_reduce_interval_builds_one_lazy_code_tree(capsys, monkeypatch):
+    # the native oracle's code tree is the only one a trial builds (the direct
+    # route materializes it), and its CDF holds N + 1 sums
+    cdf_sizes = []
+    init = reduction.EncodedMarginalTree.__init__
+
+    def recording_init(self, weights):
+        init(self, weights)
+        cdf_sizes.append(len(self.cum))
+
+    monkeypatch.setattr(reduction.EncodedMarginalTree, "__init__", recording_init)
+    code, trials, _ = run_cli(capsys, ["reduce-interval", "--size", "300", "--delta", "0.1", "--samples", "20",
+                                       "--trials", "2", "--seed", "4"])
+    assert code == 0 and all(t["coupled"] for t in trials)
+    assert cdf_sizes == [301, 301]
 
 
 def test_estimate_tv(capsys):
@@ -204,9 +221,9 @@ def test_reduce_interval_blocks_change_nothing(capsys, monkeypatch):
     rows = []
     draw = simulation.LazySimulation.sample_batch
 
-    def recording(self, k, rng=None):
+    def recording(self, k):
         rows.append(k)
-        return draw(self, k, rng)
+        return draw(self, k)
 
     monkeypatch.setattr(simulation.LazySimulation, "sample_batch", recording)
     monkeypatch.setattr(util, "MAX_BLOCK_UNIFORMS", 7 * 9)   # 7 rows of depth 9

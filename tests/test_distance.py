@@ -7,7 +7,7 @@ from prefixsim import util
 from prefixsim.distance import estimate_tv, simulation_delta
 from prefixsim.divergence_lab import tv_distance
 from prefixsim.oracles import TreeOracle
-from prefixsim.simulation import LazySimulation, preprocess
+from prefixsim.simulation import LazySimulation
 from prefixsim.streams import child_seed, substream
 from prefixsim.trees import random_tree
 from prefixsim.util import ceil_snap
@@ -81,8 +81,10 @@ def test_both_divergences_usually_small():
         tree_b = random_tree(n, rng, 0.2, 0.8)
         from prefixsim.divergence_lab import kl_divergence
 
-        learned_a = preprocess(TreeOracle(tree_a), delta, child_seed(81, "a", t))
-        learned_b = preprocess(TreeOracle(tree_b), delta, child_seed(81, "b", t))
+        learned_a = LazySimulation(TreeOracle(tree_a), delta, child_seed(81, "a", t))
+        learned_a.materialize()
+        learned_b = LazySimulation(TreeOracle(tree_b), delta, child_seed(81, "b", t))
+        learned_b.materialize()
         if (kl_divergence(learned_a, tree_a) <= cutoff
                 and kl_divergence(learned_b, tree_b) <= cutoff):
             both_small += 1
@@ -108,7 +110,8 @@ def test_budgets_and_record_fields():
 
 def test_preprocessed_handles_work_too():
     tree = random_tree(3, substream(60, "t"), 0.2, 0.8)
-    learned = preprocess(TreeOracle(tree), 0.05, seed=61)
+    learned = LazySimulation(TreeOracle(tree), 0.05, seed=61)
+    learned.materialize()
     result = estimate_tv(learned, learned, 0.3, rounds=3)
     assert result.estimate == 0.0
     assert result.budget_a == 0
@@ -182,8 +185,8 @@ def test_block_size_changes_nothing(monkeypatch):
 
 def test_non_positive_mass_is_an_error():
     class ZeroMass(LazySimulation):
-        def sample_batch(self, k, rng=None):
-            bits, masses = super().sample_batch(k, rng)
+        def sample_batch(self, k):
+            bits, masses = super().sample_batch(k)
             return bits, 0.0 * masses
 
     tree = random_tree(3, substream(97, "t"), 0.2, 0.8)
@@ -203,7 +206,7 @@ def test_block_sums_add_left_to_right(monkeypatch):
     class Scripted(LazySimulation):
         """Draws elements of mass 1; queries answer 1 - term, so pair i adds terms[i]."""
 
-        def sample_batch(self, k, rng=None):
+        def sample_batch(self, k):
             return np.zeros((k, self.n), dtype=np.uint8), np.ones(k)
 
         def query_batch(self, bits):

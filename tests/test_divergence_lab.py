@@ -176,7 +176,7 @@ def _identity_triple(check):
 
 def _trees(*rows):
     """The TableMarginalTrees whose marginals, level after level, are the flat rows."""
-    return [TableMarginalTree(len(f).bit_length(), np.split(f, (2 << np.arange(len(f).bit_length() - 1)) - 1))
+    return [TableMarginalTree(np.split(f, (2 << np.arange(len(f).bit_length() - 1)) - 1))
             for f in rows]
 
 

@@ -25,7 +25,10 @@ GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "
         # a stream group draws all its lanes' blocks in one call, _StreamGroup.draw
         "_StreamGroup.random",
         # eager learning is materialize's walk
-        "LazySimulation._learn_all"}
+        "LazySimulation._learn_all",
+        # a materialize after LazySimulation(oracle, delta, seed); the lazy
+        # EncodedMarginalTree, whose materialize builds the table
+        "preprocess", "encoded_marginal_tree"}
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
@@ -120,6 +123,24 @@ def test_the_simulation_is_a_tree_and_defines_no_walk():
     assert [base.id for base in cls.bases] == ["MarginalTree"]
     methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
     assert methods & {"walk", "materialize", "masses"} == set()
+
+
+def test_only_the_base_tree_and_the_sign_tree_name_nodes():
+    # every other tree's handle is the node's index in its level, MarginalTree's default
+    offenders = []
+    for path, tree in _modules():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name not in {"MarginalTree", "SignMarginalTree"}:
+                offenders += [f"{path.name}:{line} {cls.name}.{name}" for line, name in _defined_names(cls)
+                              if name in {"_root", "_child"}]
+    assert offenders == []
+
+
+def test_only_trees_calls_the_trusted_table_constructor():
+    # TableMarginalTree._trusted keeps levels unchecked; materialize is its one caller
+    offenders = [f"{path.name}:{node.lineno}" for path, tree in _modules() if path.name != "trees.py"
+                 for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    assert offenders == []
 
 
 def test_only_streams_builds_a_generator():

@@ -44,7 +44,7 @@ class TestConditionalSampling:
     def test_forced_last_level(self):
         # f(w) = 1 at the deepest level forces the closing bit
         levels = [np.array([0.5]), np.array([1.0, 0.0])]
-        oracle = TreeOracle(TableMarginalTree(2, levels))
+        oracle = TreeOracle(TableMarginalTree(levels))
         out = draw(oracle, "0", 20, lane(3, "draw"))
         assert np.all(out == 1)
 
@@ -154,7 +154,7 @@ def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
 
 @pytest.mark.parametrize("tree, prefixes", [
     # f = 0 at the root: every prefix starting with 1 has zero mass
-    (TableMarginalTree(4, [np.zeros(1), *(substream(20, "t").uniform(0.2, 0.8, 1 << i) for i in (1, 2, 3))]),
+    (TableMarginalTree([np.zeros(1), *(substream(20, "t").uniform(0.2, 0.8, 1 << i) for i in (1, 2, 3))]),
      prefix_rows("10", "01", "11", "00", "10")),
     (SignMarginalTree(6, 21, 0.3, 0.7), prefix_rows("01", "11", "01", "10")),
     (SignMarginalTree(6, 21, 0.3, 0.7), prefix_rows("")),

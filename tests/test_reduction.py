@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim import reduction
+from prefixsim import reduction, trees
 from prefixsim.bits import code_rows
 from prefixsim.reduction import (
     AdaptedPrefixOracle,
+    EncodedMarginalTree,
     TableIntervalOracle,
     _split_fractions,
     code_depth,
     element_bounds,
-    encoded_marginal_tree,
     mass_preserved,
 )
 from prefixsim.simulation import LazySimulation
@@ -21,7 +21,7 @@ from prefixsim.oracles import TreeOracle
 from prefixsim.streams import child_seed, substream, substreams
 
 from helpers import (assert_ledger, assert_levels_draw, draw, draws_after, hist, lane, prefix_blocks, prefix_rows,
-                     query_exact)
+                     query_exact, table_builder_levels)
 
 
 def prefix_interval(size, w):
@@ -103,7 +103,7 @@ class TestBreakdownTree:
 class TestEncodedTree:
     def test_padding_gets_zero_mass(self):
         weights = [0.2, 0.2, 0.2, 0.2, 0.2]
-        tree = encoded_marginal_tree(weights)
+        tree = EncodedMarginalTree(weights)
         masses = tree.masses()
         assert np.all(masses[5:] == 0.0)
         assert masses[:5] == pytest.approx(weights, abs=1e-12)
@@ -136,7 +136,7 @@ class TestEncodedTree:
         # an infinite weight (or a total past the float range) gave NaN splits
         # and an oracle that never drew the infinite element
         with pytest.raises(ValueError):
-            encoded_marginal_tree(weights)
+            EncodedMarginalTree(weights)
         with pytest.raises(ValueError):
             TableIntervalOracle(weights)
 
@@ -182,11 +182,13 @@ def fraction_verdict(weights) -> bool:
                for code, mass in enumerate(masses))
 
 
+MASS_SIZES = st.one_of(st.sampled_from([1, 2, 3, 4, 64, 300, 512, 513, 4095, 4096]), st.integers(1, 4096))
+
+
 @st.composite
-def mass_weights(draw):
-    """Weight vectors with zero runs, N = 1, powers of two and sizes up to 4096."""
-    size = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 64, 300, 512, 513, 4095, 4096]),
-                          st.integers(1, 4096)))
+def mass_weights(draw, sizes=MASS_SIZES):
+    """Weight vectors with zero runs, of the sizes drawn (N = 1, powers of two and sizes up to 4096)."""
+    size = draw(sizes)
     rng = substream(draw(st.integers(0, 2 ** 32)), "mass-weights")
     weights = rng.uniform(0.0, 1.0, size) * 2.0 ** rng.integers(-60, 60, size)
     if draw(st.booleans()):
@@ -204,6 +206,50 @@ def mass_weights(draw):
 @given(mass_weights())
 def test_integer_mass_check_equals_fraction_check(weights):
     assert mass_preserved(weights) == fraction_verdict(weights)
+
+
+#: Sizes 1 to 4096, and every 2^k - 1 and 2^k + 1 among them.
+CODE_TREE_SIZES = st.one_of(st.integers(1, 4096),
+                            st.sampled_from([(1 << k) + d for k in range(1, 13) for d in (-1, 1) if (1 << k) + d <= 4096]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mass_weights(CODE_TREE_SIZES))
+def test_lazy_code_tree_materializes_the_table_builders_levels(weights):
+    tree = EncodedMarginalTree(weights)
+    assert len(tree.cum) == len(weights) + 1
+    table = tree.materialize()
+    want = table_builder_levels(weights)
+    assert table.n == tree.n == len(want)
+    for depth, level in enumerate(want):
+        assert table.level(depth).tobytes() == level.tobytes()
+
+
+@pytest.mark.parametrize("size", [10 ** 6 + 3, 2 ** 20 + 1])
+def test_direct_equals_adapted_on_the_lazy_code_tree(size, monkeypatch):
+    # no table is built on either route: the direct oracle walks the lazy tree
+    monkeypatch.setattr(trees.TableMarginalTree, "_trusted", None)
+    weights = substream(size, "w").uniform(0.01, 1.0, size)
+    depth = code_depth(size)
+    direct_oracle = TreeOracle(EncodedMarginalTree(weights))
+    adapted_oracle = AdaptedPrefixOracle(TableIntervalOracle(weights))
+    direct, adapted = (LazySimulation(oracle, depth / 3, 41) for oracle in (direct_oracle, adapted_oracle))
+    assert direct.m == 3
+    bits, masses = direct.sample_batch(32)
+    adapted_bits, adapted_masses = adapted.sample_batch(32)
+    assert np.array_equal(bits, adapted_bits) and np.array_equal(masses, adapted_masses)
+    assert np.array_equal(direct.query_batch(bits), masses)
+    assert np.array_equal(adapted.query_batch(bits), masses)
+    assert hist(direct) == hist(adapted)
+    for sim in (direct, adapted):
+        assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs
+    # the lazy splits along the sampled paths are their nodes' weight shares
+    for level in range(depth):
+        index = np.unique(bits[:, :level] @ (1 << np.arange(level - 1, -1, -1)))
+        half = 1 << (depth - level - 1)
+        shares = [weights[mid:mid + half].sum() / weights[mid - half:mid + half].sum()
+                  for mid in (index * 2 + 1) * half]
+        np.testing.assert_allclose(direct_oracle.tree._split(level, index)[0], shares, rtol=1e-9, atol=0)
 
 
 class TestAdaptedOracle:
@@ -278,8 +324,8 @@ class TestCoupling:
         weights = substream(size, "w").uniform(0.05, 1.0, size)
         depth = code_depth(size)
         sim_seed = child_seed(99, "sim", size)
-        direct = LazySimulation(TreeOracle(encoded_marginal_tree(weights)), 0.4, sim_seed)
         native = TableIntervalOracle(weights)
+        direct = LazySimulation(TreeOracle(native.tree.materialize()), 0.4, sim_seed)
         adapted = LazySimulation(AdaptedPrefixOracle(native), 0.4, sim_seed)
         for x in code_rows(np.arange(size), depth):
             assert direct.query(x) == adapted.query(x)
@@ -294,7 +340,7 @@ class TestCoupling:
         weights = substream(seed, "w").uniform(0.01, 1.0, size)
         depth = code_depth(size)
         delta = depth / 3   # m = 3 samples per edge
-        direct_oracle = TreeOracle(encoded_marginal_tree(weights))
+        direct_oracle = TreeOracle(EncodedMarginalTree(weights))
         adapted_oracle = AdaptedPrefixOracle(TableIntervalOracle(weights))
         direct = LazySimulation(direct_oracle, delta, seed)
         adapted = LazySimulation(adapted_oracle, delta, seed)
@@ -306,8 +352,9 @@ class TestCoupling:
         assert adapted_oracle.native.calls <= adapted_oracle.conditional_calls
 
     def test_padded_domain_pipeline_is_consistent(self):
-        # padded sizes couple bit for bit (see above); the adapted simulation
-        # must also realize exactly on its own
+        # padded sizes couple bit for bit (test_power_of_two_pipeline_is_bit_identical
+        # runs 3, 5, 6, 12 and 100); the adapted simulation must also realize
+        # exactly on its own
         weights = substream(10, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
         sim = LazySimulation(AdaptedPrefixOracle(native), 0.4, 123)
@@ -370,7 +417,7 @@ def single_interval_draw(native, a_elem, b_elem, m, rng):
     u = rng.random((m, native.depth - lca_depth))
     idx = np.full(m, a >> (native.depth - lca_depth), dtype=np.int64)
     for t in range(native.depth - lca_depth):
-        f = _split_fractions(native._cum, native.size, native.depth, lca_depth + t, idx, a, b)
+        f = _split_fractions(native.tree.cum, native.size, native.depth, lca_depth + t, idx, a, b)
         idx = (idx << 1) + (u[:, t] < f)
     return idx + 1
 

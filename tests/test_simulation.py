@@ -18,7 +18,6 @@ from prefixsim.simulation import (
     LazySimulation,
     est_simulation_edge,
     first_free_ones,
-    preprocess,
     samples_per_edge,
 )
 from prefixsim.streams import substream, substreams
@@ -160,7 +159,8 @@ class TestEstSimulationEdge:
 class TestPreprocess:
     def test_total_cost(self):
         oracle = TreeOracle(uniform_tree(3))
-        learned = preprocess(oracle, 0.5, seed=7)
+        learned = LazySimulation(oracle, 0.5, seed=7)
+        learned.materialize()
         m = samples_per_edge(3, 0.5)
         assert oracle.conditional_calls == 7 * m
         assert learned.touched_pairs == 7
@@ -168,7 +168,8 @@ class TestPreprocess:
     def test_reads_after_preprocess_are_free(self):
         n = 5
         oracle = TreeOracle(random_tree(n, substream(14, "t"), 0.2, 0.8))
-        learned = preprocess(oracle, 0.5, seed=15)
+        learned = LazySimulation(oracle, 0.5, seed=15)
+        learned.materialize()
         assert learned.touched_pairs == (1 << n) - 1
         spent = oracle.conditional_calls
         for v in range(1 << n):
@@ -193,21 +194,22 @@ class TestPreprocess:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            preprocess(oracle, 0.25, seed=17)
+            LazySimulation(oracle, 0.25, seed=17).materialize()
         finally:
             gc.callbacks.remove(count)
         assert collections == []
 
     def test_point_mass_learned_exactly(self):
         tree = point_mass_tree("101")
-        learned = preprocess(TreeOracle(tree), 0.5, seed=8)
+        learned = LazySimulation(TreeOracle(tree), 0.5, seed=8)
+        learned.materialize()
         assert learned.query("101") == 1.0
         assert kl_divergence(learned, tree) == 0.0
 
     def test_capability_gate(self):
         oracle = TreeOracle(uniform_tree(21))
         with pytest.raises(CapabilityError):
-            preprocess(oracle, 0.5, seed=0)
+            LazySimulation(oracle, 0.5, seed=0).materialize()
         assert oracle.conditional_calls == 0
 
     def test_expected_divergence_bound(self):
@@ -216,7 +218,8 @@ class TestPreprocess:
         kls = []
         for i in range(runs):
             tree = random_tree(n, substream(100, "tree", i), 0.2, 0.8)
-            learned = preprocess(TreeOracle(tree), delta, seed=200 + i)
+            learned = LazySimulation(TreeOracle(tree), delta, seed=200 + i)
+            learned.materialize()
             kls.append(kl_divergence(learned, tree))
         mean = float(np.mean(kls))
         se = float(np.std(kls, ddof=1)) / math.sqrt(runs)
@@ -225,21 +228,24 @@ class TestPreprocess:
 
 class TestPreprocessedReads:
     def test_realization_exact(self):
-        learned = preprocess(TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
+        learned = LazySimulation(TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
+        learned.materialize()
         total = sum(query_exact(learned, bits) for bits in product((0, 1), repeat=4))
         assert total == Fraction(1)
         float_total = sum(learned.query(bits) for bits in product((0, 1), repeat=4))
         assert abs(float_total - 1.0) < 1e-12
 
     def test_point_mass_sample(self):
-        learned = preprocess(TreeOracle(point_mass_tree("011")), 0.5, seed=10)
-        x, p = learned.sample(substream(11, "u"))
+        learned = LazySimulation(TreeOracle(point_mass_tree("011")), 0.5, seed=10)
+        learned.materialize()
+        x, p = learned.sample()
         assert (x, p) == ((0, 1, 1), 1.0)
 
     def test_sample_frequencies_match_queries(self):
-        learned = preprocess(TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)), 0.5, seed=12)
+        learned = LazySimulation(TreeOracle(random_tree(4, substream(6, "t"), 0.2, 0.8)), 0.5, seed=12)
+        learned.materialize()
         draws = 20_000
-        bits, _ = learned.sample_batch(draws, substream(13, "u"))
+        bits, _ = learned.sample_batch(draws)
         counts = np.bincount(bits @ (1 << np.arange(3, -1, -1)), minlength=16)
         expected = np.array([
             learned.query(code_rows(v, 4)) for v in range(16)
@@ -324,16 +330,16 @@ class TestLazySimulation:
     def test_lazy_matches_eager_bit_for_bit(self):
         n, delta, seed = 6, 0.25, 77
         tree = random_tree(n, substream(24, "t"), 0.2, 0.8)
-        eager = preprocess(TreeOracle(tree), delta, seed)
+        eager = LazySimulation(TreeOracle(tree), delta, seed)
+        eager.materialize()
         lazy = LazySimulation(TreeOracle(tree), delta, seed)
-        user = substream(seed, "user")
         script = substream(25, "script")
         for _ in range(300):
             if script.random() < 0.5:
                 x = tuple(script.integers(0, 2, n))
                 assert eager.query(x) == lazy.query(x)
             else:
-                assert eager.sample(user) == lazy.sample()
+                assert eager.sample() == lazy.sample()
 
 
 def twin_simulations(n, delta, seed, tree_seed):
@@ -398,7 +404,7 @@ class TestBatchedWalks:
         assert sim.oracle.conditional_calls == 0
 
     def test_node_ids_past_int64(self):
-        # n = 70 node ids do not fit in int64; the walk keeps them as Python ints
+        # n = 70 indexes do not fit in int64; the walk keeps them as Python ints
         from prefixsim.hardness import SignMarginalTree
 
         n = 70
@@ -425,14 +431,14 @@ _ops = st.one_of(
 def test_lazy_equals_eager_over_random_scripts(script, seed):
     n, delta = 4, 0.5
     tree = random_tree(n, substream(41, "t"), 0.2, 0.8)
-    eager = preprocess(TreeOracle(tree), delta, seed)
+    eager = LazySimulation(TreeOracle(tree), delta, seed)
+    eager.materialize()
     lazy = LazySimulation(TreeOracle(tree), delta, seed)
-    user = substream(seed, "user")
     for op, arg in script:
         if op == "sample":
-            assert eager.sample(user) == lazy.sample()
+            assert eager.sample() == lazy.sample()
         elif op == "sample_batch":
-            for got, want in zip(lazy.sample_batch(arg), eager.sample_batch(arg, user)):
+            for got, want in zip(lazy.sample_batch(arg), eager.sample_batch(arg)):
                 assert np.array_equal(got, want)
         elif op == "query":
             x = code_rows(arg, n)
@@ -463,7 +469,8 @@ def level_script(tree):
         records = []
         oracle.on_record = records.append
         if eager:
-            sim = preprocess(oracle, 0.5, seed=60)
+            sim = LazySimulation(oracle, 0.5, seed=60)
+            sim.materialize()
             results = []
         else:
             sim = LazySimulation(oracle, 0.5, seed=60)
@@ -528,16 +535,16 @@ def test_lazy_script_touches_edges_in_first_touch_order():
 
 
 def assert_store_sorted(sim):
-    """Node ids strictly increase at every depth, and touched_pairs counts the entries."""
-    for nodes, ks in zip(sim._nodes, sim._ks):
-        ids = nodes.tolist()
-        assert len(ids) == len(ks) and all(a < b for a, b in zip(ids, ids[1:]))
+    """Indexes strictly increase at every depth, and touched_pairs counts the entries."""
+    for indexes, ks in zip(sim._nodes, sim._ks):
+        keys = indexes.tolist()
+        assert len(keys) == len(ks) and all(a < b for a, b in zip(keys, keys[1:]))
     assert sim.touched_pairs == sum(map(len, sim._nodes))
 
 
 @pytest.mark.parametrize("n", [5, 70])
 def test_store_lookups_equal_a_dict_reference(n):
-    # n = 70 keeps node ids as Python ints in object arrays
+    # n = 70 keeps indexes as Python ints in object arrays
     tree = random_tree(5, substream(80, "t"), 0.2, 0.8) if n == 5 else SignMarginalTree(70, 81, 0.3, 0.7)
     sim = LazySimulation(TreeOracle(tree), n / 4, seed=82)
     records = []
@@ -549,10 +556,9 @@ def test_store_lookups_equal_a_dict_reference(n):
     calls = [(deep, [5, 1, 5, 3]), (2, [3, 0, 3]), (deep, [3, 0, 1, 7, 0]), (2, [1, 3, 2, 0]),
              (0, [0, 0]), (deep, [7, 5, 2, 2, 6, 4]), (deep, [6, 0])]
     for depth, indexes in calls:
-        nodes = [(1 << depth) | i for i in indexes]
-        ks = stored_counts(sim, depth, np.array(nodes, dtype=sim._handle_dtype))
+        ks = stored_counts(sim, depth, np.array(indexes, dtype=sim._handle_dtype))
         assert ks.dtype == np.int64
-        assert ks.tolist() == dict_counts(store, reference, sim.m, sim.seed, nodes)
+        assert ks.tolist() == dict_counts(store, reference, sim.m, sim.seed, depth, indexes)
         assert_store_sorted(sim)
     assert sim.touched_pairs == len(store) == 13
     assert sim.oracle.conditional_calls == reference.conditional_calls == sim.m * 13
@@ -568,7 +574,23 @@ def test_store_stays_sorted_through_lazy_walks():
     assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs
     sim.materialize()
     assert_store_sorted(sim)
-    assert [nodes.tolist() for nodes in sim._nodes] == [list(range(1 << i, 2 << i)) for i in range(6)]
+    assert [indexes.tolist() for indexes in sim._nodes] == [list(range(1 << i)) for i in range(6)]
+
+
+@pytest.mark.parametrize("n, dtype", [(63, np.int64), (64, object)])
+def test_handles_are_int64_through_n_63(n, dtype):
+    # a walk's last handle is the element's index, up to 2^n - 1: int64 holds it through n = 63
+    sim = LazySimulation(TreeOracle(SignMarginalTree(n, 94, 0.3, 0.7)), n / 2, seed=95)
+    bits, masses = sim.sample_batch(4)
+    bits = np.vstack([bits, np.ones((1, n), dtype=np.uint8)])
+    masses = np.append(masses, sim.query([1] * n))
+    assert [sim.query(x) for x in bits.tolist()] == masses.tolist()
+    assert all(indexes.dtype == dtype for indexes in sim._nodes)
+    handles = sim.walk(bits.copy())
+    assert handles.dtype == dtype
+    assert [int(h) for h in handles] == [int("".join(map(str, row)), 2) for row in bits.tolist()]
+    assert int(handles[-1]) == (1 << n) - 1
+    assert_store_sorted(sim)
 
 
 class TestSimulationIsATree:

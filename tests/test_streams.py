@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefixsim.streams import _seed_words, child_seed, substream, substreams
+from prefixsim.streams import _entropy_words, child_seed, substream, substreams
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) of each seed 0 <= s < 2^128, as one (k, 4) array."""
+    return _entropy_words(b"".join(s.to_bytes(16, "little") * 2 for s in seeds))
 
 
 def test_same_key_same_stream():

@@ -60,7 +60,7 @@ def test_edge_estimator_runs_once_per_edge(monkeypatch):
     calls = []
     estimate = simulation.est_simulation_edge
     monkeypatch.setattr(simulation, "est_simulation_edge", lambda first: calls.append(1) or estimate(first))
-    simulation.preprocess(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    simulation.LazySimulation(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5).materialize()
     assert len(calls) == 2 ** 4 - 1
 
 
@@ -85,7 +85,7 @@ def test_edge_streams_are_seeded_once_per_group(monkeypatch):
     seed_group = streams.substreams
     monkeypatch.setattr(simulation, "substreams",
                         lambda *key, parts: groups.append(len(parts)) or seed_group(*key, parts=parts))
-    simulation.preprocess(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5)
+    simulation.LazySimulation(TreeOracle(random_tree(4, substream(4, "t"))), 0.5, seed=5).materialize()
     assert groups == [1, 2, 4, 8]
     assert inspect.isfunction(seed_group) and seed_group.__module__ == "prefixsim.streams"
 

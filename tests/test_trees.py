@@ -16,7 +16,7 @@ from helpers import (chain_rule_kl, cylinder_mass, exact_total_mass, marginal, m
 
 def two_level_tree():
     # f(empty)=0.3, f(0)=0.6, f(1)=0.2
-    return TableMarginalTree(2, [np.array([0.3]), np.array([0.6, 0.2])])
+    return TableMarginalTree([np.array([0.3]), np.array([0.6, 0.2])])
 
 
 class TestMass:
@@ -103,7 +103,7 @@ class TestTvDistance:
 
     def test_matches_brute_force_over_four_outcomes(self):
         a = two_level_tree()
-        b = TableMarginalTree(2, [np.array([0.5]), np.array([0.1, 0.9])])
+        b = TableMarginalTree([np.array([0.5]), np.array([0.1, 0.9])])
         brute = 0.5 * sum(
             abs(mass(a, x) - mass(b, x))
             for x in ("00", "01", "10", "11")
@@ -129,8 +129,8 @@ class TestKlDivergence:
         # level-constant marginals make the distribution a product of Bernoullis,
         # so the divergence must equal the sum of per-level Bernoulli divergences
         pa, qa = [0.3, 0.7, 0.55], [0.4, 0.5, 0.8]
-        a = TableMarginalTree(3, [np.full(1 << i, pa[i]) for i in range(3)])
-        b = TableMarginalTree(3, [np.full(1 << i, qa[i]) for i in range(3)])
+        a = TableMarginalTree([np.full(1 << i, pa[i]) for i in range(3)])
+        b = TableMarginalTree([np.full(1 << i, qa[i]) for i in range(3)])
         expected = sum(bernoulli_kl(p, q) for p, q in zip(pa, qa))
         assert kl_divergence(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -184,13 +184,13 @@ class TestBernoulliKl:
 class TestBackings:
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):
-            TableMarginalTree(2, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
+            TableMarginalTree([np.array([0.5, 0.5]), np.array([0.5, 0.5])])
         with pytest.raises(ValueError):
-            TableMarginalTree(1, [np.array([1.2])])
+            TableMarginalTree([np.array([1.2])])
         with pytest.raises(ValueError):
-            TableMarginalTree(1, [np.array([np.nan])])
+            TableMarginalTree([np.array([np.nan])])
         with pytest.raises(ValueError):
-            TableMarginalTree(2, [np.array([0.5]), np.array([0.5, np.nan])])
+            TableMarginalTree([np.array([0.5]), np.array([0.5, np.nan])])
 
     def test_levels_are_read_only(self):
         t = uniform_tree(2)
