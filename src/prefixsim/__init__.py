@@ -28,7 +28,7 @@ from .reduction import (
     mass_preserved,
 )
 from .simulation import (
-    MAX_PREPROCESS_N,
+    MAX_MATERIALIZE_N,
     LazySimulation,
     est_simulation_edge,
     samples_per_edge,

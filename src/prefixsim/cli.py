@@ -34,7 +34,7 @@ from .hardness import (check_gap, effective_samples, gen_hard_instance, hard_ins
                        threshold_constants)
 from .oracles import TreeOracle
 from .reduction import AdaptedPrefixOracle, TableIntervalOracle, code_depth, mass_preserved
-from .simulation import MAX_PREPROCESS_N, LazySimulation, samples_per_edge
+from .simulation import MAX_MATERIALIZE_N, LazySimulation, samples_per_edge
 from .streams import child_seed, substream, substreams
 from .trees import random_tree
 from .util import MAX_BLOCK_UNIFORMS, row_blocks
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(parser, args) -> int:
-    if not 1 <= args.n <= MAX_PREPROCESS_N:
-        parser.error(f"precondition violated: simulate needs 1 <= n <= {MAX_PREPROCESS_N}")
+    if not 1 <= args.n <= MAX_MATERIALIZE_N:
+        parser.error(f"precondition violated: simulate needs 1 <= n <= {MAX_MATERIALIZE_N}")
     _positive(parser, "delta", args.delta)
     _marginal_range(parser, args)
     m = _checked(parser, samples_per_edge, args.n, args.delta)

@@ -10,7 +10,6 @@ amplifies the success probability.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,17 @@ class TvEstimate:
     round_values: list[float] = field(default_factory=list)
     budget_a: int = 0
     budget_b: int = 0
+
+
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the two middle values, as statistics.median computes them.
+
+    Kept here so that importing the package does not load statistics and,
+    with it, fractions and decimal.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def simulation_delta(epsilon: float) -> float:
@@ -82,7 +92,7 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
             acc = float(np.add.accumulate(np.concatenate(([acc], values)))[-1])
         round_values.append(min(1.0, max(0.0, acc / pairs)))
     return TvEstimate(
-        estimate=float(statistics.median(round_values)),
+        estimate=float(_median(round_values)),
         epsilon=epsilon,
         rounds=rounds,
         pairs_per_round=pairs,

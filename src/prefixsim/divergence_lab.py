@@ -16,12 +16,15 @@ margin rhs - lhs.
 
 Instances with the same support size k share one (c, k) block: a mass
 vector's k entries, or for chain-rule a tree's 2^n - 1 marginals, level
-after level; the binomial checkers group by m and build the math.comb
-coefficients once per block.  Blocks are never padded to a common length,
-because a row's sum over k entries is then the sum numpy forms for that
-vector alone, while zero padding regroups numpy's pairwise sums and moves
-the last bit.  So each row's result equals its kernel's result on that
-instance alone, as a block of one row, bit for bit.  The sweep draws every
+after level; the binomial checkers group by m and read the exact
+math.comb coefficients from a row cached per m.  Blocks are never padded to
+a common length, because a row's sum over k entries is then the sum numpy
+forms for that vector alone, while zero padding regroups numpy's pairwise
+sums and moves the last bit.  So each row's result equals its kernel's result on that
+instance alone, as a block of one row, bit for bit.  For the same reason a
+kernel's KL terms over rows of one length share one _kl_rows call on the
+rows stacked: a row's sum does not depend on the rows beside it (which
+np.add.reduceat does not promise, so it is not used).  The sweep draws every
 instance from its checker's stream in turn and evaluates them in chunks of
 at most SWEEP_CHUNK, so memory stays bounded at any count.
 
@@ -30,7 +33,8 @@ last bit; that is far below SLACK, and as an identity it reports margin 0.
 Only edge-estimate-kl-bound stays scalar (_scalar): expected_binomial_kl
 sums math.lgamma terms one outcome at a time, numpy's counterparts need not
 round the same way, and the recorded sweep margins pin that float
-expression.
+expression.  It reads each m's log binomial coefficients, those math.lgamma
+differences, from a row cached per m.
 
 KL divergences are in bits throughout; inequalities stated with natural logs
 carry explicit ln 2 factors.
@@ -38,6 +42,7 @@ carry explicit ln 2 factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,20 +151,40 @@ def expected_binomial_kl(m: int, p: float) -> float:
         return 0.0
     log_p = math.log(p)
     log_1p = math.log1p(-p)
-    lg_m = math.lgamma(m + 1)
+    q = 1.0 - p
     total = 0.0
-    for t in range(m + 1):
-        log_w = lg_m - math.lgamma(t + 1) - math.lgamma(m - t + 1) + t * log_p + (m - t) * log_1p
-        total += math.exp(log_w) * bernoulli_kl(t / m, p)
+    for t, log_c in enumerate(_log_binomial_coefficients(m)):
+        a = t / m
+        # bernoulli_kl(a, p), inlined: p is inside (0, 1), so no branch is infinite
+        kl = 0.0
+        if a > 0.0:
+            kl += a * math.log2(a / p)
+        if a < 1.0:
+            kl += (1.0 - a) * math.log2((1.0 - a) / q)
+        total += math.exp(log_c + t * log_p + (m - t) * log_1p) * kl
     return total
+
+
+@functools.lru_cache(maxsize=256)
+def _log_binomial_coefficients(m: int) -> tuple[float, ...]:
+    """log C(m, t) for t = 0..m, each as lgamma(m + 1) - lgamma(t + 1) - lgamma(m - t + 1)."""
+    lg_m = math.lgamma(m + 1)
+    return tuple(lg_m - math.lgamma(t + 1) - math.lgamma(m - t + 1) for t in range(m + 1))
 
 
 def _binomial_rows(m: int, p: np.ndarray) -> np.ndarray:
     """Pmf of Bin(m, p) over {0..m}, one row per entry of p (coefficients are exact)."""
     t = np.arange(m + 1)
-    coeff = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
     p = p[:, None]
-    return coeff * p ** t * (1.0 - p) ** (m - t)
+    return _binomial_coefficients(m) * p ** t * (1.0 - p) ** (m - t)
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_coefficients(m: int) -> np.ndarray:
+    """math.comb(m, t) for t = 0..m as a read-only float row."""
+    coeff = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
+    coeff.setflags(write=False)
+    return coeff
 
 
 def _ratio_rows(p, q, t):
@@ -176,7 +201,9 @@ def _ratio_rows(p, q, t):
 
 def _chi_square_rows(p, q):
     """sum (mu-nu)^2 / (mu+nu) <= (KL(mu||nu) + KL(nu||mu)) * ln 2."""
-    rhs = (_kl_rows(p, q) + _kl_rows(q, p)) * LN2
+    c = len(p)
+    kl = _kl_rows(np.concatenate((p, q)), np.concatenate((q, p)))
+    rhs = (kl[:c] + kl[c:]) * LN2
     s = p + q
     lhs = ((p - q) ** 2 / np.where(s > 0.0, s, 1.0)).sum(axis=1)
     return lhs, rhs, lhs <= rhs + SLACK
@@ -191,8 +218,8 @@ def _mixture_rows(p, q, r):
     col = r[:, None]
     even = 0.5 * p + 0.5 * q
     tilted = (1.0 + col) / 2.0 * p + (1.0 - col) / 2.0 * q
-    rhs = 0.5 * r * r * (_kl_rows(p, q) + _kl_rows(q, p))
-    lhs = _kl_rows(even, tilted)
+    pq, qp, lhs = _kl_rows(np.concatenate((p, q, even)), np.concatenate((q, p, tilted))).reshape(3, -1)
+    rhs = 0.5 * r * r * (pq + qp)
     return lhs, rhs, lhs <= rhs + SLACK
 
 
@@ -222,7 +249,8 @@ def _nonadaptive_rows(schedules: list[np.ndarray], delta: np.ndarray, r: np.ndar
     kl = np.empty(counts.size)
     for m, entries in _groups(counts.tolist()).items():
         d = delta[owner[entries]]
-        low, high = np.split(_binomial_rows(m, np.concatenate(((1.0 - d) / 2.0, (1.0 + d) / 2.0))), 2)
+        rows = _binomial_rows(m, np.concatenate(((1.0 - d) / 2.0, (1.0 + d) / 2.0)))
+        low, high = rows[:len(d)], rows[len(d):]
         col = r[owner[entries], None]
         balanced = 0.5 * low + 0.5 * high
         tilted = (1.0 + col) / 2.0 * low + (1.0 - col) / 2.0 * high
@@ -256,7 +284,8 @@ def _product_rows(p1, q1, p2, q2, tol: float = 1e-9):
 def _binomial_identity_rows(ms, p, q, tol: float = 1e-9):
     """KL(Bin(m,p) || Bin(m,q)) = m * KL(Ber(p) || Ber(q))."""
     m = int(ms[0])       # a block holds one m
-    bin_p, bin_q = np.split(_binomial_rows(m, np.concatenate((p, q))), 2)
+    rows = _binomial_rows(m, np.concatenate((p, q)))
+    bin_p, bin_q = rows[:len(p)], rows[len(p):]
     scaled = np.array([m * bernoulli_kl(a, b) for a, b in zip(p.tolist(), q.tolist())])
     return (_agree(_kl_rows(bin_p, bin_q), scaled, tol),)
 
@@ -382,8 +411,10 @@ def _nonadaptive(instances):
 
 
 def _pair(rng):
+    """Two _simplex_point draws of one random support size k, their 2k exponentials drawn in one call."""
     k = int(rng.integers(2, 17))
-    return _simplex_point(k, rng), _simplex_point(k, rng)
+    raw = rng.exponential(1.0, (2, k))
+    return raw[0] / raw[0].sum(), raw[1] / raw[1].sum()
 
 
 def _chain_instance(rng):

@@ -10,8 +10,9 @@ apart is as hard as estimating masses within a (1 +- eps) factor.
 mu and mu' are SignMarginalTrees on one seed, child_seed(seed, "signs"), so
 they share their signs.  A sign is a pure function of (seed, prefix): the
 trees' walk carries a rolling 64-bit mix down each path, one step per
-level.  So instances with n in the thousands need no storage, and every walk
-order sees the same signs.
+level, and each step is one splitmix pass over the state's three keys (its
+sign's and its two children's).  So instances with n in the thousands need
+no storage, and every walk order sees the same signs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .trees import MarginalTree
 
 _MASK64 = (1 << 64) - 1
 _SIGN_TAG = 0x632D65B727C07E85
+# a state's step keys as a column: its sign's, then its children's along bits 0 and 1
+_STEP_KEYS = np.array([[_SIGN_TAG], [1], [2]], dtype=np.uint64)
 # splitmix64's constants and shifts as uint64 scalars, so array steps convert nothing
 _GAMMA, _MUL1, _MUL2 = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
                         np.uint64(0x94D049BB133111EB))
@@ -57,8 +60,11 @@ class SignMarginalTree(MarginalTree):
     seed, and a child's the mix of its parent's state xor (bit + 1).  The
     node's sign is +1 when the mix of its state xor a fixed tag is odd.  So
     signs are a pure function of (seed, prefix), walks step O(1) per level
-    and nothing is stored.  Handles are uint64 and only ever enter arrays,
-    where the mix wraps mod 2^64 (a uint64 scalar would warn on overflow).
+    and nothing is stored.  A walk's level is one mix over the stacked keys
+    state xor [tag, 1, 2]: the sign and both children's states at once, of
+    which the bit taken picks the child.  Handles are uint64 and only ever
+    enter arrays, where the mix wraps mod 2^64 (a uint64 scalar would warn
+    on overflow).
     """
 
     _handle_dtype = np.uint64
@@ -76,8 +82,14 @@ class SignMarginalTree(MarginalTree):
         return _mix(h ^ (b + 1))
 
     def _split(self, depth: int, h):
-        split = self._splits.take(_mix(h ^ _SIGN_TAG) & 1, axis=1)
-        return split[0], split[1]  # a tuple: unpacking an array's rows costs more than the gather
+        return self._step(depth, h)[:2]
+
+    def _step(self, depth: int, h):
+        # one mix of the stacked keys: row 0 is the sign's, rows 1 and 2 are _child's along bits 0 and 1
+        z = _mix(h ^ _STEP_KEYS)
+        split = self._splits.take(z[0] & 1, axis=1)
+        # split's rows as a tuple: unpacking an array's rows costs more than the gather
+        return split[0], split[1], lambda b: np.where(b, z[2], z[1])
 
 
 def challenge_marginal(sign, delta):

@@ -52,7 +52,7 @@ from .trees import MarginalTree
 from .util import ceil_snap, row_blocks
 
 #: Largest n for which learning all 2^n - 1 edges (materialize) is supported.
-MAX_PREPROCESS_N = 20
+MAX_MATERIALIZE_N = 20
 
 
 def samples_per_edge(n: int, delta: float) -> int:
@@ -106,11 +106,11 @@ class LazySimulation(MarginalTree):
     (seed, prefix)-keyed stream, and merged in sorted order.
     Entries never change once written, so repeated queries are consistent
     and already-revealed masses are honored by later samples.  As a marginal
-    tree its handles are the indexes, and materialize (n <= MAX_PREPROCESS_N)
+    tree its handles are the indexes, and materialize (n <= MAX_MATERIALIZE_N)
     estimates every untouched edge.
     """
 
-    _max_table_n = MAX_PREPROCESS_N
+    _max_table_n = MAX_MATERIALIZE_N
 
     def __init__(self, oracle: PrefixOracle, delta: float, seed: int):
         super().__init__(oracle.n)

@@ -19,9 +19,13 @@ storage.  The base class owns the one walk over these names: walk takes a
 block of rows down together, one level per column, reading or drawing each
 row's bit and, for a caller that passes a mass array, multiplying in each
 edge's probability, so cylinder masses, element masses and draws are all
-one loop.  materialize builds the tables level by level, kept as built:
-only the public constructor copies and checks levels.  A caller with one
-prefix passes a block of one row.
+one loop.  A level is one call of the hook _step, which returns the split at
+the rows' handles and the map from the bits taken to the children's
+handles; by default it is built from the tree's split and child, and the
+sign tree overrides it to compute both from one mix of stacked keys.
+materialize builds the tables level by level, kept as built: only the
+public constructor copies and checks levels.  A caller with one prefix
+passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
@@ -30,6 +34,7 @@ divergence_lab.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -49,7 +54,9 @@ class MarginalTree:
     (f, 1 - f) from the subclass's marginal _f(depth, h).  All work
     elementwise on arrays of handles of dtype _handle_dtype, by default the
     nodes' indexes in their levels as int64.  walk and materialize are
-    written once, over these.
+    written once, over these; walk takes each level through _step(depth, h),
+    the split at h and the map from the bits taken to the children's
+    handles, which a subclass may override to share work between the two.
     """
 
     _handle_dtype: type = np.int64
@@ -69,6 +76,11 @@ class MarginalTree:
         f = self._f(depth, h)
         return f, 1.0 - f
 
+    def _step(self, depth: int, h):
+        """One level of a walk from the handles h at depth: the split there, and the map from bits to children."""
+        one, zero = self._split(depth, h)
+        return one, zero, functools.partial(self._child, h)
+
     def walk(self, bits: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None,
              depth: int = 0, h: np.ndarray | None = None) -> np.ndarray:
         """Walk the rows of bits down the tree together from nodes at depth, one column per level.
@@ -84,13 +96,13 @@ class MarginalTree:
         if h is None:
             h = np.full(len(bits), self._root, dtype=self._handle_dtype)
         for t in range(bits.shape[1]):
-            one, zero = self._split(depth + t, h)
+            one, zero, child = self._step(depth + t, h)
             if u is not None:
                 bits[:, t] = u[:, t] < one
             b = bits[:, t]
             if p is not None:
                 p *= np.where(b, one, zero)
-            h = self._child(h, b)
+            h = child(b)
         return h
 
     def masses(self) -> np.ndarray:

@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prefixsim import util
-from prefixsim.distance import estimate_tv, simulation_delta
+from prefixsim.distance import _median, estimate_tv, simulation_delta
 from prefixsim.divergence_lab import tv_distance
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation
@@ -20,6 +22,12 @@ def lazy_pair(tree_a, tree_b, epsilon, seed):
     sim_a = LazySimulation(TreeOracle(tree_a), delta, child_seed(seed, "a"))
     sim_b = LazySimulation(TreeOracle(tree_b), delta, child_seed(seed, "b"))
     return sim_a, sim_b
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_median_equals_statistics_median(values):
+    # odd and even counts, repeats, signed zeros and infinities alike
+    assert _median(values).hex() == float(statistics.median(values)).hex()
 
 
 def test_simulation_delta():

@@ -301,3 +301,58 @@ def test_batch_equals_lone_calls_and_reference(name):
     for instance, (lhs, rhs, ok) in zip(instances, batched):
         for lone in (LONE_CALLS[name](*instance), REFERENCE[name](*instance)):
             assert (lone[0].hex(), lone[1].hex(), lone[2]) == (lhs.hex(), rhs.hex(), ok)
+
+
+def _lgamma_expected_binomial_kl(m, p):
+    """expected_binomial_kl's float expression, one math.lgamma term and bernoulli_kl call per outcome."""
+    log_p, log_1p, lg_m = math.log(p), math.log1p(-p), math.lgamma(m + 1)
+    total = 0.0
+    for t in range(m + 1):
+        log_w = lg_m - math.lgamma(t + 1) - math.lgamma(m - t + 1) + t * log_p + (m - t) * log_1p
+        total += math.exp(log_w) * bernoulli_kl(t / m, p)
+    return total
+
+
+def test_expected_binomial_kl_equals_the_lgamma_expression():
+    grid = (1e-300, 1e-12, 1e-3, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.999, 1.0 - 2.0 ** -53)
+    lab._log_binomial_coefficients.cache_clear()
+    for m in range(1, 131):
+        for p in grid:
+            expected = _lgamma_expected_binomial_kl(m, p).hex()
+            # the first call fills m's cached row, the second reads it
+            assert lab.expected_binomial_kl(m, p).hex() == expected
+            assert lab.expected_binomial_kl(m, p).hex() == expected
+
+
+def test_cached_binomial_rows_equal_fresh_rows():
+    rng = substream(12, "binomial-rows")
+    for m in range(1, 31):
+        p = np.concatenate((rng.uniform(0.0, 1.0, 5), [0.0, 1e-300, 0.5, 1.0]))
+        fresh = np.stack([_ref_pmf(m, x) for x in p.tolist()])
+        for _ in range(2):
+            assert np.array_equal(lab._binomial_rows(m, p), fresh)
+        assert not lab._binomial_coefficients(m).flags.writeable
+
+
+def test_pair_equals_two_simplex_points_on_twin_streams():
+    for seed in range(200):
+        rng, twin = substream(seed, "pair"), substream(seed, "pair")
+        p, q = lab._pair(rng)
+        k = int(twin.integers(2, 17))
+        for one_call, alone in zip((p, q), (lab._simplex_point(k, twin), lab._simplex_point(k, twin))):
+            assert one_call.tolist() == alone.tolist()
+        assert rng.random() == twin.random()       # the streams stand at the same double
+
+
+def test_stacked_kl_rows_equal_separate_calls():
+    # each block holds rows of one length; zero cells give zero terms and +inf rows
+    rng = substream(13, "stacked-kl")
+    for _ in range(1000):
+        k = int(rng.integers(1, 40))
+        blocks = []
+        for c in rng.integers(1, 20, int(rng.integers(2, 4))).tolist():
+            p, q = rng.exponential(1.0, (2, c, k)) * (rng.random((2, c, k)) > 0.1)
+            blocks.append((p, q))
+        stacked = lab._kl_rows(np.concatenate([p for p, _ in blocks]), np.concatenate([q for _, q in blocks]))
+        separate = np.concatenate([lab._kl_rows(p, q) for p, q in blocks])
+        assert [x.hex() for x in stacked.tolist()] == [x.hex() for x in separate.tolist()]

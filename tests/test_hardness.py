@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,7 +123,40 @@ class TestHardInstance:
         mix = hardness._mix
         monkeypatch.setattr(hardness, "_mix", lambda z: mixes.append(z) or mix(z))
         assert mass(tree, x) == expected
-        assert len(mixes) <= 2 * n + 1
+        assert len(mixes) == n          # one stacked mix per level: the sign and both children
+        assert all(z.shape == (3, 1) for z in mixes)
+
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 200), rows=st.sampled_from([1, 3, 200]),
+           values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sign_walk_equals_the_int_reference(self, seed, n, rows, values, data):
+        # a walk from nodes at depth > 0 takes one stacked mix per level; its
+        # bits, the handles it reaches and its masses equal the int states' walk
+        depth = data.draw(st.integers(1, n - 1))
+        minus, plus = values
+        tree = hardness.SignMarginalTree(n, seed, minus, plus)
+        rng = substream(seed, "step", n, rows, depth)
+        prefixes = rng.integers(0, 2, (rows, depth)).astype(np.uint8)
+        u = rng.random((rows, n - depth))
+        p = rng.random(rows)
+        start = tree.walk(prefixes)
+        states = [list(sign_states(seed, w))[-1] for w in prefixes.tolist()]
+        assert start.tolist() == states
+        bits = np.empty((rows, n - depth), dtype=np.uint8)
+        mixes, expected_p = [], p.tolist()
+        with mock.patch.object(hardness, "_mix", lambda z, mix_=hardness._mix: mixes.append(z) or mix_(z)):
+            end = tree.walk(bits, u, p, depth=depth, h=start)
+        assert len(mixes) == n - depth
+        for s, uniforms in enumerate(u.tolist()):
+            row = []
+            for x in uniforms:
+                f = plus if state_sign(states[s]) == 1 else minus
+                row.append(int(x < f))
+                expected_p[s] *= f if row[-1] else 1.0 - f
+                states[s] = mix(states[s] ^ (row[-1] + 1))
+            assert bits[s].tolist() == row
+        assert end.dtype == np.uint64 and end.tolist() == states
+        assert p.tolist() == expected_p
 
     def test_yes_challenge_is_uniform(self):
         n, count = 16, 2000

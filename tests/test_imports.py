@@ -1,6 +1,9 @@
 """Source-level guards over the modules of src/prefixsim."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import prefixsim
@@ -32,7 +35,7 @@ GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
-TREE_HOOKS = {"_split", "_f", "_child"}
+TREE_HOOKS = {"_split", "_f", "_child", "_step"}
 
 
 def _modules():
@@ -52,6 +55,13 @@ def test_no_module_imports_fractions():
             if any(name.split(".")[0] == "fractions" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+    # nor through the standard library: statistics loads fractions and decimal
+    code = ("import sys, prefixsim.cli; "
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(Path(prefixsim.__file__).parent.parent)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_module_defines_a_test_only_name():

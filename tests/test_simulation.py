@@ -628,7 +628,7 @@ class TestSimulationIsATree:
             assert got == want
         assert sim.query(w) == want
 
-    @pytest.mark.parametrize("n", [simulation.MAX_PREPROCESS_N + 1, 24, 70])
+    @pytest.mark.parametrize("n", [simulation.MAX_MATERIALIZE_N + 1, 24, 70])
     def test_materialize_past_the_learning_cap_draws_nothing(self, n):
         sim = LazySimulation(TreeOracle(SignMarginalTree(n, 92, 0.3, 0.6)), 0.5, seed=93)
         with pytest.raises(CapabilityError):
