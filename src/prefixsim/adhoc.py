@@ -77,7 +77,9 @@ def tester_parameters(delta: float, r: float) -> tuple[int, float, float]:
     n' = ceil(15 / r^2) indexes, q = 10 / delta^2 expected draws per index;
     the threshold sits midway between the balanced mean q n'/2 and the tilted
     mean (1 - r delta) q n'/2, i.e. at (1 - r delta / 2) q n' / 2.
+    delta and r must lie in the family's ranges and be positive.
     """
+    _validate_family(delta, r)
     if not delta > 0.0:
         raise ValueError("the tester needs delta > 0")
     if not r > 0.0:
@@ -114,7 +116,6 @@ def run_ad_hoc_tester(inst: AdHocInstance, delta: float, r: float,
     equivalent Poisson split: per-index draw counts are independent Poi(q),
     which is exactly the law of uniform routing with a Poi(n' q) total.
     """
-    _validate_family(delta, r)
     n_prime, q, threshold = tester_parameters(delta, r)
     if inst.n < n_prime:
         raise CapabilityError(f"tester needs at least n' = {n_prime} indexes, instance has {inst.n}")

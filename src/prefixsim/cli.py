@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(parser, args) -> int:
     if not 1 <= args.n <= MAX_MATERIALIZE_N:
         parser.error(f"precondition violated: simulate needs 1 <= n <= {MAX_MATERIALIZE_N}")
-    _positive(parser, "delta", args.delta)
     _marginal_range(parser, args)
     m = _checked(parser, samples_per_edge, args.n, args.delta)
     _within_draw_cap(parser, "m x (2^n - 1)", m * ((1 << args.n) - 1))
@@ -357,8 +356,6 @@ def cmd_simulate(parser, args) -> int:
 def cmd_estimate_tv(parser, args) -> int:
     if not 1 <= args.n <= 10:
         parser.error("precondition violated: estimate-tv needs 1 <= n <= 10 (exact enumeration)")
-    if not 0.0 < args.epsilon < 1.0:
-        parser.error("precondition violated: need 0 < epsilon < 1")
     _positive(parser, "rounds", args.rounds)
     _positive(parser, "scale", args.scale)
     _marginal_range(parser, args)
@@ -378,10 +375,6 @@ def cmd_estimate_tv(parser, args) -> int:
 
 
 def cmd_adhoc(parser, args) -> int:
-    if not 0.0 < args.delta < 1.0 / 3.0:
-        parser.error("precondition violated: need 0 < delta < 1/3")
-    if not 0.0 < args.r < 1.0 / 12.0:
-        parser.error("precondition violated: need 0 < r < 1/12")
     if not 0.0 <= args.min_rate <= 1.0:
         parser.error("precondition violated: need 0 <= min-rate <= 1")
     n_prime, q, threshold = _checked(parser, tester_parameters, args.delta, args.r)
@@ -403,8 +396,6 @@ def cmd_adhoc(parser, args) -> int:
 
 
 def cmd_hard_instance(parser, args) -> int:
-    if args.epsilon is not None and not 0.0 < args.epsilon < 1.0:
-        parser.error("precondition violated: need 0 < epsilon < 1")
     # a yes-instance never uses r, so only a no label needs r < 1
     _positive(parser, "r", args.r)
     labels = ["yes", "no"] if args.label == "both" else [args.label]
@@ -443,7 +434,6 @@ def cmd_verify_lemmas(parser, args) -> int:
 def cmd_reduce_interval(parser, args) -> int:
     if not 1 <= args.size <= 4096:
         parser.error("precondition violated: reduce-interval enumerates codes; need 1 <= size <= 4096")
-    _positive(parser, "delta", args.delta)
     _positive(parser, "samples", args.samples, strict=False)
     depth = code_depth(args.size)
     m = _checked(parser, samples_per_edge, depth, args.delta)

@@ -10,6 +10,7 @@ amplifies the success probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,13 @@ def simulation_delta(epsilon: float) -> float:
 
 
 def pairs_per_round(epsilon: float, scale: float) -> int:
-    """ceil(scale / epsilon^2), the pairs estimate_tv draws per round; at least 1."""
-    pairs = ceil_snap(scale / (epsilon * epsilon))
+    """ceil(scale / epsilon^2), the pairs estimate_tv draws per round; finite and at least 1."""
+    ratio = scale / (epsilon * epsilon) if epsilon * epsilon else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"scale / epsilon^2 = {ratio} is not finite")
+    pairs = ceil_snap(ratio)
     if pairs < 1:
-        raise ValueError(f"scale / epsilon^2 = {scale / (epsilon * epsilon)} rounds to no pairs per round")
+        raise ValueError(f"scale / epsilon^2 = {ratio} rounds to no pairs per round")
     return pairs
 
 

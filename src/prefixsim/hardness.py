@@ -78,14 +78,8 @@ class SignMarginalTree(MarginalTree):
         # column 0 is the minus node's split (P[bit 1], P[bit 0]), column 1 the plus node's
         self._splits = np.array([[minus_value, plus_value], [1.0 - minus_value, 1.0 - plus_value]])
 
-    def _child(self, h, b):
-        return _mix(h ^ (b + 1))
-
-    def _split(self, depth: int, h):
-        return self._step(depth, h)[:2]
-
     def _step(self, depth: int, h):
-        # one mix of the stacked keys: row 0 is the sign's, rows 1 and 2 are _child's along bits 0 and 1
+        # one mix of the stacked keys: row 0 is the sign's, rows 1 and 2 the children's along bits 0 and 1
         z = _mix(h ^ _STEP_KEYS)
         split = self._splits.take(z[0] & 1, axis=1)
         # split's rows as a tuple: unpacking an array's rows costs more than the gather
@@ -136,14 +130,17 @@ def hard_instance_parameters(n: int, epsilon: float | None, label: str,
                              delta: float | None = None, r: float | None = None) -> tuple[float, float]:
     """The (delta, r) of a yes- or no-instance; ValueError when they are not valid.
 
-    delta and r default to sqrt(2) eps / sqrt(n) and 8 / sqrt(n); the r
-    default is only a valid probability shift for n > 64, so small-n
-    no-instances must pass r explicitly.  A yes-instance never uses r.
+    epsilon, when given, must lie in (0, 1).  delta and r default to
+    sqrt(2) eps / sqrt(n) and 8 / sqrt(n); the r default is only a valid
+    probability shift for n > 64, so small-n no-instances must pass r
+    explicitly.  A yes-instance never uses r.
     """
     if label not in ("yes", "no"):
         raise ValueError("label must be 'yes' or 'no'")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if delta is None:
         if epsilon is None:
             raise ValueError("pass epsilon or an explicit delta")

@@ -96,7 +96,12 @@ class PrefixOracle:
 
 
 class TreeOracle(PrefixOracle):
-    """Synthetic oracle backed by an explicit marginal tree.
+    """Synthetic oracle backed by a marginal tree, drawn through the tree's walk.
+
+    A draw walks the k prefixes to their start nodes, takes the first free
+    level with one _step on those k handles (its split read once per prefix
+    and repeated to the prefix's m rows, its child map giving each row's
+    child), and walks the rows from there.
 
     Conditioning on a zero-mass prefix is mathematically undefined; this
     oracle returns a uniform sample over the requested cylinder in that case,
@@ -112,8 +117,7 @@ class TreeOracle(PrefixOracle):
                                  streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
         """Walks all prefixes to their start nodes and masses at once, then descends all rows.
 
-        The rows descend the levels returned, or every level when hooked;
-        the first free level's marginal is read once per prefix.
+        The rows descend the levels returned, or every level when hooked.
         """
         prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
@@ -122,10 +126,11 @@ class TreeOracle(PrefixOracle):
         mass = np.ones(k)
         h = self.tree.walk(prefixes, p=mass)
         out = np.empty((k * m, walked), dtype=np.uint8)
-        out[:, 0] = u[:, 0] < np.repeat(self.tree._split(depth, h)[0], m)
+        one, _, child = self.tree._step(depth, h)
+        out[:, 0] = u[:, 0] < np.repeat(one, m)
         if walked > 1:
             self.tree.walk(out[:, 1:], u[:, 1:walked], depth=depth + 1,
-                           h=self.tree._child(np.repeat(h, m), out[:, 0]))
+                           h=np.where(out[:, 0], np.repeat(child(1), m), np.repeat(child(0), m)))
         dead = mass == 0.0
         if dead.any():
             dead = np.repeat(dead, m)

@@ -41,6 +41,7 @@ independent trials parallelize at the state level.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -173,10 +174,10 @@ class LazySimulation(MarginalTree):
         self._splits[depth] = ks / self.m, (self.m - ks) / self.m
         return keys.searchsorted(nodes)
 
-    def _split(self, depth: int, h):
+    def _step(self, depth: int, h):
         at = self._find(depth, h)  # first: it may add to the level
         ones, zeros = self._splits[depth]
-        return ones.take(at), zeros.take(at)
+        return ones.take(at), zeros.take(at), functools.partial(np.bitwise_or, h << 1)
 
     def query_batch(self, bits) -> np.ndarray:
         """Masses of the rows of a (k, n) 0/1 array under the simulated distribution.

@@ -7,25 +7,24 @@ next bit being 1.  The induced mass of an element x is the product
 
 which always defines a probability distribution.
 
-A tree names its nodes by handles: the root's handle, the handle of a node's
-child along a bit, and the split at a handle, the probabilities of its two
-edges.  By default a node's handle is its index in its level, the big-endian
-value of its prefix: table trees read their tables at it, a simulation
-(simulation.LazySimulation) its store of edge estimates, and the interval
-code tree (reduction.EncodedMarginalTree) a cumulative weight array.  Only
-the hard instances' sign trees name nodes otherwise, by a rolling 64-bit
-state computed from the prefix, so instances with n in the thousands need no
-storage.  The base class owns the one walk over these names: walk takes a
-block of rows down together, one level per column, reading or drawing each
-row's bit and, for a caller that passes a mass array, multiplying in each
-edge's probability, so cylinder masses, element masses and draws are all
-one loop.  A level is one call of the hook _step, which returns the split at
-the rows' handles and the map from the bits taken to the children's
-handles; by default it is built from the tree's split and child, and the
-sign tree overrides it to compute both from one mix of stacked keys.
-materialize builds the tables level by level, kept as built: only the
-public constructor copies and checks levels.  A caller with one prefix
-passes a block of one row.
+A tree names its nodes by handles and steps one level of a walk through
+one hook, _step(depth, h): the split at the handles h, the probabilities of
+their two edges, and the map from the bits taken to the children's handles.
+By default a handle is the node's index in its level, the big-endian value
+of its prefix, and _step is (f, 1 - f) from the tree's marginal _f: table
+trees read their tables at the index, the interval code tree
+(reduction.EncodedMarginalTree) a cumulative weight array.  Two trees
+override _step: a simulation (simulation.LazySimulation) reads both edges
+from its store of edge estimates, and the hard instances' sign trees name
+nodes by a rolling 64-bit state computed from the prefix, so instances with
+n in the thousands need no storage.  The base class owns the one walk over
+these names: walk takes a block of rows down together, one level per
+column, reading or drawing each row's bit and, for a caller that passes a
+mass array, multiplying in each edge's probability, so cylinder masses,
+element masses and draws are all one loop.  materialize builds the tables
+level by level from the same hook, each level's handles from the child map
+of the level above, kept as built: only the public constructor copies and
+checks levels.  A caller with one prefix passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
@@ -48,15 +47,14 @@ MAX_ENUM_N = 24
 class MarginalTree:
     """Base class: a distribution over {0,1}^n defined by prefix marginals.
 
-    A tree names its nodes with handles: _root is the root's handle,
-    _child(h, b) the handle of h's child along bit b, and _split(depth, h)
-    the pair (P[bit 1], P[bit 0]) at h, a node at that depth; by default
-    (f, 1 - f) from the subclass's marginal _f(depth, h).  All work
+    A tree names its nodes with handles, _root the root's, and steps a
+    level through _step(depth, h): for the handles h of nodes at that depth
+    it returns (P[bit 1], P[bit 0], child), where child maps the bits taken
+    (an array, or one bit for all) to the children's handles.  All work
     elementwise on arrays of handles of dtype _handle_dtype, by default the
-    nodes' indexes in their levels as int64.  walk and materialize are
-    written once, over these; walk takes each level through _step(depth, h),
-    the split at h and the map from the bits taken to the children's
-    handles, which a subclass may override to share work between the two.
+    nodes' indexes in their levels as int64, where _step is (f, 1 - f) from
+    the subclass's marginal _f(depth, h) and child(b) is (h << 1) | b.
+    walk and materialize are written once, over _step.
     """
 
     _handle_dtype: type = np.int64
@@ -69,17 +67,10 @@ class MarginalTree:
             raise ValueError("n must be at least 1")
         self.n = n
 
-    def _child(self, h, b):
-        return (h << 1) | b
-
-    def _split(self, depth: int, h):
-        f = self._f(depth, h)
-        return f, 1.0 - f
-
     def _step(self, depth: int, h):
         """One level of a walk from the handles h at depth: the split there, and the map from bits to children."""
-        one, zero = self._split(depth, h)
-        return one, zero, functools.partial(self._child, h)
+        f = self._f(depth, h)
+        return f, 1.0 - f, functools.partial(np.bitwise_or, h << 1)
 
     def walk(self, bits: np.ndarray, u: np.ndarray | None = None, p: np.ndarray | None = None,
              depth: int = 0, h: np.ndarray | None = None) -> np.ndarray:
@@ -114,11 +105,13 @@ class MarginalTree:
         if self.n > self._max_table_n:
             raise CapabilityError(f"materialization supported only for n <= {self._max_table_n}")
         h = np.full(1, self._root, dtype=self._handle_dtype)
-        levels = [self._split(0, h)[0]]
-        for depth in range(1, self.n):
-            # each node's children along bits 0 and 1 side by side: the next level in index order
-            h = self._child(h[:, None], np.array([0, 1], dtype=np.uint8)).ravel()
-            levels.append(self._split(depth, h)[0])
+        levels = []
+        for depth in range(self.n):
+            if depth:
+                # each node's children along bits 0 and 1 side by side: the next level in index order
+                h = np.stack((child(0), child(1)), axis=1).ravel()
+            one, _, child = self._step(depth, h)
+            levels.append(one)
         return TableMarginalTree._trusted(levels)
 
 

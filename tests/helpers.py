@@ -236,7 +236,7 @@ def cylinder_mass(tree, w) -> float:
 def marginal(tree, w) -> float:
     """f(w), the probability that the bit after the prefix w is 1, at w's handle."""
     bits = prefix_bits(w, tree.n)
-    return float(tree._split(len(bits), _walk_one(tree, bits)[0])[0][0])
+    return float(tree._step(len(bits), _walk_one(tree, bits)[0])[0][0])
 
 
 def one_sided_expectation(a, b) -> float:

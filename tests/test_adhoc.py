@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,13 +89,19 @@ def test_balanced_family_is_exchangeable_across_indexes():
 
 class TestTesterParameters:
     def test_arithmetic(self):
-        n_prime, q, threshold = adhoc.tester_parameters(0.5, 0.25)
-        assert n_prime == 240
-        assert q == 40.0
-        # expected loop count n' q = 9600; threshold midway between the
-        # balanced mean 4800 and the tilted mean 4800 - 600
-        assert q * n_prime == 9600.0
-        assert threshold == pytest.approx(4500.0, abs=1e-9)
+        n_prime, q, threshold = adhoc.tester_parameters(0.25, 0.0625)
+        assert n_prime == 3840
+        assert q == 160.0
+        # expected loop count n' q = 614400; threshold midway between the
+        # balanced mean 307200 and the tilted mean 307200 - 4800
+        assert q * n_prime == 614400.0
+        assert threshold == pytest.approx(304800.0, abs=1e-9)
+
+    @pytest.mark.parametrize("delta, r", [(0.5, 0.05), (0.5, 0.25), (0.3, 0.1), (0.3, math.inf)])
+    def test_outside_the_family_rejected(self, delta, r):
+        # the family's 0 <= delta < 1/3 and 0 <= r < 1/12
+        with pytest.raises(ValueError):
+            adhoc.tester_parameters(delta, r)
 
     def test_float_noise_in_n_prime(self):
         n_prime, _, _ = adhoc.tester_parameters(0.3, 1 / 13)

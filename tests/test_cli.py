@@ -412,6 +412,17 @@ def test_workers_capped_at_cpu_count(capsys, monkeypatch, cpus, workers, pools):
     ["hard-instance", "--n", "2", "--epsilon", "0.1", "--label", "no"],
     ["hard-instance", "--n", "8", "--delta", "1.5"],
     ["hard-instance", "--n", "1", "--epsilon", "0.9"],
+    # ranges the library validators check: simulation_delta, samples_per_edge,
+    # tester_parameters and hard_instance_parameters
+    ["estimate-tv", "--n", "3", "--epsilon", "1.5"],
+    ["estimate-tv", "--n", "3", "--epsilon", "nan"],
+    ["simulate", "--n", "3", "--delta", "nan"],
+    ["reduce-interval", "--size", "8", "--delta", "-0.5"],
+    ["reduce-interval", "--size", "8", "--delta", "nan"],
+    ["adhoc", "--delta", "nan", "--r", "0.05"],
+    ["adhoc", "--delta", "0.3", "--r", "-0.05"],
+    ["hard-instance", "--n", "30", "--epsilon", "1.5", "--delta", "0.1", "--draws", "0"],
+    ["hard-instance", "--n", "30", "--epsilon", "nan", "--draws", "0"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     # --workers 2 goes first, so that a later --workers in argv still wins

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prefixsim import util
-from prefixsim.distance import _median, estimate_tv, simulation_delta
+from prefixsim.distance import _median, estimate_tv, pairs_per_round, simulation_delta
 from prefixsim.divergence_lab import tv_distance
 from prefixsim.oracles import TreeOracle
 from prefixsim.simulation import LazySimulation
@@ -116,7 +116,7 @@ def test_budgets_and_record_fields():
     assert 0.0 <= result.estimate <= 1.0
 
 
-def test_preprocessed_handles_work_too():
+def test_materialized_handles_work_too():
     tree = random_tree(3, substream(60, "t"), 0.2, 0.8)
     learned = LazySimulation(TreeOracle(tree), 0.05, seed=61)
     learned.materialize()
@@ -140,6 +140,18 @@ def test_no_pairs_per_round_rejected():
     sim = LazySimulation(TreeOracle(tree), 0.1, seed=73)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.5, scale=1e-12)
+    assert sim.oracle.conditional_calls == 0
+
+
+@pytest.mark.parametrize("epsilon, scale", [(0.5, math.inf), (0.5, math.nan), (1e-200, 16.0)])
+def test_non_finite_pairs_per_round_rejected(epsilon, scale):
+    # scale / eps^2 is inf, NaN, or inf as eps^2 underflows to 0
+    with pytest.raises(ValueError):
+        pairs_per_round(epsilon, scale)
+    tree = random_tree(2, substream(74, "t"))
+    sim = LazySimulation(TreeOracle(tree), 0.1, seed=75)
+    with pytest.raises(ValueError):
+        estimate_tv(sim, sim, epsilon, scale=scale)
     assert sim.oracle.conditional_calls == 0
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixsim import hardness
-from prefixsim.streams import child_seed, substream
+from prefixsim.streams import child_seed, substream, substreams
 
 from helpers import (draw, exact_total_mass, lane, marginal, mass, mix, sign, sign_states,
                      state_sign)
@@ -126,6 +126,41 @@ class TestHardInstance:
         assert len(mixes) == n          # one stacked mix per level: the sign and both children
         assert all(z.shape == (3, 1) for z in mixes)
 
+    def test_a_tree_oracle_draw_mixes_once_per_level(self, monkeypatch):
+        # d mixes walk the k prefixes, one on their k handles takes the first
+        # free level, and one per level on the k * m rows the rest: n in all
+        n, depth, k, m, seed = 64, 5, 3, 7, 13
+        tree = hardness.SignMarginalTree(n, seed, 0.3, 0.8)
+        prefixes = substream(seed, "w").integers(0, 2, (k, depth)).astype(np.uint8)
+        mixes = []
+        mix_ = hardness._mix
+        monkeypatch.setattr(hardness, "_mix", lambda z: mixes.append(z) or mix_(z))
+        out = hardness.TreeOracle(tree).conditional_sample_batch(prefixes, m,
+                                                                 substreams(seed, "d", parts=range(k)))
+        assert len(mixes) == n
+        assert [z.shape for z in mixes] == [(3, k)] * (depth + 1) + [(3, k * m)] * (n - depth - 1)
+        # the bits are the int states' walk from each prefix's state
+        u = substreams(seed, "d", parts=range(k)).draw(m, n - depth)
+        for s, (row, uniforms) in enumerate(zip(out.tolist(), u.tolist())):
+            *_, state = sign_states(seed, prefixes[s // m].tolist())
+            for b, x in zip(row, uniforms):
+                assert b == int(x < (0.8 if state_sign(state) == 1 else 0.3))
+                state = mix(state ^ (b + 1))
+
+    def test_materialize_mixes_once_per_level(self, monkeypatch):
+        # each level's handles come from the child map of the level above
+        n, seed = 10, 14
+        tree = hardness.SignMarginalTree(n, seed, 0.3, 0.8)
+        mixes = []
+        mix_ = hardness._mix
+        monkeypatch.setattr(hardness, "_mix", lambda z: mixes.append(z) or mix_(z))
+        table = tree.materialize()
+        assert [z.shape for z in mixes] == [(3, 1 << i) for i in range(n)]
+        for i in range(n):
+            expected = [0.8 if sign(seed, format(v, f"0{i}b") if i else "") == 1 else 0.3
+                        for v in range(1 << i)]
+            assert table.level(i).tolist() == expected
+
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 200), rows=st.sampled_from([1, 3, 200]),
            values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -199,6 +234,14 @@ class TestHardInstance:
             hardness.gen_hard_instance(4, 3.0, "yes", seed=8)
         with pytest.raises(ValueError):
             hardness.gen_hard_instance(10, None, "yes", seed=8)
+
+    @pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_epsilon_outside_the_unit_interval_rejected(self, epsilon):
+        # even where the delta it gives, or an explicit delta, would be valid
+        with pytest.raises(ValueError):
+            hardness.hard_instance_parameters(30, epsilon, "yes")
+        with pytest.raises(ValueError):
+            hardness.hard_instance_parameters(30, epsilon, "yes", delta=0.1)
 
 
 def one_row_counts(oracle, w, x, stream, draws):

@@ -31,11 +31,13 @@ GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "
         "LazySimulation._learn_all",
         # a materialize after LazySimulation(oracle, delta, seed); the lazy
         # EncodedMarginalTree, whose materialize builds the table
-        "preprocess", "encoded_marginal_tree"}
+        "preprocess", "encoded_marginal_tree",
+        # a tree's per-level hooks are _f and _step; _step's child map names the children
+        "_split", "_child"}
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
-TREE_HOOKS = {"_split", "_f", "_child", "_step"}
+TREE_HOOKS = {"_f", "_step"}
 
 
 def _modules():
@@ -114,8 +116,7 @@ def test_no_module_brings_back_a_deleted_walk():
 
 
 def test_only_trees_walks_a_tree_level_by_level():
-    # a loop that reaches a tree hook is a per-level walk; TreeOracle's
-    # one first-level step (a _split and a _child outside any loop) is not
+    # a loop that reaches a tree hook is a per-level walk
     offenders = []
     for path, tree in _modules():
         if path.name == "trees.py":
@@ -142,8 +143,28 @@ def test_only_the_base_tree_and_the_sign_tree_name_nodes():
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and cls.name not in {"MarginalTree", "SignMarginalTree"}:
                 offenders += [f"{path.name}:{line} {cls.name}.{name}" for line, name in _defined_names(cls)
-                              if name in {"_root", "_child"}]
+                              if name == "_root"]
     assert offenders == []
+
+
+def test_only_the_tree_oracle_steps_a_tree_outside_trees():
+    # TreeOracle takes a draw's first free level with one _step on the k
+    # prefix handles; every other level is MarginalTree.walk's, and only the
+    # simulation and the sign tree replace the default _step built from _f
+    reached, overrides = [], []
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                overrides += [f"{path.name} {node.name}" for _, name in _defined_names(node) if name == "_step"]
+            if path.name == "trees.py":
+                continue
+            scopes = ([(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+                      if isinstance(node, ast.ClassDef) else [(getattr(node, "name", ""), node)])
+            reached += [f"{path.name} {name}" for name, scope in scopes for sub in ast.walk(scope)
+                        if isinstance(sub, ast.Attribute) and sub.attr == "_step"]
+    assert reached == ["oracles.py TreeOracle.conditional_sample_batch"]
+    assert sorted(overrides) == ["hardness.py SignMarginalTree", "simulation.py LazySimulation",
+                                 "trees.py MarginalTree"]
 
 
 def test_only_trees_calls_the_trusted_table_constructor():

@@ -249,7 +249,7 @@ def test_direct_equals_adapted_on_the_lazy_code_tree(size, monkeypatch):
         half = 1 << (depth - level - 1)
         shares = [weights[mid:mid + half].sum() / weights[mid - half:mid + half].sum()
                   for mid in (index * 2 + 1) * half]
-        np.testing.assert_allclose(direct_oracle.tree._split(level, index)[0], shares, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(direct_oracle.tree._step(level, index)[0], shares, rtol=1e-9, atol=0)
 
 
 class TestAdaptedOracle:

@@ -165,7 +165,7 @@ class TestPreprocess:
         assert oracle.conditional_calls == 7 * m
         assert learned.touched_pairs == 7
 
-    def test_reads_after_preprocess_are_free(self):
+    def test_reads_after_materialize_are_free(self):
         n = 5
         oracle = TreeOracle(random_tree(n, substream(14, "t"), 0.2, 0.8))
         learned = LazySimulation(oracle, 0.5, seed=15)
