@@ -103,10 +103,8 @@ class TreeOracle(PrefixOracle):
     and repeated to the prefix's m rows, its child map giving each row's
     child), and walks the rows from there.
 
-    Conditioning on a zero-mass prefix is mathematically undefined; this
-    oracle returns a uniform sample over the requested cylinder in that case,
-    so that algorithms built on top remain total.  The convention consumes
-    the same amount of randomness as a regular draw.
+    A zero-mass prefix is no special case: its rows walk the tree's own
+    splits below it, as every prefix's do.
     """
 
     def __init__(self, tree: MarginalTree):
@@ -115,7 +113,7 @@ class TreeOracle(PrefixOracle):
 
     def conditional_sample_batch(self, prefixes: np.ndarray, m: int,
                                  streams: _StreamGroup, levels: int | None = None) -> np.ndarray:
-        """Walks all prefixes to their start nodes and masses at once, then descends all rows.
+        """Walks all prefixes to their start nodes at once, then descends all rows.
 
         The rows descend the levels returned, or every level when hooked.
         """
@@ -123,16 +121,11 @@ class TreeOracle(PrefixOracle):
         k, depth = prefixes.shape
         u = streams.draw(m, self.n - depth)
         walked = u.shape[1] if self.on_record is not None else levels
-        mass = np.ones(k)
-        h = self.tree.walk(prefixes, p=mass)
+        h = self.tree.walk(prefixes)
         out = np.empty((k * m, walked), dtype=np.uint8)
         one, _, child = self.tree._step(depth, h)
         out[:, 0] = u[:, 0] < np.repeat(one, m)
         if walked > 1:
             self.tree.walk(out[:, 1:], u[:, 1:walked], depth=depth + 1,
                            h=np.where(out[:, 0], np.repeat(child(1), m), np.repeat(child(0), m)))
-        dead = mass == 0.0
-        if dead.any():
-            dead = np.repeat(dead, m)
-            out[dead] = u[dead, :walked] < 0.5
         return self._charge(prefixes, m, out)[:, :levels]

@@ -14,19 +14,19 @@ the codes, each split computed from the N + 1 cumulative sums of the weights
 when a walk reaches it; the native oracle, TableIntervalOracle(weights),
 keeps that tree and draws with the same split rule (_split_fractions).
 
-With positive weights, a simulation run through the adapted oracle is bit-identical
-to one over the encoded tree for every N: where padding clips a prefix's
-interval into one child, the native draw consumes fewer uniforms, but the
-first free bit, the only one an edge estimate reads, is forced on both
-routes.  A zero weight breaks this: with weights [1, 0, 0] the encoded tree
-draws under the zero-mass prefix '1' by the uniform convention, while the
-native oracle returns element 3, so the two simulations do not couple.
+For every weight vector with a positive finite total, a simulation run
+through the adapted oracle is bit-identical to one over the encoded tree
+for every N, because both routes walk the code tree's own splits: where
+padding clips a prefix's interval into one child, the native draw consumes
+fewer uniforms, but the first free bit, the only one an edge estimate
+reads, is forced on both routes; a zero-mass node with elements on both
+sides splits 1/2 on both; and a pure-padding prefix's rows are 0 on both.
 
 The adapted oracle, AdaptedPrefixOracle(native), takes N and the depth from
 its native oracle.  It answers a multi-prefix draw with one native draw, one
 stream per interval, that descends only the levels returned (all when
 hooked, as the transcript records whole rows), reading the first split of
-each interval once, and draws its pure-padding prefixes in one block call.
+each interval once; the rows of its pure-padding prefixes are 0.
 
 mass_preserved recomputes the encoded tree's split rules in integers (the
 float weights are dyadic) from the weights alone, and checks that every code
@@ -82,7 +82,8 @@ def _split_fractions(cum: np.ndarray, n_elements: int, depth: int, level, idx, a
     scalars or arrays of one per node.  Edges toward a side holding no
     elements of [a, b) are forced (probability 0 into emptiness); a node
     whose restriction carries zero mass but elements on both sides splits
-    uniformly, realizing the zero-mass conditioning convention.
+    1/2.  Both are the code tree's own splits, which the direct and the
+    adapted routes both walk.
     """
     idx = np.asarray(idx, dtype=np.int64)
     half = 1 << (depth - level - 1)
@@ -165,10 +166,9 @@ def mass_preserved(weights) -> bool:
             hi = lo + span
             lmass = cum[mid] - cum[lo]
             rmass = cum[hi] - cum[mid]
+            # padding sits right, so the left side always holds an element
             if not mid < min(hi, n_elements):        # f = 0: no element right
                 nxt += [(num, den), (0, den)]
-            elif not lo < min(mid, n_elements):      # f = 1: no element left
-                nxt += [(0, den), (num, den)]
             elif lmass + rmass > 0:                 # f = rmass / total
                 split = den * (lmass + rmass)
                 nxt += [(num * lmass, split), (num * rmass, split)]
@@ -241,8 +241,9 @@ class AdaptedPrefixOracle(PrefixOracle):
     """An oracle over codes that answers each prefix draw with one native draw, one stream per interval.
 
     A prefix whose cylinder holds no element (pure padding) cannot be
-    conditioned on natively; its rows are the uniform-over-cylinder
-    convention result from its own stream, drawn without the native oracle.
+    conditioned on natively; its rows are 0, the code tree's own split
+    there (EncodedMarginalTree forces f = 0 at every pure-padding node),
+    and its lane is not read.
     """
 
     def __init__(self, native: TableIntervalOracle):
@@ -254,19 +255,15 @@ class AdaptedPrefixOracle(PrefixOracle):
         """m elements per prefix: one native draw for every non-padding prefix, each from its own stream.
 
         The native draw descends only the levels returned, or whole rows
-        when hooked, which are recorded; the pure-padding prefixes' blocks
-        come from one draw of their lanes.
+        when hooked, which are recorded; the pure-padding prefixes' rows
+        are 0.
         """
         prefixes, levels = self._validated(prefixes, m, streams, levels)
         k, depth = prefixes.shape
-        free = self.n - depth
-        walked = free if self.on_record is not None else levels
+        walked = self.n - depth if self.on_record is not None else levels
         a, b, padding = element_bounds(self.native.size, depth, prefixes @ (1 << np.arange(depth - 1, -1, -1)))
         live = np.flatnonzero(~padding)
         nodes = self.native.draw_batch(a[live], b[live], m, streams, live.tolist(), levels=depth + walked)
-        out = np.empty((k, m, walked), dtype=np.uint8)
+        out = np.zeros((k, m, walked), dtype=np.uint8)
         out[live] = code_rows(nodes, walked).reshape(-1, m, walked)
-        if len(live) < k:
-            pad = np.flatnonzero(padding)
-            out[pad] = (streams.draw(m, free, pad.tolist())[:, :walked] < 0.5).reshape(-1, m, walked)
         return self._charge(prefixes, m, out.reshape(k * m, walked))[:, :levels]

@@ -30,10 +30,13 @@ The simulated distribution is itself a marginal tree (trees.MarginalTree)
 whose handles are the prefixes' indexes and whose splits come from the
 store.  So sample_batch and query_batch are the tree's one walk over all their rows at
 once, in one pass, and materialize (hence kl_divergence and tv_distance)
-reads the same splits.  Each row sees the same float operations in
-the same order as a lone walk, and a (k, n) uniform block holds the same
-doubles as k * n single draws, so a batch returns exactly what its rows
-would one at a time; sample and query are the batch of one.
+reads the same P[bit 1] = k/m.  Its table keeps only that split, so a
+table mass takes P[bit 0] as 1 - k/m where a walk takes the store's
+(m - k)/m, and the two may differ in the last bit: masses() agrees with
+query_batch to rounding, not bit for bit.  Each row sees the same float
+operations in the same order as a lone walk, and a (k, n) uniform block
+holds the same doubles as k * n single draws, so a batch returns exactly
+what its rows would one at a time; sample and query are the batch of one.
 
 A simulation state (like the oracle it drives) has a single logical owner;
 independent trials parallelize at the state level.

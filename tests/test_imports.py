@@ -147,6 +147,13 @@ def test_only_the_base_tree_and_the_sign_tree_name_nodes():
     assert offenders == []
 
 
+def _scopes(node):
+    """(name, scope) of a module's top-level statement: each method apart, as Class.method, for a class."""
+    if isinstance(node, ast.ClassDef):
+        return [(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+    return [(getattr(node, "name", ""), node)]
+
+
 def test_only_the_tree_oracle_steps_a_tree_outside_trees():
     # TreeOracle takes a draw's first free level with one _step on the k
     # prefix handles; every other level is MarginalTree.walk's, and only the
@@ -158,13 +165,26 @@ def test_only_the_tree_oracle_steps_a_tree_outside_trees():
                 overrides += [f"{path.name} {node.name}" for _, name in _defined_names(node) if name == "_step"]
             if path.name == "trees.py":
                 continue
-            scopes = ([(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
-                      if isinstance(node, ast.ClassDef) else [(getattr(node, "name", ""), node)])
-            reached += [f"{path.name} {name}" for name, scope in scopes for sub in ast.walk(scope)
+            reached += [f"{path.name} {name}" for name, scope in _scopes(node) for sub in ast.walk(scope)
                         if isinstance(sub, ast.Attribute) and sub.attr == "_step"]
     assert reached == ["oracles.py TreeOracle.conditional_sample_batch"]
     assert sorted(overrides) == ["hardness.py SignMarginalTree", "simulation.py LazySimulation",
                                  "trees.py MarginalTree"]
+
+
+def test_only_the_simulations_mass_walks_pass_a_mass_to_walk():
+    # an oracle draw walks the tree's own splits below its prefix, whatever
+    # the prefix's mass, so no draw computes a cylinder mass; p is walk's
+    # third parameter
+    passing = []
+    for path, tree in _modules():
+        if path.name == "trees.py":
+            continue
+        for node in tree.body:
+            passing += [f"{path.name} {name}" for name, scope in _scopes(node) for sub in ast.walk(scope)
+                        if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "walk"
+                        and (len(sub.args) >= 3 or any(kw.arg == "p" for kw in sub.keywords))]
+    assert sorted(passing) == ["simulation.py LazySimulation.query_batch", "simulation.py LazySimulation.sample_batch"]
 
 
 def test_only_trees_calls_the_trusted_table_constructor():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixsim.hardness import SignMarginalTree
+from prefixsim.hardness import SignMarginalTree, gen_hard_instance
 from prefixsim.oracles import TreeOracle
 from prefixsim.streams import substream, substreams
 from prefixsim.trees import TableMarginalTree, random_tree
@@ -80,15 +80,26 @@ class TestConditionalSampling:
 
 
 class TestZeroMassConvention:
-    def test_uniform_over_cylinder(self):
-        # conditioning inside the dead subtree of a point mass
+    def test_dead_prefix_draws_its_subtree(self):
+        # conditioning inside the dead subtree of a point mass walks the
+        # subtree's own marginals, which are all 0
         oracle = TreeOracle(point_mass_tree("000"))
         assert cylinder_mass(oracle.tree, "1") == 0.0
-        draws = 20_000
-        bits = draw(oracle, "1", draws, lane(8, "conv"))
-        means = bits.mean(axis=0)
-        # 4 sigma per coordinate keeps the false-alarm rate negligible
-        assert np.all(np.abs(means - 0.5) < 4.0 * np.sqrt(0.25 / draws))
+        assert [marginal(oracle.tree, w) for w in ("1", "10", "11")] == [0.0, 0.0, 0.0]
+        bits = draw(oracle, "1", 20_000, lane(8, "conv"))
+        assert bits.shape == (20_000, 2) and np.all(bits == 0)
+
+    def test_an_underflowed_prefix_draws_its_split(self):
+        # a yes-instance prefix of 1,150 edges, each 0.05 or 0.95, is live but
+        # its float cylinder mass underflows to 0.0
+        instance = gen_hard_instance(1200, None, "yes", 7, delta=0.9)
+        tree, w = instance.marginal_tree(), instance.x[:1150]
+        assert cylinder_mass(tree, w) == 0.0
+        one = marginal(tree, w)
+        draws = 4_000
+        ones = TreeOracle(tree).conditional_sample_batch(np.array([w], dtype=np.uint8), draws,
+                                                         lane(7, "underflow"), levels=1)
+        assert abs(ones.mean() - one) < 3.0 * np.sqrt(one * (1.0 - one) / draws)
 
     def test_sample_still_extends_prefix(self):
         oracle = TreeOracle(point_mass_tree("000"))
@@ -139,15 +150,14 @@ def test_multi_prefix_draw_equals_single_prefix_draws(tree, data, m, seed):
         for j in range(len(prefixes))]))
     # the unhooked oracle keeps the same ledger as the hooked one's transcript
     assert single.conditional_calls == records[-1]["budget_after"] == sum(r["count"] for r in records)
-    # each row walks the tree's marginals from its prefix in plain Python, or
-    # takes u < 1/2 at every level under a zero-mass prefix
+    # each row walks the tree's marginals from its prefix in plain Python,
+    # under a zero-mass prefix too
     for j, w in enumerate(prefixes.tolist()):
         rng = substream(seed, "draw", j)
-        dead = cylinder_mass(tree, w) == 0.0
         for row, uniforms in zip(block[j * m:(j + 1) * m].tolist(), rng.random((m, tree.n - len(w)))):
             path = list(w)
             for u in uniforms:
-                path.append(int(u < (0.5 if dead else marginal(tree, path))))
+                path.append(int(u < marginal(tree, path)))
             assert row == path[len(w):]
     assert_ledger(oracle, prefixes, m, block, records)
 

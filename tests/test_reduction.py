@@ -298,7 +298,7 @@ class TestAdaptedOracle:
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(native)
         out = draw(oracle, "11", 1, lane(7, "draw"))
-        assert out.shape == (1, 1)
+        assert out.tolist() == [[0]]
         assert native.calls == 0
         assert oracle.conditional_calls == 1
 
@@ -351,6 +351,22 @@ class TestCoupling:
         assert adapted_oracle.conditional_calls == direct_oracle.conditional_calls
         assert adapted_oracle.native.calls <= adapted_oracle.conditional_calls
 
+    @settings(max_examples=40, deadline=None)
+    @given(weights=mass_weights(st.integers(1, 70)), seed=st.integers(0, 2**32))
+    def test_direct_equals_adapted_with_zero_weights(self, weights, seed):
+        # both routes walk the code tree's own splits: 1/2 at a zero-mass node
+        # with elements on both sides, 0 at a pure-padding one
+        depth = code_depth(len(weights))
+        direct, adapted = (LazySimulation(oracle, depth / 3, seed) for oracle in (
+            TreeOracle(EncodedMarginalTree(weights)), AdaptedPrefixOracle(TableIntervalOracle(weights))))
+        assert direct.m == 3
+        for sim in (direct, adapted):
+            sim.materialize()
+        assert hist(direct) == hist(adapted)
+        assert direct.oracle.conditional_calls == adapted.oracle.conditional_calls
+        codes = code_rows(np.arange(1 << depth), depth)
+        assert np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
+
     def test_padded_domain_pipeline_is_consistent(self):
         # padded sizes couple bit for bit (test_power_of_two_pipeline_is_bit_identical
         # runs 3, 5, 6, 12 and 100); the adapted simulation must also realize
@@ -393,9 +409,12 @@ def test_adapted_multi_prefix_draw_with_pure_padding():
     records = []
     oracle.on_record = records.append
     prefixes = prefix_rows("01", "11", "10")
-    block = oracle.conditional_sample_batch(prefixes, 4, substreams(15, parts=("01", "11", "10")))
+    group = substreams(15, parts=("01", "11", "10"))
+    block = oracle.conditional_sample_batch(prefixes, 4, group)
     assert native.calls == 8
-    assert np.array_equal(block[4:8], substream(15, "11").random((4, 1)) < 0.5)
+    # the code tree's split at a pure-padding node is f = 0, and its lane is not read
+    assert np.all(block[4:8] == 0)
+    assert draws_after(group)[1] == substream(15, "11").random()
     assert np.all(block[8:] == 0)
     assert_ledger(oracle, prefixes, 4, block, records)
 
@@ -536,7 +555,8 @@ def test_first_free_level_reads_one_split_per_interval(monkeypatch):
 
 
 def test_full_and_hooked_draws_keep_their_pinned_rows():
-    # pinned from the descent that walked every row to full depth on every draw
+    # pinned from the descent that walked every row to full depth on every
+    # draw; "11" is pure padding, whose rows are 0
     weights = substream(30, "w").uniform(0.1, 1.0, 11)
     elems = TableIntervalOracle(weights).draw_batch([1, 4, 9, 3], [11, 4, 11, 4], 3, substreams(31, parts=range(4)))
     assert elems.tolist() == [5, 11, 2, 4, 4, 4, 11, 10, 11, 3, 3, 3]
@@ -544,5 +564,5 @@ def test_full_and_hooked_draws_keep_their_pinned_rows():
     oracle.on_record = records.append
     block = oracle.conditional_sample_batch(prefix_rows("01", "10", "11", "00"), 2, substreams(32, parts=range(4)),
                                             levels=1)
-    assert block.ravel().tolist() == [1, 0, 1, 1, 1, 0, 1, 0]
-    assert [r["result"] for r in records] == [["10", "00"], ["10", "10"], ["10", "00"], ["10", "00"]]
+    assert block.ravel().tolist() == [1, 0, 1, 1, 0, 0, 1, 0]
+    assert [r["result"] for r in records] == [["10", "00"], ["10", "10"], ["00", "00"], ["10", "00"]]

@@ -612,6 +612,17 @@ class TestSimulationIsATree:
             for depth in range(4):
                 assert table.level(depth).tolist() == (sim._ks[depth] / sim.m).tolist()
 
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_the_table_keeps_k_over_m_and_its_masses_round_apart(self, n):
+        # the table keeps P[bit 1] = k/m only, so its P[bit 0] is 1 - k/m where
+        # the store's is (m - k)/m: the two can differ in the last bit
+        sim = LazySimulation(TreeOracle(random_tree(n, substream(94, "t"), 0.1, 0.9)), 0.3, seed=95)
+        table = sim.materialize()
+        for depth in range(n):
+            assert table.level(depth).tobytes() == (sim._ks[depth] / sim.m).tobytes()
+        codes = code_rows(np.arange(1 << n), n)
+        np.testing.assert_allclose(sim.masses(), sim.query_batch(codes), rtol=n * 1e-15, atol=0)
+
     @pytest.mark.parametrize("n", [6, 70])
     def test_cylinder_masses_are_store_products(self, n):
         tree = random_tree(n, substream(88, "t"), 0.1, 0.9) if n == 6 else SignMarginalTree(n, 89, 0.2, 0.7)
