@@ -119,15 +119,17 @@ class EncodedMarginalTree(MarginalTree):
     """The marginal tree over codes representing a weight vector on {1..N}, read lazily.
 
     A node's handle is its index in its level and its marginal the split of
-    its subtree's weight, read from cum, the N + 1 cumulative weight sums.
-    Padding codes get edge probability 0, so element masses are weight / total.
+    its subtree's weight, read from cum, the N + 1 cumulative weight sums;
+    N is read from cum once the weights check out, so a weight vector that
+    is not 1-d raises ValueError.  Padding codes get edge probability 0, so
+    element masses are weight / total.
     """
 
     def __init__(self, weights):
-        self.size = len(weights)
-        super().__init__(code_depth(self.size))
         self.cum = _cumulative_weights(weights)
         self.cum.setflags(write=False)
+        self.size = len(self.cum) - 1
+        super().__init__(code_depth(self.size))
 
     def _f(self, depth: int, h):
         return _split_fractions(self.cum, self.size, self.n, depth, h, 0, self.size)
@@ -136,19 +138,19 @@ class EncodedMarginalTree(MarginalTree):
 def mass_preserved(weights) -> bool:
     """Whether the encoded tree gives code e - 1 exactly weight_e / total and every padding code 0.
 
-    Rejects what the float builder rejects, then applies the builder's split
-    rules in exact integer arithmetic to the weights alone: it never reads
-    the float tree.  Every float weight is dyadic, so over their common
-    power-of-two denominator the weights and their cumulative sums are
-    integers.  A node's mass is kept as an unnormalized pair num / den, and
-    each code's is compared with its element's weight by cross-multiplication:
-    num * total == weight * den.  A node's mass is its subtree's weight /
-    total, so valid weights always give True: this checks the split rules,
-    as verify-lemmas checks the lemmas.
+    Rejects what the float builder rejects and reads N from the checked
+    sums, then applies the builder's split rules in exact integer arithmetic
+    to the weights alone: it never reads the float tree.  Every float
+    weight is dyadic, so over their common power-of-two denominator the
+    weights and their cumulative sums are integers.  A node's mass is kept
+    as an unnormalized pair num / den, and each code's is compared with its
+    element's weight by cross-multiplication: num * total == weight * den.
+    A node's mass is its subtree's weight / total, so valid weights always
+    give True: this checks the split rules, as verify-lemmas checks the
+    lemmas.
     """
-    n_elements = len(weights)
+    n_elements = len(_cumulative_weights(weights)) - 1
     depth = code_depth(n_elements)
-    _cumulative_weights(weights)
     ratios = [float(w).as_integer_ratio() for w in weights]
     scale = max(q for _, q in ratios)
     ints = [p * (scale // q) for p, q in ratios]
@@ -200,15 +202,18 @@ class TableIntervalOracle:
         Rows j * m to (j + 1) * m are interval j's: lane lanes[j] of the
         stream group (lane j when lanes is None) gives one (m, levels below
         the LCA) uniform block, none when a_j == b_j, so they are exactly
-        what a draw of that interval alone gives.  With levels the rows stop
-        at that code depth and are the nodes reached there: the codes of a
-        full draw shifted right, at its cost in uniforms and calls.
+        what a draw of that interval alone gives.  The lanes must be
+        distinct and in [0, len(streams)), checked before any is drawn.
+        With levels the rows stop at that code depth and are the nodes
+        reached there: the codes of a full draw shifted right, at its cost
+        in uniforms and calls.
         """
         a, b = np.asarray(a_elem, dtype=np.int64) - 1, np.asarray(b_elem, dtype=np.int64)
         lanes = range(len(streams)) if lanes is None else lanes
-        if (a.ndim != 1 or a.shape != b.shape or len(lanes) != len(a)
+        if (a.ndim != 1 or a.shape != b.shape or len(lanes) != len(a) or len(set(lanes)) != len(a)
+                or min(lanes, default=0) < 0 or max(lanes, default=-1) >= len(streams)
                 or not ((0 <= a) & (a < b) & (b <= self.size)).all()):
-            raise ValueError(f"need intervals with 1 <= a <= b <= {self.size} and a stream per interval")
+            raise ValueError(f"need intervals with 1 <= a <= b <= {self.size} and a distinct lane per interval")
         if m < 1:
             raise ValueError("batch size must be positive")
         stop = self.depth if levels is None else levels

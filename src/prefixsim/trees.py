@@ -23,8 +23,9 @@ column, reading or drawing each row's bit and, for a caller that passes a
 mass array, multiplying in each edge's probability, so cylinder masses,
 element masses and draws are all one loop.  materialize builds the tables
 level by level from the same hook, each level's handles from the child map
-of the level above, kept as built: only the public constructor copies and
-checks levels.  A caller with one prefix passes a block of one row.
+of the level above, and hands them to TableMarginalTree(levels), the one
+table constructor, which copies and checks every table's levels.  A caller
+with one prefix passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in
@@ -34,7 +35,6 @@ divergence_lab.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class MarginalTree:
                 h = np.stack((child(0), child(1)), axis=1).ravel()
             one, _, child = self._step(depth, h)
             levels.append(one)
-        return TableMarginalTree._trusted(levels)
+        return TableMarginalTree(levels)
 
 
 class TableMarginalTree(MarginalTree):
@@ -122,29 +122,17 @@ class TableMarginalTree(MarginalTree):
     prefixes of length i in index order.
     """
 
-    def __init__(self, levels: Iterable[np.ndarray]):
-        self._keep([np.asarray(level, dtype=float).copy() for level in levels])
+    def __init__(self, levels: list):
+        super().__init__(len(levels))
+        if self.n > MAX_ENUM_N:
+            raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
+        self._levels = [np.array(level, dtype=float) for level in levels]
         for i, arr in enumerate(self._levels):
             if arr.shape != (1 << i,):
                 raise ValueError(f"level {i} must have 2^{i} entries, got shape {arr.shape}")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
                 raise ValueError(f"level {i} contains values outside [0, 1] or NaN")
-
-    @classmethod
-    def _trusted(cls, levels: list) -> "TableMarginalTree":
-        """A table over levels just computed: float64 arrays of 2^i values in [0, 1], kept uncopied and unchecked."""
-        tree = cls.__new__(cls)
-        tree._keep(levels)
-        return tree
-
-    def _keep(self, levels: list) -> None:
-        """Take levels as the tables, one per level from the root, read-only from now on."""
-        super().__init__(len(levels))
-        if self.n > MAX_ENUM_N:
-            raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
-        for level in levels:
-            level.setflags(write=False)
-        self._levels = levels
+            arr.setflags(write=False)
 
     def level(self, i: int) -> np.ndarray:
         """Read-only array of f values for all prefixes of length i."""
@@ -168,7 +156,12 @@ class TableMarginalTree(MarginalTree):
 
 
 def random_tree(n: int, rng: np.random.Generator, low: float = 0.0, high: float = 1.0) -> TableMarginalTree:
-    """A tree with independent marginals drawn uniformly from [low, high]."""
+    """A tree with independent marginals drawn uniformly from [low, high].
+
+    n <= MAX_ENUM_N, checked before any level is drawn.
+    """
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError("need 0 <= low <= high <= 1")
+    if n > MAX_ENUM_N:
+        raise CapabilityError(f"explicit tables supported only for n <= {MAX_ENUM_N}")
     return TableMarginalTree([rng.uniform(low, high, 1 << i) for i in range(n)])

@@ -33,7 +33,9 @@ GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "
         # EncodedMarginalTree, whose materialize builds the table
         "preprocess", "encoded_marginal_tree",
         # a tree's per-level hooks are _f and _step; _step's child map names the children
-        "_split", "_child"}
+        "_split", "_child",
+        # TableMarginalTree(levels) is the one table constructor, and copies and checks
+        "_trusted", "_keep"}
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
@@ -188,9 +190,27 @@ def test_only_the_simulations_mass_walks_pass_a_mass_to_walk():
 
 
 def test_only_trees_calls_the_trusted_table_constructor():
-    # TableMarginalTree._trusted keeps levels unchecked; materialize is its one caller
-    offenders = [f"{path.name}:{node.lineno}" for path, tree in _modules() if path.name != "trees.py"
-                 for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    # no table skips TableMarginalTree's copy and checks: no module, trees.py
+    # included, reaches a constructor that keeps levels unchecked
+    offenders = [f"{path.name}:{node.lineno}" for path, tree in _modules() for node in ast.walk(tree)
+                 if (isinstance(node, ast.Attribute) and node.attr in {"_trusted", "_keep"})
+                 or (isinstance(node, ast.Name) and node.id in {"_trusted", "_keep"})]
+    assert offenders == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # pyproject.toml declares numpy alone: every absolute import is numpy's or the standard library's
+    offenders = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] != "numpy" and name.split(".")[0] not in sys.stdlib_module_names]
     assert offenders == []
 
 

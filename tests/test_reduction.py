@@ -126,9 +126,17 @@ class TestEncodedTree:
 
     def test_mass_check_rejects_bad_weights(self):
         for weights in ([], [0.0, 0.0], [0.5, -0.25], [1.0, float("nan")], [1.0, float("inf")],
-                        [1e308, 1e308]):
+                        [1e308, 1e308], 5.0, np.array(5.0)):
             with pytest.raises(ValueError):
                 mass_preserved(weights)
+
+    @pytest.mark.parametrize("weights", [5.0, np.array(5.0)], ids=["float", "0-d-array"])
+    def test_tree_and_oracle_reject_scalar_weights(self, weights):
+        # N is read from the checked sums, so a scalar fails the weights' check
+        with pytest.raises(ValueError):
+            EncodedMarginalTree(weights)
+        with pytest.raises(ValueError):
+            TableIntervalOracle(weights)
 
     @pytest.mark.parametrize("weights", [[1.0, float("inf"), 2.0], [1.0, float("nan")], [1e308, 1e308],
                                          [float("inf")]])
@@ -228,7 +236,10 @@ def test_lazy_code_tree_materializes_the_table_builders_levels(weights):
 @pytest.mark.parametrize("size", [10 ** 6 + 3, 2 ** 20 + 1])
 def test_direct_equals_adapted_on_the_lazy_code_tree(size, monkeypatch):
     # no table is built on either route: the direct oracle walks the lazy tree
-    monkeypatch.setattr(trees.TableMarginalTree, "_trusted", None)
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(trees.TableMarginalTree, "__init__", no_table)
     weights = substream(size, "w").uniform(0.01, 1.0, size)
     depth = code_depth(size)
     direct_oracle = TreeOracle(EncodedMarginalTree(weights))
@@ -292,6 +303,18 @@ class TestAdaptedOracle:
         with pytest.raises(ValueError):
             native.draw_batch(a, b, m, substreams(17, parts=range(streams)))
         assert native.calls == 0
+
+    @pytest.mark.parametrize("lanes", [[-1], [2], [5], [0, 0], [1, 1]],
+                             ids=["negative", "past-the-end", "far-past-the-end", "repeated-0", "repeated-1"])
+    def test_draw_batch_rejects_bad_lanes(self, lanes):
+        # each interval reads a lane of its own: a lane out of range, or shared,
+        # is rejected before any lane is drawn or any row charged
+        native = TableIntervalOracle(np.ones(8))
+        group = substreams(18, parts=range(2))
+        with pytest.raises(ValueError):
+            native.draw_batch([1] * len(lanes), [8] * len(lanes), 4, group, lanes)
+        assert native.calls == 0
+        assert draws_after(group) == draws_after(substreams(18, parts=range(2)))
 
     def test_padding_prefix_uses_convention(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)

@@ -8,7 +8,8 @@ from prefixsim.errors import CapabilityError
 from prefixsim.hardness import SignMarginalTree
 from prefixsim.streams import substream
 from prefixsim.divergence_lab import bernoulli_kl, kl_divergence, tv_distance
-from prefixsim.trees import TableMarginalTree, random_tree
+from prefixsim import trees
+from prefixsim.trees import MarginalTree, TableMarginalTree, random_tree
 
 from helpers import (chain_rule_kl, cylinder_mass, exact_total_mass, marginal, mass, point_mass_tree,
                      uniform_tree)
@@ -198,7 +199,7 @@ class TestBackings:
             t.level(1)[0] = 0.9
 
     def test_materialized_levels_are_read_only_tables_of_the_tree(self):
-        # materialize hands its fresh levels to the table unchecked; they are
+        # materialize hands its levels to the one table constructor; they are
         # the tree's marginals, of the right shapes, and read-only
         for tree in (SignMarginalTree(5, 3, 0.3, 0.7), random_tree(4, substream(5, "t"))):
             table = tree.materialize()
@@ -207,3 +208,26 @@ class TestBackings:
                 assert level.dtype == np.float64 and level.shape == (1 << i,) and not level.flags.writeable
                 prefixes = [format(j, "b").zfill(i) if i else "" for j in range(1 << i)]
                 assert level.tolist() == [marginal(tree, w) for w in prefixes]
+
+    def test_materialize_checks_its_levels(self):
+        # a materialized table passes the checks a caller's table passes
+        class Constant(MarginalTree):
+            def __init__(self, n, value):
+                super().__init__(n)
+                self.value = value
+
+            def _f(self, depth, h):
+                return np.full(len(h), self.value)
+
+        assert Constant(3, 0.25).materialize().level(2).tolist() == [0.25] * 4
+        for value in (1.5, np.nan):
+            with pytest.raises(ValueError):
+                Constant(3, value).materialize()
+
+    def test_random_tree_checks_n_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(trees, "MAX_ENUM_N", 3)
+        rng = substream(6, "t")
+        state = rng.bit_generator.state
+        with pytest.raises(CapabilityError):
+            random_tree(4, rng)
+        assert rng.bit_generator.state == state
