@@ -75,6 +75,8 @@ def estimate_tv(sim_a: LazySimulation, sim_b: LazySimulation, epsilon: float, *,
     block size changes no result, since both walks equal their one-row calls
     bit for bit and the terms are added one by one in draw order.
     """
+    if sim_a.n != sim_b.n:
+        raise ValueError(f"simulations have different lengths: {sim_a.n} vs {sim_b.n}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if rounds < 1 or scale <= 0.0:

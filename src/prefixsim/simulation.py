@@ -8,35 +8,35 @@ edges are drawn together, in one multi-prefix draw (first_free_ones), which
 asks the oracle for the first free bit only, counts each prefix's ones block
 by block, and est_simulation_edge then takes each edge's k from its count.
 
-One store holds the estimates: for each prefix w it keeps k(w), the number
-of ones among the m samples of its edge, so both siblings are read from one
-entry.  Per depth it keeps the indexes of the stored prefixes (their
-big-endian values) in sorted order, their k as int64 and the splits k/m and
-(m - k)/m, so a walk reads a whole level of rows with a few numpy calls and
-no Python work per row.  The store is filled lazily, an edge the first time
-a walk passes it, so a materialize (as kl_divergence and tv_distance call
-it) learns every untouched edge of the tree in its one pass (exponential
-work).  Because each edge's estimation stream is keyed by (master seed,
-prefix), neither the order in which edges are first touched nor their
-grouping into draws matters, and the lazy simulation is bit-for-bit equal
-to the eagerly learned one.  The
-streams of a group are seeded together (streams.substreams), one lane per
-edge, each equal to the generator substream builds for its key.  Estimates
-are kept as exact integers; all float probabilities are computed as k/m so
-the two agree to the last bit and realization checks can run in exact
-rational arithmetic.
+One store holds the estimates: k(w), the number of ones among the m samples
+of the edge out of w, serves both siblings.  A node is named by its slot in
+its level of the store, which holds each slot's k, its splits k/m and
+(m - k)/m and its children's slots, so a walk reads a level of rows with a
+few gathers and no Python work per row, at any n.  The store is filled
+lazily, an edge the first time a walk passes it, so a materialize (as
+kl_divergence and tv_distance call it) learns every untouched edge of the
+tree in its one pass (exponential work).  Because each edge's estimation
+stream is keyed by (master seed, prefix), neither the order in which edges
+are first touched nor their grouping into draws matters, and the lazy
+simulation is bit-for-bit equal to the eagerly learned one.  The streams of
+a group are seeded together (streams.substreams), one lane per edge, each
+equal to the generator substream builds for its key.  Estimates are kept as
+exact integers; all float probabilities are computed as k/m so the two
+agree to the last bit and realization checks can run in exact rational
+arithmetic.
 
 The simulated distribution is itself a marginal tree (trees.MarginalTree)
-whose handles are the prefixes' indexes and whose splits come from the
-store.  So sample_batch and query_batch are the tree's one walk over all their rows at
-once, in one pass, and materialize (hence kl_divergence and tv_distance)
-reads the same P[bit 1] = k/m.  Its table keeps only that split, so a
-table mass takes P[bit 0] as 1 - k/m where a walk takes the store's
-(m - k)/m, and the two may differ in the last bit: masses() agrees with
-query_batch to rounding, not bit for bit.  Each row sees the same float
-operations in the same order as a lone walk, and a (k, n) uniform block
-holds the same doubles as k * n single draws, so a batch returns exactly
-what its rows would one at a time; sample and query are the batch of one.
+whose handles are the store's slots and whose splits come from the store.
+So sample_batch and query_batch are the tree's one walk over all their
+rows at once, and materialize, whose child maps give each level's slots in
+index order, reads the same P[bit 1] = k/m.  Its table keeps only that
+split, so a table mass takes P[bit 0] as 1 - k/m where a walk takes the
+store's (m - k)/m, and the two may differ in the last bit: masses() agrees
+with query_batch to rounding, not bit for bit.  Each row sees the same
+float operations in the same order as a lone walk, and a (k, n) uniform
+block holds the same doubles as k * n single draws, so a batch returns
+exactly what its rows would one at a time; sample and query are the batch
+of one.
 
 A simulation state (like the oracle it drives) has a single logical owner;
 independent trials parallelize at the state level.
@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .bits import code_rows, element_bits
+from .bits import element_bits
 from .oracles import PrefixOracle
 from .streams import _StreamGroup, substream, substreams
 from .trees import MarginalTree
@@ -102,16 +102,15 @@ def first_free_ones(oracle: PrefixOracle, m: int, prefixes: np.ndarray,
 class LazySimulation(MarginalTree):
     """Simulated distribution over the oracle's n bits whose edges are estimated on first touch.
 
-    The store holds, per depth, the indexes of the touched prefixes, sorted,
-    beside each its k, the number of ones among the m samples of its edge,
-    and the splits k/m and (m - k)/m.  A level of
-    a walk looks up all its rows' nodes at once (searchsorted); the misses
-    of one level are estimated together, each edge from its own
-    (seed, prefix)-keyed stream, and merged in sorted order.
-    Entries never change once written, so repeated queries are consistent
-    and already-revealed masses are honored by later samples.  As a marginal
-    tree its handles are the indexes, and materialize (n <= MAX_MATERIALIZE_N)
-    estimates every untouched edge.
+    A node's handle is its slot in its level of the store: the root is slot
+    0 of depth 0, and estimating a node gives its children the next pair of
+    slots one level down, the child along bit b at slot 2j + b of pair j.
+    Per slot the store keeps k (-1 until estimated), the splits k/m and
+    (m - k)/m and its children's pair; per pair, the parent's slot, from
+    which a slot's prefix is read back.  The misses of one level of a walk
+    are estimated together, each edge from its own (seed, prefix)-keyed
+    stream.  Entries never change once written, so repeated queries are
+    consistent and already-revealed masses are honored by later samples.
     """
 
     _max_table_n = MAX_MATERIALIZE_N
@@ -123,64 +122,64 @@ class LazySimulation(MarginalTree):
         self.delta = delta
         self.seed = seed
         self.m = samples_per_edge(n, delta)
-        # a walk's handles reach 2^n - 1; past int64, keep them as Python ints
-        self._handle_dtype = np.int64 if n < 64 else object
-        # the store: per depth, the sorted indexes estimated so far and their k
-        self._nodes = [np.empty(0, dtype=self._handle_dtype) for _ in range(n)]
-        self._ks = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        # beside them, each level's splits: the arrays k/m and (m - k)/m
-        self._splits = [(np.empty(0), np.empty(0)) for _ in range(n)]
+        # per depth, each slot's k, children's pair and splits: the root, then shared empty levels
+        empty = np.empty(0, dtype=np.int64)
+        self._ks, self._pairs = ([np.full(1, -1)] + [empty] * (n - 1) for _ in range(2))
+        self._splits = [(np.empty(1), np.empty(1))] + [(np.empty(0), np.empty(0))] * (n - 1)
+        # per depth 0..n, each pair's parent slot: slot s's is _parents[depth][s >> 1], its bit s & 1
+        self._parents = [empty] * (n + 1)
         self._user_rng = substream(seed, "user")
 
     @property
     def touched_pairs(self) -> int:
         """Number of distinct sibling pairs estimated so far."""
-        return sum(map(len, self._ks))
+        return sum(map(len, self._parents))
 
-    def _find(self, depth: int, nodes: np.ndarray) -> np.ndarray:
-        """Where each node of the array, all at depth, sits in its level of the store.
+    def _estimate(self, depth: int, missed: np.ndarray) -> None:
+        """Estimate the edges of the unestimated slots missed, all at depth, and give each a pair below.
 
-        Missing edges are estimated on the way: the distinct misses in the
-        order rows first reach them, in groups of whole prefixes whose block
-        stays within util.MAX_BLOCK_UNIFORMS uniforms (a prefix too large
-        alone is its own group).  A group's prefix bits and streams (keyed by
-        the prefix: the index's depth binary digits) are built only for its
-        draw.  The level's splits are then recomputed from its k.
+        The distinct slots go in the order rows first reach them, in groups of
+        whole prefixes whose block stays within util.MAX_BLOCK_UNIFORMS
+        uniforms (a prefix too large alone is its own group).  A group's
+        prefix bits, read up the parent slots, and its streams, keyed by the
+        prefixes' '01' strings, are built only for its draw.
         """
-        keys = self._nodes[depth]
-        if len(keys) == 1 << depth:  # every node of the level is stored, in index order
-            return nodes.astype(np.intp, copy=False)
-        at = keys.searchsorted(nodes)
-        missed = nodes
-        if len(keys):
-            hit = keys.take(at, mode="clip") == nodes
-            if np.count_nonzero(hit) == len(nodes):
-                return at
-            missed = nodes[~hit]
         distinct, first = np.unique(missed, return_index=True)
-        order = first.argsort()  # first-touch order
-        misses = distinct[order]
-        found = []
-        start = 0
+        misses = distinct[first.argsort()]  # first-touch order
+        found, start = [], 0
         for size in row_blocks(len(misses), self.m * (self.n - depth)):
-            group = misses[start:start + size]
-            bits = code_rows(group, depth)
-            parts = [format(node | 1 << depth, "b")[1:] for node in group.tolist()]
+            slots, path = misses[start:start + size], []
+            for level in range(depth, 0, -1):  # the prefixes' slots, deepest first
+                path.append(slots)
+                slots = self._parents[level].take(slots >> 1)
+            bits = np.array(path[::-1], dtype=np.int64).reshape(depth, size).T & 1
+            # the stream keys: each prefix as '0'/'1' characters, then a NUL that the key string drops
+            chars = np.zeros((size, depth + 1), dtype=np.uint8)
+            chars[:, :depth] = 48 | bits
+            parts = chars.view(f"S{depth + 1}").ravel().astype(str).tolist()
             ones = first_free_ones(self.oracle, self.m, bits, substreams(self.seed, "edge", parts=parts))
             found += map(est_simulation_edge, ones.tolist())
             start += size
-        new_ks = np.empty(len(distinct), dtype=np.int64)
-        new_ks[order] = found
-        at = keys.searchsorted(distinct)
-        self._nodes[depth] = keys = np.insert(keys, at, distinct)
-        self._ks[depth] = ks = np.insert(self._ks[depth], at, new_ks)
-        self._splits[depth] = ks / self.m, (self.m - ks) / self.m
-        return keys.searchsorted(nodes)
+        self._ks[depth][misses] = ks = np.array(found, dtype=np.int64)
+        one, zero = self._splits[depth]
+        one[misses], zero[misses] = ks / self.m, (self.m - ks) / self.m
+        below = self._parents[depth + 1]
+        self._pairs[depth][misses] = np.arange(len(below), len(below) + len(misses))
+        self._parents[depth + 1] = np.concatenate((below, misses))
+        if depth + 1 < self.n:
+            new = 2 * len(misses)
+            for level in (self._ks, self._pairs):
+                level[depth + 1] = np.append(level[depth + 1], np.full(new, -1))
+            self._splits[depth + 1] = tuple(np.append(s, np.empty(new)) for s in self._splits[depth + 1])
 
     def _step(self, depth: int, h):
-        at = self._find(depth, h)  # first: it may add to the level
+        if len(self._parents[depth + 1]) < 1 << depth:  # a full level has no unestimated slot
+            missed = h[self._ks[depth].take(h) < 0]
+            if len(missed):
+                self._estimate(depth, missed)
         ones, zeros = self._splits[depth]
-        return ones.take(at), zeros.take(at), functools.partial(np.bitwise_or, h << 1)
+        children = self._pairs[depth].take(h) << 1
+        return ones.take(h), zeros.take(h), functools.partial(np.bitwise_or, children)
 
     def query_batch(self, bits) -> np.ndarray:
         """Masses of the rows of a (k, n) 0/1 array under the simulated distribution.

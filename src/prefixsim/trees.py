@@ -14,18 +14,18 @@ By default a handle is the node's index in its level, the big-endian value
 of its prefix, and _step is (f, 1 - f) from the tree's marginal _f: table
 trees read their tables at the index, the interval code tree
 (reduction.EncodedMarginalTree) a cumulative weight array.  Two trees
-override _step: a simulation (simulation.LazySimulation) reads both edges
-from its store of edge estimates, and the hard instances' sign trees name
-nodes by a rolling 64-bit state computed from the prefix, so instances with
-n in the thousands need no storage.  The base class owns the one walk over
-these names: walk takes a block of rows down together, one level per
-column, reading or drawing each row's bit and, for a caller that passes a
-mass array, multiplying in each edge's probability, so cylinder masses,
-element masses and draws are all one loop.  materialize builds the tables
-level by level from the same hook, each level's handles from the child map
-of the level above, and hands them to TableMarginalTree(levels), the one
-table constructor, which copies and checks every table's levels.  A caller
-with one prefix passes a block of one row.
+override _step: a simulation (simulation.LazySimulation) names a node by
+its slot in its store of edge estimates, and the hard instances' sign
+trees name nodes by a rolling 64-bit state computed from the prefix, so
+instances with n in the thousands need no storage.  The base class owns
+the one walk over these names: walk takes a block of rows down together,
+one level per column, reading or drawing each row's bit and, for a caller
+that passes a mass array, multiplying in each edge's probability, so
+cylinder masses, element masses and draws are all one loop.  materialize
+builds the tables level by level from the same hook, each level's handles
+from the child map of the level above, and hands them to
+TableMarginalTree(levels), the one table constructor, which copies and
+checks every table's levels.  A caller with one prefix passes a block of one row.
 
 This module holds trees, their walk and random_tree only; divergences
 between trees (exact KL and total variation by enumeration) are computed in

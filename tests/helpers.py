@@ -118,39 +118,63 @@ def prefix_string(depth: int, index: int) -> str:
 
 
 def dict_counts(store: dict, oracle, m: int, seed: int, depth: int, indexes) -> list[int]:
-    """Reference for the store of LazySimulation (_find, _ks): k per (depth, index) kept in a dict.
+    """Reference for the store of LazySimulation: k per (depth, index) kept in a dict, learned root first.
 
-    Each missing edge is drawn alone, in the order the indexes first reach it,
-    from its own (seed, "edge", prefix) stream, and its k is the count of
-    ones in the first free column.
+    Level by level from the root, each missing edge on the indexes' paths is
+    drawn alone, in the order the indexes first reach it, from its own
+    (seed, "edge", prefix) stream, and its k is the count of ones in the
+    first free column.
     """
-    for index in indexes:
-        if (depth, index) not in store:
-            w = prefix_string(depth, index)
-            store[depth, index] = int(np.count_nonzero(draw(oracle, w, m, lane(seed, "edge", w))[:, 0]))
+    for level in range(depth + 1):
+        for index in indexes:
+            node = level, index >> (depth - level)
+            if node not in store:
+                w = prefix_string(*node)
+                store[node] = int(np.count_nonzero(draw(oracle, w, m, lane(seed, "edge", w))[:, 0]))
     return [store[depth, index] for index in indexes]
 
 
+def slot_prefix(sim, depth: int, slot: int) -> str:
+    """The prefix of a simulation's node, named by its slot at depth, read up the parent slots."""
+    w = ""
+    for level in range(depth, 0, -1):
+        w = str(slot & 1) + w
+        slot = int(sim._parents[level][slot >> 1])
+    return w
+
+
+def stored(sim) -> dict:
+    """k of every prefix whose edge a simulation has estimated, keyed by the prefix string, read through the slots."""
+    return {slot_prefix(sim, depth, slot): k for depth, ks in enumerate(sim._ks)
+            for slot, k in enumerate(ks.tolist()) if k >= 0}
+
+
+def level_counts(sim, depth: int) -> np.ndarray:
+    """k of every prefix at depth in index order, read through the slots; the level must be full."""
+    ks = stored(sim)
+    return np.array([ks[prefix_string(depth, index)] for index in range(1 << depth)])
+
+
 def hist(sim) -> dict:
-    """Both sibling estimates of every pair a simulation has estimated, keyed (prefix string, bit).
+    """Both sibling estimates of every pair a simulation has estimated, keyed (prefix string, bit)."""
+    return {(w, b): Fraction(k if b else sim.m - k, sim.m) for w, k in stored(sim).items() for b in (1, 0)}
 
-    Reads the simulation's store: per depth, the prefixes' indexes and their k.
+
+def stored_counts(sim, prefixes: np.ndarray) -> np.ndarray:
+    """k of each prefix of a (k, depth) 0/1 array, as stored.
+
+    A walk from the root reaches their slots, estimating the missing edges
+    on the way root first, as every walk does, and a _step at depth
+    estimates theirs.
     """
-    return {(prefix_string(depth, index), b): Fraction(k if b else sim.m - k, sim.m)
-            for depth, (indexes, ks) in enumerate(zip(sim._nodes, sim._ks))
-            for index, k in zip(indexes.tolist(), ks.tolist()) for b in (1, 0)}
-
-
-def stored_counts(sim, depth: int, indexes: np.ndarray) -> np.ndarray:
-    """k of each index of the array, all prefixes at depth, as stored; estimates the missing edges."""
-    at = sim._find(depth, indexes)  # first: it may add to the level
-    return sim._ks[depth].take(at)
+    h = sim.walk(prefixes)
+    sim._step(prefixes.shape[1], h)  # first: it may estimate the level's edges
+    return sim._ks[prefixes.shape[1]].take(h)
 
 
 def edge(sim, w: str, b: int) -> Fraction:
-    """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair on a miss."""
-    index = np.array([int(w or "0", 2)], dtype=sim._handle_dtype)
-    k = int(stored_counts(sim, len(w), index)[0])
+    """The estimate of the edge w -> wb, k/m or (m - k)/m, estimating the pair (and its ancestors) on a miss."""
+    k = int(stored_counts(sim, prefix_rows(w))[0])
     return Fraction(k if b else sim.m - k, sim.m)
 
 

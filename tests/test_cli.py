@@ -46,20 +46,20 @@ def test_simulate_deterministic_records(capsys):
 
 
 def test_simulate_learns_in_one_pass(capsys, monkeypatch):
-    # kl_divergence's materialize is the only learning pass: one store lookup
-    # per depth per trial, and one estimate per edge
+    # kl_divergence's materialize is the only learning pass: one estimation
+    # of a level's misses per depth per trial, and one estimate per edge
     depths, estimates = [], []
-    find, estimate = simulation.LazySimulation._find, simulation.est_simulation_edge
+    estimate_level, estimate = simulation.LazySimulation._estimate, simulation.est_simulation_edge
 
-    def recording_find(self, depth, nodes):
+    def recording_estimate_level(self, depth, missed):
         depths.append(depth)
-        return find(self, depth, nodes)
+        return estimate_level(self, depth, missed)
 
     def recording_estimate(ones):
         estimates.append(ones)
         return estimate(ones)
 
-    monkeypatch.setattr(simulation.LazySimulation, "_find", recording_find)
+    monkeypatch.setattr(simulation.LazySimulation, "_estimate", recording_estimate_level)
     monkeypatch.setattr(simulation, "est_simulation_edge", recording_estimate)
     code, trials, _ = run_cli(capsys, ["simulate", "--n", "4", "--delta", "0.25", "--trials", "3", "--seed", "7"])
     assert code == 0 and len(trials) == 3

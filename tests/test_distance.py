@@ -132,6 +132,11 @@ def test_parameter_validation():
         estimate_tv(sim, sim, 0.0)
     with pytest.raises(ValueError):
         estimate_tv(sim, sim, 0.3, rounds=0)
+    # simulations of different n: rejected before either draws
+    other = LazySimulation(TreeOracle(random_tree(4, substream(70, "u"))), 0.1, seed=71)
+    with pytest.raises(ValueError):
+        estimate_tv(sim, other, 0.3)
+    assert sim.oracle.conditional_calls == other.oracle.conditional_calls == 0
 
 
 def test_no_pairs_per_round_rejected():

@@ -35,7 +35,9 @@ GONE = {"as_marginal_tree", "_walk", "_node_dtype", "PAIR_BLOCK", "cylinders", "
         # a tree's per-level hooks are _f and _step; _step's child map names the children
         "_split", "_child",
         # TableMarginalTree(levels) is the one table constructor, and copies and checks
-        "_trusted", "_keep"}
+        "_trusted", "_keep",
+        # a simulation names its nodes by store slot: no sorted index to search
+        "_find", "_nodes"}
 #: Generator constructors; streams.py alone builds a generator, from a key's seed words.
 GENERATORS = {"PCG64", "Generator", "default_rng"}
 #: The per-level hooks of a tree; only trees.py loops over them.
@@ -139,13 +141,21 @@ def test_the_simulation_is_a_tree_and_defines_no_walk():
 
 
 def test_only_the_base_tree_and_the_sign_tree_name_nodes():
-    # every other tree's handle is the node's index in its level, MarginalTree's default
+    # every other tree's handles are MarginalTree's: int64 from the root 0,
+    # the node's index in its level or, in a simulation, its store slot
     offenders = []
     for path, tree in _modules():
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and cls.name not in {"MarginalTree", "SignMarginalTree"}:
                 offenders += [f"{path.name}:{line} {cls.name}.{name}" for line, name in _defined_names(cls)
-                              if name == "_root"]
+                              if name in {"_root", "_handle_dtype"}]
+    assert offenders == []
+
+
+def test_no_module_names_the_object_dtype():
+    # handles and stores stay fixed-width at every n: no array of Python objects
+    offenders = [f"{path.name}:{node.lineno}" for path, tree in _modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "object"]
     assert offenders == []
 
 

@@ -79,7 +79,7 @@ class TestConditionalSampling:
         assert stat < chi2_critical_99(3)
 
 
-class TestZeroMassConvention:
+class TestZeroMassPrefix:
     def test_dead_prefix_draws_its_subtree(self):
         # conditioning inside the dead subtree of a point mass walks the
         # subtree's own marginals, which are all 0

@@ -316,7 +316,7 @@ class TestAdaptedOracle:
         assert native.calls == 0
         assert draws_after(group) == draws_after(substreams(18, parts=range(2)))
 
-    def test_padding_prefix_uses_convention(self):
+    def test_padding_prefix_draws_zeros(self):
         weights = substream(6, "w").uniform(0.1, 1.0, 5)
         native = TableIntervalOracle(weights)
         oracle = AdaptedPrefixOracle(native)
@@ -343,7 +343,7 @@ class TestAdaptedOracle:
 
 class TestCoupling:
     @pytest.mark.parametrize("size", [2, 4, 8, 16, 3, 5, 6, 12, 100])
-    def test_power_of_two_pipeline_is_bit_identical(self, size):
+    def test_pipeline_is_bit_identical(self, size):
         weights = substream(size, "w").uniform(0.05, 1.0, size)
         depth = code_depth(size)
         sim_seed = child_seed(99, "sim", size)
@@ -391,7 +391,7 @@ class TestCoupling:
         assert np.array_equal(direct.query_batch(codes), adapted.query_batch(codes))
 
     def test_padded_domain_pipeline_is_consistent(self):
-        # padded sizes couple bit for bit (test_power_of_two_pipeline_is_bit_identical
+        # padded sizes couple bit for bit (test_pipeline_is_bit_identical
         # runs 3, 5, 6, 12 and 100); the adapted simulation must also realize
         # exactly on its own
         weights = substream(10, "w").uniform(0.1, 1.0, 5)

@@ -23,8 +23,9 @@ from prefixsim.simulation import (
 from prefixsim.streams import substream, substreams
 from prefixsim.trees import random_tree
 
-from helpers import (chi2_critical_99, chi_square_stat, cylinder_mass, dict_counts, draw, edge, hist, lane, mass,
-                     point_mass_tree, prefix_counts, prefix_rows, query_exact, stored_counts, uniform_tree)
+from helpers import (chi2_critical_99, chi_square_stat, cylinder_mass, dict_counts, draw, edge, hist, lane,
+                     level_counts, mass, point_mass_tree, prefix_counts, prefix_rows, prefix_string, query_exact,
+                     slot_prefix, stored, stored_counts, uniform_tree)
 
 
 class TestSamplesPerEdge:
@@ -156,7 +157,7 @@ class TestEstSimulationEdge:
         assert peak(1 << 24) - peak(1 << 20) <= 2 << 20
 
 
-class TestPreprocess:
+class TestMaterialize:
     def test_total_cost(self):
         oracle = TreeOracle(uniform_tree(3))
         learned = LazySimulation(oracle, 0.5, seed=7)
@@ -226,7 +227,7 @@ class TestPreprocess:
         assert mean <= delta + 3.0 * se
 
 
-class TestPreprocessedReads:
+class TestMaterializedReads:
     def test_realization_exact(self):
         learned = LazySimulation(TreeOracle(random_tree(4, substream(5, "t"))), 0.5, seed=9)
         learned.materialize()
@@ -272,14 +273,17 @@ class TestLazySimulation:
     def test_access_edge_memo_and_sibling_rule(self):
         oracle = TreeOracle(uniform_tree(10))
         sim = LazySimulation(oracle, 0.5, seed=2)
+        # the store learns root first, as every walk does: the ancestors' edges
+        sim.walk(prefix_rows("0110"))
+        assert oracle.conditional_calls == 4 * 20
         first = edge(sim, "0110", 0)
-        assert oracle.conditional_calls == 20
+        assert oracle.conditional_calls == 5 * 20
         again = edge(sim, "0110", 0)
         assert again == first
-        assert oracle.conditional_calls == 20
+        assert oracle.conditional_calls == 5 * 20
         other = edge(sim, "0110", 1)
         assert first + other == Fraction(1)
-        assert oracle.conditional_calls == 20
+        assert oracle.conditional_calls == 5 * 20
 
     def test_fresh_query_cost_and_ledger(self):
         n, delta = 10, 0.5
@@ -404,7 +408,7 @@ class TestBatchedWalks:
         assert sim.oracle.conditional_calls == 0
 
     def test_node_ids_past_int64(self):
-        # n = 70 indexes do not fit in int64; the walk keeps them as Python ints
+        # n = 70 indexes do not fit in int64; the walk's handles are int64 slots
         from prefixsim.hardness import SignMarginalTree
 
         n = 70
@@ -534,17 +538,26 @@ def test_lazy_script_touches_edges_in_first_touch_order():
     assert oracle.conditional_calls == 200
 
 
-def assert_store_sorted(sim):
-    """Indexes strictly increase at every depth, and touched_pairs counts the entries."""
-    for indexes, ks in zip(sim._nodes, sim._ks):
-        keys = indexes.tolist()
-        assert len(keys) == len(ks) and all(a < b for a, b in zip(keys, keys[1:]))
-    assert sim.touched_pairs == sum(map(len, sim._nodes))
+def assert_slots_consistent(sim):
+    """Every estimated slot has one pair of child slots and a prefix of its own, and touched_pairs counts them.
+
+    Slot s at depth d is estimated (k >= 0) exactly when a pair below names
+    it as parent, pair j's parent is the slot whose children's pair is j, and
+    no two estimated slots read back the same prefix.
+    """
+    for depth, (ks, pairs) in enumerate(zip(sim._ks, sim._pairs)):
+        below = sim._parents[depth + 1]
+        assert ks.dtype == pairs.dtype == below.dtype == np.int64
+        assert np.flatnonzero(ks >= 0).tolist() == sorted(below.tolist())
+        assert pairs[below].tolist() == list(range(len(below)))
+        if depth + 1 < sim.n:
+            assert len(sim._ks[depth + 1]) == 2 * len(below)
+    assert sim.touched_pairs == len(stored(sim)) == sum(map(len, sim._parents))
 
 
 @pytest.mark.parametrize("n", [5, 70])
 def test_store_lookups_equal_a_dict_reference(n):
-    # n = 70 keeps indexes as Python ints in object arrays
+    # n = 70 walks prefixes whose indexes pass int64; the handles are int64 slots
     tree = random_tree(5, substream(80, "t"), 0.2, 0.8) if n == 5 else SignMarginalTree(70, 81, 0.3, 0.7)
     sim = LazySimulation(TreeOracle(tree), n / 4, seed=82)
     records = []
@@ -556,12 +569,15 @@ def test_store_lookups_equal_a_dict_reference(n):
     calls = [(deep, [5, 1, 5, 3]), (2, [3, 0, 3]), (deep, [3, 0, 1, 7, 0]), (2, [1, 3, 2, 0]),
              (0, [0, 0]), (deep, [7, 5, 2, 2, 6, 4]), (deep, [6, 0])]
     for depth, indexes in calls:
-        ks = stored_counts(sim, depth, np.array(indexes, dtype=sim._handle_dtype))
+        ks = stored_counts(sim, code_rows(np.array(indexes), depth))
         assert ks.dtype == np.int64
         assert ks.tolist() == dict_counts(store, reference, sim.m, sim.seed, depth, indexes)
-        assert_store_sorted(sim)
-    assert sim.touched_pairs == len(store) == 13
-    assert sim.oracle.conditional_calls == reference.conditional_calls == sim.m * 13
+        assert stored(sim) == {prefix_string(*node): k for node, k in store.items()}
+        assert_slots_consistent(sim)
+    # n = 5: every node of depths 0-3; n = 70: 1 + 2 + 4 at depths 0-2, the zero
+    # prefix alone at depths 3-65, then 2 + 4 + 8 at depths 66-68
+    assert sim.touched_pairs == len(store) == {5: 15, 70: 84}[n]
+    assert sim.oracle.conditional_calls == reference.conditional_calls == sim.m * len(store)
     assert [r["prefix"] for r in records] == [r["prefix"] for r in reference_records]
 
 
@@ -570,27 +586,120 @@ def test_store_stays_sorted_through_lazy_walks():
     for _ in range(4):
         sim.sample_batch(5)
         sim.query_batch(code_rows(substream(85, "q").integers(0, 64, 7), 6))
-        assert_store_sorted(sim)
+        assert_slots_consistent(sim)
     assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs
     sim.materialize()
-    assert_store_sorted(sim)
-    assert [indexes.tolist() for indexes in sim._nodes] == [list(range(1 << i)) for i in range(6)]
+    assert_slots_consistent(sim)
+    # in index order through the slots: every prefix of every depth
+    assert sorted(stored(sim), key=lambda w: (len(w), w)) == [
+        prefix_string(depth, index) for depth in range(6) for index in range(1 << depth)]
 
 
-@pytest.mark.parametrize("n, dtype", [(63, np.int64), (64, object)])
+@pytest.mark.parametrize("n, dtype", [(63, np.int64), (64, np.int64), (65, np.int64), (128, np.int64)])
 def test_handles_are_int64_through_n_63(n, dtype):
-    # a walk's last handle is the element's index, up to 2^n - 1: int64 holds it through n = 63
+    # a walk's handle is its node's slot, so it stays int64 past the n = 63
+    # where the element's index leaves int64; the slot reads back the element
     sim = LazySimulation(TreeOracle(SignMarginalTree(n, 94, 0.3, 0.7)), n / 2, seed=95)
     bits, masses = sim.sample_batch(4)
     bits = np.vstack([bits, np.ones((1, n), dtype=np.uint8)])
     masses = np.append(masses, sim.query([1] * n))
     assert [sim.query(x) for x in bits.tolist()] == masses.tolist()
-    assert all(indexes.dtype == dtype for indexes in sim._nodes)
+    assert all(ks.dtype == dtype for ks in sim._ks + sim._pairs + sim._parents)
     handles = sim.walk(bits.copy())
     assert handles.dtype == dtype
-    assert [int(h) for h in handles] == [int("".join(map(str, row)), 2) for row in bits.tolist()]
-    assert int(handles[-1]) == (1 << n) - 1
-    assert_store_sorted(sim)
+    assert [slot_prefix(sim, n, h) for h in handles.tolist()] == ["".join(map(str, row)) for row in bits.tolist()]
+    assert slot_prefix(sim, n, handles.tolist()[-1]) == "1" * n
+    assert_slots_consistent(sim)
+
+
+class DictStore:
+    """A test-local reference for a simulation's store: k per prefix string in a dict, learned root first.
+
+    A walk steps its rows down one level at a time.  At each level every
+    missing edge is drawn alone, in the order the rows first reach it, from
+    its own (seed, "edge", prefix) stream; bits and masses then follow from
+    k/m and (m - k)/m in Python floats.
+    """
+
+    def __init__(self, tree, m: int, seed: int):
+        self.oracle, self.records, self.ks = TreeOracle(tree), [], {}
+        self.oracle.on_record = self.records.append
+        self.n, self.m, self.seed = tree.n, m, seed
+        self.user = substream(seed, "user")
+
+    def k(self, w: str) -> int:
+        if w not in self.ks:
+            self.ks[w] = int(np.count_nonzero(draw(self.oracle, w, self.m, lane(self.seed, "edge", w))[:, 0]))
+        return self.ks[w]
+
+    def walk(self, rows=None, count: int = 0) -> tuple[list, list]:
+        """The paths and masses of the rows, or of count rows drawn from the (seed, "user") stream."""
+        u = self.user.random((count, self.n)).tolist() if rows is None else None
+        paths = [""] * (count if rows is None else len(rows))
+        masses = [1.0] * len(paths)
+        for t in range(self.n):
+            for s, k in enumerate([self.k(w) for w in paths]):
+                one, zero = k / self.m, (self.m - k) / self.m
+                b = int(u[s][t] < one) if rows is None else rows[s][t]
+                masses[s] *= one if b else zero
+                paths[s] += str(b)
+        return paths, masses
+
+    def levels(self) -> list:
+        return [[self.k(prefix_string(depth, i)) / self.m for i in range(1 << depth)] for depth in range(self.n)]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a walk of stored rows reached the miss path")
+
+
+_store_ops = st.lists(st.one_of(
+    st.tuples(st.just("sample_batch"), st.integers(0, 3)),
+    st.tuples(st.just("query_batch"), st.lists(st.integers(0, 63), max_size=4)),
+    st.tuples(st.just("materialize"), st.none())), max_size=5)
+
+
+@pytest.mark.parametrize("n", [5, 70])
+@settings(max_examples=20, deadline=None)
+@given(script=_store_ops, seed=st.integers(0, 2**32))
+def test_slot_store_equals_a_dict_store_over_random_scripts(n, script, seed):
+    # n = 70: prefixes whose indexes pass int64, and no materialize
+    tree = random_tree(n, substream(96, "t"), 0.1, 0.9) if n == 5 else SignMarginalTree(n, 97, 0.3, 0.7)
+    sim = LazySimulation(TreeOracle(tree), n / 4, seed)
+    records = []
+    sim.oracle.on_record = records.append
+    reference = DictStore(tree, sim.m, seed)
+    walked = []
+    for op, arg in script:
+        if op == "sample_batch":
+            bits, masses = sim.sample_batch(arg)
+            paths, want = reference.walk(count=arg)
+            assert ["".join(map(str, row)) for row in bits.tolist()] == paths
+            walked += bits.tolist()
+        elif op == "query_batch":
+            rows = [[(c >> (i % 6)) & 1 for i in range(n)] for c in arg]
+            masses = sim.query_batch(np.array(rows, dtype=np.uint8).reshape(-1, n))
+            want = reference.walk(rows)[1]
+            walked += rows
+        elif n > simulation.MAX_MATERIALIZE_N:
+            with pytest.raises(CapabilityError):
+                sim.materialize()
+            masses, want = np.empty(0), []
+        else:
+            table = sim.materialize()
+            assert [table.level(depth).tolist() for depth in range(n)] == reference.levels()
+            masses, want = np.empty(0), []
+        assert masses.tolist() == want
+        assert stored(sim) == reference.ks
+        assert sim.oracle.conditional_calls == sim.m * sim.touched_pairs == sim.m * len(reference.ks)
+        assert records == reference.records
+    # rows that all hit, on partly filled levels too, draw nothing and never reach np.unique
+    calls = sim.oracle.conditional_calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "unique", _never)
+        masses = sim.query_batch(np.array(walked, dtype=np.uint8).reshape(-1, n))
+    assert sim.oracle.conditional_calls == calls
+    assert masses.tolist() == reference.walk(walked)[1]
 
 
 class TestSimulationIsATree:
@@ -610,7 +719,7 @@ class TestSimulationIsATree:
         # the table holds k/m from the store, level by level in index order
         for sim, table in zip(sims, tables):
             for depth in range(4):
-                assert table.level(depth).tolist() == (sim._ks[depth] / sim.m).tolist()
+                assert table.level(depth).tolist() == (level_counts(sim, depth) / sim.m).tolist()
 
     @pytest.mark.parametrize("n", [1, 6, 10])
     def test_the_table_keeps_k_over_m_and_its_masses_round_apart(self, n):
@@ -619,7 +728,7 @@ class TestSimulationIsATree:
         sim = LazySimulation(TreeOracle(random_tree(n, substream(94, "t"), 0.1, 0.9)), 0.3, seed=95)
         table = sim.materialize()
         for depth in range(n):
-            assert table.level(depth).tobytes() == (sim._ks[depth] / sim.m).tobytes()
+            assert table.level(depth).tobytes() == (level_counts(sim, depth) / sim.m).tobytes()
         codes = code_rows(np.arange(1 << n), n)
         np.testing.assert_allclose(sim.masses(), sim.query_batch(codes), rtol=n * 1e-15, atol=0)
 
